@@ -24,11 +24,20 @@
 // are kept per sample and averaged into a per-benchmark metrics map, so
 // footprint numbers land in the report alongside latency.
 //
+// Reports record the host shape they were measured on: nproc (logical
+// CPUs) and GOMAXPROCS. A benchmark cell whose name carries a worker
+// count ("workers=8") above nproc is oversubscribed — its workers
+// time-share cores, so its timing measures the host scheduler more than
+// the code — and is marked informational.
+//
 // With -compare, the fresh results are checked against a committed
-// baseline report and the command fails if any benchmark's mean_ns_per_op
-// regressed by more than -tolerance (default 0.10), or if a baseline
-// benchmark is missing from the new run — `make bench-compare` wires this
-// as the CI perf gate. Custom metrics are recorded but not gated.
+// baseline report and the command fails if any benchmark's min_ns_per_op
+// (the least noisy of the per-sample statistics: host interference only
+// ever adds time) regressed by more than -tolerance (default 0.10), or if
+// a baseline benchmark is missing from the new run — `make bench-compare`
+// wires this as the CI perf gate. Informational cells, in the baseline or
+// the fresh run, are reported but not gated. Custom metrics are recorded
+// but not gated.
 package main
 
 import (
@@ -97,25 +106,51 @@ type Sample struct {
 // multi-package runs Name is qualified with the package's base element
 // ("paths.BenchmarkFind/N=4096") so names stay unique, and Package holds
 // the full import path.
+//
+// Workers is the worker count parsed from a "workers=N" name element (0
+// when absent); Informational marks a cell whose Workers exceeds the
+// host's nproc, which -compare does not gate.
 type Benchmark struct {
-	Name        string    `json:"name"`
-	Package     string    `json:"package,omitempty"`
-	Samples     []Sample  `json:"samples"`
-	MinNsPerOp  float64   `json:"min_ns_per_op"`
-	MeanNsPerOp float64   `json:"mean_ns_per_op"`
-	AllocsPerOp int64     `json:"allocs_per_op"`
-	Metrics     metricMap `json:"metrics,omitempty"`
+	Name          string    `json:"name"`
+	Package       string    `json:"package,omitempty"`
+	Samples       []Sample  `json:"samples"`
+	MinNsPerOp    float64   `json:"min_ns_per_op"`
+	MeanNsPerOp   float64   `json:"mean_ns_per_op"`
+	AllocsPerOp   int64     `json:"allocs_per_op"`
+	Metrics       metricMap `json:"metrics,omitempty"`
+	Workers       int       `json:"workers,omitempty"`
+	Informational bool      `json:"informational,omitempty"`
 }
 
-// Report is the emitted JSON document.
+// Report is the emitted JSON document. NProc and GOMAXPROCS record the
+// host shape the numbers were measured on.
 type Report struct {
 	Package    string      `json:"package"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NProc      int         `json:"nproc,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	GoVersion  string      `json:"go_version,omitempty"`
 	Commit     string      `json:"commit,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// workersElem matches a benchmark name's worker-count element.
+var workersElem = regexp.MustCompile(`(?:^|/)workers=(\d+)(?:/|$)`)
+
+// markHost records the host shape on rep and marks every cell whose
+// worker count exceeds nproc as informational.
+func markHost(rep *Report, nproc, gomaxprocs int) {
+	rep.NProc, rep.GOMAXPROCS = nproc, gomaxprocs
+	for i := range rep.Benchmarks {
+		b := &rep.Benchmarks[i]
+		b.Workers = 0
+		if m := workersElem.FindStringSubmatch(b.Name); m != nil {
+			b.Workers, _ = strconv.Atoi(m[1])
+		}
+		b.Informational = b.Workers > nproc
+	}
 }
 
 // benchLine matches e.g.
@@ -257,10 +292,11 @@ func parse(r io.Reader) (Report, error) {
 	return rep, nil
 }
 
-// compareReports checks fresh mean_ns_per_op numbers against a baseline:
+// compareReports checks fresh min_ns_per_op numbers against a baseline:
 // a regression beyond tolerance (fractional, e.g. 0.10 = +10%) or a
 // baseline benchmark missing from the fresh run is a violation.
-// Benchmarks only present in the fresh run are fine (new coverage).
+// Benchmarks only present in the fresh run are fine (new coverage), and
+// informational cells (oversubscribed in either report) are not gated.
 func compareReports(baseline, fresh Report, tolerance float64) []string {
 	current := map[string]Benchmark{}
 	for _, b := range fresh.Benchmarks {
@@ -273,13 +309,13 @@ func compareReports(baseline, fresh Report, tolerance float64) []string {
 			violations = append(violations, fmt.Sprintf("%s: present in baseline but missing from this run", base.Name))
 			continue
 		}
-		if base.MeanNsPerOp <= 0 {
+		if base.MinNsPerOp <= 0 || base.Informational || got.Informational {
 			continue
 		}
-		ratio := got.MeanNsPerOp / base.MeanNsPerOp
+		ratio := got.MinNsPerOp / base.MinNsPerOp
 		if ratio > 1+tolerance {
-			violations = append(violations, fmt.Sprintf("%s: mean %.0f ns/op vs baseline %.0f ns/op (%+.1f%%, tolerance %.0f%%)",
-				base.Name, got.MeanNsPerOp, base.MeanNsPerOp, (ratio-1)*100, tolerance*100))
+			violations = append(violations, fmt.Sprintf("%s: min %.0f ns/op vs baseline %.0f ns/op (%+.1f%%, tolerance %.0f%%)",
+				base.Name, got.MinNsPerOp, base.MinNsPerOp, (ratio-1)*100, tolerance*100))
 		}
 	}
 	return violations
@@ -300,7 +336,7 @@ func main() {
 	pkg := flag.String("pkg", "./internal/simulator", "package(s) to benchmark, comma-separated")
 	count := flag.Int("count", 5, "samples per benchmark (go test -count)")
 	out := flag.String("o", "BENCH_simulator.json", "output file (- for stdout)")
-	compare := flag.String("compare", "", "baseline report to compare against; fail on mean_ns_per_op regressions")
+	compare := flag.String("compare", "", "baseline report to compare against; fail on min_ns_per_op regressions")
 	tolerance := flag.Float64("tolerance", 0.10, "fractional regression allowed by -compare (0.10 = +10%)")
 	flag.Parse()
 	if err := run(*bench, *pkg, *count, *out, *compare, *tolerance); err != nil {
@@ -326,6 +362,7 @@ func run(bench, pkg string, count int, out, compare string, tolerance float64) e
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark results matched %q in %s", bench, pkg)
 	}
+	markHost(&rep, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	rep.GoVersion = runtime.Version()
 	rep.Commit = gitCommit()
 	doc, err := json.MarshalIndent(rep, "", "  ")

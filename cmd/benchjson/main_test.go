@@ -244,8 +244,8 @@ func TestParseIgnoresNoise(t *testing.T) {
 }
 
 func TestCompareReports(t *testing.T) {
-	mk := func(name string, mean float64) Benchmark {
-		return Benchmark{Name: name, MeanNsPerOp: mean}
+	mk := func(name string, ns float64) Benchmark {
+		return Benchmark{Name: name, MinNsPerOp: ns, MeanNsPerOp: ns}
 	}
 	baseline := Report{Benchmarks: []Benchmark{
 		mk("BenchmarkA/N=8", 1000),
@@ -268,5 +268,76 @@ func TestCompareReports(t *testing.T) {
 	}
 	if v := compareReports(baseline, fresh, 0.20); len(v) != 1 {
 		t.Errorf("at 20%% tolerance only the missing benchmark should remain, got %v", v)
+	}
+}
+
+// TestCompareOnMin: the gate reads min_ns_per_op — one slow sample that
+// drags the mean up is host noise, not a regression; a slower fastest
+// sample is.
+func TestCompareOnMin(t *testing.T) {
+	baseline := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkNoisy", MinNsPerOp: 1000, MeanNsPerOp: 1050},
+		{Name: "BenchmarkSlower", MinNsPerOp: 1000, MeanNsPerOp: 1050},
+	}}
+	fresh := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkNoisy", MinNsPerOp: 1010, MeanNsPerOp: 1600},
+		{Name: "BenchmarkSlower", MinNsPerOp: 1200, MeanNsPerOp: 1210},
+	}}
+	v := compareReports(baseline, fresh, 0.10)
+	if len(v) != 1 || !strings.Contains(v[0], "BenchmarkSlower") || !strings.Contains(v[0], "min 1200") {
+		t.Fatalf("want exactly the min regression of BenchmarkSlower, got %v", v)
+	}
+}
+
+// TestMarkHostInformational: cells whose worker count exceeds nproc are
+// marked informational and left out of the gate, in either report; the
+// host shape lands on the report.
+func TestMarkHostInformational(t *testing.T) {
+	mk := func(name string, ns float64) Benchmark {
+		return Benchmark{Name: name, MinNsPerOp: ns, MeanNsPerOp: ns}
+	}
+	fresh := Report{Benchmarks: []Benchmark{
+		mk("BenchmarkLargeN/N=256/workers=1", 3000),
+		mk("BenchmarkLargeN/N=256/workers=2", 3000),
+		mk("BenchmarkLargeN/N=256/workers=8", 9000),
+		mk("BenchmarkWorkers=9", 3000), // not a name element
+	}}
+	markHost(&fresh, 2, 2)
+	if fresh.NProc != 2 || fresh.GOMAXPROCS != 2 {
+		t.Fatalf("host shape %d/%d", fresh.NProc, fresh.GOMAXPROCS)
+	}
+	for i, want := range []struct {
+		workers int
+		info    bool
+	}{{1, false}, {2, false}, {8, true}, {0, false}} {
+		if b := fresh.Benchmarks[i]; b.Workers != want.workers || b.Informational != want.info {
+			t.Errorf("%s: workers %d informational %v, want %d %v", b.Name, b.Workers, b.Informational, want.workers, want.info)
+		}
+	}
+	baseline := Report{Benchmarks: []Benchmark{
+		mk("BenchmarkLargeN/N=256/workers=1", 1000),
+		mk("BenchmarkLargeN/N=256/workers=2", 1000),
+		mk("BenchmarkLargeN/N=256/workers=8", 1000),
+		mk("BenchmarkWorkers=9", 3000),
+	}}
+	// workers=1 and workers=2 tripled: gated on this 2-CPU host.
+	// workers=8 (9x) is oversubscribed here and not gated.
+	if v := compareReports(baseline, fresh, 0.10); len(v) != 2 || strings.Contains(strings.Join(v, " "), "workers=8") {
+		t.Fatalf("want the workers=1 and workers=2 regressions, got %v", v)
+	}
+	// A baseline recorded on a 1-CPU host marks its workers=2 cell
+	// informational: that cell is not gated either.
+	markHost(&baseline, 1, 1)
+	if v := compareReports(baseline, fresh, 0.10); len(v) != 1 || !strings.Contains(v[0], "workers=1") {
+		t.Fatalf("want only the workers=1 regression, got %v", v)
+	}
+	doc, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"nproc":2`, `"gomaxprocs":2`, `"workers":8,"informational":true`} {
+		if !strings.Contains(string(doc), key) {
+			t.Errorf("report JSON lacks %s: %s", key, doc)
+		}
 	}
 }

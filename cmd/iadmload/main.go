@@ -1,8 +1,8 @@
 // Command iadmload is a closed-loop load generator for iadmd: N worker
 // goroutines hammer /route (uniform or zipf destination mix, configurable
 // SSDT/TSDT split), optionally churning faults and repairs of random
-// nonstraight links (the blockage class every scheme tolerates, so routes
-// stay feasible), and report throughput plus latency percentiles from the
+// nonstraight links (at most one per switch, the blockage class every
+// scheme tolerates, so routes stay feasible), and report throughput plus latency percentiles from the
 // repo's stats.Stream machinery alongside the server's own /metrics.
 //
 // Usage:
@@ -49,6 +49,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -354,6 +355,11 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	fmt.Fprintf(w, "iadmload: %d workers for %v against %s (N=%d, nets=%d, tsdt=%.2f, zipf=%.2f, churn=%.3f, batch=%s)\n",
 		cfg.workers, cfg.duration, target, n, cfg.nets, cfg.tsdtFrac, cfg.zipfS, cfg.churn, batchDesc)
 
+	claims := &churnClaims{held: map[string]bool{}}
+	clients := make(map[string]*routesvc.Client, len(bases))
+	for _, base := range bases {
+		clients[base] = routesvc.NewClient(base, 10*time.Second)
+	}
 	start := time.Now()
 	deadline := start.Add(cfg.duration)
 	results := make([]workerStats, cfg.workers)
@@ -362,11 +368,15 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id] = worker(cfg, mix, client, bases[id%len(bases)], n, stages, id, deadline)
+			base := bases[id%len(bases)]
+			results[id] = worker(cfg, mix, client, clients[base], claims, base, n, stages, id, deadline)
 		}(id)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	for _, c := range clients {
+		c.HTTPClient().CloseIdleConnections()
+	}
 
 	batchUsed := cfg.batch > 1
 	for _, sz := range mix {
@@ -430,7 +440,10 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	return sum, nil
 }
 
-func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stages, id int, deadline time.Time) workerStats {
+// worker drives one closed loop against base: singles as GET /route,
+// batches through rc (the wire-codec client the fleet router and the
+// repository benchmark use), churn through /fault and /repair.
+func worker(cfg loadConfig, mix []int, client *http.Client, rc *routesvc.Client, claims *churnClaims, base string, n, stages, id int, deadline time.Time) workerStats {
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)*0x9E3779B9))
 	var zipf *rand.Zipf
 	if cfg.zipfS > 1 {
@@ -474,16 +487,19 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 				if !postMutate(client, base+"/repair", spec, cfg.churnNet) {
 					ws.mutateErrors++
 				}
+				claims.release(spec)
 			} else {
 				kind := "+"
 				if rng.Intn(2) == 0 {
 					kind = "-"
 				}
 				spec := fmt.Sprintf("%d:%d:%s", rng.Intn(stages), rng.Intn(n), kind)
-				faulted = append(faulted, spec)
-				ws.faults++
-				if !postMutate(client, base+"/fault", spec, cfg.churnNet) {
-					ws.mutateErrors++
+				if claims.claim(spec) {
+					faulted = append(faulted, spec)
+					ws.faults++
+					if !postMutate(client, base+"/fault", spec, cfg.churnNet) {
+						ws.mutateErrors++
+					}
 				}
 			}
 		}
@@ -492,24 +508,16 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 			for i := range reqs {
 				reqs[i] = routesvc.RouteJSON{Net: pickNet(), Src: rng.Intn(n), Dst: pickDst(), Scheme: pickScheme()}
 			}
-			body, _ := json.Marshal(routesvc.BatchJSON{Requests: reqs})
 			t0 := time.Now()
-			resp, err := client.Post(base+"/route/batch", "application/json", bytes.NewReader(body))
+			out, err := rc.RouteBatch(reqs)
 			us := float64(time.Since(t0).Microseconds())
 			ws.requests += size
-			if err != nil {
-				ws.transport++
-				continue
-			}
-			var out routesvc.BatchJSON
-			decErr := json.NewDecoder(resp.Body).Decode(&out)
-			io.Copy(io.Discard, resp.Body) // leave the connection reusable
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
+			var apiErr *routesvc.APIError
+			switch {
+			case errors.As(err, &apiErr):
 				ws.badStatus++
 				continue
-			}
-			if decErr != nil {
+			case err != nil: // transport failure or undecodable body
 				ws.transport++
 				continue
 			}
@@ -557,8 +565,41 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 		if !postMutate(client, base+"/repair", spec, cfg.churnNet) {
 			ws.mutateErrors++
 		}
+		claims.release(spec)
 	}
 	return ws
+}
+
+// churnClaims holds the switches whose nonstraight links some worker
+// has faulted. A worker faults a link only on a switch no worker holds,
+// so at most one of a switch's two nonstraight links is ever blocked:
+// the other still flips the stage's address bit, which keeps every pair
+// routable. Two workers blocking both nonstraight links of one switch
+// would disconnect every pair that must leave it nonstraight.
+type churnClaims struct {
+	mu   sync.Mutex
+	held map[string]bool // "stage:switch"
+}
+
+// switchOf is the "stage:switch" part of a "stage:switch:kind" spec.
+func switchOf(spec string) string { return spec[:strings.LastIndexByte(spec, ':')] }
+
+// claim reserves spec's switch; false means another fault holds it.
+func (c *churnClaims) claim(spec string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.held[switchOf(spec)] {
+		return false
+	}
+	c.held[switchOf(spec)] = true
+	return true
+}
+
+// release frees spec's switch once its fault is repaired.
+func (c *churnClaims) release(spec string) {
+	c.mu.Lock()
+	delete(c.held, switchOf(spec))
+	c.mu.Unlock()
 }
 
 func postMutate(client *http.Client, url, linkSpec, net string) bool {

@@ -247,3 +247,23 @@ func TestViolationsOverload(t *testing.T) {
 		t.Errorf("sheds without -overload: want 1 violation, got %v", v)
 	}
 }
+
+// TestChurnClaimsOneNonstraightPerSwitch: churn never blocks both
+// nonstraight links of one switch (which would disconnect every pair
+// that must leave it nonstraight), whichever workers draw them.
+func TestChurnClaimsOneNonstraightPerSwitch(t *testing.T) {
+	c := &churnClaims{held: map[string]bool{}}
+	if !c.claim("2:49:+") {
+		t.Fatal("free switch refused")
+	}
+	if c.claim("2:49:-") || c.claim("2:49:+") {
+		t.Fatal("second fault on a held switch claimed")
+	}
+	if !c.claim("2:48:-") || !c.claim("3:49:-") {
+		t.Fatal("other switches refused")
+	}
+	c.release("2:49:+")
+	if !c.claim("2:49:-") {
+		t.Fatal("released switch refused")
+	}
+}

@@ -149,8 +149,18 @@ func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
 // disconnected for the pair. Computed tags are cached until the blockage
 // map changes.
 func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
+	tag, _, err := c.RouteTagEpoch(s, d)
+	return tag, err
+}
+
+// RouteTagEpoch is RouteTag plus the epoch of the blockage map the tag
+// was computed (or its cache entry validated) under, read under the
+// same lock — so a mutation racing the call can never pair a tag with
+// a map it was not computed against. An unroutable pair reports the
+// epoch under which it was found unroutable.
+func (c *Controller) RouteTagEpoch(s, d int) (core.Tag, uint64, error) {
 	if !c.p.ValidSwitch(s) || !c.p.ValidSwitch(d) {
-		return core.Tag{}, fmt.Errorf("controller: invalid pair (%d, %d)", s, d)
+		return core.Tag{}, 0, fmt.Errorf("controller: invalid pair (%d, %d)", s, d)
 	}
 	key := pair{s, d}
 
@@ -158,25 +168,26 @@ func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
 	if e, ok := c.cache[key]; ok && e.epoch == c.epoch.Load() {
 		c.hits.Add(1)
 		c.mu.RUnlock()
-		return e.tag, nil
+		return e.tag, e.epoch, nil
 	}
 	c.mu.RUnlock()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	epoch := c.epoch.Load() // stable: every bump happens under mu
 	// Recheck under the write lock (another sender may have filled it).
-	if e, ok := c.cache[key]; ok && e.epoch == c.epoch.Load() {
+	if e, ok := c.cache[key]; ok && e.epoch == epoch {
 		c.hits.Add(1)
-		return e.tag, nil
+		return e.tag, epoch, nil
 	}
 	c.misses.Add(1)
 	tag, _, err := core.Reroute(c.p, c.blk, s, core.MustTag(c.p, d))
 	if err != nil {
 		c.fails.Add(1)
-		return core.Tag{}, err
+		return core.Tag{}, epoch, err
 	}
-	c.cache[key] = entry{tag: tag, epoch: c.epoch.Load()}
-	return tag, nil
+	c.cache[key] = entry{tag: tag, epoch: epoch}
+	return tag, epoch, nil
 }
 
 // Route is RouteTag plus the concrete path.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -8,6 +9,13 @@ import (
 
 	"iadm/internal/routesvc"
 )
+
+func decodeBody(r *http.Request, v any) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %v", err)
+	}
+	return nil
+}
 
 // mutateAttempts and mutateBackoff bound the per-replica delivery of a
 // fault/repair report: a replica that cannot be reached after these

@@ -26,8 +26,14 @@ func parseRoute(r *http.Request) (routesvc.RouteJSON, error) {
 			return in, fmt.Errorf("bad dst %q", q.Get("dst"))
 		}
 	case http.MethodPost:
-		if err := decodeBody(r, &in); err != nil {
-			return in, err
+		wb := routesvc.GetWireBuf()
+		err := wb.ReadAll(r.Body, r.ContentLength)
+		if err == nil {
+			err = routesvc.DecodeRouteJSON(wb.B, &in)
+		}
+		routesvc.PutWireBuf(wb)
+		if err != nil {
+			return in, fmt.Errorf("bad JSON body: %v", err)
 		}
 	default:
 		return in, fmt.Errorf("method %s", r.Method)
@@ -52,7 +58,10 @@ func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
 		rt.proxyErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	wb := routesvc.GetWireBuf()
+	wb.B = append(routesvc.AppendRouteJSON(wb.B, &out, false), '\n')
+	routesvc.WriteBody(w, http.StatusOK, wb.B)
+	routesvc.PutWireBuf(wb)
 }
 
 // sendRoute runs the hedged/retried single-route send. Replica rank k is
@@ -78,8 +87,7 @@ func (rt *Router) sendRoute(set []int, ownerPos int, in routesvc.RouteJSON) (rou
 				time.Sleep(delay)
 			}
 			bk.reqs.Add(1)
-			var out routesvc.RouteJSON
-			err := bk.client.PostJSON("/route", in, &out)
+			out, err := bk.client.RouteWire(in)
 			bk.observe(err)
 			ch <- reply{out, err}
 		}()

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -272,9 +271,8 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// respPool recycles response-assembly buffers for the batch merge path.
-var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
+// writeJSON answers the router's cold endpoints (/fault, /repair,
+// /prewarm, /healthz, /metrics) through encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -283,16 +281,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-type errJSON struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
 func writeErrJSON(w http.ResponseWriter, status int, err error, code string, retryAfter int) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeJSON(w, status, errJSON{Error: err.Error(), Code: code})
+	wb := routesvc.GetWireBuf()
+	wb.B = append(routesvc.AppendErrorJSON(wb.B, err.Error(), code), '\n')
+	routesvc.WriteBody(w, status, wb.B)
+	routesvc.PutWireBuf(wb)
 }
 
 // proxyErr maps a backend-call failure onto the router's own response:

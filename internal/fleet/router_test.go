@@ -84,7 +84,7 @@ func TestFleetScatterGatherOrder(t *testing.T) {
 	f := newTestFleet(t, 3, Config{Replicas: 2})
 	// A mixed-partition, mixed-scheme batch large enough that every
 	// backend owns a slice of it.
-	var in batchReqWire
+	var in routesvc.BatchJSON
 	for i := 0; i < 150; i++ {
 		sch := "tsdt"
 		if i%3 == 0 {
@@ -229,7 +229,7 @@ func TestFleetRetryAfterBackendDeath(t *testing.T) {
 
 	// Batch: every item whose primary died must come back from the other
 	// replica via the retry round — zero per-item errors.
-	var bin batchReqWire
+	var bin routesvc.BatchJSON
 	for i := 0; i < 128; i++ {
 		bin.Requests = append(bin.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%4), Src: i % 64, Dst: (i * 11) % 64, Scheme: "tsdt",
@@ -253,15 +253,17 @@ func TestFleetRetryBudgetExhausted(t *testing.T) {
 	// batch itself still answers 200 — one dead backend degrades 1/K of
 	// a batch, it does not fail it whole).
 	f := newTestFleet(t, 3, Config{Replicas: 2, RetryFraction: 0})
-	dead := 0
-	f.srvs[dead].Close()
-
-	var bin batchReqWire
+	var bin routesvc.BatchJSON
 	for i := 0; i < 64; i++ {
 		bin.Requests = append(bin.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%4), Src: i % 64, Dst: (i * 11) % 64, Scheme: "tsdt",
 		})
 	}
+	// Kill the owner of the first item: placement hashes the backends'
+	// (random) URLs, so a fixed index may own no partition at all.
+	first := bin.Requests[0]
+	dead, _ := f.rt.ring.Owner(first.Net, first.Src, first.Dst)
+	f.srvs[dead].Close()
 	var bout struct {
 		Responses []routesvc.RouteJSON `json:"responses"`
 	}
@@ -299,7 +301,7 @@ func TestFleetMutateFanOutFailsClosed(t *testing.T) {
 
 func TestFleetMetricsMergeAndDrain(t *testing.T) {
 	f := newTestFleet(t, 3, Config{Replicas: 2})
-	var bin batchReqWire
+	var bin routesvc.BatchJSON
 	for i := 0; i < 96; i++ {
 		bin.Requests = append(bin.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%3), Src: i % 64, Dst: (i * 5) % 64, Scheme: "ssdt",

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"iadm/internal/core"
 	"iadm/internal/topology"
 )
 
@@ -89,6 +90,65 @@ func TestTSDTHitReportsValidatedEpoch(t *testing.T) {
 	}
 	if res.Epoch != primed {
 		t.Errorf("cache hit reported epoch %d, want validated epoch %d", res.Epoch, primed)
+	}
+}
+
+// TestTSDTComputeReportsComputingEpoch is the regression test for the
+// mid-compute epoch stamp: a mutation injected between the stamp load
+// and the tag computation must not relabel the fresh tag with the older
+// epoch. The answer's path is clear under exactly the map of the epoch
+// it reports, in both directions: a repair that frees the default path
+// and a fault that blocks it.
+func TestTSDTComputeReportsComputingEpoch(t *testing.T) {
+	for _, repair := range []bool{true, false} {
+		s := mustService(t, Config{N: 8})
+		p := s.Params()
+		src, dst := 1, 6
+		// The default (all-C) path's stage-1 link: REROUTE takes it when
+		// it is clear and must detour when it is blocked.
+		l := core.MustTag(p, dst).Follow(p, src).Links[1]
+		if repair {
+			if _, err := s.ReportFault(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var once sync.Once
+		s.testEpochHook = func() {
+			once.Do(func() {
+				var err error
+				if repair {
+					_, err = s.ReportRepair(l)
+				} else {
+					_, err = s.ReportFault(l)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		before := s.Epoch()
+		res, err := s.Route(src, dst, SchemeTSDT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || s.Epoch() != before+1 {
+			t.Fatalf("repair=%v: want a fresh compute across one bump, got %+v at epoch %d", repair, res, s.Epoch())
+		}
+		if res.Epoch != s.Epoch() {
+			t.Errorf("repair=%v: reported epoch %d, computed under %d", repair, res.Epoch, s.Epoch())
+		}
+		blocked := false
+		for _, pl := range res.Path.Links {
+			blocked = blocked || pl == l
+		}
+		// Under the reported (current) map the link is clear iff this was
+		// a repair; the path must avoid it otherwise.
+		if !repair && blocked {
+			t.Errorf("path %v crosses %v, blocked at its reported epoch %d", res.Path, l, res.Epoch)
+		}
+		if repair && !blocked {
+			t.Errorf("path %v avoids the repaired default link %v; the race is not exercised", res.Path, l)
+		}
 	}
 }
 

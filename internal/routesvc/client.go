@@ -6,24 +6,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 )
 
 // Client is a typed HTTP client for the Handler wire API, shared by the
-// fleet router's backend connections and the load generator. Request
-// bodies are marshaled into pooled buffers so steady-state traffic does
-// not allocate a fresh buffer per call, and the underlying Transport is
-// tuned for many concurrent keep-alive connections to one host.
+// fleet router's backend connections and the load generators. /route and
+// /route/batch exchanges go through the wire codec (wire.go), response
+// bodies read into pooled buffers; the cold endpoints use encoding/json.
+// The underlying Transport is tuned for many concurrent keep-alive
+// connections to one host.
 type Client struct {
 	base string
 	hc   *http.Client
 }
-
-// bufPool recycles request-body buffers across all Clients in the
-// process; bodies are small (a batch item is ~60 bytes on the wire) so
-// retaining a few per connection is cheap.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // NewClient builds a client for one backend base URL ("http://host:port").
 // timeout bounds each call end-to-end; 0 means 10s.
@@ -59,17 +54,16 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("routesvc: backend status %d (%s): %s", e.Status, e.Code, e.Msg)
 }
 
-// PostJSON marshals v into a pooled buffer, POSTs it to path, and
-// decodes the 2xx response into out (skipped when out is nil). Non-2xx
-// responses return *APIError.
+// PostJSON marshals v, POSTs it to path, and decodes the 2xx response
+// into out (skipped when out is nil). Non-2xx responses return
+// *APIError. The body is a fresh allocation, never a reused buffer: the
+// transport may read it after the response arrives.
 func (c *Client) PostJSON(path string, v, out any) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		return fmt.Errorf("routesvc: encode %s body: %w", path, err)
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path, buf)
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -96,21 +90,69 @@ func (c *Client) do(req *http.Request, out any) error {
 		_ = resp.Body.Close()
 	}()
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Status: resp.StatusCode}
-		var body errJSON
-		if err := json.NewDecoder(resp.Body).Decode(&body); err == nil {
-			apiErr.Code, apiErr.Msg = body.Code, body.Error
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			_, _ = fmt.Sscanf(ra, "%d", &apiErr.RetryAfter)
-		}
-		return apiErr
+		return apiError(resp)
 	}
 	if out == nil {
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("routesvc: decode %s response: %w", req.URL.Path, err)
+	}
+	return nil
+}
+
+// apiError builds the *APIError of a non-2xx response from its error
+// body (an undecodable body still leaves the status) and Retry-After.
+func apiError(resp *http.Response) *APIError {
+	apiErr := &APIError{Status: resp.StatusCode}
+	wb := GetWireBuf()
+	var body errJSON
+	if wb.ReadAll(resp.Body, resp.ContentLength) == nil && decodeErrorJSON(wb.B, &body) == nil {
+		apiErr.Code, apiErr.Msg = body.Code, body.Error
+	}
+	PutWireBuf(wb)
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		_, _ = fmt.Sscanf(ra, "%d", &apiErr.RetryAfter)
+	}
+	return apiErr
+}
+
+// PostRaw POSTs an encoded body to path and reads the 2xx response body
+// into out. Non-2xx responses return *APIError. body must not be reused:
+// the transport may read it after PostRaw returns. The fleet router
+// forwards batch items through it without decoding them.
+func (c *Client) PostRaw(path string, body []byte, out *WireBuf) error {
+	// A *bytes.Reader body lets the transport write headers and body in
+	// one packet.
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}()
+	if resp.StatusCode/100 != 2 {
+		return apiError(resp)
+	}
+	return out.ReadAll(resp.Body, resp.ContentLength)
+}
+
+// exchange sends one encoded /route or /route/batch body and hands the
+// response body to decode.
+func (c *Client) exchange(path string, body []byte, decode func([]byte) error) error {
+	out := GetWireBuf()
+	defer PutWireBuf(out)
+	if err := c.PostRaw(path, body, out); err != nil {
+		return err
+	}
+	if err := decode(out.B); err != nil {
+		return fmt.Errorf("routesvc: decode %s response: %w", path, err)
 	}
 	return nil
 }
@@ -143,16 +185,23 @@ func (c *Client) Health() (HealthJSON, error) {
 
 // Route requests one tag.
 func (c *Client) Route(net string, src, dst int, scheme Scheme) (RouteJSON, error) {
+	return c.RouteWire(RouteJSON{Net: net, Src: src, Dst: dst, Scheme: scheme.String()})
+}
+
+// RouteWire sends one /route request as given (the fleet router forwards
+// a client's request fields, scheme spelling included, this way).
+func (c *Client) RouteWire(in RouteJSON) (RouteJSON, error) {
 	var out RouteJSON
-	in := RouteJSON{Net: net, Src: src, Dst: dst, Scheme: scheme.String()}
-	err := c.PostJSON("/route", in, &out)
+	body := AppendRouteJSON(make([]byte, 0, 128), &in, false)
+	err := c.exchange("/route", body, func(b []byte) error { return DecodeRouteJSON(b, &out) })
 	return out, err
 }
 
 // RouteBatch requests many tags in one round trip.
 func (c *Client) RouteBatch(reqs []RouteJSON) (BatchJSON, error) {
 	var out BatchJSON
-	err := c.PostJSON("/route/batch", BatchJSON{Requests: reqs}, &out)
+	body := appendBatchJSON(make([]byte, 0, 32+64*len(reqs)), &BatchJSON{Requests: reqs})
+	err := c.exchange("/route/batch", body, func(b []byte) error { return decodeBatchJSON(b, &out) })
 	return out, err
 }
 

@@ -130,6 +130,9 @@ func (h *Handler) handle(path string, fn func(http.ResponseWriter, *http.Request
 	})
 }
 
+// writeJSON answers the cold endpoints (/fault, /repair, /prewarm,
+// /healthz, /metrics) through encoding/json; /route and /route/batch
+// answer through the wire codec (wire.go).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -197,7 +200,10 @@ func (h *Handler) writeErr(w http.ResponseWriter, err error) {
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(h.retryAfter()))
 	}
-	writeJSON(w, code, errJSON{Error: err.Error(), Code: errCode(err)})
+	wb := GetWireBuf()
+	wb.B = append(AppendErrorJSON(wb.B, err.Error(), errCode(err)), '\n')
+	WriteBody(w, code, wb.B)
+	PutWireBuf(wb)
 }
 
 // RouteJSON is the wire form of one route request/response. Net selects
@@ -218,25 +224,6 @@ type RouteJSON struct {
 	Code      string `json:"code,omitempty"`
 }
 
-func resultJSON(res Result) RouteJSON {
-	out := RouteJSON{
-		Src:       res.Src,
-		Dst:       res.Dst,
-		Scheme:    res.Scheme.String(),
-		Epoch:     res.Epoch,
-		Cached:    res.Cached,
-		Coalesced: res.Coalesced,
-	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-		out.Code = errCode(res.Err)
-		return out
-	}
-	out.Tag = res.Tag.String()
-	out.Path = res.Path.Switches()
-	return out
-}
-
 // parseRouteReq accepts GET query parameters or a POST JSON body, and
 // returns the addressed network alongside the request.
 func parseRouteReq(r *http.Request) (string, Request, error) {
@@ -248,7 +235,13 @@ func parseRouteReq(r *http.Request) (string, Request, error) {
 		net, src, dst, scheme = q.Get("net"), q.Get("src"), q.Get("dst"), q.Get("scheme")
 	case http.MethodPost:
 		var body RouteJSON
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		wb := GetWireBuf()
+		err := wb.ReadAll(r.Body, r.ContentLength)
+		if err == nil {
+			err = DecodeRouteJSON(wb.B, &body)
+		}
+		PutWireBuf(wb)
+		if err != nil {
 			return "", Request{}, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err)
 		}
 		sc, err := ParseScheme(body.Scheme)
@@ -290,9 +283,10 @@ func (h *Handler) routeOne(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
-	out := resultJSON(res)
-	out.Net = net
-	writeJSON(w, http.StatusOK, out)
+	wb := GetWireBuf()
+	wb.B = append(appendResult(wb.B, net, &res), '\n')
+	WriteBody(w, http.StatusOK, wb.B)
+	PutWireBuf(wb)
 }
 
 // BatchJSON is the wire form of a /route/batch exchange.
@@ -308,30 +302,81 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, fmt.Errorf("%w: method %s", ErrInvalid, r.Method))
 		return
 	}
-	var body BatchJSON
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	wb := GetWireBuf()
+	defer PutWireBuf(wb)
+	var reqs []Request
+	var nets []string
+	var schemeErr error
+	err := wb.ReadAll(r.Body, r.ContentLength)
+	if err == nil {
+		d := wireDec{b: wb.B}
+		_, err = d.batch(batchSpec{requests: routeItems, responses: routeItems, epoch: true},
+			func(resp bool, _ []byte, rq RouteJSON) error {
+				if resp {
+					return nil // a response field in a request is decoded and ignored
+				}
+				sc, err := ParseScheme(rq.Scheme)
+				if err != nil && schemeErr == nil {
+					schemeErr = fmt.Errorf("%w (request %d)", err, len(reqs))
+				}
+				reqs = append(reqs, Request{Src: rq.Src, Dst: rq.Dst, Scheme: sc})
+				nets = append(nets, rq.Net)
+				return nil
+			})
+	}
+	if err != nil {
 		h.writeErr(w, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err))
 		return
 	}
-	reqs := make([]Request, len(body.Requests))
-	nets := make([]string, len(body.Requests))
-	for i, rq := range body.Requests {
-		sc, err := ParseScheme(rq.Scheme)
+	if schemeErr != nil {
+		h.writeErr(w, schemeErr)
+		return
+	}
+	var results []Result
+	var epoch uint64
+	if h.multi == nil || singleNet(nets) {
+		// A single-network batch (the overwhelmingly common case, and
+		// every single-network handler) keeps whole-batch error semantics.
+		var net string
+		if len(nets) > 0 {
+			net = nets[0]
+		}
+		svc, err := h.service(net)
 		if err != nil {
-			h.writeErr(w, fmt.Errorf("%w (request %d)", err, i))
+			h.writeErr(w, err)
 			return
 		}
-		reqs[i] = Request{Src: rq.Src, Dst: rq.Dst, Scheme: sc}
-		nets[i] = rq.Net
+		if results, err = svc.RouteBatch(reqs); err != nil {
+			h.writeErr(w, err)
+			return
+		}
+		epoch = svc.Epoch()
+	} else {
+		results, epoch = h.routeMixed(reqs, nets)
 	}
-	// Group items by network, preserving input order inside each group so
-	// every per-network sub-batch still packs dense 64-lane sliced blocks.
-	// A single-network batch (the overwhelmingly common case, and every
-	// single-network handler) keeps whole-batch error semantics; items of
-	// a mixed batch fail per-item so one draining network cannot poison
-	// the others' results.
+	wb.B = append(appendBatchResults(wb.B[:0], nets, results, epoch), '\n')
+	WriteBody(w, http.StatusOK, wb.B)
+}
+
+// singleNet reports whether every item of a batch addresses the same
+// network ("" and DefaultNet are one network).
+func singleNet(nets []string) bool {
+	for _, n := range nets {
+		if n != nets[0] && (n != "" && n != DefaultNet || nets[0] != "" && nets[0] != DefaultNet) {
+			return false
+		}
+	}
+	return true
+}
+
+// routeMixed serves a batch spanning several networks. Items are grouped
+// by network, preserving input order inside each group so every
+// per-network sub-batch still packs dense 64-lane sliced blocks; items
+// fail per-item so one draining network cannot poison the others'
+// results. The epoch is the highest any served network reported.
+func (h *Handler) routeMixed(reqs []Request, nets []string) ([]Result, uint64) {
 	var order []string
-	groups := make(map[string][]int, 1)
+	groups := make(map[string][]int)
 	for i, n := range nets {
 		if n == "" {
 			n = DefaultNet
@@ -341,30 +386,8 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		groups[n] = append(groups[n], i)
 	}
-	if h.multi == nil || len(order) <= 1 {
-		var net string
-		if len(order) == 1 {
-			net = order[0]
-		}
-		svc, err := h.service(net)
-		if err != nil {
-			h.writeErr(w, err)
-			return
-		}
-		results, err := svc.RouteBatch(reqs)
-		if err != nil {
-			h.writeErr(w, err)
-			return
-		}
-		out := BatchJSON{Responses: make([]RouteJSON, len(results)), Epoch: svc.Epoch()}
-		for i, res := range results {
-			out.Responses[i] = resultJSON(res)
-			out.Responses[i].Net = nets[i]
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	out := BatchJSON{Responses: make([]RouteJSON, len(reqs))}
+	results := make([]Result, len(reqs))
+	var epoch uint64
 	for _, n := range order {
 		idx := groups[n]
 		sub := make([]Request, len(idx))
@@ -372,29 +395,22 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 			sub[k] = reqs[i]
 		}
 		svc, err := h.service(n)
-		var results []Result
+		var res []Result
 		if err == nil {
-			results, err = svc.RouteBatch(sub)
+			res, err = svc.RouteBatch(sub)
 		}
 		if err != nil {
 			for _, i := range idx {
-				out.Responses[i] = RouteJSON{
-					Net: nets[i], Src: reqs[i].Src, Dst: reqs[i].Dst,
-					Scheme: reqs[i].Scheme.String(),
-					Error:  err.Error(), Code: errCode(err),
-				}
+				results[i] = Result{Src: reqs[i].Src, Dst: reqs[i].Dst, Scheme: reqs[i].Scheme, Err: err}
 			}
 			continue
 		}
 		for k, i := range idx {
-			out.Responses[i] = resultJSON(results[k])
-			out.Responses[i].Net = nets[i]
+			results[i] = res[k]
 		}
-		if ep := svc.Epoch(); ep > out.Epoch {
-			out.Epoch = ep
-		}
+		epoch = max(epoch, svc.Epoch())
 	}
-	writeJSON(w, http.StatusOK, out)
+	return results, epoch
 }
 
 // MutateJSON is the wire form of /fault and /repair exchanges. Specs use

@@ -148,10 +148,12 @@ type Result struct {
 	// (exact for TSDT; for SSDT the nominal path, since en-route
 	// self-repair may divert it around nonstraight faults).
 	Path core.Path
-	// Epoch is the blockage-map version the tag is valid against: for
-	// TSDT the epoch the tag was computed and validated under (a cache
-	// hit reports the entry's stamp, not a possibly newer current epoch);
-	// for SSDT the epoch observed at request time, since Theorem 3.1
+	// Epoch is the blockage-map version the tag is valid against. For
+	// TSDT it is exact: a fresh computation reports the epoch the
+	// controller computed under (read under its lock, so a mutation
+	// landing mid-request cannot relabel the tag), and a cache hit
+	// reports the entry's stamp, not a possibly newer current epoch. For
+	// SSDT it is the epoch observed at request time, since Theorem 3.1
 	// makes the tag valid under every map.
 	Epoch uint64
 	// Cached reports a tag-cache hit; Coalesced reports the request
@@ -310,7 +312,7 @@ type Service struct {
 	// taken); it lets tests hold a flight open to observe coalescing and
 	// queue occupancy deterministically. testEpochHook runs right after a
 	// TSDT request loads its epoch stamp, so tests can race a map
-	// mutation into the window between stamp and response.
+	// mutation into the window between stamp and lookup or computation.
 	// testPrewarmHook runs once per 64-lane block during a dense-table
 	// build, so tests can freeze a prewarm mid-build and interleave it
 	// with Drain.
@@ -631,9 +633,11 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		// source shares one epoch-exempt entry.
 		key.src = 0
 	} else {
-		// Load the epoch BEFORE computing: if a fault lands mid-compute,
-		// the entry is stamped with the old epoch and dies unread — the
-		// stale-pointing direction is impossible by construction.
+		// Load the cache stamp BEFORE computing: if a mutation lands
+		// mid-compute, the entry is stamped with the old epoch and dies
+		// unread — the stale-pointing direction is impossible by
+		// construction. The answer itself reports the epoch the
+		// controller computed under (see below).
 		stamp = s.ctl.Epoch()
 		if s.testEpochHook != nil {
 			s.testEpochHook()
@@ -641,7 +645,7 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 	}
 
 	// The reported epoch is the one the tag is valid against: the stamp
-	// for TSDT (never a newer epoch a concurrent mutation may have
+	// for a TSDT hit (never a newer epoch a concurrent mutation may have
 	// produced), the current epoch for epoch-exempt SSDT.
 	epoch := stamp
 	if scheme == SchemeSSDT {
@@ -667,14 +671,14 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return res, nil
 	}
 
-	tag, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, error) {
+	tag, computed, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, uint64, error) {
 		// The admission gate guards the slow path only: fresh
 		// TSDT/REROUTE computations against the current blockage map.
 		// SSDT computes are state-independent one-shot renders (fast
 		// path by construction), and cache hits never reach here.
 		if scheme == SchemeTSDT {
 			if !s.adm.acquire() {
-				return core.Tag{}, ErrOverload
+				return core.Tag{}, 0, ErrOverload
 			}
 			defer s.adm.release()
 		}
@@ -684,11 +688,11 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		if s.slowCost > 0 && scheme == SchemeTSDT {
 			time.Sleep(s.slowCost)
 		}
-		tag, err := s.compute(src, dst, scheme)
+		tag, computed, err := s.compute(src, dst, scheme)
 		if err == nil {
 			s.cache.put(key, tag, stamp)
 		}
-		return tag, err
+		return tag, computed, err
 	})
 	if errors.Is(err, ErrOverload) {
 		// A shed flight computed nothing: it is neither a hit nor a
@@ -712,14 +716,23 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return Result{}, err
 	}
 	res.Tag, res.Coalesced = tag, shared
+	if scheme == SchemeTSDT {
+		// A fresh tag is valid under the map it was computed against,
+		// which a mutation racing this request may have made newer than
+		// the stamp.
+		res.Epoch = computed
+	}
 	return res, nil
 }
 
-func (s *Service) compute(src, dst int, scheme Scheme) (core.Tag, error) {
+// compute renders a tag and reports the epoch it is valid under: the
+// controller's computing epoch for TSDT, the current one for SSDT.
+func (s *Service) compute(src, dst int, scheme Scheme) (core.Tag, uint64, error) {
 	if scheme == SchemeSSDT {
-		return core.NewTag(s.p, dst)
+		tag, err := core.NewTag(s.p, dst)
+		return tag, s.ctl.Epoch(), err
 	}
-	return s.ctl.RouteTag(src, dst)
+	return s.ctl.RouteTagEpoch(src, dst)
 }
 
 func (s *Service) validLink(l topology.Link) error {

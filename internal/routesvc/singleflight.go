@@ -17,9 +17,10 @@ type flightKey struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	tag  core.Tag
-	err  error
+	done  chan struct{}
+	tag   core.Tag
+	epoch uint64
+	err   error
 }
 
 // flightGroup deduplicates concurrent tag computations: under a thundering
@@ -33,9 +34,10 @@ type flightGroup struct {
 }
 
 // do runs fn once per in-flight key; duplicate callers block until the
-// leader finishes and share its result. shared reports whether this caller
-// joined an existing flight rather than leading one.
-func (g *flightGroup) do(k flightKey, fn func() (core.Tag, error)) (tag core.Tag, err error, shared bool) {
+// leader finishes and share its result (the tag and the epoch it was
+// computed under). shared reports whether this caller joined an existing
+// flight rather than leading one.
+func (g *flightGroup) do(k flightKey, fn func() (core.Tag, uint64, error)) (tag core.Tag, epoch uint64, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[flightKey]*flightCall)
@@ -43,17 +45,17 @@ func (g *flightGroup) do(k flightKey, fn func() (core.Tag, error)) (tag core.Tag
 	if c, ok := g.m[k]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.tag, c.err, true
+		return c.tag, c.epoch, c.err, true
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.m[k] = c
 	g.mu.Unlock()
 
-	c.tag, c.err = fn()
+	c.tag, c.epoch, c.err = fn()
 
 	g.mu.Lock()
 	delete(g.m, k)
 	g.mu.Unlock()
 	close(c.done)
-	return c.tag, c.err, false
+	return c.tag, c.epoch, c.err, false
 }

@@ -23,11 +23,11 @@ func TestFlightGroupSharesResultAndError(t *testing.T) {
 	started := make(chan struct{})
 	var computes atomic.Int32
 	go func() {
-		g.do(k, func() (core.Tag, error) {
+		g.do(k, func() (core.Tag, uint64, error) {
 			close(started)
 			<-gate
 			computes.Add(1)
-			return core.MustTag(p, 2), nil
+			return core.MustTag(p, 2), 7, nil
 		})
 	}()
 	<-started
@@ -40,12 +40,12 @@ func TestFlightGroupSharesResultAndError(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arrived.Add(1)
-			tag, err, shared := g.do(k, func() (core.Tag, error) {
+			tag, epoch, err, shared := g.do(k, func() (core.Tag, uint64, error) {
 				computes.Add(1)
-				return core.MustTag(p, 2), nil
+				return core.MustTag(p, 2), 7, nil
 			})
-			if err != nil || tag.Destination() != 2 {
-				t.Errorf("joiner got (%v, %v)", tag, err)
+			if err != nil || tag.Destination() != 2 || epoch != 7 {
+				t.Errorf("joiner got (%v, %d, %v)", tag, epoch, err)
 			}
 			if shared {
 				sharedCount.Add(1)
@@ -70,7 +70,7 @@ func TestFlightGroupSharesResultAndError(t *testing.T) {
 
 	// After the flight retires, errors propagate to a fresh herd.
 	boom := errors.New("boom")
-	_, err, shared := g.do(k, func() (core.Tag, error) { return core.Tag{}, boom })
+	_, _, err, shared := g.do(k, func() (core.Tag, uint64, error) { return core.Tag{}, 0, boom })
 	if !errors.Is(err, boom) || shared {
 		t.Fatalf("fresh flight: (%v, %v)", err, shared)
 	}

@@ -142,11 +142,13 @@ serve-smoke:
 # End-to-end smoke of the fleet layer: a capacity phase requiring a
 # 3-backend fleet to push >= 2x the success throughput of one
 # identically-tuned slow-path-bound daemon, a latency phase requiring
-# the router to add < 15% p50 overhead against real slow-path work, and
-# a mixed phase serving 4 partitions of batch-heavy traffic while
-# fault/repair churn stays confined to partition p0 (zero 5xx, merged
-# SSDT hit rate >= 90%, every other partition's epoch untouched), ending
-# in a clean drain of the router and then every backend.
+# the router to add < 15% p50 overhead against real slow-path work, a
+# fast-path phase requiring the best routed p50 on warmed SSDT singles
+# to stay within 4x the best direct one, and a mixed phase serving 4
+# partitions of batch-heavy traffic while fault/repair churn stays
+# confined to partition p0 (zero 5xx, merged SSDT hit rate >= 90%, every
+# other partition's epoch untouched), ending in a clean drain of the
+# router and then every backend.
 fleet-smoke:
 	GO='$(GO)' sh scripts/fleet_smoke.sh
 

@@ -312,12 +312,12 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		return nil, err
 	}
 
-	client := &http.Client{
-		Timeout: 10 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        2 * cfg.workers * len(bases),
-			MaxIdleConnsPerHost: 2 * cfg.workers,
-		},
+	// One routesvc.Client per target carries every request: batches
+	// through its wire codec, singles, churn, /healthz and /metrics as raw
+	// requests over its connection pool.
+	clients := make(map[string]*routesvc.Client, len(bases))
+	for _, base := range bases {
+		clients[base] = routesvc.NewClient(base, 10*time.Second)
 	}
 
 	// The daemon tells us the address space; no -n flag to get wrong.
@@ -326,7 +326,7 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	n := 0
 	for _, base := range bases {
 		var health routesvc.HealthJSON
-		if err := getJSON(client, base+"/healthz", &health); err != nil {
+		if err := getJSON(clients[base].HTTPClient(), base+"/healthz", &health); err != nil {
 			return nil, fmt.Errorf("daemon not healthy at %s: %v", base, err)
 		}
 		if n == 0 {
@@ -356,10 +356,6 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		cfg.workers, cfg.duration, target, n, cfg.nets, cfg.tsdtFrac, cfg.zipfS, cfg.churn, batchDesc)
 
 	claims := &churnClaims{held: map[string]bool{}}
-	clients := make(map[string]*routesvc.Client, len(bases))
-	for _, base := range bases {
-		clients[base] = routesvc.NewClient(base, 10*time.Second)
-	}
 	start := time.Now()
 	deadline := start.Add(cfg.duration)
 	results := make([]workerStats, cfg.workers)
@@ -369,14 +365,16 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		go func(id int) {
 			defer wg.Done()
 			base := bases[id%len(bases)]
-			results[id] = worker(cfg, mix, client, clients[base], claims, base, n, stages, id, deadline)
+			results[id] = worker(cfg, mix, clients[base], claims, base, n, stages, id, deadline)
 		}(id)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	for _, c := range clients {
-		c.HTTPClient().CloseIdleConnections()
-	}
+	defer func() {
+		for _, c := range clients {
+			c.HTTPClient().CloseIdleConnections()
+		}
+	}()
 
 	batchUsed := cfg.batch > 1
 	for _, sz := range mix {
@@ -403,7 +401,7 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	// (identical to the single-target document when there is one target).
 	for i, base := range bases {
 		var doc routesvc.MetricsJSON
-		if err := getJSON(client, base+"/metrics", &doc); err != nil {
+		if err := getJSON(clients[base].HTTPClient(), base+"/metrics", &doc); err != nil {
 			return nil, fmt.Errorf("fetching final metrics: %v", err)
 		}
 		if i == 0 {
@@ -440,10 +438,12 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	return sum, nil
 }
 
-// worker drives one closed loop against base: singles as GET /route,
-// batches through rc (the wire-codec client the fleet router and the
-// repository benchmark use), churn through /fault and /repair.
-func worker(cfg loadConfig, mix []int, client *http.Client, rc *routesvc.Client, claims *churnClaims, base string, n, stages, id int, deadline time.Time) workerStats {
+// worker drives one closed loop against base through rc, the client the
+// fleet router and the repository benchmark use: batches through its
+// wire codec, singles as GET /route and churn through /fault and /repair
+// as raw requests over its connection pool.
+func worker(cfg loadConfig, mix []int, rc *routesvc.Client, claims *churnClaims, base string, n, stages, id int, deadline time.Time) workerStats {
+	client := rc.HTTPClient()
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)*0x9E3779B9))
 	var zipf *rand.Zipf
 	if cfg.zipfS > 1 {

@@ -7,7 +7,7 @@
 //
 // The controller accepts fault and repair reports, serves rerouting-tag
 // requests computed with algorithm REROUTE, and caches computed tags per
-// (source, destination) pair, invalidating the cache when the blockage map
+// (source, destination) pair, clearing the cache when the blockage map
 // changes. It is safe for concurrent use by multiple senders.
 package controller
 
@@ -27,7 +27,7 @@ type Controller struct {
 
 	mu    sync.RWMutex
 	blk   *blockage.Set
-	cache map[pair]entry
+	cache map[pair]core.Tag // tags of the current epoch only
 	subs  []func(epoch uint64)
 
 	// epoch is incremented (under mu) on every map change; reads are
@@ -41,11 +41,6 @@ type Controller struct {
 
 type pair struct{ s, d int }
 
-type entry struct {
-	tag   core.Tag
-	epoch uint64
-}
-
 // New creates a controller for a fault-free network of size N.
 func New(N int) (*Controller, error) {
 	p, err := topology.NewParams(N)
@@ -55,16 +50,19 @@ func New(N int) (*Controller, error) {
 	return &Controller{
 		p:     p,
 		blk:   blockage.NewSet(p),
-		cache: make(map[pair]entry),
+		cache: make(map[pair]core.Tag),
 	}, nil
 }
 
 // Params returns the network parameters.
 func (c *Controller) Params() topology.Params { return c.p }
 
-// bumpEpoch records a map change and notifies subscribers. Callers must
-// hold mu.
+// bumpEpoch records a map change, drops the per-pair tags (computed
+// against the old map, they can never be served again) and notifies
+// subscribers. Callers must hold mu for writing. A fresh map rather than
+// clear(): clearing costs the map's peak size on every later bump.
 func (c *Controller) bumpEpoch() {
+	c.cache = make(map[pair]core.Tag)
 	e := c.epoch.Add(1)
 	for _, fn := range c.subs {
 		fn(e)
@@ -164,21 +162,24 @@ func (c *Controller) RouteTagEpoch(s, d int) (core.Tag, uint64, error) {
 	}
 	key := pair{s, d}
 
+	// The epoch is stable under either lock: every bump happens under the
+	// write lock and empties the cache, so an entry is always current.
 	c.mu.RLock()
-	if e, ok := c.cache[key]; ok && e.epoch == c.epoch.Load() {
+	if tag, ok := c.cache[key]; ok {
 		c.hits.Add(1)
+		epoch := c.epoch.Load()
 		c.mu.RUnlock()
-		return e.tag, e.epoch, nil
+		return tag, epoch, nil
 	}
 	c.mu.RUnlock()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	epoch := c.epoch.Load() // stable: every bump happens under mu
+	epoch := c.epoch.Load()
 	// Recheck under the write lock (another sender may have filled it).
-	if e, ok := c.cache[key]; ok && e.epoch == epoch {
+	if tag, ok := c.cache[key]; ok {
 		c.hits.Add(1)
-		return e.tag, epoch, nil
+		return tag, epoch, nil
 	}
 	c.misses.Add(1)
 	tag, _, err := core.Reroute(c.p, c.blk, s, core.MustTag(c.p, d))
@@ -186,7 +187,7 @@ func (c *Controller) RouteTagEpoch(s, d int) (core.Tag, uint64, error) {
 		c.fails.Add(1)
 		return core.Tag{}, epoch, err
 	}
-	c.cache[key] = entry{tag: tag, epoch: epoch}
+	c.cache[key] = tag
 	return tag, epoch, nil
 }
 
@@ -206,7 +207,7 @@ type Stats struct {
 	Misses       uint64 // tags computed with REROUTE
 	Fails        uint64 // rerouting failures (pair disconnected)
 	Epoch        uint64 // blockage-map version
-	CacheEntries int    // cached tags (stale epochs included)
+	CacheEntries int    // cached tags, all of the current epoch
 	BlockedLinks int    // currently blocked links
 }
 

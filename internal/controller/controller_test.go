@@ -96,6 +96,50 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheBoundedPerEpoch: the per-pair tag map holds only the current
+// epoch's tags — k entries after k distinct pairs, none after any map
+// change, a no-op report included in neither — and hits within an epoch
+// are counted as before.
+func TestCacheBoundedPerEpoch(t *testing.T) {
+	c := mustNew(t, 16)
+	fill := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if _, err := c.RouteTag(i, (5*i+3)%16); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := func(when string, entries int, hits, misses uint64) {
+		t.Helper()
+		st := c.Stats()
+		if st.CacheEntries != entries || st.Hits != hits || st.Misses != misses {
+			t.Fatalf("%s: entries=%d hits=%d misses=%d, want %d/%d/%d",
+				when, st.CacheEntries, st.Hits, st.Misses, entries, hits, misses)
+		}
+	}
+	fill(7)
+	want("7 distinct pairs", 7, 0, 7)
+	fill(7)
+	want("the same 7 pairs again", 7, 7, 7)
+
+	l := topology.Link{Stage: 1, From: 2, Kind: topology.Plus}
+	c.ReportFault(l)
+	want("after a fault", 0, 7, 7)
+	c.ReportFault(l)
+	fill(3)
+	want("a duplicate fault, then 3 pairs", 3, 7, 10)
+	fill(3)
+	want("the 3 pairs again", 3, 10, 10)
+	c.ReportRepair(l)
+	want("after a repair", 0, 10, 10)
+	fill(2)
+	if _, err := c.ReportSwitchFault(topology.Switch{Stage: 2, Index: 4}); err != nil {
+		t.Fatal(err)
+	}
+	want("after a switch fault", 0, 10, 12)
+}
+
 func TestRepairRestoresRoutes(t *testing.T) {
 	c := mustNew(t, 8)
 	l := topology.Link{Stage: 1, From: 5, Kind: topology.Straight}

@@ -35,76 +35,95 @@ func (rt *Router) group(items []routesvc.BatchItem, idx []int, rank int) [][]int
 	return groups
 }
 
-// fanout sends every non-empty group to its backend concurrently and
-// points out[i] at item i's bytes in its backend's response body. It
-// returns the indices whose sub-batch failed outright (their slots left
-// nil), the highest epoch any backend reported, the last sub-batch
-// error, and the response bodies out now points into (the caller
-// releases them once the merged answer is written).
+// fanout sends every non-empty group to its backend concurrently — the
+// last one on the calling goroutine — and points out[i] at item i's
+// bytes in its backend's response body. It returns the indices whose
+// sub-batch failed outright (their slots left nil), the highest epoch
+// any backend reported, the last sub-batch error, and the response
+// bodies out now points into (the caller releases them once the merged
+// answer is written).
 func (rt *Router) fanout(items []routesvc.BatchItem, groups [][]int, out [][]byte, asRetry bool) (failed []int, epoch uint64, lastErr error, bodies []*routesvc.WireBuf) {
+	last := -1
+	for b, idx := range groups {
+		if len(idx) > 0 {
+			last = b
+		}
+	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
+	send := func(b int, idx []int) {
+		resp, ep, err := rt.sendSub(items, b, idx, out, asRetry)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			failed = append(failed, idx...)
+			lastErr = err
+			return
+		}
+		epoch = max(epoch, ep)
+		bodies = append(bodies, resp)
+	}
 	for b, idx := range groups {
-		if len(idx) == 0 {
+		if len(idx) == 0 || b == last {
 			continue
 		}
-		rt.subs.Add(1)
 		wg.Add(1)
 		go func(b int, idx []int) {
 			defer wg.Done()
-			size := len(`{"requests":[]}`) + len(idx)
-			for _, i := range idx {
-				size += len(items[i].Raw)
-			}
-			body := append(make([]byte, 0, size), `{"requests":[`...)
-			for k, i := range idx {
-				if k > 0 {
-					body = append(body, ',')
-				}
-				body = append(body, items[i].Raw...)
-			}
-			body = append(body, "]}"...)
-			bk := rt.bks[b]
-			bk.reqs.Add(1)
-			if asRetry {
-				bk.retried.Add(1)
-			}
-			resp := routesvc.GetWireBuf()
-			var spans [][]byte
-			var ep uint64
-			err := bk.client.PostRaw("/route/batch", body, resp)
-			if err == nil {
-				if spans, ep, err = routesvc.AppendBatchResponses(make([][]byte, 0, len(idx)), resp.B); err != nil {
-					err = fmt.Errorf("routesvc: decode /route/batch response: %w", err)
-				}
-			}
-			bk.observe(err)
-			if err == nil && len(spans) != len(idx) {
-				err = fmt.Errorf("fleet: backend %s answered %d items for %d requests",
-					bk.base, len(spans), len(idx))
-				bk.errs.Add(1)
-			}
-			if err != nil {
-				routesvc.PutWireBuf(resp)
-				mu.Lock()
-				failed = append(failed, idx...)
-				lastErr = err
-				mu.Unlock()
-				return
-			}
-			// Indices in idx are disjoint across groups, so the splice
-			// below is race-free without the mutex.
-			for k, i := range idx {
-				out[i] = spans[k]
-			}
-			mu.Lock()
-			epoch = max(epoch, ep)
-			bodies = append(bodies, resp)
-			mu.Unlock()
+			send(b, idx)
 		}(b, idx)
+	}
+	if last >= 0 {
+		send(last, groups[last])
 	}
 	wg.Wait()
 	return failed, epoch, lastErr, bodies
+}
+
+// sendSub sends the items at idx to backend b as one sub-batch and, on
+// success, points out[i] at each item's answer inside the returned
+// response body. Indices are disjoint across a fan-out's groups, so
+// concurrent sub-batches write out without a lock.
+func (rt *Router) sendSub(items []routesvc.BatchItem, b int, idx []int, out [][]byte, asRetry bool) (*routesvc.WireBuf, uint64, error) {
+	rt.subs.Add(1)
+	body := routesvc.GetWireBuf()
+	defer routesvc.PutWireBuf(body)
+	body.B = append(body.B, `{"requests":[`...)
+	for k, i := range idx {
+		if k > 0 {
+			body.B = append(body.B, ',')
+		}
+		body.B = append(body.B, items[i].Raw...)
+	}
+	body.B = append(body.B, "]}"...)
+	bk := rt.bks[b]
+	bk.reqs.Add(1)
+	if asRetry {
+		bk.retried.Add(1)
+	}
+	resp := routesvc.GetWireBuf()
+	var spans [][]byte
+	var ep uint64
+	err := bk.client.PostRaw("/route/batch", body.B, resp)
+	if err == nil {
+		if spans, ep, err = routesvc.AppendBatchResponses(make([][]byte, 0, len(idx)), resp.B); err != nil {
+			err = fmt.Errorf("routesvc: decode /route/batch response: %w", err)
+		}
+	}
+	bk.observe(err)
+	if err == nil && len(spans) != len(idx) {
+		err = fmt.Errorf("fleet: backend %s answered %d items for %d requests",
+			bk.base, len(spans), len(idx))
+		bk.errs.Add(1)
+	}
+	if err != nil {
+		routesvc.PutWireBuf(resp)
+		return nil, 0, err
+	}
+	for k, i := range idx {
+		out[i] = spans[k]
+	}
+	return resp, ep, nil
 }
 
 // routeBatch is the scatter-gather batch path: split the incoming batch

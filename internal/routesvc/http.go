@@ -485,11 +485,14 @@ func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, isFault bool) {
 		h.writeErr(w, err)
 		return
 	}
+	// Epoch and count from one locked snapshot, so the ack never pairs an
+	// epoch with another map's count.
+	st := svc.MapStats()
 	writeJSON(w, http.StatusOK, MutateJSON{
 		Net:     body.Net,
 		Changed: changed,
-		Epoch:   svc.Epoch(),
-		Blocked: len(svc.Faults()),
+		Epoch:   st.Epoch,
+		Blocked: st.BlockedLinks,
 	})
 }
 

@@ -42,6 +42,32 @@ func TestHTTPMutateAtomic(t *testing.T) {
 	check("malformed repair mid-batch", 1, 1)
 }
 
+// TestHTTPMutateAckMatchesMap: every /fault and /repair ack reports the
+// blocked-link count and epoch of the map it left behind, across mixed
+// link faults, repairs, no-op reports and switch faults.
+func TestHTTPMutateAckMatchesMap(t *testing.T) {
+	svc, ts := newTestServer(t, Config{N: 16})
+	for i, step := range []struct {
+		path string
+		body MutateJSON
+	}{
+		{"/fault", MutateJSON{Links: []string{"0:1:-", "1:4:+"}}},
+		{"/fault", MutateJSON{Links: []string{"0:1:-"}}}, // no-op
+		{"/fault", MutateJSON{Switches: []string{"2:5"}}},
+		{"/repair", MutateJSON{Links: []string{"1:4:+"}}},
+		{"/repair", MutateJSON{Links: []string{"3:9:+"}}}, // no-op
+		{"/fault", MutateJSON{Links: []string{"3:9:-"}, Switches: []string{"1:0"}}},
+		{"/repair", MutateJSON{Links: []string{"0:1:-", "3:9:-"}}},
+	} {
+		var ack MutateJSON
+		postJSON(t, ts.URL+step.path, step.body, http.StatusOK, &ack)
+		if blocked, epoch := len(svc.Faults()), svc.Epoch(); ack.Blocked != blocked || ack.Epoch != epoch {
+			t.Fatalf("step %d %s %+v: ack blocked=%d epoch=%d, map has %d blocked at epoch %d",
+				i, step.path, step.body, ack.Blocked, ack.Epoch, blocked, epoch)
+		}
+	}
+}
+
 // TestHTTPOverload drives the admission gate through the HTTP surface:
 // shed slow-path requests answer 429 with Retry-After, shed batch items
 // carry code "overload" inside a 200, and the fast path keeps serving.

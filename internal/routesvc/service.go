@@ -852,6 +852,10 @@ func (s *Service) ApplyRepairs(links []topology.Link) (int, error) {
 // Faults returns a snapshot of the blocked links.
 func (s *Service) Faults() []topology.Link { return s.ctl.Faults() }
 
+// MapStats returns the controller's snapshot: epoch and blocked-link
+// count read together under its lock, in O(1).
+func (s *Service) MapStats() controller.Stats { return s.ctl.Stats() }
+
 // RetryAfter returns the overload backoff hint, in seconds, that the HTTP
 // layer attaches to 429 responses: long enough for the admission
 // controller to run a couple of rounds and adapt its threshold.

@@ -55,11 +55,8 @@ const maxPooledWire = 1 << 20
 // into them, so steady-state traffic allocates no body buffers. Take one
 // with GetWireBuf and hand it back with PutWireBuf once nothing refers
 // to its bytes (decoded strings are copies; they may outlive it).
-//
-// Outgoing request bodies are not pooled: the HTTP transport may still be
-// reading one after the response has arrived (when a server answers
-// before reading the whole body), so they are plain allocations the
-// garbage collector retires.
+// Outgoing request bodies may be pooled too: the Client's transport has
+// written a body by the time the call returns.
 type WireBuf struct{ B []byte }
 
 var wirePool = sync.Pool{New: func() any { return &WireBuf{B: make([]byte, 0, 4096)} }}

@@ -12,12 +12,11 @@ GO ?= go
 ROUTING_PKGS = ./internal/core,./internal/paths,./internal/permroute,./internal/multicast,./internal/analysis
 ROUTING_BENCH = BenchmarkFollowState|BenchmarkTagFollow|BenchmarkRouteSSDT|BenchmarkRouteTSDTPacked|BenchmarkRouteSliced|BenchmarkExists|BenchmarkFind|BenchmarkMultiPass|BenchmarkBroadcast|BenchmarkReroutablePairs
 
-# The tracked tag-store suite: bit-packed table lookups in core
-# (BenchmarkTagTable*) and the three cache backends side by side in
-# routesvc (BenchmarkTagStore{Flat,Map,Dense}), each reporting a
-# bits/route footprint column next to the lookup latency.
-TAGSTORE_PKGS = ./internal/core,./internal/routesvc
-TAGSTORE_BENCH = BenchmarkTagTable|BenchmarkTagStore
+# The tracked tag-store suite: the flat TSDT cache and the preserved map
+# cache side by side in routesvc (BenchmarkTagStore{Flat,Map}), each
+# reporting a bits/route footprint column next to the lookup latency.
+TAGSTORE_PKGS = ./internal/routesvc
+TAGSTORE_BENCH = BenchmarkTagStore
 
 # The tracked fleet suite: ring placement (expect 0 allocs/op) and the
 # router's proxy cost — single /route and scatter-gather /route/batch
@@ -73,7 +72,7 @@ bench-routing:
 	$(GO) test -run '^$$' -bench '$(ROUTING_BENCH)' -benchmem $(subst $(comma), ,$(ROUTING_PKGS))
 
 # One human-readable pass over the tag-store suite (expect 0 allocs/op
-# everywhere and flat/dense bits/route far below the map baseline).
+# everywhere and flat bits/route far below the map baseline).
 bench-tagstore:
 	$(GO) test -run '^$$' -bench '$(TAGSTORE_BENCH)' -benchmem $(subst $(comma), ,$(TAGSTORE_PKGS))
 
@@ -129,13 +128,12 @@ bench-compare:
 # ephemeral port, drive iadmload through a singles phase and a
 # batch-heavy phase (mixed /route/batch sizes exercising the sliced
 # kernel fill, including non-multiples of 64), enforce zero request
-# errors / zero 5xx / SSDT hit rate >= 90% / sliced lanes used, then
-# SIGTERM and require a clean drain. A third phase floods a second daemon
-# (tiny admission bound + artificial slow-path cost) at several times
-# slow-path saturation and requires sheds observed, zero 5xx, continued
-# successes, and a bounded client p99 (`iadmload -overload -check`). A
-# fourth phase boots `iadmd -prewarm` and requires a >= 99% SSDT hit
-# rate on pure-SSDT load starting from the very first request.
+# errors / zero 5xx / no SSDT request on the slow path (zero SSDT misses
+# and coalesced joins) / sliced lanes used, then SIGTERM and require a
+# clean drain. A third phase floods a second daemon (tiny admission bound
+# + artificial slow-path cost) at several times slow-path saturation and
+# requires sheds observed, zero 5xx, continued successes, and a bounded
+# client p99 (`iadmload -overload -check`).
 serve-smoke:
 	GO='$(GO)' sh scripts/serve_smoke.sh
 
@@ -146,9 +144,9 @@ serve-smoke:
 # fast-path phase requiring the best routed p50 on warmed SSDT singles
 # to stay within 4x the best direct one, and a mixed phase serving 4
 # partitions of batch-heavy traffic while fault/repair churn stays
-# confined to partition p0 (zero 5xx, merged SSDT hit rate >= 90%, every
-# other partition's epoch untouched), ending in a clean drain of the
-# router and then every backend.
+# confined to partition p0 (zero 5xx, no SSDT request on the slow path,
+# every other partition's epoch untouched), ending in a clean drain of
+# the router and then every backend.
 fleet-smoke:
 	GO='$(GO)' sh scripts/fleet_smoke.sh
 
@@ -158,8 +156,8 @@ fuzz:
 # Bounded fuzz pass for CI: the ring-buffer model check, the
 # optimized-vs-reference differential oracles (packet and wormhole
 # modes), the packed-path round-trip/accessor-parity check, the
-# sliced-vs-packed kernel parity oracle, and the
-# tag-table-vs-scalar-kernel round-trip oracle, and the wire codec
+# sliced-vs-packed kernel parity oracle, the REROUTE-tag round trip
+# through the flat TSDT cache (against the map cache), and the wire codec
 # against its encoding/json oracle, 10s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRingQueue -fuzztime 10s ./internal/simulator
@@ -167,5 +165,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWormholeDifferential -fuzztime 10s ./internal/refwh
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSlicedParity -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzTagTable -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzTagCache -fuzztime 10s ./internal/routesvc
 	$(GO) test -run '^$$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/routesvc

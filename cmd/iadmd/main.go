@@ -1,12 +1,14 @@
 // Command iadmd is the IADM routing daemon: it serves destination tags
 // (SSDT and TSDT/REROUTE, Sections 3–5 of the paper) over HTTP from an
-// internal/routesvc service — sharded epoch-stamped tag cache, request
-// coalescing, batch routing, fault/repair ingestion, JSON metrics — and
-// drains gracefully on SIGTERM/SIGINT.
+// internal/routesvc service — sharded epoch-stamped TSDT tag cache,
+// request coalescing, batch routing, fault/repair ingestion, JSON
+// metrics — and drains gracefully on SIGTERM/SIGINT. An SSDT tag is the
+// destination address (Theorem 3.1), so SSDT requests are answered from
+// the request itself, with no cache and no warm-up.
 //
 // Usage:
 //
-//	iadmd [-n N] [-addr host:port] [-shards S] [-portfile F] [-prewarm]
+//	iadmd [-n N] [-addr host:port] [-shards S] [-portfile F]
 //	      [-max-nets K] [-sweep-every K] [-admission-max Q]
 //	      [-admission-min Q] [-admission-round D] [-slow-cost D]
 //
@@ -22,13 +24,9 @@
 // Admission control bounds concurrent fresh TSDT computes (the slow
 // path); excess requests answer 429 with Retry-After while cache hits and
 // SSDT requests keep flowing. -slow-cost stretches each fresh compute to
-// rehearse overload against small test fabrics.
-//
-// -prewarm bulk-fills the dense per-destination SSDT table (n bits per
-// route) through the 64-lane sliced kernels before the listener opens, so
-// the very first SSDT request is already a cache hit; POST /prewarm does
-// the same at runtime. -sweep-every sets the auto-sweep cadence that
-// reclaims stale TSDT cache entries (every K epoch bumps; -1 disables).
+// rehearse overload against small test fabrics. -sweep-every sets the
+// auto-sweep cadence that reclaims stale TSDT cache entries (every K
+// epoch bumps; -1 disables).
 //
 // Endpoints:
 //
@@ -36,7 +34,6 @@
 //	POST     /route/batch  {"requests":[{"src":..,"dst":..,"scheme":".."}]}
 //	POST     /fault        {"links":["1:2:+"],"switches":["1:3"]}
 //	POST     /repair       {"links":["1:2:+"]}
-//	POST     /prewarm      rebuild the dense SSDT table now
 //	GET      /healthz      liveness and drain state
 //	GET      /metrics      JSON cache/latency/epoch metrics
 //
@@ -72,7 +69,6 @@ type daemonConfig struct {
 	admissionRound time.Duration
 	slowCost       time.Duration
 
-	prewarm    bool
 	sweepEvery int
 	maxNets    int
 }
@@ -88,7 +84,6 @@ func main() {
 	flag.IntVar(&cfg.admissionMin, "admission-min", 8, "slow-path admission floor the adaptive threshold never sheds below")
 	flag.DurationVar(&cfg.admissionRound, "admission-round", 100*time.Millisecond, "admission controller round: how often the threshold adapts")
 	flag.DurationVar(&cfg.slowCost, "slow-cost", 0, "artificial per-compute cost added to fresh TSDT computes (overload rehearsal; 0 = off)")
-	flag.BoolVar(&cfg.prewarm, "prewarm", false, "bulk-fill the dense SSDT tag table before serving (first request hits the cache)")
 	flag.IntVar(&cfg.sweepEvery, "sweep-every", 0, "auto-sweep stale cache entries every K epoch bumps (0 = 256, negative disables)")
 	flag.IntVar(&cfg.maxNets, "max-nets", 16, "maximum named networks hosted by this process (lazily created on first use)")
 	version := flag.Bool("version", false, "print version and exit")
@@ -120,19 +115,13 @@ func serve(cfg daemonConfig, logw io.Writer, stop <-chan os.Signal, ready chan<-
 			Round:    cfg.admissionRound,
 		},
 		SlowCost:   cfg.slowCost,
-		Prewarm:    cfg.prewarm,
 		SweepEvery: cfg.sweepEvery,
 	}, cfg.maxNets)
 	// Materialize the default network up front: it validates the config
-	// before the listener opens, and with -prewarm the dense SSDT build
-	// happens here rather than on the first request.
+	// before the listener opens.
 	svc, err := multi.Get(routesvc.DefaultNet)
 	if err != nil {
 		return err
-	}
-	if cfg.prewarm {
-		m := svc.Metrics()
-		fmt.Fprintf(logw, "iadmd: prewarmed %d SSDT routes (%.1f bits/route)\n", m.DenseRoutes, m.BitsPerRoute)
 	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

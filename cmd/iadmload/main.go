@@ -10,7 +10,7 @@
 //	iadmload -addr 127.0.0.1:8080 [-workers 8] [-duration 2s]
 //	         [-targets a:1,b:2] [-nets 0] [-churn-net NAME]
 //	         [-tsdt 0.2] [-zipf 1.3] [-churn 0.01] [-batch 0]
-//	         [-batch-mix 1,3,64,65,200] [-seed 1] [-check] [-min-ssdt-hit 0]
+//	         [-batch-mix 1,3,64,65,200] [-seed 1] [-check]
 //	         [-overload] [-max-p99us 20000] [-max-shed 0.99] [-min-overload 0]
 //
 // -targets spreads the workers across several endpoints (workers are
@@ -32,9 +32,11 @@
 //
 // With -check the exit status enforces the smoke contract: no transport
 // errors, no non-200 route responses, no server-side 5xx, non-zero
-// throughput, and an SSDT cache hit rate of at least -min-ssdt-hit; when
-// any batching is requested, the server must also report sliced-kernel
-// lanes used.
+// throughput, and no SSDT request on the slow path: the server's metrics
+// must show zero SSDT misses and zero SSDT coalesced joins, since an SSDT
+// tag is the destination address (Theorem 3.1) and is never computed.
+// When any batching is requested, the server must also report
+// sliced-kernel lanes used.
 //
 // -overload flips the contract for saturation rehearsals against a daemon
 // running admission control: shed responses (429 or batch items with code
@@ -67,20 +69,19 @@ import (
 )
 
 type loadConfig struct {
-	addr       string
-	targets    string
-	nets       int
-	churnNet   string
-	workers    int
-	duration   time.Duration
-	tsdtFrac   float64
-	zipfS      float64
-	churn      float64
-	batch      int
-	batchMix   string
-	seed       int64
-	check      bool
-	minSSDTHit float64
+	addr     string
+	targets  string
+	nets     int
+	churnNet string
+	workers  int
+	duration time.Duration
+	tsdtFrac float64
+	zipfS    float64
+	churn    float64
+	batch    int
+	batchMix string
+	seed     int64
+	check    bool
 
 	overload    bool
 	maxP99US    float64
@@ -125,7 +126,6 @@ func main() {
 	flag.StringVar(&cfg.batchMix, "batch-mix", "", "cycle through these comma-separated batch sizes per iteration (overrides -batch; sizes <= 1 go as single /route calls)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "RNG seed")
 	flag.BoolVar(&cfg.check, "check", false, "exit non-zero unless the run is error-free with non-zero throughput")
-	flag.Float64Var(&cfg.minSSDTHit, "min-ssdt-hit", 0, "with -check, minimum server-side SSDT cache hit rate")
 	flag.BoolVar(&cfg.overload, "overload", false, "saturation rehearsal: sheds (429s) are expected, and -check demands the slow path actually overloaded without collapsing")
 	flag.Float64Var(&cfg.maxP99US, "max-p99us", 20000, "with -overload -check, maximum client p99 latency in µs")
 	flag.Float64Var(&cfg.maxShedFrac, "max-shed", 0.99, "with -overload -check, maximum fraction of requests shed")
@@ -240,8 +240,8 @@ func (s *summary) violations(cfg loadConfig) []string {
 	if s.metrics.HTTP5xx > 0 {
 		v = append(v, fmt.Sprintf("server counted %d 5xx", s.metrics.HTTP5xx))
 	}
-	if cfg.tsdtFrac < 1 && s.metrics.Service.SSDTHitRate < cfg.minSSDTHit {
-		v = append(v, fmt.Sprintf("SSDT hit rate %.3f < %.3f", s.metrics.Service.SSDTHitRate, cfg.minSSDTHit))
+	if ssdt := s.metrics.Service.SSDT; ssdt.Misses > 0 || ssdt.Coalesced > 0 {
+		v = append(v, fmt.Sprintf("SSDT reached the slow path: %d misses, %d coalesced joins", ssdt.Misses, ssdt.Coalesced))
 	}
 	if s.batchUsed && s.metrics.Service.SlicedLanes == 0 {
 		v = append(v, "batch traffic sent but server reports sliced kernel unused")

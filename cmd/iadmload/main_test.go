@@ -26,14 +26,13 @@ func newTestServer(t *testing.T, n int) *httptest.Server {
 func TestRunAgainstService(t *testing.T) {
 	ts := newTestServer(t, 64)
 	cfg := loadConfig{
-		addr:       ts.URL,
-		workers:    2,
-		duration:   300 * time.Millisecond,
-		tsdtFrac:   0.3,
-		zipfS:      1.3,
-		churn:      0.05,
-		seed:       1,
-		minSSDTHit: 0.5,
+		addr:     ts.URL,
+		workers:  2,
+		duration: 300 * time.Millisecond,
+		tsdtFrac: 0.3,
+		zipfS:    1.3,
+		churn:    0.05,
+		seed:     1,
 	}
 	var out strings.Builder
 	sum, err := run(cfg, &out)
@@ -101,10 +100,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 // TestViolations exercises the -check contract on synthetic summaries.
 func TestViolations(t *testing.T) {
-	cfg := loadConfig{minSSDTHit: 0.9}
+	var cfg loadConfig
 	var s summary
 	s.total.requests = 100
-	s.metrics.Service.SSDTHitRate = 0.95
+	s.metrics.Service.SSDT.Hits = 60
 	if v := s.violations(cfg); len(v) != 0 {
 		t.Errorf("clean summary flagged: %v", v)
 	}
@@ -114,17 +113,20 @@ func TestViolations(t *testing.T) {
 	s.total.itemErrors = 3
 	s.total.mutateErrors = 4
 	s.metrics.HTTP5xx = 5
-	s.metrics.Service.SSDTHitRate = 0.1
+	s.metrics.Service.SSDT.Misses = 1
 	if v := s.violations(cfg); len(v) != 6 {
 		t.Errorf("want 6 violations, got %d: %v", len(v), v)
 	}
 
-	// A pure-TSDT run must not be held to the SSDT hit-rate floor.
-	cfg.tsdtFrac = 1
-	s = summary{}
-	s.total.requests = 10
-	if v := s.violations(cfg); len(v) != 0 {
-		t.Errorf("pure-TSDT run flagged: %v", v)
+	// An SSDT request reaching the slow path fails the run on its own,
+	// whether it missed or joined another caller's computation.
+	for _, ssdt := range []routesvc.CacheStats{{Hits: 9, Misses: 1}, {Hits: 9, Coalesced: 1}} {
+		s = summary{}
+		s.total.requests = 10
+		s.metrics.Service.SSDT = ssdt
+		if v := s.violations(cfg); len(v) != 1 || !strings.Contains(v[0], "SSDT reached the slow path") {
+			t.Errorf("SSDT stats %+v: violations %v", ssdt, v)
+		}
 	}
 
 	var empty summary

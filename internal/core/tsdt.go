@@ -104,6 +104,15 @@ func (t Tag) WithStateField(p, q int, f uint64) Tag {
 // stage i).
 func (t Tag) StateBits() uint64 { return bitutil.Field(t.bits, t.n, 2*t.n-1) }
 
+// TagFromState reassembles a TSDT tag from its destination and state-bit
+// field — the decode half of compact stores that persist only the state
+// bits because the destination is the key. The caller must pass a valid
+// destination for p; no validation is performed on this hot path.
+func TagFromState(p topology.Params, dst int, state uint64) Tag {
+	n := p.Stages()
+	return Tag{n: n, bits: uint64(dst) | state<<uint(n)}
+}
+
 // String renders the tag LSB-first as in the paper: destination bits
 // b_0..b_{n-1} followed by state bits b_n..b_{2n-1}.
 func (t Tag) String() string { return bitutil.String(t.bits, 2*t.n) }

@@ -261,3 +261,22 @@ func TestPathString(t *testing.T) {
 		t.Error("missing output column")
 	}
 }
+
+func TestTagFromState(t *testing.T) {
+	p := topology.MustParams(64)
+	blk := blockage.NewSet(p)
+	blk.Block(topology.Link{Stage: 2, From: 5, Kind: topology.Plus})
+	blk.Block(topology.Link{Stage: 0, From: 40, Kind: topology.Minus})
+	for s := 0; s < p.Size(); s += 7 {
+		for d := 0; d < p.Size(); d += 5 {
+			tag, _, err := Reroute(p, blk, s, MustTag(p, d))
+			if err != nil {
+				continue
+			}
+			got := TagFromState(p, tag.Destination(), tag.StateBits())
+			if got != tag {
+				t.Fatalf("(%d,%d): TagFromState = %v, want %v", s, d, got, tag)
+			}
+		}
+	}
+}

@@ -41,15 +41,13 @@ func BenchmarkRingOwner(b *testing.B) {
 }
 
 // benchBackend boots one multi-network backend and returns a client for
-// it. Prewarmed so SSDT traffic measures the serving stack, not cold
-// tag computation. slow > 0 arms the SlowCost big-fabric model (every
+// it. slow > 0 arms the SlowCost big-fabric model (every
 // fresh TSDT computation costs that much), for the loaded overhead pair.
 func benchBackend(b *testing.B, slow time.Duration) *routesvc.Client {
 	b.Helper()
 	m := routesvc.NewMulti(routesvc.Config{
 		N:         1024,
 		Admission: routesvc.AdmissionConfig{Disabled: true},
-		Prewarm:   true,
 		SlowCost:  slow,
 	}, 8)
 	srv := httptest.NewServer(routesvc.NewMultiHandler(m))
@@ -69,7 +67,6 @@ func benchFleet(b *testing.B, nb, replicas int, slow time.Duration) *routesvc.Cl
 		m := routesvc.NewMulti(routesvc.Config{
 			N:         1024,
 			Admission: routesvc.AdmissionConfig{Disabled: true},
-			Prewarm:   true,
 			SlowCost:  slow,
 		}, 8)
 		srv := httptest.NewServer(routesvc.NewMultiHandler(m))

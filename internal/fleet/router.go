@@ -170,7 +170,6 @@ func New(cfg Config) (*Router, error) {
 	rt.handle("/route/batch", rt.routeBatch)
 	rt.handle("/fault", rt.fault)
 	rt.handle("/repair", rt.repair)
-	rt.handle("/prewarm", rt.prewarm)
 	rt.handle("/healthz", rt.healthz)
 	rt.handle("/metrics", rt.metrics)
 	return rt, nil
@@ -272,7 +271,7 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // writeJSON answers the router's cold endpoints (/fault, /repair,
-// /prewarm, /healthz, /metrics) through encoding/json.
+// /healthz, /metrics) through encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -463,6 +463,18 @@ func TestFleetMetricsMergeAndDrain(t *testing.T) {
 	}
 }
 
+// TestFleetNoWarmupEndpoint: SSDT needs no warm-up anywhere in the fleet
+// (the tag is the destination address), so the router exposes no
+// warm-up fan-out.
+func TestFleetNoWarmupEndpoint(t *testing.T) {
+	f := newTestFleet(t, 1, Config{})
+	rec := httptest.NewRecorder()
+	f.rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/prewarm", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /prewarm: status %d, want 404", rec.Code)
+	}
+}
+
 func TestFleetProbeMismatchedN(t *testing.T) {
 	mA := routesvc.NewMulti(routesvc.Config{N: 64, Admission: routesvc.AdmissionConfig{Disabled: true}}, 4)
 	mB := routesvc.NewMulti(routesvc.Config{N: 128, Admission: routesvc.AdmissionConfig{Disabled: true}}, 4)

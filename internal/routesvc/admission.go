@@ -10,8 +10,8 @@ import (
 // ErrOverload is returned when the slow path (a fresh TSDT/REROUTE
 // computation) is shed by admission control. The HTTP layer maps it to 429
 // with a Retry-After hint. Cache hits, coalesced joins and SSDT requests
-// are never shed: SSDT tags are state-independent (Theorem 3.1) and cost
-// one table render, so only the blockage-map-dependent REROUTE work
+// are never shed: an SSDT tag is the destination address itself
+// (Theorem 3.1), so only the blockage-map-dependent REROUTE work
 // (Theorems 3.2-3.4) sits behind the gate.
 var ErrOverload = errors.New("routesvc: overloaded, slow-path request shed")
 

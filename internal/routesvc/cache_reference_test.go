@@ -12,8 +12,8 @@ import (
 
 // mapTagCache preserves the pre-flat-table cache (a sharded
 // map[cacheKey]cacheEntry) verbatim as a differential oracle: the flat
-// open-addressing store must be observably equivalent, including the SSDT
-// epoch exemption, for any interleaving of put/get/sweep. It is also the
+// open-addressing store must be observably equivalent for any
+// interleaving of put/get/sweep. It is also the
 // baseline the footprint test and the map-vs-flat benchmarks measure
 // against.
 type mapTagCache struct {
@@ -81,7 +81,7 @@ func (c *mapTagCache) sweep(epoch uint64) int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k, e := range sh.m {
-			if e.epoch != epoch && e.epoch != ssdtEpoch {
+			if e.epoch != epoch {
 				delete(sh.m, k)
 				removed++
 			}
@@ -91,21 +91,29 @@ func (c *mapTagCache) sweep(epoch uint64) int {
 	return removed
 }
 
-// cacheTagFor builds the tag a Service would cache under k: destination =
-// k.dst, state bits derived from the salt (zero for SSDT — Theorem 3.1
-// tags carry none).
-func cacheTagFor(p topology.Params, k cacheKey, salt uint64) core.Tag {
-	if k.scheme == SchemeSSDT {
-		return core.MustTag(p, int(k.dst))
+// len counts the flat cache's entries, live and stale alike (stale ones
+// persist until swept or overwritten).
+func (c *tagCache) len() int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		n += sh.used
+		sh.mu.RUnlock()
 	}
+	return n
+}
+
+// cacheTagFor builds the tag a Service would cache under k: destination =
+// k.dst, state bits derived from the salt.
+func cacheTagFor(p topology.Params, k cacheKey, salt uint64) core.Tag {
 	state := salt & (1<<uint(p.Stages()) - 1)
 	return core.TagFromState(p, int(k.dst), state)
 }
 
 // TestCacheFlatMatchesMap drives the flat store and the preserved map
 // implementation through an identical randomized schedule of puts, gets,
-// epoch advances and sweeps — every get must agree (including SSDT
-// entries surviving epoch churn and sweeps), and len must track.
+// epoch advances and sweeps — every get must agree, and len must track.
 func TestCacheFlatMatchesMap(t *testing.T) {
 	for _, N := range []int{8, 1024} {
 		p := topology.MustParams(N)
@@ -114,16 +122,8 @@ func TestCacheFlatMatchesMap(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(42 + N)))
 		epoch := uint64(0)
 		for step := 0; step < 20000; step++ {
-			k := cacheKey{
-				src:    int32(rng.Intn(N)),
-				dst:    int32(rng.Intn(N)),
-				scheme: Scheme(rng.Intn(int(numSchemes))),
-			}
+			k := cacheKey{src: int32(rng.Intn(N)), dst: int32(rng.Intn(N))}
 			stamp := epoch
-			if k.scheme == SchemeSSDT {
-				k.src = 0
-				stamp = ssdtEpoch
-			}
 			switch op := rng.Intn(10); {
 			case op < 4:
 				tag := cacheTagFor(p, k, rng.Uint64())
@@ -135,14 +135,11 @@ func TestCacheFlatMatchesMap(t *testing.T) {
 				if fok != rok || ft != rt {
 					t.Fatalf("N=%d step %d: flat get = (%v, %v), map get = (%v, %v)", N, step, ft, fok, rt, rok)
 				}
-				// A lookup at a wrong epoch must miss on both (SSDT keys are
-				// exempt and only ever looked up at ssdtEpoch by the service).
-				if k.scheme == SchemeTSDT {
-					ft, fok = flat.get(k, stamp+1)
-					rt, rok = ref.get(k, stamp+1)
-					if fok != rok || ft != rt {
-						t.Fatalf("N=%d step %d: stale get disagrees: flat (%v, %v), map (%v, %v)", N, step, ft, fok, rt, rok)
-					}
+				// A lookup at a wrong epoch must miss on both.
+				ft, fok = flat.get(k, stamp+1)
+				rt, rok = ref.get(k, stamp+1)
+				if fok != rok || ft != rt {
+					t.Fatalf("N=%d step %d: stale get disagrees: flat (%v, %v), map (%v, %v)", N, step, ft, fok, rt, rok)
 				}
 			case op == 8:
 				epoch++
@@ -170,7 +167,7 @@ func TestCacheGrowth(t *testing.T) {
 	c := newTagCache(1, p)
 	const M = 3000 // 46x the initial 64-slot table
 	for i := 0; i < M; i++ {
-		k := cacheKey{src: int32(i % N), dst: int32((i * 7) % N), scheme: SchemeTSDT}
+		k := cacheKey{src: int32(i % N), dst: int32((i * 7) % N)}
 		c.put(k, cacheTagFor(p, k, uint64(i)), 5)
 	}
 	if c.len() > M {
@@ -178,7 +175,7 @@ func TestCacheGrowth(t *testing.T) {
 	}
 	seen := 0
 	for i := 0; i < M; i++ {
-		k := cacheKey{src: int32(i % N), dst: int32((i * 7) % N), scheme: SchemeTSDT}
+		k := cacheKey{src: int32(i % N), dst: int32((i * 7) % N)}
 		tag, ok := c.get(k, 5)
 		if !ok {
 			t.Fatalf("entry %d lost after growth", i)
@@ -197,36 +194,35 @@ func TestCacheGrowth(t *testing.T) {
 }
 
 // TestCacheSweepShrinks pins the memory-reclaim behavior: after fault
-// churn inflates the table with stale TSDT entries, sweep rebuilds shards
-// sized for the survivors.
+// churn inflates the table with stale entries, sweep rebuilds shards sized
+// for the survivors.
 func TestCacheSweepShrinks(t *testing.T) {
 	N := 4096
 	p := topology.MustParams(N)
 	c := newTagCache(1, p)
 	for i := 0; i < 4000; i++ {
-		k := cacheKey{src: int32(i % N), dst: int32((i * 13) % N), scheme: SchemeTSDT}
+		k := cacheKey{src: int32(i % N), dst: int32((i * 13) % N)}
 		c.put(k, cacheTagFor(p, k, uint64(i)), 1)
 	}
-	grown := c.memoryBytes()
-	// Keep a handful of SSDT entries that must survive.
+	_, _, grown := c.snapshot(1)
+	// Keep a handful of entries stamped at epoch 2 that must survive.
 	for d := 0; d < 10; d++ {
-		k := cacheKey{src: 0, dst: int32(d), scheme: SchemeSSDT}
-		c.put(k, cacheTagFor(p, k, 0), ssdtEpoch)
+		k := cacheKey{src: 1, dst: int32(d)}
+		c.put(k, cacheTagFor(p, k, 0), 2)
 	}
-	removed := c.sweep(2) // everything TSDT is stale at epoch 2
+	removed := c.sweep(2) // every epoch-1 entry is stale at epoch 2
 	if removed != 4000 {
 		t.Fatalf("sweep removed %d, want 4000", removed)
 	}
 	if c.len() != 10 {
 		t.Fatalf("len after sweep = %d, want 10", c.len())
 	}
-	if after := c.memoryBytes(); after >= grown {
+	if _, _, after := c.snapshot(2); after >= grown {
 		t.Fatalf("sweep did not shrink the slab: %d -> %d bytes", grown, after)
 	}
 	for d := 0; d < 10; d++ {
-		k := cacheKey{src: 0, dst: int32(d), scheme: SchemeSSDT}
-		if _, ok := c.get(k, ssdtEpoch); !ok {
-			t.Fatalf("SSDT entry %d lost in sweep rebuild", d)
+		if _, ok := c.get(cacheKey{src: 1, dst: int32(d)}, 2); !ok {
+			t.Fatalf("live entry %d lost in sweep rebuild", d)
 		}
 	}
 }
@@ -247,7 +243,7 @@ func TestCacheWideLayout(t *testing.T) {
 	}
 	var entries []kv
 	for i := 0; i < 2000; i++ {
-		k := cacheKey{src: int32(rng.Intn(N)), dst: int32(rng.Intn(N)), scheme: SchemeTSDT}
+		k := cacheKey{src: int32(rng.Intn(N)), dst: int32(rng.Intn(N))}
 		tag := cacheTagFor(p, k, rng.Uint64())
 		c.put(k, tag, 9)
 		entries = append(entries, kv{k, tag, 9})
@@ -261,7 +257,7 @@ func TestCacheWideLayout(t *testing.T) {
 			t.Fatal("wide stale get hit")
 		}
 	}
-	live, stale := c.stats(9)
+	live, stale, _ := c.snapshot(9)
 	if live != c.len() || stale != 0 {
 		t.Fatalf("stats = (%d, %d), len = %d", live, stale, c.len())
 	}
@@ -270,33 +266,29 @@ func TestCacheWideLayout(t *testing.T) {
 	}
 }
 
-// TestCacheStatsLiveStale pins the satellite fix: entries_live vs
-// entries_stale are split by epoch stamp, with SSDT entries always live.
+// TestCacheStatsLiveStale pins the entries_live vs entries_stale split by
+// epoch stamp.
 func TestCacheStatsLiveStale(t *testing.T) {
 	p := topology.MustParams(64)
 	c := newTagCache(2, p)
 	for i := 0; i < 8; i++ {
-		k := cacheKey{src: int32(i), dst: int32(i), scheme: SchemeTSDT}
+		k := cacheKey{src: int32(i), dst: int32(i)}
 		c.put(k, cacheTagFor(p, k, 7), 1)
 	}
 	for i := 0; i < 5; i++ {
-		k := cacheKey{src: int32(i + 8), dst: int32(i), scheme: SchemeTSDT}
+		k := cacheKey{src: int32(i + 8), dst: int32(i)}
 		c.put(k, cacheTagFor(p, k, 7), 2)
 	}
-	for i := 0; i < 3; i++ {
-		k := cacheKey{src: 0, dst: int32(i), scheme: SchemeSSDT}
-		c.put(k, cacheTagFor(p, k, 0), ssdtEpoch)
+	live, stale, _ := c.snapshot(2)
+	if live != 5 || stale != 8 {
+		t.Fatalf("snapshot(2) = (%d, %d), want (5, 8)", live, stale)
 	}
-	live, stale := c.stats(2)
-	if live != 5+3 || stale != 8 {
-		t.Fatalf("stats(2) = (%d, %d), want (8, 8)", live, stale)
+	live, stale, _ = c.snapshot(1)
+	if live != 8 || stale != 5 {
+		t.Fatalf("snapshot(1) = (%d, %d), want (8, 5)", live, stale)
 	}
-	live, stale = c.stats(1)
-	if live != 8+3 || stale != 5 {
-		t.Fatalf("stats(1) = (%d, %d), want (11, 5)", live, stale)
-	}
-	if c.len() != 16 {
-		t.Fatalf("len = %d, want 16", c.len())
+	if c.len() != 13 {
+		t.Fatalf("len = %d, want 13", c.len())
 	}
 }
 
@@ -322,7 +314,7 @@ func TestCacheFootprint(t *testing.T) {
 
 	keys := make([]cacheKey, M)
 	for i := range keys {
-		keys[i] = cacheKey{src: int32(i % N), dst: int32((i / N) % N), scheme: SchemeTSDT}
+		keys[i] = cacheKey{src: int32(i % N), dst: int32((i / N) % N)}
 	}
 
 	before := heapAllocBytes()
@@ -338,8 +330,8 @@ func TestCacheFootprint(t *testing.T) {
 		t.Fatalf("flat capacity = %d, want %d (test geometry drifted)", got, capacity)
 	}
 	// The accounted footprint must agree with the heap measurement.
-	if acc := flat.memoryBytes(); flatBytes < acc || flatBytes > acc+acc/4 {
-		t.Fatalf("heap says %d bytes, memoryBytes says %d", flatBytes, acc)
+	if _, _, acc := flat.snapshot(3); flatBytes < acc || flatBytes > acc+acc/4 {
+		t.Fatalf("heap says %d bytes, snapshot says %d", flatBytes, acc)
 	}
 
 	before = heapAllocBytes()

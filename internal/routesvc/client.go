@@ -240,17 +240,6 @@ func (c *Client) Repair(net string, links []string) (MutateJSON, error) {
 	return out, err
 }
 
-// Prewarm rebuilds net's dense SSDT table.
-func (c *Client) Prewarm(net string) (PrewarmJSON, error) {
-	var out PrewarmJSON
-	path := "/prewarm"
-	if net != "" {
-		path += "?net=" + net
-	}
-	err := c.PostJSON(path, struct{}{}, &out)
-	return out, err
-}
-
 // Metrics scrapes /metrics.
 func (c *Client) Metrics() (MetricsJSON, error) {
 	var out MetricsJSON

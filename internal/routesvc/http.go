@@ -89,7 +89,6 @@ func newHandler() *Handler {
 	h.handle("/route/batch", h.routeBatch)
 	h.handle("/fault", h.fault)
 	h.handle("/repair", h.repair)
-	h.handle("/prewarm", h.prewarm)
 	h.handle("/healthz", h.healthz)
 	h.handle("/metrics", h.metrics)
 	return h
@@ -130,9 +129,9 @@ func (h *Handler) handle(path string, fn func(http.ResponseWriter, *http.Request
 	})
 }
 
-// writeJSON answers the cold endpoints (/fault, /repair, /prewarm,
-// /healthz, /metrics) through encoding/json; /route and /route/batch
-// answer through the wire codec (wire.go).
+// writeJSON answers the cold endpoints (/fault, /repair, /healthz,
+// /metrics) through encoding/json; /route and /route/batch answer through
+// the wire codec (wire.go).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -494,33 +493,6 @@ func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, isFault bool) {
 		Epoch:   st.Epoch,
 		Blocked: st.BlockedLinks,
 	})
-}
-
-// PrewarmJSON is the wire form of a /prewarm response.
-type PrewarmJSON struct {
-	Routes int    `json:"routes"`
-	Epoch  uint64 `json:"epoch"`
-}
-
-// prewarm rebuilds the dense SSDT table on demand (POST /prewarm), the
-// operator-facing twin of the -prewarm daemon flag and the storm-triggered
-// automatic rebuild.
-func (h *Handler) prewarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		h.writeErr(w, fmt.Errorf("%w: method %s", ErrInvalid, r.Method))
-		return
-	}
-	svc, err := h.service(r.URL.Query().Get("net"))
-	if err != nil {
-		h.writeErr(w, err)
-		return
-	}
-	routes, err := svc.Prewarm()
-	if err != nil {
-		h.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, PrewarmJSON{Routes: routes, Epoch: svc.Epoch()})
 }
 
 // HealthJSON is the wire form of /healthz. Nets counts the networks a

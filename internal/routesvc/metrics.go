@@ -28,11 +28,8 @@ func MergeMetrics(dst *Metrics, src Metrics) {
 	dst.CacheEntriesLive += src.CacheEntriesLive
 	dst.CacheEntriesStale += src.CacheEntriesStale
 	dst.CacheBytes += src.CacheBytes
-	dst.DenseRoutes += src.DenseRoutes
 	dst.Sweeps += src.Sweeps
 	dst.SweptTotal += src.SweptTotal
-	dst.Prewarms += src.Prewarms
-	dst.PrewarmRoutes += src.PrewarmRoutes
 	dst.SSDT.Hits += src.SSDT.Hits
 	dst.SSDT.Misses += src.SSDT.Misses
 	dst.SSDT.Coalesced += src.SSDT.Coalesced
@@ -88,8 +85,8 @@ func finalizeMetrics(m *Metrics) {
 	m.SSDTHitRate = m.SSDT.HitRate()
 	m.TSDTHitRate = m.TSDT.HitRate()
 	m.BitsPerRoute = 0
-	if routes := m.CacheEntries + m.DenseRoutes; routes > 0 {
-		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(routes)
+	if m.CacheEntries > 0 {
+		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(m.CacheEntries)
 	}
 	m.SlicedFill = 0
 	if m.SlicedBlocks > 0 {

@@ -13,7 +13,7 @@ import (
 // TestMetricsSnapshotConsistency is the regression test for the torn
 // /metrics scrape: the cache population counters and the byte footprint
 // must come from ONE pass over the shards. The pre-fix Metrics paired
-// cache.stats() with a separate cache.memoryBytes() call; a sweep
+// an entry-count pass with a separate footprint pass; a sweep
 // rebuilding shards between the two passes could report a footprint too
 // small to hold the reported entries (impossible bits-per-route). Here
 // TSDT writers grow the cache, a mutator bumps the epoch, and a sweeper
@@ -30,10 +30,9 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 		// Admission off: the test saturates the slow path on purpose and
 		// sheds would just thin the cache traffic it needs.
 		Admission: AdmissionConfig{Disabled: true},
-		// No automatic sweeps/prewarms; the test drives sweeps itself so
-		// the shrink-while-scraping interleaving is dense.
-		SweepEvery:   -1,
-		PrewarmStorm: -1,
+		// No automatic sweeps; the test drives sweeps itself so the
+		// shrink-while-scraping interleaving is dense.
+		SweepEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,9 +35,10 @@ type Multi struct {
 }
 
 // NewMulti builds an empty multi-network host. Every network it creates
-// uses cfg (same N, shard count, prewarm policy); maxNets caps how many
-// distinct networks a stream of requests can demand (<=0 means 16 — a
-// typo'd net name must not allocate an unbounded number of N-sized
+// uses cfg (same N, shard count, slow-path cost and sweep cadence) and
+// shares one admission gate built from cfg.Admission; maxNets caps how
+// many distinct networks a stream of requests can demand (<=0 means 16 —
+// a typo'd net name must not allocate an unbounded number of N-sized
 // controllers).
 func NewMulti(cfg Config, maxNets int) *Multi {
 	if maxNets <= 0 {
@@ -78,10 +79,8 @@ func (m *Multi) Get(net string) (*Service, error) {
 	if len(m.nets) >= m.maxNets {
 		return nil, fmt.Errorf("%w %q (cap %d)", ErrTooManyNets, net, m.maxNets)
 	}
-	// Creation (including a synchronous cfg.Prewarm dense build) runs
-	// under the write lock: concurrent first requests for the same net
-	// must not race two controllers into existence, and the prewarm cost
-	// is paid once, before any request can miss.
+	// Creation runs under the write lock: concurrent first requests for
+	// the same net must not race two controllers into existence.
 	s, err := newService(m.cfg, m.adm, false)
 	if err != nil {
 		return nil, err
@@ -109,7 +108,7 @@ func (m *Multi) Draining() bool {
 }
 
 // Drain refuses new networks, drains every hosted Service (waiting out
-// their in-flight requests, sweeps and prewarm workers), then stops the
+// their in-flight requests and sweep workers), then stops the
 // shared admission gate — gate last, because a draining Service may
 // still be finishing admitted slow-path work.
 func (m *Multi) Drain() {

@@ -131,7 +131,7 @@ func TestMergeMetricsDerivedRates(t *testing.T) {
 	})
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 7, Requests: 5,
-		CacheEntries: 4, CacheBytes: 64, DenseRoutes: 8,
+		CacheEntries: 4, CacheBytes: 64,
 		SSDT:        CacheStats{Hits: 1, Misses: 3},
 		SlicedLanes: 32, SlicedBlocks: 1,
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 6000}},
@@ -142,9 +142,9 @@ func TestMergeMetricsDerivedRates(t *testing.T) {
 	if dst.SSDTHitRate != 0.5 {
 		t.Fatalf("merged ssdt hit rate=%v, want 0.5", dst.SSDTHitRate)
 	}
-	// 128 bytes over 8 cache entries + 8 dense routes = 64 bits/route.
-	if dst.BitsPerRoute != 64 {
-		t.Fatalf("merged bits/route=%v, want 64", dst.BitsPerRoute)
+	// 128 bytes over 8 cache entries = 128 bits/route.
+	if dst.BitsPerRoute != 128 {
+		t.Fatalf("merged bits/route=%v, want 128", dst.BitsPerRoute)
 	}
 	if dst.SlicedFill != 0.5 {
 		t.Fatalf("merged sliced fill=%v, want 0.5", dst.SlicedFill)

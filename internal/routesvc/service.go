@@ -5,24 +5,25 @@
 // The design follows the paper's cost split between the tag schemes:
 //
 //   - SSDT tags are state-independent — "the destination address is the
-//     tag" (Theorem 3.1) — so they are perfectly cacheable: one entry per
-//     destination, shared by every source, never invalidated by faults.
+//     tag" (Theorem 3.1) — so serving one needs no state at all: the
+//     service validates the pair and renders the n-bit address, with no
+//     cache, no coalescing and no admission ticket.
 //   - TSDT/REROUTE tags (Theorems 3.2–3.4) encode detours around the
 //     current blockage map, so every fault or repair report invalidates
 //     them. The service stamps each cached tag with the controller's map
 //     epoch; a mutation bumps the epoch and every stale entry dies lazily
 //     on its next lookup, with no global flush on the mutation path.
 //
-// Concurrency structure: a sharded RWMutex tag cache absorbs the read
-// traffic, a singleflight group collapses thundering herds so each missing
-// tag is computed once per epoch, and a drain gate lets the daemon finish
-// in-flight requests on shutdown while refusing new ones.
+// Concurrency structure: a sharded RWMutex tag cache absorbs the TSDT
+// read traffic, a singleflight group collapses thundering herds so each
+// missing tag is computed once per epoch, and a drain gate lets the
+// daemon finish in-flight requests on shutdown while refusing new ones.
 //
-// The cost split above also tiers the service under overload: cache hits
-// and SSDT requests are the fast path and always flow; fresh TSDT/REROUTE
-// computations are the slow path and sit behind a bounded admission queue
-// whose threshold a per-round controller adapts from measured
-// hit/queue-depth/shed counters (see admission.go). Shed requests fail
+// The cost split above also tiers the service under overload: SSDT
+// requests and TSDT cache hits are the fast path and always flow; fresh
+// TSDT/REROUTE computations are the slow path and sit behind a bounded
+// admission queue whose threshold a per-round controller adapts from
+// measured hit/queue-depth/shed counters (see admission.go). Shed requests fail
 // fast with ErrOverload, which HTTP maps to 429 plus Retry-After.
 package routesvc
 
@@ -101,16 +102,6 @@ type Config struct {
 	// iadmload -overload contract) a deterministic way to saturate the
 	// slow path. Leave zero in production.
 	SlowCost time.Duration
-	// Prewarm builds the dense per-destination SSDT table (n bits/route,
-	// one entry per destination, filled through the 64-lane sliced
-	// kernels) synchronously at startup, so the very first SSDT request
-	// is a cache hit.
-	Prewarm bool
-	// PrewarmStorm is the fault-storm threshold: after this many epoch
-	// bumps accumulate since the last prewarm, the service rebuilds the
-	// dense SSDT table asynchronously (the controller-driven prewarm
-	// path). 0 means 64; negative disables storm-triggered prewarms.
-	PrewarmStorm int
 	// SweepEvery is the auto-sweep cadence: every SweepEvery-th epoch
 	// bump schedules an asynchronous tagCache.sweep, reclaiming stale
 	// TSDT entries without an operator call. 0 means 256; negative
@@ -125,11 +116,8 @@ type Config struct {
 // 2^16 bumps guarantees a stale stamp can never alias a live epoch.
 const aliasSweepInterval = 1 << 16
 
-// defaultSweepEvery and defaultPrewarmStorm back Config's zero values.
-const (
-	defaultSweepEvery   = 256
-	defaultPrewarmStorm = 64
-)
+// defaultSweepEvery backs Config.SweepEvery's zero value.
+const defaultSweepEvery = 256
 
 // Request names one tag request of a batch.
 type Request struct {
@@ -156,8 +144,10 @@ type Result struct {
 	// SSDT it is the epoch observed at request time, since Theorem 3.1
 	// makes the tag valid under every map.
 	Epoch uint64
-	// Cached reports a tag-cache hit; Coalesced reports the request
-	// joined another caller's in-flight computation.
+	// Cached reports the tag was served without a computation: a TSDT
+	// cache hit, or any SSDT request (its tag is the destination address).
+	// Coalesced reports the request joined another caller's in-flight
+	// computation.
 	Cached    bool
 	Coalesced bool
 	// Err is the per-item error of a batch request (nil on success).
@@ -232,25 +222,19 @@ type Metrics struct {
 	// fault churn. CacheEntries = live + stale always.
 	CacheEntriesLive  int `json:"entries_live"`
 	CacheEntriesStale int `json:"entries_stale"`
-	// CacheBytes is the total tag-store footprint (flat cache slabs plus
-	// the dense SSDT table); BitsPerRoute is that footprint over every
-	// stored route (cache entries + dense table routes).
+	// CacheBytes is the flat cache's slab footprint; BitsPerRoute is that
+	// footprint over its entries.
 	CacheBytes   uint64  `json:"cache_bytes"`
 	BitsPerRoute float64 `json:"bits_per_route"`
-	// DenseRoutes is the number of destinations in the dense SSDT table
-	// (0 until a prewarm has run).
-	DenseRoutes int `json:"dense_routes"`
-	// Sweep / prewarm counters: SweptTotal counts entries reclaimed by
-	// all sweeps (automatic and operator-invoked), PrewarmRoutes counts
-	// routes bulk-filled by prewarms.
-	Sweeps        uint64     `json:"sweeps_total"`
-	SweptTotal    uint64     `json:"swept_total"`
-	Prewarms      uint64     `json:"prewarms_total"`
-	PrewarmRoutes uint64     `json:"prewarm_routes_total"`
-	SSDT          CacheStats `json:"ssdt"`
-	TSDT          CacheStats `json:"tsdt"`
-	SSDTHitRate   float64    `json:"ssdt_hit_rate"`
-	TSDTHitRate   float64    `json:"tsdt_hit_rate"`
+	// SweptTotal counts entries reclaimed by all sweeps (automatic and
+	// operator-invoked). SSDT requests never miss or coalesce, so their
+	// Misses and Coalesced stay 0.
+	Sweeps      uint64     `json:"sweeps_total"`
+	SweptTotal  uint64     `json:"swept_total"`
+	SSDT        CacheStats `json:"ssdt"`
+	TSDT        CacheStats `json:"tsdt"`
+	SSDTHitRate float64    `json:"ssdt_hit_rate"`
+	TSDTHitRate float64    `json:"tsdt_hit_rate"`
 	// SlicedLanes counts requests whose path was produced by the bit-sliced
 	// kernel; SlicedBlocks counts the 64-lane blocks that produced them, so
 	// SlicedFill = SlicedLanes / (64 * SlicedBlocks) is the lane utilization.
@@ -264,7 +248,7 @@ type Metrics struct {
 }
 
 // Service wraps a controller with the serving-layer machinery: the sharded
-// epoch-stamped tag cache, request coalescing, batch routing, fault
+// epoch-stamped TSDT tag cache, request coalescing, batch routing, fault
 // ingestion and graceful drain. All methods are safe for concurrent use.
 type Service struct {
 	ctl      *controller.Controller
@@ -275,16 +259,8 @@ type Service struct {
 	ownAdm   bool
 	slowCost time.Duration
 
-	// dense is the per-destination SSDT table (Theorem 3.1: one n-bit
-	// entry per destination serves every source under every blockage
-	// map). Prewarm builds a complete table and swaps it in whole, so
-	// readers see either nothing or all N routes.
-	dense        atomic.Pointer[core.SSDTTable]
-	prewarmStorm int
-	sweepEvery   int
-	stormBumps   atomic.Uint64
-	sweepBusy    atomic.Bool
-	prewarmBusy  atomic.Bool
+	sweepEvery int
+	sweepBusy  atomic.Bool
 
 	drainMu  sync.RWMutex
 	draining bool
@@ -296,15 +272,14 @@ type Service struct {
 	faults        atomic.Uint64
 	repairs       atomic.Uint64
 	invalidations atomic.Uint64
-	hits          [numSchemes]atomic.Uint64
-	misses        [numSchemes]atomic.Uint64
-	coalesced     [numSchemes]atomic.Uint64
+	ssdtHits      atomic.Uint64
+	tsdtHits      atomic.Uint64
+	tsdtMisses    atomic.Uint64
+	tsdtCoalesced atomic.Uint64
 	slicedLanes   atomic.Uint64
 	slicedBlocks  atomic.Uint64
 	sweeps        atomic.Uint64
 	sweptTotal    atomic.Uint64
-	prewarms      atomic.Uint64
-	prewarmRoutes atomic.Uint64
 	batchLat      [numBatchBands]struct{ count, sumNs atomic.Uint64 }
 
 	// testComputeHook, when set (by tests in this package), runs at the
@@ -313,12 +288,8 @@ type Service struct {
 	// queue occupancy deterministically. testEpochHook runs right after a
 	// TSDT request loads its epoch stamp, so tests can race a map
 	// mutation into the window between stamp and lookup or computation.
-	// testPrewarmHook runs once per 64-lane block during a dense-table
-	// build, so tests can freeze a prewarm mid-build and interleave it
-	// with Drain.
 	testComputeHook func(Scheme)
 	testEpochHook   func()
-	testPrewarmHook func(filled int)
 }
 
 // New builds a Service for a fault-free network of size cfg.N.
@@ -336,17 +307,13 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		ctl:          ctl,
-		p:            ctl.Params(),
-		cache:        newTagCache(cfg.Shards, ctl.Params()),
-		adm:          adm,
-		ownAdm:       ownAdm,
-		slowCost:     cfg.SlowCost,
-		prewarmStorm: cfg.PrewarmStorm,
-		sweepEvery:   cfg.SweepEvery,
-	}
-	if s.prewarmStorm == 0 {
-		s.prewarmStorm = defaultPrewarmStorm
+		ctl:        ctl,
+		p:          ctl.Params(),
+		cache:      newTagCache(cfg.Shards, ctl.Params()),
+		adm:        adm,
+		ownAdm:     ownAdm,
+		slowCost:   cfg.SlowCost,
+		sweepEvery: cfg.SweepEvery,
 	}
 	if s.sweepEvery == 0 {
 		s.sweepEvery = defaultSweepEvery
@@ -358,72 +325,8 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 		if (s.sweepEvery > 0 && epoch%uint64(s.sweepEvery) == 0) || epoch%aliasSweepInterval == 0 {
 			s.scheduleSweep()
 		}
-		if s.prewarmStorm > 0 && s.stormBumps.Add(1) >= uint64(s.prewarmStorm) {
-			s.stormBumps.Store(0)
-			s.schedulePrewarm()
-		}
 	})
-	if cfg.Prewarm {
-		if _, err := s.buildDense(); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// buildDense bulk-fills a fresh dense SSDT table through the 64-lane
-// sliced kernels: each block of destinations is loaded as Theorem 3.1
-// tags, walked by RouteTSDTSliced, and self-checked (every lane's path
-// must land on its own destination) before the table is swapped in. It
-// returns the number of routes filled.
-func (s *Service) buildDense() (int, error) {
-	tbl := core.NewSSDTTable(s.p)
-	N := s.p.Size()
-	var lb core.LaneBlock
-	var srcs [core.Lanes]int
-	var tags [core.Lanes]core.Tag
-	var paths [core.Lanes]core.PackedPath
-	for base := 0; base < N; base += core.Lanes {
-		if s.testPrewarmHook != nil {
-			s.testPrewarmHook(base)
-		}
-		k := min(core.Lanes, N-base)
-		for i := 0; i < k; i++ {
-			d := base + i
-			srcs[i] = d
-			tags[i] = core.MustTag(s.p, d)
-		}
-		if err := lb.LoadTags(s.p, srcs[:k], tags[:k]); err != nil {
-			return 0, fmt.Errorf("routesvc: prewarm load at destination %d: %w", base, err)
-		}
-		core.RouteTSDTSliced(s.p, &lb)
-		pp := lb.PathsInto(paths[:0])
-		for i := 0; i < k; i++ {
-			d := base + i
-			if got := pp[i].Destination(s.p); got != d {
-				return 0, fmt.Errorf("routesvc: prewarm self-check: tag for %d walked to %d", d, got)
-			}
-			if err := tbl.Store(d, tags[i]); err != nil {
-				return 0, fmt.Errorf("routesvc: prewarm store: %w", err)
-			}
-		}
-		s.slicedLanes.Add(uint64(k))
-		s.slicedBlocks.Add(1)
-	}
-	s.dense.Store(tbl)
-	s.prewarms.Add(1)
-	s.prewarmRoutes.Add(uint64(N))
-	return N, nil
-}
-
-// Prewarm (re)builds the dense SSDT table synchronously; see Config.
-// Prewarm for the startup variant and PrewarmStorm for the automatic one.
-func (s *Service) Prewarm() (int, error) {
-	if err := s.begin(); err != nil {
-		return 0, err
-	}
-	defer s.end()
-	return s.buildDense()
 }
 
 // scheduleSweep runs one asynchronous cache sweep, dropping the request
@@ -440,23 +343,6 @@ func (s *Service) scheduleSweep() {
 		}
 		defer s.end()
 		s.Sweep()
-	}()
-}
-
-// schedulePrewarm is scheduleSweep for the dense-table rebuild.
-func (s *Service) schedulePrewarm() {
-	if !s.prewarmBusy.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer s.prewarmBusy.Store(false)
-		if s.begin() != nil {
-			return
-		}
-		defer s.end()
-		// The self-check cannot fail against a live controller topology;
-		// if it somehow does, the old table stays in place.
-		_, _ = s.buildDense()
 	}()
 }
 
@@ -626,69 +512,53 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return Result{}, fmt.Errorf("%w: pair (%d, %d) outside 0..%d", ErrInvalid, src, dst, s.p.Size()-1)
 	}
 
-	key := cacheKey{src: int32(src), dst: int32(dst), scheme: scheme}
-	stamp := ssdtEpoch
 	if scheme == SchemeSSDT {
-		// Theorem 3.1: the tag depends only on the destination, so every
-		// source shares one epoch-exempt entry.
-		key.src = 0
-	} else {
-		// Load the cache stamp BEFORE computing: if a mutation lands
-		// mid-compute, the entry is stamped with the old epoch and dies
-		// unread — the stale-pointing direction is impossible by
-		// construction. The answer itself reports the epoch the
-		// controller computed under (see below).
-		stamp = s.ctl.Epoch()
-		if s.testEpochHook != nil {
-			s.testEpochHook()
+		// Theorem 3.1: the tag is the destination address, valid under
+		// every blockage map, so it is rendered in place — no cache probe,
+		// no flight, no admission ticket — and answered as a hit at the
+		// current epoch.
+		tag, err := core.NewTag(s.p, dst)
+		if err != nil {
+			s.invalid.Add(1)
+			return Result{}, err
 		}
+		s.ssdtHits.Add(1)
+		s.adm.noteHit()
+		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch(), Cached: true}, nil
 	}
 
-	// The reported epoch is the one the tag is valid against: the stamp
-	// for a TSDT hit (never a newer epoch a concurrent mutation may have
-	// produced), the current epoch for epoch-exempt SSDT.
-	epoch := stamp
-	if scheme == SchemeSSDT {
-		epoch = s.ctl.Epoch()
-	}
-	res := Result{Src: src, Dst: dst, Scheme: scheme, Epoch: epoch}
-	if scheme == SchemeSSDT {
-		// Dense-table fast path: after a prewarm every destination hits
-		// here — no hash, no shard lock, one bit-slab read.
-		if tbl := s.dense.Load(); tbl != nil {
-			if tag, ok := tbl.Lookup(dst); ok {
-				s.hits[scheme].Add(1)
-				s.adm.noteHit()
-				res.Tag, res.Cached = tag, true
-				return res, nil
-			}
-		}
+	// Load the cache stamp BEFORE computing: if a mutation lands
+	// mid-compute, the entry is stamped with the old epoch and dies
+	// unread — the stale-pointing direction is impossible by
+	// construction. A hit reports its stamp (never a newer epoch a
+	// concurrent mutation may have produced); a fresh computation reports
+	// the epoch the controller computed under (see below).
+	key := cacheKey{src: int32(src), dst: int32(dst)}
+	stamp := s.ctl.Epoch()
+	if s.testEpochHook != nil {
+		s.testEpochHook()
 	}
 	if tag, ok := s.cache.get(key, stamp); ok {
-		s.hits[scheme].Add(1)
+		s.tsdtHits.Add(1)
 		s.adm.noteHit()
-		res.Tag, res.Cached = tag, true
-		return res, nil
+		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: stamp, Cached: true}, nil
 	}
 
 	tag, computed, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, uint64, error) {
-		// The admission gate guards the slow path only: fresh
-		// TSDT/REROUTE computations against the current blockage map.
-		// SSDT computes are state-independent one-shot renders (fast
-		// path by construction), and cache hits never reach here.
-		if scheme == SchemeTSDT {
-			if !s.adm.acquire() {
-				return core.Tag{}, 0, ErrOverload
-			}
-			defer s.adm.release()
+		// The admission gate guards the slow path: fresh TSDT/REROUTE
+		// computations against the current blockage map. Cache hits and
+		// SSDT requests never reach here.
+		if !s.adm.acquire() {
+			return core.Tag{}, 0, ErrOverload
 		}
+		defer s.adm.release()
 		if s.testComputeHook != nil {
 			s.testComputeHook(scheme)
 		}
-		if s.slowCost > 0 && scheme == SchemeTSDT {
+		if s.slowCost > 0 {
 			time.Sleep(s.slowCost)
 		}
-		tag, computed, err := s.compute(src, dst, scheme)
+		tag, computed, err := s.ctl.RouteTagEpoch(src, dst)
 		if err == nil {
 			s.cache.put(key, tag, stamp)
 		}
@@ -701,11 +571,11 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return Result{}, err
 	}
 	if shared {
-		s.hits[scheme].Add(1)
-		s.coalesced[scheme].Add(1)
+		s.tsdtHits.Add(1)
+		s.tsdtCoalesced.Add(1)
 		s.adm.noteHit()
 	} else {
-		s.misses[scheme].Add(1)
+		s.tsdtMisses.Add(1)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrNoPath) {
@@ -715,24 +585,9 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		}
 		return Result{}, err
 	}
-	res.Tag, res.Coalesced = tag, shared
-	if scheme == SchemeTSDT {
-		// A fresh tag is valid under the map it was computed against,
-		// which a mutation racing this request may have made newer than
-		// the stamp.
-		res.Epoch = computed
-	}
-	return res, nil
-}
-
-// compute renders a tag and reports the epoch it is valid under: the
-// controller's computing epoch for TSDT, the current one for SSDT.
-func (s *Service) compute(src, dst int, scheme Scheme) (core.Tag, uint64, error) {
-	if scheme == SchemeSSDT {
-		tag, err := core.NewTag(s.p, dst)
-		return tag, s.ctl.Epoch(), err
-	}
-	return s.ctl.RouteTagEpoch(src, dst)
+	// A fresh tag is valid under the map it was computed against, which a
+	// mutation racing this request may have made newer than the stamp.
+	return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: computed, Coalesced: shared}, nil
 }
 
 func (s *Service) validLink(l topology.Link) error {
@@ -880,11 +735,6 @@ func (s *Service) Sweep() int {
 // and report an impossible bits-per-route figure.
 func (s *Service) Metrics() Metrics {
 	live, stale, cacheBytes := s.cache.snapshot(s.ctl.Epoch())
-	denseRoutes := 0
-	if tbl := s.dense.Load(); tbl != nil {
-		denseRoutes = tbl.Len()
-		cacheBytes += tbl.MemoryBytes()
-	}
 	m := Metrics{
 		N:                 s.p.Size(),
 		Epoch:             s.ctl.Epoch(),
@@ -898,20 +748,13 @@ func (s *Service) Metrics() Metrics {
 		CacheEntriesLive:  live,
 		CacheEntriesStale: stale,
 		CacheBytes:        cacheBytes,
-		DenseRoutes:       denseRoutes,
 		Sweeps:            s.sweeps.Load(),
 		SweptTotal:        s.sweptTotal.Load(),
-		Prewarms:          s.prewarms.Load(),
-		PrewarmRoutes:     s.prewarmRoutes.Load(),
-		SSDT: CacheStats{
-			Hits:      s.hits[SchemeSSDT].Load(),
-			Misses:    s.misses[SchemeSSDT].Load(),
-			Coalesced: s.coalesced[SchemeSSDT].Load(),
-		},
+		SSDT:              CacheStats{Hits: s.ssdtHits.Load()},
 		TSDT: CacheStats{
-			Hits:      s.hits[SchemeTSDT].Load(),
-			Misses:    s.misses[SchemeTSDT].Load(),
-			Coalesced: s.coalesced[SchemeTSDT].Load(),
+			Hits:      s.tsdtHits.Load(),
+			Misses:    s.tsdtMisses.Load(),
+			Coalesced: s.tsdtCoalesced.Load(),
 		},
 		SlicedLanes:  s.slicedLanes.Load(),
 		SlicedBlocks: s.slicedBlocks.Load(),
@@ -919,22 +762,10 @@ func (s *Service) Metrics() Metrics {
 		Controller:   s.ctl.Stats(),
 		Draining:     s.Draining(),
 	}
-	m.SSDTHitRate = m.SSDT.HitRate()
-	m.TSDTHitRate = m.TSDT.HitRate()
-	if routes := m.CacheEntries + m.DenseRoutes; routes > 0 {
-		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(routes)
-	}
-	if m.SlicedBlocks > 0 {
-		m.SlicedFill = float64(m.SlicedLanes) / float64(m.SlicedBlocks*core.Lanes)
-	}
-	m.BatchLatency = make([]BatchBucket, 0, numBatchBands)
+	m.BatchLatency = make([]BatchBucket, numBatchBands)
 	for i := range s.batchLat {
-		c, sum := s.batchLat[i].count.Load(), s.batchLat[i].sumNs.Load()
-		bb := BatchBucket{Batch: batchBandLabels[i], Count: c, SumNs: sum}
-		if c > 0 {
-			bb.AvgUS = float64(sum) / float64(c) / 1e3
-		}
-		m.BatchLatency = append(m.BatchLatency, bb)
+		m.BatchLatency[i] = BatchBucket{Batch: batchBandLabels[i], Count: s.batchLat[i].count.Load(), SumNs: s.batchLat[i].sumNs.Load()}
 	}
+	finalizeMetrics(&m)
 	return m
 }

@@ -24,7 +24,7 @@ type flightCall struct {
 }
 
 // flightGroup deduplicates concurrent tag computations: under a thundering
-// herd for one (src, dst, scheme, epoch), exactly one caller computes and
+// herd for one (src, dst, epoch), exactly one caller computes and
 // the rest wait for its result (the singleflight pattern, reimplemented
 // here because the repo takes no external dependencies). The zero value is
 // ready to use.

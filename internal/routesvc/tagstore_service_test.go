@@ -13,7 +13,7 @@ import (
 )
 
 // waitMetrics polls the service until cond holds or the deadline passes —
-// auto-sweeps and storm prewarms run on their own goroutines.
+// auto-sweeps run on their own goroutines.
 func waitMetrics(t *testing.T, s *Service, what string, cond func(Metrics) bool) Metrics {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -29,48 +29,81 @@ func waitMetrics(t *testing.T, s *Service, what string, cond func(Metrics) bool)
 	}
 }
 
-// TestPrewarmFirstRequestCached pins the serve-smoke contract: with
-// Config.Prewarm the very first SSDT request of the process is a cache
-// hit out of the dense table.
-func TestPrewarmFirstRequestCached(t *testing.T) {
-	s := mustService(t, Config{N: 64, Prewarm: true})
-	res, err := s.Route(3, 41, SchemeSSDT)
+// TestSSDTNeverReachesSlowPath pins the SSDT serving contract with every
+// slow-path door rigged to show a compute: the admission gate holds no
+// free ticket, the compute hook fails the test on any SSDT call, and a
+// fault storm bumps the epoch (scheduling sweeps) between requests.
+// Every single and batch answer must still be the Theorem 3.1 tag, its
+// all-C walk, a hit, at the current epoch — with nothing stored.
+func TestSSDTNeverReachesSlowPath(t *testing.T) {
+	const N = 64
+	s := mustService(t, Config{N: N, SweepEvery: 1,
+		Admission: AdmissionConfig{MaxQueue: 1, MinQueue: 1, Round: -1}})
+	defer s.Drain()
+	if !s.adm.acquire() {
+		t.Fatal("could not take the only admission ticket")
+	}
+	defer s.adm.release()
+	s.testComputeHook = func(sc Scheme) {
+		if sc == SchemeSSDT {
+			t.Errorf("SSDT request reached the compute path")
+		}
+	}
+	if _, err := s.Route(0, 1, SchemeTSDT); !errors.Is(err, ErrOverload) {
+		t.Fatalf("fresh TSDT with the gate full: err=%v, want ErrOverload", err)
+	}
+
+	p := s.Params()
+	storm := func(i int) {
+		l := topology.Link{Stage: i % p.Stages(), From: (i * 7) % N, Kind: topology.Plus}
+		if i%2 == 0 {
+			s.ReportFault(l)
+		} else {
+			s.ReportRepair(l)
+		}
+	}
+	check := func(what string, res Result, src, dst int) {
+		t.Helper()
+		tag := core.MustTag(p, dst)
+		if res.Tag != tag || !res.Path.Equal(tag.Follow(p, src)) || !res.Cached || res.Epoch != s.Epoch() {
+			t.Fatalf("%s (%d, %d): tag=%v path=%v cached=%v epoch=%d (current %d)",
+				what, src, dst, res.Tag, res.Path, res.Cached, res.Epoch, s.Epoch())
+		}
+	}
+	for dst := 0; dst < N; dst++ {
+		storm(dst)
+		src := (dst * 5) % N
+		res, err := s.Route(src, dst, SchemeSSDT)
+		if err != nil {
+			t.Fatalf("single (%d, %d): %v", src, dst, err)
+		}
+		check("single", res, src, dst)
+	}
+	storm(N)
+	reqs := make([]Request, N)
+	for dst := range reqs {
+		reqs[dst] = Request{Src: (dst * 3) % N, Dst: dst, Scheme: SchemeSSDT}
+	}
+	out, err := s.RouteBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cached {
-		t.Fatal("first SSDT request after prewarm was not a cache hit")
-	}
-	if res.Tag != core.MustTag(s.Params(), 41) {
-		t.Fatalf("dense tag = %v", res.Tag)
-	}
-	if res.Path.Destination() != 41 {
-		t.Fatalf("dense-path destination = %d", res.Path.Destination())
+	for i, res := range out {
+		if res.Err != nil {
+			t.Fatalf("batch item %d: %v", i, res.Err)
+		}
+		check("batch", res, reqs[i].Src, reqs[i].Dst)
 	}
 	m := s.Metrics()
-	if m.DenseRoutes != 64 || m.Prewarms != 1 || m.PrewarmRoutes != 64 {
-		t.Fatalf("dense=%d prewarms=%d routes=%d", m.DenseRoutes, m.Prewarms, m.PrewarmRoutes)
-	}
-	if m.SSDT.Misses != 0 || m.SSDT.Hits != 1 {
-		t.Fatalf("SSDT stats after prewarmed request: %+v", m.SSDT)
-	}
-	if m.CacheBytes == 0 || m.BitsPerRoute == 0 {
-		t.Fatalf("footprint metrics empty: bytes=%d bits/route=%g", m.CacheBytes, m.BitsPerRoute)
-	}
-	// The dense table is epoch-exempt (Theorem 3.1): still hit after churn.
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = s.Route(5, 41, SchemeSSDT)
-	if err != nil || !res.Cached {
-		t.Fatalf("SSDT request after fault: cached=%v err=%v", res.Cached, err)
+	if m.CacheEntries != 0 || m.SSDT.Misses != 0 || m.SSDT.Coalesced != 0 || m.SSDT.Hits != 2*N {
+		t.Fatalf("after SSDT traffic: entries=%d ssdt=%+v, want 0 entries, %d hits, no misses", m.CacheEntries, m.SSDT, 2*N)
 	}
 }
 
 // TestAutoSweep: stale TSDT entries are reclaimed without an operator
 // call once SweepEvery epoch bumps accumulate.
 func TestAutoSweep(t *testing.T) {
-	s := mustService(t, Config{N: 8, Shards: 2, SweepEvery: 2, PrewarmStorm: -1})
+	s := mustService(t, Config{N: 8, Shards: 2, SweepEvery: 2})
 	for d := 0; d < 8; d++ {
 		if _, err := s.Route(0, d, SchemeTSDT); err != nil {
 			t.Fatal(err)
@@ -97,48 +130,11 @@ func TestAutoSweep(t *testing.T) {
 	}
 }
 
-// TestStormPrewarm: a burst of PrewarmStorm epoch bumps triggers the
-// controller-driven dense-table rebuild.
-func TestStormPrewarm(t *testing.T) {
-	s := mustService(t, Config{N: 16, PrewarmStorm: 3, SweepEvery: -1})
-	if m := s.Metrics(); m.DenseRoutes != 0 {
-		t.Fatalf("dense table before storm: %d routes", m.DenseRoutes)
-	}
-	links := []topology.Link{
-		{Stage: 0, From: 1, Kind: topology.Minus},
-		{Stage: 1, From: 2, Kind: topology.Plus},
-		{Stage: 2, From: 3, Kind: topology.Minus},
-	}
-	for _, l := range links {
-		if _, err := s.ReportFault(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := waitMetrics(t, s, "storm prewarm", func(m Metrics) bool { return m.Prewarms >= 1 })
-	if m.DenseRoutes != 16 || m.PrewarmRoutes < 16 {
-		t.Fatalf("after storm: dense=%d prewarm_routes=%d", m.DenseRoutes, m.PrewarmRoutes)
-	}
-	res, err := s.Route(0, 9, SchemeSSDT)
-	if err != nil || !res.Cached {
-		t.Fatalf("SSDT after storm prewarm: cached=%v err=%v", res.Cached, err)
-	}
-}
-
-// TestPrewarmDrain: a draining service refuses operator prewarms like any
-// other request.
-func TestPrewarmDrain(t *testing.T) {
-	s := mustService(t, Config{N: 8})
-	s.Drain()
-	if _, err := s.Prewarm(); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Prewarm on drained service: %v", err)
-	}
-}
-
-// TestConcurrentPrewarmChurn races routing traffic, epoch churn, operator
-// sweeps and prewarms under the race detector; the -race run of the suite
-// is the satellite's concurrent get/put/prewarm-under-epoch-bumps gate.
-func TestConcurrentPrewarmChurn(t *testing.T) {
-	s := mustService(t, Config{N: 32, Shards: 4, SweepEvery: 2, PrewarmStorm: 2})
+// TestConcurrentSweepChurn races routing traffic, epoch churn, automatic and
+// operator sweeps under the race detector; the -race run of the suite is
+// the concurrent get/put/sweep-under-epoch-bumps gate.
+func TestConcurrentSweepChurn(t *testing.T) {
+	s := mustService(t, Config{N: 32, Shards: 4, SweepEvery: 2})
 	const G, R = 6, 200
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -158,12 +154,6 @@ func TestConcurrentPrewarmChurn(t *testing.T) {
 					s.ReportFault(l)
 				case 15:
 					s.ReportRepair(l)
-				case 25:
-					if g == 0 {
-						if _, err := s.Prewarm(); err != nil {
-							t.Errorf("prewarm: %v", err)
-						}
-					}
 				case 35:
 					if g == 1 {
 						s.Sweep()
@@ -181,31 +171,23 @@ func TestConcurrentPrewarmChurn(t *testing.T) {
 	if m.CacheEntries != m.CacheEntriesLive+m.CacheEntriesStale {
 		t.Errorf("entries %d != live %d + stale %d", m.CacheEntries, m.CacheEntriesLive, m.CacheEntriesStale)
 	}
-	s.Drain() // waits out any scheduled sweep/prewarm goroutines
+	s.Drain() // waits out any scheduled sweep goroutines
 }
 
-// TestPrewarmEndpoint drives POST /prewarm and checks the metrics
-// surface.
-func TestPrewarmEndpoint(t *testing.T) {
+// TestSSDTOverHTTPNeedsNoWarmup: the first SSDT /route of a fresh daemon
+// is a hit, and there is no warm-up endpoint to call.
+func TestSSDTOverHTTPNeedsNoWarmup(t *testing.T) {
 	_, ts := newTestServer(t, Config{N: 16})
-	var pw PrewarmJSON
-	postJSON(t, ts.URL+"/prewarm", struct{}{}, http.StatusOK, &pw)
-	if pw.Routes != 16 {
-		t.Fatalf("prewarm routes = %d, want 16", pw.Routes)
-	}
-	getJSON(t, ts.URL+"/prewarm", http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/prewarm", struct{}{}, http.StatusNotFound, nil)
 
 	var route RouteJSON
 	getJSON(t, ts.URL+"/route?src=2&dst=9&scheme=ssdt", http.StatusOK, &route)
-	if !route.Cached {
-		t.Fatal("first SSDT request after POST /prewarm not cached")
+	if !route.Cached || route.Tag != core.MustTag(topology.MustParams(16), 9).String() {
+		t.Fatalf("first SSDT /route: %+v", route)
 	}
 	var m MetricsJSON
 	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
-	if m.Service.DenseRoutes != 16 || m.Service.Prewarms != 1 {
-		t.Fatalf("metrics: dense=%d prewarms=%d", m.Service.DenseRoutes, m.Service.Prewarms)
-	}
-	if m.Service.CacheBytes == 0 {
-		t.Fatal("cache_bytes = 0")
+	if m.Service.SSDT.Hits != 1 || m.Service.SSDT.Misses != 0 || m.Service.CacheEntries != 0 {
+		t.Fatalf("metrics: ssdt=%+v entries=%d", m.Service.SSDT, m.Service.CacheEntries)
 	}
 }

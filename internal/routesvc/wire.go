@@ -18,9 +18,8 @@ import (
 // This file is the wire codec of the hot endpoints, /route and
 // /route/batch: a hand-written, reflection-free encoder and decoder for
 // RouteJSON, BatchJSON and the error body, shared by the Handler, the
-// fleet router and Client. The cold endpoints (/fault, /repair,
-// /prewarm, /healthz, /metrics) keep encoding/json, which is also the
-// codec's test oracle.
+// fleet router and Client. The cold endpoints (/fault, /repair, /healthz,
+// /metrics) keep encoding/json, which is also the codec's test oracle.
 //
 // Encoder: output is byte-identical to a json.Encoder with
 // SetEscapeHTML(false) (json.Marshal's escaping when escapeHTML is set);

@@ -10,20 +10,20 @@
 #      flooded with pure-TSDT overload traffic; then a 3-backend fleet
 #      built from identically-tuned daemons takes the same flood through
 #      the router. The fleet's success throughput (the ok/s line) must
-#      be at least MIN_SPEEDUP x the single daemon's — the scatter of
-#      partitions over backends must actually multiply slow-path slots.
+#      be at least 2x the single daemon's — the scatter of partitions
+#      over backends must actually multiply slow-path slots.
 #
 #   2. overhead: against the same fleet, now under light load (fewer
 #      workers than any backend's admission slots, so nothing sheds),
 #      client p50 latency is measured twice — straight at one backend,
-#      then through the router — and the router may add at most
-#      MAX_P50_OVERHEAD_PCT percent. Every request costs a fresh
-#      -slow-cost compute, i.e. the overhead is judged against real
-#      slow-path work, not against a cache hit that nothing would proxy.
+#      then through the router — and the router may add at most 15
+#      percent. Every request costs a fresh -slow-cost compute, i.e. the
+#      overhead is judged against real slow-path work, not against a
+#      cache hit that nothing would proxy.
 #
-#   3. fast path: a fresh 3-backend -prewarm fleet with no -slow-cost,
-#      behind a router with iadmfleet's defaults (no hedging), serves
-#      warmed SSDT singles; client p50 is measured straight at one
+#   3. fast path: a fresh 3-backend fleet with no -slow-cost, behind a
+#      router with iadmfleet's defaults (no hedging), serves SSDT
+#      singles; client p50 is measured straight at one
 #      backend and through the router in 3 alternating rounds, and the
 #      best routed p50 may be at most 4x the best direct one. This is a
 #      sanity bound on the router's added latency with no slow-path
@@ -34,40 +34,17 @@
 #
 #   4. mixed: the same 3 backends, behind a hedging router, serve 4
 #      named partitions of mixed singles/batch traffic while fault/repair
-#      churn is
-#      confined to partition p0 (-churn-net). `iadmload -check
-#      -min-ssdt-hit 0.9` enforces zero request errors, zero 5xx and a
-#      >=90% merged SSDT hit rate; the router's /metrics must then show
-#      p0's epoch advanced while every other partition stayed at epoch 0
-#      (fault fan-out invalidates exactly the faulted partition's
-#      replicas — Theorems 3.1/3.2 end to end). The router drains first,
-#      then every backend, each logging a clean drain line.
+#      churn is confined to partition p0 (-churn-net). `iadmload -check`
+#      enforces zero request errors, zero 5xx and no SSDT request on the
+#      slow path (zero merged SSDT misses and coalesced joins); the
+#      router's /metrics must then show p0's epoch advanced while every
+#      other partition stayed at epoch 0 (fault fan-out invalidates
+#      exactly the faulted partition's replicas — Theorems 3.1/3.2 end to
+#      end). The router drains first, then every backend, each logging a
+#      clean drain line.
 set -eu
 
 GO=${GO:-go}
-N=${N:-1024}
-
-# Capacity phase knobs.
-CAP_SLOW_COST=${CAP_SLOW_COST:-5ms}
-CAP_ADMISSION_MAX=${CAP_ADMISSION_MAX:-3}
-CAP_WORKERS=${CAP_WORKERS:-16}
-CAP_DURATION=${CAP_DURATION:-2s}
-CAP_NETS=${CAP_NETS:-8}
-MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
-
-# Overhead phase knobs.
-OVERHEAD_WORKERS=${OVERHEAD_WORKERS:-2}
-OVERHEAD_DURATION=${OVERHEAD_DURATION:-1500ms}
-MAX_P50_OVERHEAD_PCT=${MAX_P50_OVERHEAD_PCT:-15}
-
-# Mixed phase knobs.
-MIX_WORKERS=${MIX_WORKERS:-8}
-MIX_DURATION=${MIX_DURATION:-2s}
-MIX_NETS=${MIX_NETS:-4}
-MIX_CHURN=${MIX_CHURN:-0.02}
-MIX_BATCH_MIX=${MIX_BATCH_MIX:-1,3,64,200}
-MIX_MIN_SSDT_HIT=${MIX_MIN_SSDT_HIT:-0.9}
-
 tmp=$(mktemp -d)
 pids=""
 cleanup() {
@@ -139,26 +116,26 @@ $GO build -o "$tmp/iadmload" ./cmd/iadmload
 
 # --- Phase 1: capacity -----------------------------------------------------
 
-echo "fleet-smoke: phase 1, capacity (admission $CAP_ADMISSION_MAX, slow-cost $CAP_SLOW_COST)"
-"$tmp/iadmd" -n "$N" -addr 127.0.0.1:0 -portfile "$tmp/single.port" \
-    -admission-max "$CAP_ADMISSION_MAX" -admission-min "$CAP_ADMISSION_MAX" \
-    -slow-cost "$CAP_SLOW_COST" >"$tmp/single.log" 2>&1 &
+echo "fleet-smoke: phase 1, capacity (admission 3, slow-cost 5ms)"
+"$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/single.port" \
+    -admission-max 3 -admission-min 3 \
+    -slow-cost 5ms >"$tmp/single.log" 2>&1 &
 single_pid=$!
 pids="$pids $single_pid"
 wait_port "$tmp/single.port" "$single_pid" "$tmp/single.log"
 single_addr=$(cat "$tmp/single.port")
 
-"$tmp/iadmload" -addr "$single_addr" -workers "$CAP_WORKERS" -duration "$CAP_DURATION" \
-    -nets "$CAP_NETS" -tsdt 1 -zipf 1 -seed 101 -overload -check \
+"$tmp/iadmload" -addr "$single_addr" -workers 16 -duration 2s \
+    -nets 8 -tsdt 1 -zipf 1 -seed 101 -overload -check \
     | tee "$tmp/cap-single.out"
 single_ok=$(ok_per_sec "$tmp/cap-single.out")
 
 bk=0
 backends=""
 while [ "$bk" -lt 3 ]; do
-    "$tmp/iadmd" -n "$N" -addr 127.0.0.1:0 -portfile "$tmp/cap$bk.port" \
-        -admission-max "$CAP_ADMISSION_MAX" -admission-min "$CAP_ADMISSION_MAX" \
-        -slow-cost "$CAP_SLOW_COST" >"$tmp/cap$bk.log" 2>&1 &
+    "$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/cap$bk.port" \
+        -admission-max 3 -admission-min 3 \
+        -slow-cost 5ms >"$tmp/cap$bk.log" 2>&1 &
     pid=$!
     pids="$pids $pid"
     eval "cap${bk}_pid=$pid"
@@ -180,15 +157,15 @@ pids="$pids $caprt_pid"
 wait_port "$tmp/caprt.port" "$caprt_pid" "$tmp/caprt.log"
 caprt_addr=$(cat "$tmp/caprt.port")
 
-"$tmp/iadmload" -addr "$caprt_addr" -workers "$CAP_WORKERS" -duration "$CAP_DURATION" \
-    -nets "$CAP_NETS" -tsdt 1 -zipf 1 -seed 202 -overload -check \
+"$tmp/iadmload" -addr "$caprt_addr" -workers 16 -duration 2s \
+    -nets 8 -tsdt 1 -zipf 1 -seed 202 -overload -check \
     | tee "$tmp/cap-fleet.out"
 fleet_ok=$(ok_per_sec "$tmp/cap-fleet.out")
 
-echo "fleet-smoke: capacity single=$single_ok ok/s, fleet=$fleet_ok ok/s (need >= ${MIN_SPEEDUP}x)"
-if ! awk -v a="$fleet_ok" -v b="$single_ok" -v m="$MIN_SPEEDUP" \
+echo "fleet-smoke: capacity single=$single_ok ok/s, fleet=$fleet_ok ok/s (need >= 2.0x)"
+if ! awk -v a="$fleet_ok" -v b="$single_ok" -v m=2.0 \
     'BEGIN { exit !(b > 0 && a >= m * b) }'; then
-    echo "fleet-smoke: fleet ok/s did not reach ${MIN_SPEEDUP}x the single daemon" >&2
+    echo "fleet-smoke: fleet ok/s did not reach 2.0x the single daemon" >&2
     exit 1
 fi
 
@@ -198,20 +175,20 @@ fi
 # backend's admission slots, so nothing sheds and every request pays one
 # -slow-cost compute. Fresh seeds keep the TSDT pairs unseen (a cache
 # hit would dodge the work the overhead is judged against).
-echo "fleet-smoke: phase 2, p50 overhead (budget ${MAX_P50_OVERHEAD_PCT}%)"
+echo "fleet-smoke: phase 2, p50 overhead (budget 15%)"
 direct_addr=$(cat "$tmp/cap0.port")
-"$tmp/iadmload" -addr "$direct_addr" -workers "$OVERHEAD_WORKERS" -duration "$OVERHEAD_DURATION" \
+"$tmp/iadmload" -addr "$direct_addr" -workers 2 -duration 1500ms \
     -tsdt 1 -zipf 1 -seed 303 -check | tee "$tmp/ovh-direct.out"
 direct_p50=$(p50_us "$tmp/ovh-direct.out")
 
-"$tmp/iadmload" -addr "$caprt_addr" -workers "$OVERHEAD_WORKERS" -duration "$OVERHEAD_DURATION" \
-    -nets "$MIX_NETS" -tsdt 1 -zipf 1 -seed 404 -check | tee "$tmp/ovh-routed.out"
+"$tmp/iadmload" -addr "$caprt_addr" -workers 2 -duration 1500ms \
+    -nets 4 -tsdt 1 -zipf 1 -seed 404 -check | tee "$tmp/ovh-routed.out"
 routed_p50=$(p50_us "$tmp/ovh-routed.out")
 
 echo "fleet-smoke: p50 direct=${direct_p50}us routed=${routed_p50}us"
-if ! awk -v d="$direct_p50" -v r="$routed_p50" -v pct="$MAX_P50_OVERHEAD_PCT" \
+if ! awk -v d="$direct_p50" -v r="$routed_p50" -v pct=15 \
     'BEGIN { exit !(d > 0 && r <= d * (1 + pct / 100)) }'; then
-    echo "fleet-smoke: router added more than ${MAX_P50_OVERHEAD_PCT}% p50 latency" >&2
+    echo "fleet-smoke: router added more than 15% p50 latency" >&2
     exit 1
 fi
 
@@ -230,8 +207,7 @@ echo "fleet-smoke: phase 3, routed fast path (bound 4x direct p50)"
 bk=0
 backends=""
 while [ "$bk" -lt 3 ]; do
-    "$tmp/iadmd" -n "$N" -addr 127.0.0.1:0 -portfile "$tmp/mix$bk.port" -prewarm \
-        >"$tmp/mix$bk.log" 2>&1 &
+    "$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/mix$bk.port" >"$tmp/mix$bk.log" 2>&1 &
     pid=$!
     pids="$pids $pid"
     eval "mix${bk}_pid=$pid"
@@ -253,12 +229,12 @@ pids="$pids $fastrt_pid"
 wait_port "$tmp/fastrt.port" "$fastrt_pid" "$tmp/fastrt.log"
 fastrt_addr=$(cat "$tmp/fastrt.port")
 
-# Pure SSDT singles (Theorem 3.1: the tag is the destination), warmed on
-# both paths first, so every measured request is a cache hit and the
-# comparison is transport and proxy cost alone. One worker, so nothing
-# queues. Direct and routed runs alternate for 3 rounds and the bound
-# compares the best p50 of each side, so a passing stall of the shared
-# host cannot fail it.
+# Pure SSDT singles (Theorem 3.1: the tag is the destination, so no
+# request computes anything), after a warm-up run on both paths that
+# opens their connections, so the comparison is transport and proxy cost
+# alone. One worker, so nothing queues. Direct and routed runs alternate
+# for 3 rounds and the bound compares the best p50 of each side, so a
+# passing stall of the shared host cannot fail it.
 fast_direct_addr=$(cat "$tmp/mix0.port")
 for addr in "$fast_direct_addr" "$fastrt_addr"; do
     "$tmp/iadmload" -addr "$addr" -workers 1 -duration 500ms \
@@ -299,9 +275,9 @@ pids="$pids $mixrt_pid"
 wait_port "$tmp/mixrt.port" "$mixrt_pid" "$tmp/mixrt.log"
 mixrt_addr=$(cat "$tmp/mixrt.port")
 
-"$tmp/iadmload" -addr "$mixrt_addr" -workers "$MIX_WORKERS" -duration "$MIX_DURATION" \
-    -nets "$MIX_NETS" -churn "$MIX_CHURN" -churn-net p0 -batch-mix "$MIX_BATCH_MIX" \
-    -seed 505 -check -min-ssdt-hit "$MIX_MIN_SSDT_HIT"
+"$tmp/iadmload" -addr "$mixrt_addr" -workers 8 -duration 2s \
+    -nets 4 -churn 0.02 -churn-net p0 -batch-mix 1,3,64,200 \
+    -seed 505 -check
 
 # Epoch isolation across the merged scrape: churn was confined to p0, so
 # only p0's epoch may have advanced — a non-zero epoch anywhere else

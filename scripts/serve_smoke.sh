@@ -3,9 +3,10 @@
 #
 # Builds iadmd and iadmload into a temp dir, starts the daemon at the
 # acceptance shape (N=1024) on an ephemeral port, and drives two load
-# phases, each under `iadmload -check -min-ssdt-hit 0.9` (non-zero
-# throughput, zero request errors, zero server 5xx, SSDT cache hit rate
-# >= 90%):
+# phases, each under `iadmload -check` (non-zero throughput, zero request
+# errors, zero server 5xx, and no SSDT request on the slow path: zero
+# server-side SSDT misses and coalesced joins, from the very first
+# request):
 #
 #   1. singles: ~2s of /route traffic with 8 workers and 1% fault churn;
 #   2. batch-heavy: mixed /route/batch sizes (singletons, sub-block,
@@ -23,38 +24,9 @@
 # sheds observed (429s with Retry-After), at least -min-overload times
 # saturation offered, zero 5xx, successes still flowing, and a bounded
 # client p99. That daemon too must drain cleanly under SIGTERM.
-#
-# Phase 4 starts a third daemon with -prewarm, which bulk-fills the
-# dense SSDT tag table through the sliced kernels before the listener
-# accepts traffic, and drives pure-SSDT load with
-# `-check -min-ssdt-hit 0.99`: every request from the very first one
-# must come out of the prewarmed table. It too must drain cleanly.
 set -eu
 
 GO=${GO:-go}
-N=${N:-1024}
-WORKERS=${WORKERS:-8}
-DURATION=${DURATION:-2s}
-CHURN=${CHURN:-0.01}
-MIN_SSDT_HIT=${MIN_SSDT_HIT:-0.9}
-BATCH_DURATION=${BATCH_DURATION:-2s}
-BATCH_MIX=${BATCH_MIX:-1,3,64,65,200}
-
-# Overload phase knobs (phase 3).
-OVERLOAD_N=${OVERLOAD_N:-1024}
-OVERLOAD_WORKERS=${OVERLOAD_WORKERS:-16}
-OVERLOAD_DURATION=${OVERLOAD_DURATION:-2s}
-OVERLOAD_ADMISSION_MAX=${OVERLOAD_ADMISSION_MAX:-8}
-OVERLOAD_ADMISSION_MIN=${OVERLOAD_ADMISSION_MIN:-2}
-OVERLOAD_ROUND=${OVERLOAD_ROUND:-50ms}
-OVERLOAD_SLOW_COST=${OVERLOAD_SLOW_COST:-2ms}
-OVERLOAD_MIN_FACTOR=${OVERLOAD_MIN_FACTOR:-4}
-OVERLOAD_MAX_P99US=${OVERLOAD_MAX_P99US:-20000}
-
-# Prewarm phase knobs (phase 4).
-PREWARM_N=${PREWARM_N:-1024}
-PREWARM_DURATION=${PREWARM_DURATION:-1s}
-PREWARM_MIN_SSDT_HIT=${PREWARM_MIN_SSDT_HIT:-0.99}
 
 tmp=$(mktemp -d)
 daemon_pid=""
@@ -71,8 +43,8 @@ echo "serve-smoke: building iadmd and iadmload"
 $GO build -o "$tmp/iadmd" ./cmd/iadmd
 $GO build -o "$tmp/iadmload" ./cmd/iadmload
 
-echo "serve-smoke: starting iadmd -n $N on an ephemeral port"
-"$tmp/iadmd" -n "$N" -addr 127.0.0.1:0 -portfile "$tmp/port" >"$tmp/iadmd.log" 2>&1 &
+echo "serve-smoke: starting iadmd -n 1024 on an ephemeral port"
+"$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/port" >"$tmp/iadmd.log" 2>&1 &
 daemon_pid=$!
 
 # The daemon writes the bound host:port atomically once it is listening.
@@ -94,12 +66,11 @@ done
 addr=$(cat "$tmp/port")
 
 echo "serve-smoke: phase 1, singles"
-"$tmp/iadmload" -addr "$addr" -workers "$WORKERS" -duration "$DURATION" \
-    -churn "$CHURN" -check -min-ssdt-hit "$MIN_SSDT_HIT"
+"$tmp/iadmload" -addr "$addr" -workers 8 -duration 2s -churn 0.01 -check
 
-echo "serve-smoke: phase 2, batch-heavy (mix $BATCH_MIX)"
-"$tmp/iadmload" -addr "$addr" -workers "$WORKERS" -duration "$BATCH_DURATION" \
-    -churn "$CHURN" -batch-mix "$BATCH_MIX" -check -min-ssdt-hit "$MIN_SSDT_HIT"
+echo "serve-smoke: phase 2, batch-heavy (mix 1,3,64,65,200)"
+"$tmp/iadmload" -addr "$addr" -workers 8 -duration 2s \
+    -churn 0.01 -batch-mix 1,3,64,65,200 -check
 
 echo "serve-smoke: SIGTERM, expecting a clean drain"
 kill -TERM "$daemon_pid"
@@ -115,10 +86,10 @@ if ! grep -q drained "$tmp/iadmd.log"; then
     exit 1
 fi
 
-echo "serve-smoke: phase 3, overload (admission max $OVERLOAD_ADMISSION_MAX, slow-cost $OVERLOAD_SLOW_COST)"
-"$tmp/iadmd" -n "$OVERLOAD_N" -addr 127.0.0.1:0 -portfile "$tmp/port2" \
-    -admission-max "$OVERLOAD_ADMISSION_MAX" -admission-min "$OVERLOAD_ADMISSION_MIN" \
-    -admission-round "$OVERLOAD_ROUND" -slow-cost "$OVERLOAD_SLOW_COST" \
+echo "serve-smoke: phase 3, overload (admission max 8, slow-cost 2ms)"
+"$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/port2" \
+    -admission-max 8 -admission-min 2 \
+    -admission-round 50ms -slow-cost 2ms \
     >"$tmp/iadmd-overload.log" 2>&1 &
 daemon_pid=$!
 i=0
@@ -138,8 +109,8 @@ while [ ! -s "$tmp/port2" ]; do
 done
 addr2=$(cat "$tmp/port2")
 
-"$tmp/iadmload" -addr "$addr2" -workers "$OVERLOAD_WORKERS" -duration "$OVERLOAD_DURATION" \
-    -tsdt 1 -zipf 1 -overload -min-overload "$OVERLOAD_MIN_FACTOR" -max-p99us "$OVERLOAD_MAX_P99US" -check
+"$tmp/iadmload" -addr "$addr2" -workers 16 -duration 2s \
+    -tsdt 1 -zipf 1 -overload -min-overload 4 -max-p99us 20000 -check
 
 echo "serve-smoke: SIGTERM to the overload daemon, expecting a clean drain"
 kill -TERM "$daemon_pid"
@@ -155,49 +126,4 @@ if ! grep -q drained "$tmp/iadmd-overload.log"; then
     exit 1
 fi
 
-echo "serve-smoke: phase 4, prewarmed SSDT (hit rate >= $PREWARM_MIN_SSDT_HIT from the first request)"
-"$tmp/iadmd" -n "$PREWARM_N" -addr 127.0.0.1:0 -portfile "$tmp/port3" -prewarm \
-    >"$tmp/iadmd-prewarm.log" 2>&1 &
-daemon_pid=$!
-i=0
-while [ ! -s "$tmp/port3" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve-smoke: prewarm daemon never wrote $tmp/port3" >&2
-        cat "$tmp/iadmd-prewarm.log" >&2
-        exit 1
-    fi
-    if ! kill -0 "$daemon_pid" 2>/dev/null; then
-        echo "serve-smoke: prewarm daemon exited during startup" >&2
-        cat "$tmp/iadmd-prewarm.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-addr3=$(cat "$tmp/port3")
-if ! grep -q prewarmed "$tmp/iadmd-prewarm.log"; then
-    echo "serve-smoke: daemon started with -prewarm but logged no prewarm line" >&2
-    cat "$tmp/iadmd-prewarm.log" >&2
-    exit 1
-fi
-
-# Pure SSDT, no churn: with the dense table filled before the listener
-# came up, the server-side SSDT hit rate must be total — well above the
-# 0.99 floor — starting from the very first request.
-"$tmp/iadmload" -addr "$addr3" -workers "$WORKERS" -duration "$PREWARM_DURATION" \
-    -tsdt 0 -check -min-ssdt-hit "$PREWARM_MIN_SSDT_HIT"
-
-echo "serve-smoke: SIGTERM to the prewarm daemon, expecting a clean drain"
-kill -TERM "$daemon_pid"
-if ! wait "$daemon_pid"; then
-    echo "serve-smoke: prewarm daemon exited non-zero on SIGTERM" >&2
-    cat "$tmp/iadmd-prewarm.log" >&2
-    exit 1
-fi
-daemon_pid=""
-if ! grep -q drained "$tmp/iadmd-prewarm.log"; then
-    echo "serve-smoke: no drain line in the prewarm daemon log" >&2
-    cat "$tmp/iadmd-prewarm.log" >&2
-    exit 1
-fi
 echo "serve-smoke: ok"

@@ -54,8 +54,8 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		d := int(bits>>32) & (p.Size() - 1)
 		pa := FollowState(p, s, d, ns)
 		pp := PackPath(pa)
-		if !pp.Unpack(p).Equal(pa) {
-			t.Fatalf("round trip: %v -> %v -> %v", pa, pp, pp.Unpack(p))
+		if !pp.Unpack(p, nil).Equal(pa) {
+			t.Fatalf("round trip: %v -> %v -> %v", pa, pp, pp.Unpack(p, nil))
 		}
 		if err := pp.Validate(p); err != nil {
 			t.Fatalf("packed form of valid path invalid: %v", err)

@@ -48,11 +48,18 @@ func PackKinds(source int, kinds []topology.LinkKind) PackedPath {
 	return PackedPath{src: int32(source), n: uint8(len(kinds)), kinds: bits}
 }
 
-// Unpack expands the packed path into a slice-backed Path (one allocation,
-// for the links).
-func (pp PackedPath) Unpack(p topology.Params) Path {
-	links := pp.LinksInto(p, make([]topology.Link, 0, pp.n))
-	return Path{p: p, Source: int(pp.src), Links: links}
+// Unpack expands the packed path into a slice-backed Path. With a nil
+// arena the links get one allocation of their own; otherwise they are
+// appended to *arena (one backing array for a whole batch of paths when
+// its capacity suffices) and the Path's Links is capped at its own
+// length, so appending to it never overwrites the next path's links.
+func (pp PackedPath) Unpack(p topology.Params, arena *[]topology.Link) Path {
+	if arena == nil {
+		return Path{p: p, Source: int(pp.src), Links: pp.LinksInto(p, make([]topology.Link, 0, pp.n))}
+	}
+	at := len(*arena)
+	*arena = pp.LinksInto(p, *arena)
+	return Path{p: p, Source: int(pp.src), Links: (*arena)[at:len(*arena):len(*arena)]}
 }
 
 // Source returns the switch the path starts from.

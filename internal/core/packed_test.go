@@ -38,7 +38,7 @@ func TestFollowStatePackedMatchesLegacy(t *testing.T) {
 				if err := got.Validate(p); err != nil {
 					t.Fatalf("N=%d: %v", N, err)
 				}
-				if !got.Unpack(p).Equal(want) {
+				if !got.Unpack(p, nil).Equal(want) {
 					t.Fatalf("N=%d (%d->%d): packed %v vs legacy %v", N, s, d, got, want)
 				}
 				if got.Destination(p) != want.Destination() {
@@ -61,7 +61,7 @@ func TestRouteTSDTPackedMatchesLegacy(t *testing.T) {
 			s := rng.Intn(N)
 			want := tag.Follow(p, s)
 			got := RouteTSDTPacked(p, s, tag)
-			if !got.Unpack(p).Equal(want) {
+			if !got.Unpack(p, nil).Equal(want) {
 				t.Fatalf("N=%d tag %v from %d: packed %v vs legacy %v", N, tag, s, got, want)
 			}
 		}
@@ -103,7 +103,7 @@ func TestRouteSSDTPackedMatchesLegacy(t *testing.T) {
 						}
 						continue
 					}
-					if !got.Unpack(p).Equal(want.Path) {
+					if !got.Unpack(p, nil).Equal(want.Path) {
 						t.Fatalf("N=%d blk#%d (%d->%d): packed %v vs legacy %v", N, bi, s, d, got, want.Path)
 					}
 					var wantMask uint64
@@ -138,7 +138,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			s, d := rng.Intn(N), rng.Intn(N)
 			pa := FollowState(p, s, d, ns)
 			pp := PackPath(pa)
-			if !pp.Unpack(p).Equal(pa) {
+			if !pp.Unpack(p, nil).Equal(pa) {
 				t.Fatalf("N=%d: round trip broke %v", N, pa)
 			}
 			if pp != FollowStatePacked(p, s, d, ns) {
@@ -266,7 +266,7 @@ func ExamplePackedPath() {
 	p := topology.MustParams(8)
 	pp := FollowStatePacked(p, 1, 6, NewNetworkState(p))
 	fmt.Println(pp)
-	fmt.Println(pp.Unpack(p))
+	fmt.Println(pp.Unpack(p, nil))
 	// Output:
 	// 1:-++
 	// 1∈S_0 → 0∈S_1 → 2∈S_2 → 6∈S_3

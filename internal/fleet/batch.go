@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -15,6 +16,51 @@ import (
 // backend's answer is split at item boundaries into sub-slices of its
 // pooled body, which the merged response splices back in input order.
 
+// batchWork is the memory one routed batch works in, pooled so a batch
+// allocates per batch rather than per item: the scanned items, the
+// answer span of each, their indices, the per-backend groups and
+// response splits, and the failed indices and response bodies a fan-out
+// collects.
+type batchWork struct {
+	items  []routesvc.BatchItem
+	out    [][]byte
+	all    []int
+	groups [][]int    // by backend
+	spans  [][][]byte // by backend: sendSub's split of its response
+	failed []int
+	bodies []*routesvc.WireBuf
+}
+
+// maxPooledItems caps the batches whose work returns to the pool, so one
+// huge batch cannot pin its slices for the life of the process.
+const maxPooledItems = 1 << 13
+
+var batchPool = sync.Pool{New: func() any { return new(batchWork) }}
+
+// getBatchWork takes a batchWork sized for nb backends.
+func getBatchWork(nb int) *batchWork {
+	w := batchPool.Get().(*batchWork)
+	if len(w.groups) != nb {
+		w.groups, w.spans = make([][]int, nb), make([][][]byte, nb)
+	}
+	return w
+}
+
+// putBatchWork drops the work's references into request and response
+// bodies and returns it to the pool.
+func putBatchWork(w *batchWork) {
+	if cap(w.items) > maxPooledItems {
+		return
+	}
+	clear(w.items)
+	clear(w.out)
+	for b := range w.spans {
+		clear(w.spans[b])
+	}
+	clear(w.bodies)
+	batchPool.Put(w)
+}
+
 // ownerAt returns the backend holding replica `rank` of the item's key:
 // rank 0 is the cache-affinity owner, higher ranks the partition's other
 // replicas in ring order (used by the batch retry round).
@@ -23,45 +69,50 @@ func (rt *Router) ownerAt(it *routesvc.BatchItem, rank int) int {
 	return set[(keyHash(it.Src, it.Dst)+uint64(rank))%uint64(len(set))]
 }
 
-// group buckets the item indices in idx by their rank-th replica owner,
-// preserving input order inside every bucket so each backend receives a
-// dense, ordered sub-batch for its 64-lane sliced kernels.
-func (rt *Router) group(items []routesvc.BatchItem, idx []int, rank int) [][]int {
-	groups := make([][]int, len(rt.bks))
-	for _, i := range idx {
-		b := rt.ownerAt(&items[i], rank)
-		groups[b] = append(groups[b], i)
+// group buckets the item indices in idx into w.groups by their rank-th
+// replica owner, preserving input order inside every bucket so each
+// backend receives a dense, ordered sub-batch for its 64-lane sliced
+// kernels.
+func (rt *Router) group(w *batchWork, idx []int, rank int) {
+	for b := range w.groups {
+		w.groups[b] = w.groups[b][:0]
 	}
-	return groups
+	for _, i := range idx {
+		b := rt.ownerAt(&w.items[i], rank)
+		w.groups[b] = append(w.groups[b], i)
+	}
 }
 
-// fanout sends every non-empty group to its backend concurrently — the
-// last one on the calling goroutine — and points out[i] at item i's
-// bytes in its backend's response body. It returns the indices whose
-// sub-batch failed outright (their slots left nil), the highest epoch
-// any backend reported, the last sub-batch error, and the response
-// bodies out now points into (the caller releases them once the merged
-// answer is written).
-func (rt *Router) fanout(items []routesvc.BatchItem, groups [][]int, out [][]byte, asRetry bool) (failed []int, epoch uint64, lastErr error, bodies []*routesvc.WireBuf) {
+// fanout sends every non-empty group of w.groups to its backend
+// concurrently — the last one on the calling goroutine — and points
+// w.out[i] at item i's bytes in its backend's response body. It sets
+// w.failed to the indices whose sub-batch failed outright (their slots
+// left nil) and appends the response bodies w.out now points into to
+// w.bodies (the caller releases them once the merged answer is
+// written); it returns the highest epoch any backend reported and the
+// last sub-batch error.
+func (rt *Router) fanout(w *batchWork, asRetry bool) (epoch uint64, lastErr error) {
+	groups := w.groups
 	last := -1
 	for b, idx := range groups {
 		if len(idx) > 0 {
 			last = b
 		}
 	}
+	w.failed = w.failed[:0]
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	send := func(b int, idx []int) {
-		resp, ep, err := rt.sendSub(items, b, idx, out, asRetry)
+		resp, ep, err := rt.sendSub(w, b, idx, asRetry)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
-			failed = append(failed, idx...)
+			w.failed = append(w.failed, idx...)
 			lastErr = err
 			return
 		}
 		epoch = max(epoch, ep)
-		bodies = append(bodies, resp)
+		w.bodies = append(w.bodies, resp)
 	}
 	for b, idx := range groups {
 		if len(idx) == 0 || b == last {
@@ -77,14 +128,16 @@ func (rt *Router) fanout(items []routesvc.BatchItem, groups [][]int, out [][]byt
 		send(last, groups[last])
 	}
 	wg.Wait()
-	return failed, epoch, lastErr, bodies
+	return epoch, lastErr
 }
 
 // sendSub sends the items at idx to backend b as one sub-batch and, on
-// success, points out[i] at each item's answer inside the returned
-// response body. Indices are disjoint across a fan-out's groups, so
-// concurrent sub-batches write out without a lock.
-func (rt *Router) sendSub(items []routesvc.BatchItem, b int, idx []int, out [][]byte, asRetry bool) (*routesvc.WireBuf, uint64, error) {
+// success, points w.out[i] at each item's answer inside the returned
+// response body. Indices are disjoint across a fan-out's groups, and
+// each backend splits its answer into its own w.spans[b], so concurrent
+// sub-batches write w without a lock.
+func (rt *Router) sendSub(w *batchWork, b int, idx []int, asRetry bool) (*routesvc.WireBuf, uint64, error) {
+	items := w.items
 	rt.subs.Add(1)
 	body := routesvc.GetWireBuf()
 	defer routesvc.PutWireBuf(body)
@@ -106,7 +159,9 @@ func (rt *Router) sendSub(items []routesvc.BatchItem, b int, idx []int, out [][]
 	var ep uint64
 	err := bk.client.PostRaw("/route/batch", body.B, resp)
 	if err == nil {
-		if spans, ep, err = routesvc.AppendBatchResponses(make([][]byte, 0, len(idx)), resp.B); err != nil {
+		spans, ep, err = routesvc.AppendBatchResponses(w.spans[b][:0], resp.B)
+		w.spans[b] = spans
+		if err != nil {
 			err = fmt.Errorf("routesvc: decode /route/batch response: %w", err)
 		}
 	}
@@ -121,7 +176,7 @@ func (rt *Router) sendSub(items []routesvc.BatchItem, b int, idx []int, out [][]
 		return nil, 0, err
 	}
 	for k, i := range idx {
-		out[i] = spans[k]
+		w.out[i] = spans[k]
 	}
 	return resp, ep, nil
 }
@@ -139,10 +194,11 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	in := routesvc.GetWireBuf()
 	defer routesvc.PutWireBuf(in)
+	bw := getBatchWork(len(rt.bks))
+	defer putBatchWork(bw)
 	err := in.ReadAll(r.Body, r.ContentLength)
-	var items []routesvc.BatchItem
 	if err == nil {
-		items, err = routesvc.AppendBatchItems(nil, in.B)
+		bw.items, err = routesvc.AppendBatchItems(bw.items[:0], in.B)
 	}
 	if err != nil {
 		writeErrJSON(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %v", err), "invalid", 0)
@@ -150,25 +206,28 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.batches.Add(1)
 	rt.budget.note()
-	out := make([][]byte, len(items))
-	all := make([]int, len(items))
-	for i := range all {
-		all[i] = i
+	items := bw.items
+	bw.out = slices.Grow(bw.out[:0], len(items))[:len(items)]
+	out := bw.out
+	bw.all = bw.all[:0]
+	for i := range items {
+		bw.all = append(bw.all, i)
 	}
-	failed, epoch, ferr, bodies := rt.fanout(items, rt.group(items, all, 0), out, false)
+	bw.bodies = bw.bodies[:0]
 	defer func() {
-		for _, b := range bodies {
+		for _, b := range bw.bodies {
 			routesvc.PutWireBuf(b)
 		}
 	}()
-	if len(failed) > 0 && rt.ring.Replicas() > 1 && retryable(ferr) && rt.budget.allow() {
+	rt.group(bw, bw.all, 0)
+	epoch, ferr := rt.fanout(bw, false)
+	if len(bw.failed) > 0 && rt.ring.Replicas() > 1 && retryable(ferr) && rt.budget.allow() {
 		var ep2 uint64
-		var more []*routesvc.WireBuf
-		failed, ep2, ferr, more = rt.fanout(items, rt.group(items, failed, 1), out, true)
-		bodies = append(bodies, more...)
+		rt.group(bw, bw.failed, 1)
+		ep2, ferr = rt.fanout(bw, true)
 		epoch = max(epoch, ep2)
 	}
-	if len(failed) > 0 {
+	if failed := bw.failed; len(failed) > 0 {
 		fails := routesvc.GetWireBuf()
 		defer routesvc.PutWireBuf(fails)
 		ends := make([]int, len(failed))

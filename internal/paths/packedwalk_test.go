@@ -100,7 +100,7 @@ func TestFindPackedMatchesFind(t *testing.T) {
 			if okP != okF {
 				t.Fatalf("(%d->%d): packed ok=%v, find ok=%v", s, d, okP, okF)
 			}
-			if okP && !pp.Unpack(p).Equal(pa) {
+			if okP && !pp.Unpack(p, nil).Equal(pa) {
 				t.Fatalf("(%d->%d): packed %v vs find %v", s, d, pp, pa)
 			}
 		}

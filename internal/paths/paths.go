@@ -289,7 +289,7 @@ func Find(p topology.Params, s, d int, blk *blockage.Set) (core.Path, bool) {
 	if !ok {
 		return core.Path{}, false
 	}
-	pa := pp.Unpack(p)
+	pa := pp.Unpack(p, nil)
 	if err := pa.Validate(); err != nil {
 		panic(fmt.Sprintf("paths: Find constructed invalid path: %v", err))
 	}

@@ -215,7 +215,11 @@ func (c *Client) Route(net string, src, dst int, scheme Scheme) (RouteJSON, erro
 	return out, err
 }
 
-// RouteBatch requests many tags in one round trip.
+// RouteBatch requests many tags in one round trip. The answer's memory
+// is per batch, not per item: Responses has its exact length, the items'
+// Path slices share one backing array, each capped at its own length (so
+// appending to one never touches the next), and their tags are
+// substrings of one string. The caller owns all of it.
 func (c *Client) RouteBatch(reqs []RouteJSON) (BatchJSON, error) {
 	var out BatchJSON
 	body := GetWireBuf()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -296,6 +297,32 @@ type BatchJSON struct {
 	Epoch     uint64      `json:"epoch,omitempty"`
 }
 
+// batchScratch is the memory one /route/batch request works in, pooled
+// so a batch allocates per batch rather than per item: the decoded
+// requests and the nets they name, the results, the link arena their
+// paths share, and routeMixed's grouping.
+type batchScratch struct {
+	reqs    []Request
+	nets    []string
+	results []Result
+	links   []topology.Link
+	// routeMixed: each item's group, the groups' nets (first-appearance
+	// order) and services, and one group's item indices, requests and
+	// results.
+	gid    []int
+	groups []string
+	svcs   []*Service
+	idx    []int
+	sub    []Request
+	subOut []Result
+}
+
+// maxPooledItems caps the batches whose scratch returns to the pool, so
+// one huge batch cannot pin its slices for the life of the process.
+const maxPooledItems = 1 << 13
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
 func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		h.writeErr(w, fmt.Errorf("%w: method %s", ErrInvalid, r.Method))
@@ -303,14 +330,19 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wb := GetWireBuf()
 	defer PutWireBuf(wb)
-	var reqs []Request
-	var nets []string
+	bs := batchPool.Get().(*batchScratch)
+	defer func() {
+		if cap(bs.results) <= maxPooledItems && cap(bs.reqs) <= maxPooledItems {
+			batchPool.Put(bs)
+		}
+	}()
+	reqs, nets := bs.reqs[:0], bs.nets[:0]
 	var schemeErr error
 	err := wb.ReadAll(r.Body, r.ContentLength)
 	if err == nil {
 		d := wireDec{b: wb.B}
 		_, err = d.batch(batchSpec{requests: routeItems, responses: routeItems, epoch: true},
-			func(resp bool, _ []byte, rq RouteJSON) error {
+			func(resp bool, _ []byte, rq *RouteJSON) error {
 				if resp {
 					return nil // a response field in a request is decoded and ignored
 				}
@@ -323,6 +355,7 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 				return nil
 			})
 	}
+	bs.reqs, bs.nets = reqs, nets
 	if err != nil {
 		h.writeErr(w, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err))
 		return
@@ -331,7 +364,7 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, schemeErr)
 		return
 	}
-	var results []Result
+	bs.results = slices.Grow(bs.results[:0], len(reqs))[:len(reqs)]
 	var epoch uint64
 	if h.multi == nil || singleNet(nets) {
 		// A single-network batch (the overwhelmingly common case, and
@@ -341,19 +374,18 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 			net = nets[0]
 		}
 		svc, err := h.service(net)
-		if err != nil {
-			h.writeErr(w, err)
-			return
+		if err == nil {
+			bs.links, err = svc.routeBatchInto(reqs, bs.results, bs.links[:0])
 		}
-		if results, err = svc.RouteBatch(reqs); err != nil {
+		if err != nil {
 			h.writeErr(w, err)
 			return
 		}
 		epoch = svc.Epoch()
 	} else {
-		results, epoch = h.routeMixed(reqs, nets)
+		epoch = h.routeMixed(bs)
 	}
-	wb.B = append(appendBatchResults(wb.B[:0], nets, results, epoch), '\n')
+	wb.B = append(appendBatchResults(wb.B[:0], nets, bs.results, epoch), '\n')
 	WriteBody(w, http.StatusOK, wb.B)
 }
 
@@ -368,48 +400,63 @@ func singleNet(nets []string) bool {
 	return true
 }
 
-// routeMixed serves a batch spanning several networks. Items are grouped
-// by network, preserving input order inside each group so every
-// per-network sub-batch still packs dense 64-lane sliced blocks; items
-// fail per-item so one draining network cannot poison the others'
+// routeMixed serves a batch spanning several networks into bs.results.
+// Items are grouped by network, preserving input order inside each group
+// so every per-network sub-batch still packs dense 64-lane sliced blocks;
+// items fail per-item so one draining network cannot poison the others'
 // results. The epoch is the highest any served network reported.
-func (h *Handler) routeMixed(reqs []Request, nets []string) ([]Result, uint64) {
-	var order []string
-	groups := make(map[string][]int)
-	for i, n := range nets {
+func (h *Handler) routeMixed(bs *batchScratch) uint64 {
+	// A group is a network that resolved to a service, and a host serves
+	// at most its network cap, so a linear scan of the groups found so far
+	// finds an item's group. An item whose network does not resolve fails
+	// here (gid -1), so no batch can make more groups than that.
+	gid, groups, svcs := bs.gid[:0], bs.groups[:0], bs.svcs[:0]
+	for i, n := range bs.nets {
 		if n == "" {
 			n = DefaultNet
 		}
-		if _, ok := groups[n]; !ok {
-			order = append(order, n)
-		}
-		groups[n] = append(groups[n], i)
-	}
-	results := make([]Result, len(reqs))
-	var epoch uint64
-	for _, n := range order {
-		idx := groups[n]
-		sub := make([]Request, len(idx))
-		for k, i := range idx {
-			sub[k] = reqs[i]
-		}
-		svc, err := h.service(n)
-		var res []Result
-		if err == nil {
-			res, err = svc.RouteBatch(sub)
-		}
-		if err != nil {
-			for _, i := range idx {
-				results[i] = Result{Src: reqs[i].Src, Dst: reqs[i].Dst, Scheme: reqs[i].Scheme, Err: err}
+		g := slices.Index(groups, n)
+		if g < 0 {
+			svc, err := h.service(n)
+			if err != nil {
+				r := bs.reqs[i]
+				bs.results[i] = Result{Src: r.Src, Dst: r.Dst, Scheme: r.Scheme, Err: err}
+				gid = append(gid, -1)
+				continue
 			}
-			continue
+			g = len(groups)
+			groups, svcs = append(groups, n), append(svcs, svc)
 		}
-		for k, i := range idx {
-			results[i] = res[k]
-		}
-		epoch = max(epoch, svc.Epoch())
+		gid = append(gid, g)
 	}
-	return results, epoch
+	bs.gid, bs.groups, bs.svcs = gid, groups, svcs
+	links := bs.links[:0]
+	var epoch uint64
+	for g, svc := range svcs {
+		idx, sub := bs.idx[:0], bs.sub[:0]
+		for i, x := range gid {
+			if x == g {
+				idx = append(idx, i)
+				sub = append(sub, bs.reqs[i])
+			}
+		}
+		bs.idx, bs.sub = idx, sub
+		bs.subOut = slices.Grow(bs.subOut[:0], len(sub))[:len(sub)]
+		var err error
+		links, err = svc.routeBatchInto(sub, bs.subOut, links)
+		for k, i := range idx {
+			if err != nil {
+				bs.results[i] = Result{Src: sub[k].Src, Dst: sub[k].Dst, Scheme: sub[k].Scheme, Err: err}
+			} else {
+				bs.results[i] = bs.subOut[k]
+			}
+		}
+		if err == nil {
+			epoch = max(epoch, svc.Epoch())
+		}
+	}
+	bs.links = links
+	return epoch
 }
 
 // MutateJSON is the wire form of /fault and /repair exchanges. Specs use

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -186,6 +187,59 @@ func TestHTTPBatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPBatchPoolsConcurrent drives mixed-network batches of several
+// sizes through one multi-network Handler and the Client from several
+// goroutines at once, so the pooled per-batch memory on both sides is
+// reused across requests in flight. Every answer is checked once all are
+// in, so one that still shared pooled memory would have been overwritten
+// by then: each must be its own request's, in order, with a path from
+// src to dst.
+func TestHTTPBatchPoolsConcurrent(t *testing.T) {
+	m := NewMulti(Config{N: 16, Admission: AdmissionConfig{Disabled: true}}, 4)
+	t.Cleanup(m.Drain)
+	ts := httptest.NewServer(NewMultiHandler(m))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, 0)
+	const workers, rounds = 4, 30
+	var reqs [workers][rounds][]RouteJSON
+	var outs [workers][rounds]BatchJSON
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < rounds; it++ {
+				rq := make([]RouteJSON, 1+(w*37+it*11)%150)
+				for i := range rq {
+					rq[i] = RouteJSON{Net: []string{"", "p1", "p2"}[(i+w)%3], Src: (i + it) % 16, Dst: (i*7 + w) % 16, Scheme: []string{"ssdt", "tsdt"}[i%2]}
+				}
+				out, err := c.RouteBatch(rq)
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				reqs[w][it], outs[w][it] = rq, out
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range outs {
+		for it, out := range outs[w] {
+			rq := reqs[w][it]
+			if len(out.Responses) != len(rq) {
+				t.Fatalf("worker %d round %d: %d responses for %d requests", w, it, len(out.Responses), len(rq))
+			}
+			for i, r := range out.Responses {
+				q := rq[i]
+				if r.Net != q.Net || r.Src != q.Src || r.Dst != q.Dst || r.Scheme != q.Scheme || r.Error != "" ||
+					len(r.Path) != 5 || r.Path[0] != q.Src || r.Path[4] != q.Dst || len(r.Tag) != 8 {
+					t.Fatalf("worker %d round %d item %d: request %+v answered %+v", w, it, i, q, r)
+				}
+			}
+		}
 	}
 }
 

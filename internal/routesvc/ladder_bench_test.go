@@ -19,10 +19,15 @@ import (
 //   - handler: the Handler on an httptest.ResponseRecorder — the service
 //     plus request decode and response encode, no socket;
 //   - encode: the wire codec rendering the response from the Results;
-//   - decode: the wire codec parsing that response back, as Client does.
+//   - decode: the wire codec parsing that response back, as Client does;
+//   - scan (batches only): AppendBatchItems on the request body, the fleet
+//     router's pass that places every item;
+//   - split (batches only): AppendBatchResponses on the response body, the
+//     router's pass that cuts a backend's answer at item boundaries.
 //
 // handler − service is the whole HTTP-and-codec cost of one backend hop;
-// encode and decode split out the codec's part of it.
+// encode and decode split out the codec's part of it, and scan and split
+// the codec's part of a router hop.
 
 var ladderSizes = []int{1, 64, 256, 1024}
 
@@ -147,6 +152,33 @@ func BenchmarkServeLadder(b *testing.B) {
 					err = decodeBatchJSON(response, &out)
 				}
 				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerRoute(b, n, m0)
+		})
+		if n == 1 {
+			continue
+		}
+		b.Run(fmt.Sprintf("rung=scan/n=%d", n), func(b *testing.B) {
+			items := make([]BatchItem, 0, n)
+			m0 := mallocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if items, err = AppendBatchItems(items[:0], body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerRoute(b, n, m0)
+		})
+		b.Run(fmt.Sprintf("rung=split/n=%d", n), func(b *testing.B) {
+			spans := make([][]byte, 0, n)
+			m0 := mallocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if spans, _, err = AppendBatchResponses(spans[:0], response); err != nil {
 					b.Fatal(err)
 				}
 			}

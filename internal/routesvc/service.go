@@ -30,7 +30,7 @@ package routesvc
 import (
 	"errors"
 	"fmt"
-
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -415,36 +415,55 @@ func (s *Service) Route(src, dst int, scheme Scheme) (Result, error) {
 // Tags resolve per item through the cache/coalescing machinery, but the
 // path attachments — the per-request tag walk that dominates a hot-cache
 // batch — run through the bit-sliced kernel, 64 requests per block.
+//
+// Memory is per batch, not per item: the paths' links share one backing
+// array, each Result's Path.Links a sub-slice capped at its own length
+// (appending to one never touches the next). The results own that array.
 func (s *Service) RouteBatch(reqs []Request) ([]Result, error) {
-	if err := s.begin(); err != nil {
+	out := make([]Result, len(reqs))
+	if _, err := s.routeBatchInto(reqs, out, nil); err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// routeBatchInto is RouteBatch into the caller's out[:len(reqs)], with
+// the paths' links appended to links (nil: one exact-size allocation);
+// it returns links extended. The Handler serves pooled slices through it.
+func (s *Service) routeBatchInto(reqs []Request, out []Result, links []topology.Link) ([]topology.Link, error) {
+	if err := s.begin(); err != nil {
+		return links, err
 	}
 	defer s.end()
 	// A zero-length batch does no routing work; returning before the
 	// latency observation keeps it out of the "1" batch band.
 	if len(reqs) == 0 {
-		return []Result{}, nil
+		return links, nil
 	}
 	t0 := time.Now()
-	out := make([]Result, len(reqs))
+	out = out[:len(reqs)]
+	ok := 0
 	for i, r := range reqs {
 		res, err := s.resolve(r.Src, r.Dst, r.Scheme)
 		if err != nil {
 			res = Result{Src: r.Src, Dst: r.Dst, Scheme: r.Scheme, Err: err}
+		} else {
+			ok++
 		}
 		out[i] = res
 	}
-	s.fillPathsSliced(out)
+	links = s.fillPathsSliced(out, slices.Grow(links, ok*s.p.Stages()))
 	s.observeBatch(len(reqs), time.Since(t0))
-	return out, nil
+	return links, nil
 }
 
 // fillPathsSliced attaches the path to every successfully resolved result,
-// in 64-lane blocks through RouteTSDTSliced. Both schemes hand out
+// in 64-lane blocks through RouteTSDTSliced, unpacking the links into
+// links (see RouteBatch) and returning it extended. Both schemes hand out
 // core.Tags and Result.Path is defined as the tag's all-C walk, which is
 // exactly what the TSDT kernel computes (SSDT tags carry zero state bits),
 // so one sliced pass replaces len(out) scalar Follow walks.
-func (s *Service) fillPathsSliced(out []Result) {
+func (s *Service) fillPathsSliced(out []Result, links []topology.Link) []topology.Link {
 	var lb core.LaneBlock
 	var idx [core.Lanes]int
 	var srcs [core.Lanes]int
@@ -468,7 +487,7 @@ func (s *Service) fillPathsSliced(out []Result) {
 		core.RouteTSDTSliced(s.p, &lb)
 		pp := lb.PathsInto(paths[:0])
 		for i := 0; i < k; i++ {
-			out[idx[i]].Path = pp[i].Unpack(s.p)
+			out[idx[i]].Path = pp[i].Unpack(s.p, &links)
 		}
 		s.slicedLanes.Add(uint64(k))
 		s.slicedBlocks.Add(1)
@@ -485,6 +504,7 @@ func (s *Service) fillPathsSliced(out []Result) {
 		}
 	}
 	flush()
+	return links
 }
 
 // route is the singleton path: resolve the tag, then walk it scalar (one

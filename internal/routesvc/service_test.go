@@ -3,6 +3,7 @@ package routesvc
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,9 @@ func mustService(t *testing.T, cfg Config) *Service {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain waits for the service's asynchronous cache sweeps, so none
+	// outlives its test and frees memory inside another test's window.
+	t.Cleanup(s.Drain)
 	return s
 }
 
@@ -336,6 +340,31 @@ func TestRouteBatch(t *testing.T) {
 	m := s.Metrics()
 	if m.Unroutable != 1 {
 		t.Errorf("unroutable = %d", m.Unroutable)
+	}
+
+	// The paths share one link arena: appending to item i's links leaves
+	// item i+1's unchanged, and every path is the tag's scalar walk.
+	results, err = s.RouteBatch([]Request{
+		{Src: 1, Dst: 6, Scheme: SchemeTSDT},
+		{Src: 2, Dst: 3, Scheme: SchemeSSDT},
+		{Src: 0, Dst: 99, Scheme: SchemeSSDT}, // invalid: no path
+		{Src: 7, Dst: 0, Scheme: SchemeTSDT},
+		{Src: 4, Dst: 4, Scheme: SchemeSSDT},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err == nil && !r.Path.Equal(r.Tag.Follow(s.Params(), r.Src)) {
+			t.Fatalf("item %d path %v, scalar walk %v", i, r.Path, r.Tag.Follow(s.Params(), r.Src))
+		}
+	}
+	for i := 0; i+1 < len(results); i++ {
+		next := slices.Clone(results[i+1].Path.Links)
+		results[i].Path.Links = append(results[i].Path.Links, topology.Link{Stage: 9, From: 9})
+		if !slices.Equal(results[i+1].Path.Links, next) {
+			t.Fatalf("appending to item %d's links changed item %d's: %v, was %v", i, i+1, results[i+1].Path.Links, next)
+		}
 	}
 }
 

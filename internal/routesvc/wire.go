@@ -1,10 +1,12 @@
 package routesvc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -384,14 +386,19 @@ var errRefusedKey = errors.New("object key outside the wire codec's grammar")
 
 // wireDec scans one body. ints collects the path elements of the whole
 // body in parse order; names interns the short strings (net, scheme,
-// code) a batch repeats on every item.
+// code) a batch repeats on every item. tagMode is how tags are decoded:
+// strText appends the bytes of every tag without escapes to text
+// instead of making each a string of its own (decodeBatchJSON cuts them
+// from one string).
 type wireDec struct {
-	b     []byte
-	i     int
-	depth int
-	ints  []int
-	names [8]string
-	nn    int
+	b       []byte
+	i       int
+	depth   int
+	ints    []int
+	names   [8]string
+	nn      int
+	tagMode strMode
+	text    []byte
 }
 
 func (d *wireDec) fail(msg string) error { return &wireError{off: d.i, msg: msg} }
@@ -413,14 +420,16 @@ func (d *wireDec) ws() byte {
 }
 
 func (d *wireDec) skipWS() byte {
-	for d.i < len(d.b) {
-		switch c := d.b[d.i]; c {
+	b, i := d.b, d.i
+	for ; i < len(b); i++ {
+		switch c := b[i]; c {
 		case ' ', '\t', '\n', '\r':
-			d.i++
 		default:
+			d.i = i
 			return c
 		}
 	}
+	d.i = i
 	return 0
 }
 
@@ -450,14 +459,21 @@ func (d *wireDec) open(close byte) (bool, error) {
 // next consumes the separator after a member: true for ',' (another
 // member follows), false for the closing byte.
 func (d *wireDec) next(close byte) (bool, error) {
-	switch d.ws() {
-	case ',':
-		d.i++
-		return true, nil
-	case close:
-		d.i++
-		d.depth--
-		return false, nil
+	b, i := d.b, d.i
+	if i < len(b) && b[i] <= ' ' {
+		d.skipWS()
+		i = d.i
+	}
+	if i < len(b) {
+		switch b[i] {
+		case ',':
+			d.i = i + 1
+			return true, nil
+		case close:
+			d.i = i + 1
+			d.depth--
+			return false, nil
+		}
 	}
 	return false, d.unexpected()
 }
@@ -466,31 +482,41 @@ func (d *wireDec) next(close byte) (bool, error) {
 // slow reports an escape or a non-ASCII byte, which unquote must
 // resolve.
 func (d *wireDec) str() (raw []byte, slow bool, err error) {
-	i := d.i + 1
-	for i < len(d.b) {
-		c := d.b[i]
+	b, i := d.b, d.i+1
+	for i < len(b) {
+		// Eight bytes at a time while the body has them: step over a
+		// word of plain bytes, or straight to the first byte that is not.
+		if i+8 <= len(b) {
+			m := unplainBytes(binary.LittleEndian.Uint64(b[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) >> 3
+		}
+		c := b[i]
 		if plainByte[c] {
 			i++
 			continue
 		}
 		switch {
 		case c == '"':
-			raw = d.b[d.i+1 : i]
+			raw = b[d.i+1 : i]
 			d.i = i + 1
 			return raw, slow, nil
 		case c == '\\':
 			slow = true
-			if i+1 >= len(d.b) {
-				d.i = len(d.b)
+			if i+1 >= len(b) {
+				d.i = len(b)
 				return nil, false, d.unexpected()
 			}
-			switch d.b[i+1] {
+			switch b[i+1] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 				i += 2
 			case 'u':
 				for k := i + 2; k < i+6; k++ {
-					if k >= len(d.b) || !isHex(d.b[k]) {
-						d.i = min(k, len(d.b))
+					if k >= len(b) || !isHex(b[k]) {
+						d.i = min(k, len(b))
 						return nil, false, d.unexpected()
 					}
 				}
@@ -511,6 +537,16 @@ func (d *wireDec) str() (raw []byte, slow bool, err error) {
 	}
 	d.i = i
 	return nil, false, d.unexpected()
+}
+
+// unplainBytes flags the bytes of the little-endian word w that plainByte
+// does not mark (a control byte, the quote, the backslash, a non-ASCII
+// byte) by setting their high bits. A flag can be spurious only above a
+// true one, so the lowest flag always marks the first such byte.
+func unplainBytes(w uint64) uint64 {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	quote, bslash := w^('"'*lo), w^('\\'*lo)
+	return ((w-0x20*lo)&^w | (quote-lo)&^quote | (bslash-lo)&^bslash | w) & hi
 }
 
 // plainByte marks the string bytes that need no attention: printable
@@ -614,8 +650,17 @@ func (d *wireDec) intern(raw []byte) string {
 	return s
 }
 
+// strMode is where stringInto puts a decoded string.
+type strMode uint8
+
+const (
+	strCopy   strMode = iota // a string of its own
+	strIntern                // interned: reused when a body repeats it
+	strText                  // without escapes, appended to d.text, *p untouched
+)
+
 // stringInto decodes a string (or null, a no-op) into *p.
-func (d *wireDec) stringInto(p *string, intern bool) error {
+func (d *wireDec) stringInto(p *string, mode strMode) error {
 	switch d.ws() {
 	case 'n':
 		return d.literal("null")
@@ -629,8 +674,10 @@ func (d *wireDec) stringInto(p *string, intern bool) error {
 		return err
 	case slow:
 		*p = unquote(raw)
-	case intern:
+	case mode == strIntern:
 		*p = d.intern(raw)
+	case mode == strText:
+		d.text = append(d.text, raw...)
 	default:
 		*p = string(raw)
 	}
@@ -651,42 +698,46 @@ func (d *wireDec) mismatch(want string) error {
 
 // number scans a JSON number literal and returns it.
 func (d *wireDec) number() ([]byte, error) {
-	start := d.i
-	if d.i < len(d.b) && d.b[d.i] == '-' {
-		d.i++
+	b, start := d.b, d.i
+	i := start
+	if i < len(b) && b[i] == '-' {
+		i++
 	}
-	switch {
-	case d.i < len(d.b) && d.b[d.i] == '0':
-		d.i++
-	case !d.digits():
+	var ok bool
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if i, ok = digits(b, i); !ok {
+		d.i = i
 		return nil, d.unexpected()
 	}
-	if d.i < len(d.b) && d.b[d.i] == '.' {
-		d.i++
-		if !d.digits() {
+	if i < len(b) && b[i] == '.' {
+		if i, ok = digits(b, i+1); !ok {
+			d.i = i
 			return nil, d.unexpected()
 		}
 	}
-	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
-			d.i++
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
 		}
-		if !d.digits() {
+		if i, ok = digits(b, i); !ok {
+			d.i = i
 			return nil, d.unexpected()
 		}
 	}
-	return d.b[start:d.i], nil
+	d.i = i
+	return b[start:i], nil
 }
 
-// digits consumes a run of decimal digits and reports whether there was
-// at least one.
-func (d *wireDec) digits() bool {
-	at := d.i
-	for d.i < len(d.b) && isDigit(d.b[d.i]) {
-		d.i++
+// digits returns the end of the run of decimal digits at b[i:] and
+// whether there was at least one.
+func digits(b []byte, i int) (int, bool) {
+	at := i
+	for i < len(b) && isDigit(b[i]) {
+		i++
 	}
-	return d.i > at
+	return i, i > at
 }
 
 // parseDigits parses an unsigned decimal (only digits), false on any
@@ -716,15 +767,16 @@ func (d *wireDec) intInto(p *int) error {
 	if c != '-' && (c < '0' || c > '9') {
 		return d.mismatch("int")
 	}
-	// Fast path: a short unsigned integer ending at a delimiter.
-	if i, v := d.i, 0; c != '0' || d.i+1 < len(d.b) && !isDigit(d.b[d.i+1]) {
-		for ; i < len(d.b) && i-d.i < 18 && isDigit(d.b[i]); i++ {
-			v = v*10 + int(d.b[i]-'0')
-		}
-		if i > d.i && i < len(d.b) && !isDigit(d.b[i]) && d.b[i] != '.' && d.b[i] != 'e' && d.b[i] != 'E' {
-			d.i, *p = i, v
-			return nil
-		}
+	// Fast path: an unsigned integer of at most 18 digits (so it cannot
+	// overflow) without a leading zero, ending at a byte that cannot
+	// continue a number.
+	b, i, v := d.b, d.i, 0
+	for end := min(len(b), i+18); i < end && isDigit(b[i]); i++ {
+		v = v*10 + int(b[i]-'0')
+	}
+	if i > d.i && i < len(b) && !isDigit(b[i]) && b[i] != '.' && b[i] != 'e' && b[i] != 'E' && (c != '0' || i == d.i+1) {
+		d.i, *p = i, v
+		return nil
 	}
 	at := d.i
 	lit, err := d.number()
@@ -810,21 +862,68 @@ func (d *wireDec) pathInto(p *[]int) error {
 	start := len(d.ints)
 	more, err := d.open(']')
 	for more && err == nil {
-		v := 0
-		if err = d.intInto(&v); err == nil {
-			d.ints = append(d.ints, v)
-			more, err = d.next(']')
+		if more = d.uintRun(&d.ints); more {
+			v := 0
+			if err = d.intInto(&v); err == nil {
+				d.ints = append(d.ints, v)
+				more, err = d.next(']')
+			}
 		}
 	}
+	ints := d.ints
 	if err != nil {
 		return err
 	}
-	if len(d.ints) == start {
+	if len(ints) == start {
 		*p = emptyInts
 	} else {
-		*p = d.ints[start:len(d.ints):len(d.ints)]
+		*p = ints[start:len(ints):len(ints)]
 	}
 	return nil
+}
+
+// uintRun consumes array elements from the cursor for as long as each is
+// an unsigned integer of at most 18 digits without a leading zero,
+// directly followed by its separator — the whole of a path as the
+// encoders write it — and appends their values to *ints (ints nil: it
+// only scans). It returns false once it has consumed the array's closing
+// ']', and true at an element it cannot take that way (whitespace, a
+// sign, a fraction, a long number, another type), which the caller
+// scans in full.
+func (d *wireDec) uintRun(ints *[]int) bool {
+	b, i := d.b, d.i
+	var out []int
+	if ints != nil {
+		out = *ints
+	}
+	more := true
+	for {
+		v, j := 0, i
+		for end := min(len(b), i+18); j < end; j++ {
+			c := b[j] - '0'
+			if c > 9 {
+				break
+			}
+			v = v*10 + int(c)
+		}
+		if j == i || j == len(b) || b[i] == '0' && j > i+1 || b[j] != ',' && b[j] != ']' {
+			break
+		}
+		if ints != nil {
+			out = append(out, v)
+		}
+		i = j + 1
+		if b[j] == ']' {
+			d.depth--
+			more = false
+			break
+		}
+	}
+	d.i = i
+	if ints != nil {
+		*ints = out
+	}
+	return more
 }
 
 // skip scans past one JSON value of any type.
@@ -843,8 +942,10 @@ func (d *wireDec) skip() error {
 	case c == '[':
 		more, err := d.open(']')
 		for more && err == nil {
-			if err = d.skip(); err == nil {
-				more, err = d.next(']')
+			if more = d.uintRun(nil); more {
+				if err = d.skip(); err == nil {
+					more, err = d.next(']')
+				}
 			}
 		}
 		return err
@@ -879,29 +980,55 @@ func (d *wireDec) key() (raw []byte, slow bool, err error) {
 	return raw, slow, nil
 }
 
-// field matches a key against a schema's (lowercase ASCII) field names,
-// ASCII case-insensitively as encoding/json does, and refuses keys it
-// cannot match that way and repeated schema keys; it returns -1 for an
-// unknown key.
-func (d *wireDec) field(raw []byte, slow bool, names []string, seen *uint16) (int, error) {
+// schema is one object type's key set: its field names (lowercase ASCII
+// letters and at most 16 of them) and an index of the names by length
+// and first letter. at[n][c&31] has bit k set when names[k] is n bytes
+// long and starts with the letter whose low five bits are c's, so the
+// bit set holds every name an n-byte key starting with c can match,
+// exactly or folded.
+type schema struct {
+	names []string
+	at    [16][32]uint16
+}
+
+// newSchema builds a schema by value, so the package-level schemas live
+// in static data rather than on the heap.
+func newSchema(names ...string) (sc schema) {
+	sc.names = names
+	for k, name := range names {
+		sc.at[len(name)][name[0]&31] |= 1 << k
+	}
+	return sc
+}
+
+// field matches a key against a schema's field names, ASCII
+// case-insensitively as encoding/json does, and refuses keys it cannot
+// match that way and repeated schema keys; it returns -1 for an unknown
+// key. The index narrows the candidates to the names sharing the key's
+// length and first letter: an exact compare finds the key as the
+// encoders write it, the case-fold loop any other spelling.
+func (d *wireDec) field(raw []byte, slow bool, sc *schema, seen *uint16) (int, error) {
 	if slow {
 		return -1, &wireError{off: d.i, msg: "escaped or non-ASCII object key", class: errRefusedKey}
 	}
 	k := -1
-	for i, name := range names {
-		if string(raw) == name {
-			k = i
-			break
+	if len(raw) > 0 && len(raw) < len(sc.at) {
+		cand := sc.at[len(raw)][raw[0]&31]
+		for m := cand; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros16(m); string(raw) == sc.names[i] {
+				k = i
+				break
+			}
 		}
-	}
-	for i := 0; k < 0 && i < len(names); i++ {
-		if foldEqual(raw, names[i]) {
-			k = i
+		for m := cand; k < 0 && m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros16(m); foldEqual(raw, sc.names[i]) {
+				k = i
+			}
 		}
 	}
 	if k >= 0 {
 		if *seen&(1<<k) != 0 {
-			return -1, &wireError{off: d.i, msg: "repeated key " + strconv.Quote(names[k]), class: errRefusedKey}
+			return -1, &wireError{off: d.i, msg: "repeated key " + strconv.Quote(sc.names[k]), class: errRefusedKey}
 		}
 		*seen |= 1 << k
 	}
@@ -927,7 +1054,7 @@ func foldEqual(raw []byte, name string) bool {
 }
 
 // routeKeys are RouteJSON's field names, indexed by the rk constants.
-var routeKeys = []string{"net", "src", "dst", "scheme", "tag", "path", "epoch", "cached", "coalesced", "error", "code"}
+var routeKeys = newSchema("net", "src", "dst", "scheme", "tag", "path", "epoch", "cached", "coalesced", "error", "code")
 
 const (
 	rkNet = iota
@@ -961,20 +1088,20 @@ func (d *wireDec) route(r *RouteJSON) error {
 			break
 		}
 		var k int
-		if k, err = d.field(raw, slow, routeKeys, &seen); err != nil {
+		if k, err = d.field(raw, slow, &routeKeys, &seen); err != nil {
 			break
 		}
 		switch k {
 		case rkNet:
-			err = d.stringInto(&r.Net, true)
+			err = d.stringInto(&r.Net, strIntern)
 		case rkSrc:
 			err = d.intInto(&r.Src)
 		case rkDst:
 			err = d.intInto(&r.Dst)
 		case rkScheme:
-			err = d.stringInto(&r.Scheme, true)
+			err = d.stringInto(&r.Scheme, strIntern)
 		case rkTag:
-			err = d.stringInto(&r.Tag, false)
+			err = d.stringInto(&r.Tag, d.tagMode)
 		case rkPath:
 			err = d.pathInto(&r.Path)
 		case rkEpoch:
@@ -984,9 +1111,9 @@ func (d *wireDec) route(r *RouteJSON) error {
 		case rkCoalesced:
 			err = d.boolInto(&r.Coalesced)
 		case rkError:
-			err = d.stringInto(&r.Error, false)
+			err = d.stringInto(&r.Error, strCopy)
 		case rkCode:
-			err = d.stringInto(&r.Code, true)
+			err = d.stringInto(&r.Code, strIntern)
 		default:
 			err = d.skip()
 		}
@@ -1050,14 +1177,14 @@ type batchHead struct {
 	requests, responses bool
 }
 
-var batchKeys = []string{"requests", "responses", "epoch"}
+var batchKeys = newSchema("requests", "responses", "epoch")
 
 // batch walks one batch body. For every element of an array the spec
 // decodes it calls item with the array (false: requests, true:
 // responses), the element's raw bytes and, for routeItems, the element
-// decoded as a RouteJSON (zero for rawItems).
-// Path elements of every item accumulate in d.ints.
-func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r RouteJSON) error) (batchHead, error) {
+// decoded as a RouteJSON (nil for rawItems); r is only valid during the
+// call. Path elements of every item accumulate in d.ints.
+func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r *RouteJSON) error) (batchHead, error) {
 	var h batchHead
 	if obj, err := d.top(); !obj {
 		return h, err
@@ -1071,7 +1198,7 @@ func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r Route
 			break
 		}
 		var k int
-		if k, err = d.field(raw, slow, batchKeys, &seen); err != nil {
+		if k, err = d.field(raw, slow, &batchKeys, &seen); err != nil {
 			break
 		}
 		switch {
@@ -1096,7 +1223,7 @@ func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r Route
 
 // items walks one batch array; it reports whether the array was present
 // (false for null).
-func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byte, r RouteJSON) error) (bool, error) {
+func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byte, r *RouteJSON) error) (bool, error) {
 	switch d.ws() {
 	case 'n':
 		return false, d.literal("null")
@@ -1104,15 +1231,21 @@ func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byt
 	default:
 		return false, d.mismatch("array")
 	}
+	// The item a callback sees outlives no call, so one per array will
+	// do; a raw walk needs none.
+	var r *RouteJSON
+	if mode == routeItems {
+		r = new(RouteJSON)
+	}
 	more, err := d.open(']')
 	for more && err == nil {
 		d.ws()
 		start := d.i
-		var r RouteJSON
 		if mode == rawItems {
 			err = d.skip()
 		} else {
-			err = d.route(&r)
+			*r = RouteJSON{}
+			err = d.route(r)
 		}
 		if err == nil {
 			err = item(resp, d.b[start:d.i], r)
@@ -1124,44 +1257,94 @@ func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byt
 	return true, err
 }
 
-// decodeBatchJSON decodes a /route/batch body into b. The paths of all
-// its items share one backing array.
+// batchDecode is decodeBatchJSON's pooled working memory: the items of
+// each array as decoded, before they are copied out at their exact
+// count, and the tag bytes with the item each tag belongs to.
+type batchDecode struct {
+	items [2][]RouteJSON // requests, responses
+	text  []byte
+	tags  []tagSpan
+}
+
+// tagSpan places a tag cut from the batch's tag text: it ends at end,
+// where the previous one ends it starts, and it belongs to item i of
+// the responses (resp) or the requests.
+type tagSpan struct {
+	resp   bool
+	i, end int
+}
+
+var batchDecodePool = sync.Pool{New: func() any { return new(batchDecode) }}
+
+// decodeBatchJSON decodes a /route/batch body into b. Its memory is per
+// batch, not per item: each array is allocated at its exact length, the
+// paths of all items share one backing array, and their tags are
+// substrings of one string.
 func decodeBatchJSON(body []byte, b *BatchJSON) error {
-	d := wireDec{b: body}
+	sc := batchDecodePool.Get().(*batchDecode)
+	d := wireDec{b: body, tagMode: strText, text: sc.text[:0]}
+	items, tags := [2][]RouteJSON{sc.items[0][:0], sc.items[1][:0]}, sc.tags[:0]
 	// The arrays are parsed one after the other (a repeated key is
-	// refused), so path elements land in d.ints array by array.
-	respFirst, seenPath := false, false
+	// refused), so path elements land in d.ints, and tags in d.text,
+	// array by array.
+	respFirst, seenPath, textEnd := false, false, 0
 	h, err := d.batch(batchSpec{requests: routeItems, responses: routeItems, epoch: true},
-		func(resp bool, _ []byte, r RouteJSON) error {
+		func(resp bool, _ []byte, r *RouteJSON) error {
 			if len(r.Path) > 0 && !seenPath {
 				respFirst, seenPath = resp, true
 			}
+			a := 0
 			if resp {
-				b.Responses = append(b.Responses, r)
-			} else {
-				b.Requests = append(b.Requests, r)
+				a = 1
 			}
+			if len(d.text) > textEnd {
+				textEnd = len(d.text)
+				tags = append(tags, tagSpan{resp: resp, i: len(items[a]), end: textEnd})
+			}
+			items[a] = append(items[a], *r)
 			return nil
 		})
-	if err != nil {
-		return err
+	if err == nil {
+		if h.requests {
+			b.Requests = exactCopy(items[0])
+		}
+		if h.responses {
+			b.Responses = exactCopy(items[1])
+		}
+		b.Epoch = h.epoch
+		text, start := string(d.text), 0
+		for _, t := range tags {
+			dst := b.Requests
+			if t.resp {
+				dst = b.Responses
+			}
+			dst[t.i].Tag = text[start:t.end]
+			start = t.end
+		}
+		// d.ints was reallocated as it grew; re-point every path at its
+		// elements in the final array, in the order they were appended.
+		first, second := b.Requests, b.Responses
+		if respFirst {
+			first, second = second, first
+		}
+		off := repointPaths(first, d.ints, 0)
+		repointPaths(second, d.ints, off)
 	}
-	if h.requests && b.Requests == nil {
-		b.Requests = []RouteJSON{}
+	clear(items[0])
+	clear(items[1])
+	if cap(items[0])+cap(items[1]) <= maxPooledItems && cap(d.text) <= maxPooledWire {
+		sc.items, sc.text, sc.tags = items, d.text, tags
+		batchDecodePool.Put(sc)
 	}
-	if h.responses && b.Responses == nil {
-		b.Responses = []RouteJSON{}
-	}
-	b.Epoch = h.epoch
-	// d.ints was reallocated as it grew; re-point every path at its
-	// elements in the final array, in the order they were appended.
-	first, second := b.Requests, b.Responses
-	if respFirst {
-		first, second = second, first
-	}
-	off := repointPaths(first, d.ints, 0)
-	repointPaths(second, d.ints, off)
-	return nil
+	return err
+}
+
+// exactCopy copies items into a new slice of their exact length (empty
+// but not nil for none, as encoding/json decodes "[]").
+func exactCopy(items []RouteJSON) []RouteJSON {
+	out := make([]RouteJSON, len(items))
+	copy(out, items)
+	return out
 }
 
 // repointPaths re-slices the non-empty paths of items, in order, from
@@ -1191,7 +1374,7 @@ type BatchItem struct {
 // exactly when decodeBatchJSON into a request-only type would refuse it.
 func AppendBatchItems(dst []BatchItem, body []byte) ([]BatchItem, error) {
 	d := wireDec{b: body}
-	_, err := d.batch(batchSpec{requests: routeItems}, func(_ bool, raw []byte, r RouteJSON) error {
+	_, err := d.batch(batchSpec{requests: routeItems}, func(_ bool, raw []byte, r *RouteJSON) error {
 		dst = append(dst, BatchItem{Raw: raw, Net: r.Net, Src: r.Src, Dst: r.Dst})
 		d.ints = d.ints[:0]
 		return nil
@@ -1205,14 +1388,14 @@ func AppendBatchItems(dst []BatchItem, body []byte) ([]BatchItem, error) {
 // body's epoch.
 func AppendBatchResponses(dst [][]byte, body []byte) ([][]byte, uint64, error) {
 	d := wireDec{b: body}
-	h, err := d.batch(batchSpec{responses: rawItems, epoch: true}, func(_ bool, raw []byte, _ RouteJSON) error {
+	h, err := d.batch(batchSpec{responses: rawItems, epoch: true}, func(_ bool, raw []byte, _ *RouteJSON) error {
 		dst = append(dst, raw)
 		return nil
 	})
 	return dst, h.epoch, err
 }
 
-var errKeys = []string{"error", "code"}
+var errKeys = newSchema("error", "code")
 
 // decodeErrorJSON decodes an error body into e.
 func decodeErrorJSON(body []byte, e *errJSON) error {
@@ -1229,14 +1412,14 @@ func decodeErrorJSON(body []byte, e *errJSON) error {
 			break
 		}
 		var k int
-		if k, err = d.field(raw, slow, errKeys, &seen); err != nil {
+		if k, err = d.field(raw, slow, &errKeys, &seen); err != nil {
 			break
 		}
 		switch k {
 		case 0:
-			err = d.stringInto(&e.Error, false)
+			err = d.stringInto(&e.Error, strCopy)
 		case 1:
-			err = d.stringInto(&e.Code, true)
+			err = d.stringInto(&e.Code, strIntern)
 		default:
 			err = d.skip()
 		}

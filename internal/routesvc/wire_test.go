@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -221,6 +223,15 @@ func wireSeedBodies(t testing.TB) [][]byte {
 		`{"src":1,"src":2}`, `{"s\u0072c":1}`, `{"ſrc":1}`, `{"cached":true,"coalesced":false}`,
 		`{"path":[1,null,3]}`, `{"requests":[{"src":1}]} trailing`, "\t{\n\"src\" : 1 ,\r\"dst\":2}",
 		`{"net":"\xff\xfe"}`, `{"requests":{}}`, `{"responses":[1,"two",[3],{"x":4},true,null]}`,
+		// Decoder boundaries: the path loop's hand-off to the general
+		// integer scan (leading zero, whitespace, sign, fraction,
+		// exponent, the 18-digit fast-path limit, a trailing comma, a cut
+		// body), and keys sharing the key index's length and first byte.
+		`{"path":[01]}`, `{"path":[1 ,2]}`, `{"path":[ 1]}`, `{"path":[-0,-1]}`, `{"path":[1e2]}`, `{"path":[1.0]}`,
+		`{"path":[123456789012345678]}`, `{"path":[1234567890123456789]}`, `{"path":[12345678901234567890]}`,
+		`{"path":[1,]}`, `{"path":[1`,
+		`{"responses":[{"path":[01]},{"path":[1 ,2]},{"path":[1,]}]}`, `{"responses":[{"path":[1`,
+		`{"EPOCH":1,"Error":"x"}`, `{"srC":1}`,
 	} {
 		seeds = append(seeds, []byte(s))
 	}
@@ -371,6 +382,39 @@ func TestWireNestedUnknownValues(t *testing.T) {
 // TestWireStringEscapes: escapes, surrogate pairs, lone surrogates and
 // invalid UTF-8 decode as encoding/json decodes them; malformed escapes
 // are refused.
+// TestUnplainBytes holds the string scanner's word test to plainByte:
+// the lowest flag of a word always marks its first non-plain byte, for
+// every byte value at every position after plain bytes, with every
+// value above it.
+func TestUnplainBytes(t *testing.T) {
+	first := func(w [8]byte) int {
+		for k, c := range w {
+			if !plainByte[c] {
+				return k
+			}
+		}
+		return 8
+	}
+	for pos := 0; pos < 8; pos++ {
+		for c := 0; c < 256; c++ {
+			for _, above := range []byte{'a', 0, '"', '\\', 0x1f, 0x20, 0x21, 0x7f, 0x80, 0xff} {
+				w := [8]byte{'x', 'x', 'x', 'x', 'x', 'x', 'x', 'x'}
+				w[pos] = byte(c)
+				for k := pos + 1; k < 8; k++ {
+					w[k] = above
+				}
+				got := 8
+				if m := unplainBytes(binary.LittleEndian.Uint64(w[:])); m != 0 {
+					got = bits.TrailingZeros64(m) >> 3
+				}
+				if want := first(w); got != want {
+					t.Fatalf("word %q: first non-plain byte at %d, word test says %d", w, want, got)
+				}
+			}
+		}
+	}
+}
+
 func TestWireStringEscapes(t *testing.T) {
 	for _, body := range []string{
 		`{"net":"p\u0030"}`, `{"net":"\ud83d\ude00"}`, `{"net":"\ud800"}`, `{"net":"\udc00\ud800x"}`,
@@ -405,6 +449,12 @@ func TestDecodeBatchSharesPaths(t *testing.T) {
 		in.Responses = append(in.Responses, RouteJSON{Src: i, Path: []int{i, i + 1, i + 2}})
 	}
 	in.Responses[7].Path = nil
+	for i := range in.Responses {
+		if i%3 != 1 {
+			in.Responses[i].Tag = fmt.Sprintf("%010b", i)
+		}
+	}
+	in.Responses[9].Tag = "a\tb" // a tag with an escape is a string of its own
 	var out BatchJSON
 	if err := decodeBatchJSON(appendBatchJSON(nil, &in), &out); err != nil {
 		t.Fatal(err)
@@ -412,7 +462,28 @@ func TestDecodeBatchSharesPaths(t *testing.T) {
 	if !reflect.DeepEqual(out.Responses, in.Responses) {
 		t.Fatal("round trip changed the responses")
 	}
+	if len(out.Responses) != cap(out.Responses) {
+		t.Errorf("responses: len %d cap %d, want an exact-size slice", len(out.Responses), cap(out.Responses))
+	}
 	checkSharedPaths(t, &out)
+	// Every tag is its single-item decode, and appending to one item's
+	// path leaves the next item's untouched.
+	for i := range out.Responses {
+		var one RouteJSON
+		if err := DecodeRouteJSON(AppendRouteJSON(nil, &in.Responses[i], false), &one); err != nil {
+			t.Fatal(err)
+		}
+		if out.Responses[i].Tag != one.Tag {
+			t.Fatalf("item %d tag %q, single decode %q", i, out.Responses[i].Tag, one.Tag)
+		}
+	}
+	for i := 0; i+1 < len(out.Responses); i++ {
+		next := slices.Clone(out.Responses[i+1].Path)
+		out.Responses[i].Path = append(out.Responses[i].Path, -1, -2)
+		if !slices.Equal(out.Responses[i+1].Path, next) {
+			t.Fatalf("appending to item %d's path changed item %d's: %v, was %v", i, i+1, out.Responses[i+1].Path, next)
+		}
+	}
 }
 
 // TestWireHandlerDifferential drives twin services with the same request

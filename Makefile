@@ -12,12 +12,6 @@ GO ?= go
 ROUTING_PKGS = ./internal/core,./internal/paths,./internal/permroute,./internal/multicast,./internal/analysis
 ROUTING_BENCH = BenchmarkFollowState|BenchmarkTagFollow|BenchmarkRouteSSDT|BenchmarkRouteTSDTPacked|BenchmarkRouteSliced|BenchmarkExists|BenchmarkFind|BenchmarkMultiPass|BenchmarkBroadcast|BenchmarkReroutablePairs
 
-# The tracked tag-store suite: the flat TSDT cache and the preserved map
-# cache side by side in routesvc (BenchmarkTagStore{Flat,Map}), each
-# reporting a bits/route footprint column next to the lookup latency.
-TAGSTORE_PKGS = ./internal/routesvc
-TAGSTORE_BENCH = BenchmarkTagStore
-
 # The tracked fleet suite: ring placement (expect 0 allocs/op) and the
 # router's proxy cost — single /route and scatter-gather /route/batch
 # round trips, direct vs routed, each reporting ns/route.
@@ -37,7 +31,7 @@ SERVE_BENCH = BenchmarkServeLadder
 WORMHOLE_PKGS = ./internal/wormhole
 WORMHOLE_BENCH = BenchmarkWormhole
 
-.PHONY: check fmt vet build test race serve-smoke fleet-smoke bench bench-routing bench-tagstore bench-fleet bench-serve bench-wormhole bench-json bench-compare fuzz fuzz-smoke
+.PHONY: check fmt vet build test race serve-smoke fleet-smoke bench bench-routing bench-fleet bench-serve bench-wormhole bench-json bench-compare fuzz fuzz-smoke
 
 check: fmt vet build test race serve-smoke fleet-smoke fuzz-smoke
 
@@ -71,11 +65,6 @@ bench:
 bench-routing:
 	$(GO) test -run '^$$' -bench '$(ROUTING_BENCH)' -benchmem $(subst $(comma), ,$(ROUTING_PKGS))
 
-# One human-readable pass over the tag-store suite (expect 0 allocs/op
-# everywhere and flat bits/route far below the map baseline).
-bench-tagstore:
-	$(GO) test -run '^$$' -bench '$(TAGSTORE_BENCH)' -benchmem $(subst $(comma), ,$(TAGSTORE_PKGS))
-
 # One human-readable pass over the fleet suite (ring placement must stay
 # 0 allocs/op; Routed vs Direct is the router's proxy cost).
 bench-fleet:
@@ -97,7 +86,6 @@ comma := ,
 bench-json:
 	$(GO) run ./cmd/benchjson
 	$(GO) run ./cmd/benchjson -pkg '$(ROUTING_PKGS)' -bench '$(ROUTING_BENCH)' -o BENCH_routing.json
-	$(GO) run ./cmd/benchjson -pkg '$(TAGSTORE_PKGS)' -bench '$(TAGSTORE_BENCH)' -o BENCH_tagstore.json
 	$(GO) run ./cmd/benchjson -pkg '$(FLEET_PKGS)' -bench '$(FLEET_BENCH)' -o BENCH_fleet.json
 	$(GO) run ./cmd/benchjson -pkg '$(SERVE_PKGS)' -bench '$(SERVE_BENCH)' -o BENCH_serve.json
 	$(GO) run ./cmd/benchjson -pkg '$(WORMHOLE_PKGS)' -bench '$(WORMHOLE_BENCH)' -o BENCH_wormhole.json
@@ -115,8 +103,6 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -count 5 -o /dev/null -tolerance 0.25 -compare BENCH_simulator.json
 	$(GO) run ./cmd/benchjson -count 5 -o /dev/null -tolerance 0.25 \
 		-pkg '$(ROUTING_PKGS)' -bench '$(ROUTING_BENCH)' -compare BENCH_routing.json
-	$(GO) run ./cmd/benchjson -count 5 -o /dev/null -tolerance 0.25 \
-		-pkg '$(TAGSTORE_PKGS)' -bench '$(TAGSTORE_BENCH)' -compare BENCH_tagstore.json
 	$(GO) run ./cmd/benchjson -count 5 -o /dev/null -tolerance 0.25 \
 		-pkg '$(FLEET_PKGS)' -bench '$(FLEET_BENCH)' -compare BENCH_fleet.json
 	$(GO) run ./cmd/benchjson -count 5 -o /dev/null -tolerance 0.25 \
@@ -156,8 +142,8 @@ fuzz:
 # Bounded fuzz pass for CI: the ring-buffer model check, the
 # optimized-vs-reference differential oracles (packet and wormhole
 # modes), the packed-path round-trip/accessor-parity check, the
-# sliced-vs-packed kernel parity oracle, the REROUTE-tag round trip
-# through the flat TSDT cache (against the map cache), and the wire codec
+# sliced-vs-packed kernel parity oracle, the fast REROUTE walk against
+# the paper-faithful REROUTE on random fault maps, and the wire codec
 # against its encoding/json oracle, 10s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRingQueue -fuzztime 10s ./internal/simulator
@@ -165,5 +151,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWormholeDifferential -fuzztime 10s ./internal/refwh
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSlicedParity -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzTagCache -fuzztime 10s ./internal/routesvc
+	$(GO) test -run '^$$' -fuzz FuzzRerouteTag -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/routesvc

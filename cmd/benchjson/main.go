@@ -20,7 +20,7 @@
 // "paths.BenchmarkFind/N=4096", so the names -compare keys on stay
 // unique. Single-package reports keep the historical unqualified shape.
 //
-// Custom b.ReportMetric columns (e.g. the tagstore suite's bits/route)
+// Custom b.ReportMetric columns (e.g. a bits/route footprint column)
 // are kept per sample and averaged into a per-benchmark metrics map, so
 // footprint numbers land in the report alongside latency.
 //

@@ -1,32 +1,31 @@
 // Command iadmd is the IADM routing daemon: it serves destination tags
 // (SSDT and TSDT/REROUTE, Sections 3–5 of the paper) over HTTP from an
-// internal/routesvc service — sharded epoch-stamped TSDT tag cache,
-// request coalescing, batch routing, fault/repair ingestion, JSON
-// metrics — and drains gracefully on SIGTERM/SIGINT. An SSDT tag is the
-// destination address (Theorem 3.1), so SSDT requests are answered from
-// the request itself, with no cache and no warm-up.
+// internal/routesvc service — admission-gated REROUTE computation, batch
+// routing, fault/repair ingestion, JSON metrics — and drains gracefully
+// on SIGTERM/SIGINT. An SSDT tag is the destination address (Theorem
+// 3.1), so SSDT requests are answered from the request itself; a TSDT tag
+// is recomputed from the blockage map on every request, so nothing needs
+// warming up and nothing goes stale.
 //
 // Usage:
 //
-//	iadmd [-n N] [-addr host:port] [-shards S] [-portfile F]
-//	      [-max-nets K] [-sweep-every K] [-admission-max Q]
-//	      [-admission-min Q] [-admission-round D] [-slow-cost D]
+//	iadmd [-n N] [-addr host:port] [-portfile F] [-max-nets K]
+//	      [-admission-max Q] [-admission-min Q] [-admission-round D]
+//	      [-slow-cost D]
 //
 // The daemon hosts named networks ("partitions" to a fleet router, see
 // cmd/iadmfleet): every request may carry a "net" (JSON field or ?net=
 // query); each name is an independent network — own blockage map, own
-// epoch, own tag cache — created lazily on first use (up to -max-nets),
+// epoch — created lazily on first use (up to -max-nets),
 // all sized -n. The empty name addresses the built-in "default" network,
 // so single-network deployments are unchanged. All networks share ONE
 // slow-path admission gate: the gate bounds this process's REROUTE
 // compute capacity, which the networks share.
 //
-// Admission control bounds concurrent fresh TSDT computes (the slow
-// path); excess requests answer 429 with Retry-After while cache hits and
-// SSDT requests keep flowing. -slow-cost stretches each fresh compute to
-// rehearse overload against small test fabrics. -sweep-every sets the
-// auto-sweep cadence that reclaims stale TSDT cache entries (every K
-// epoch bumps; -1 disables).
+// Admission control bounds concurrent TSDT computes (the slow path);
+// excess requests answer 429 with Retry-After while SSDT requests keep
+// flowing. -slow-cost stretches each compute to rehearse overload against
+// small test fabrics.
 //
 // Endpoints:
 //
@@ -35,7 +34,7 @@
 //	POST     /fault        {"links":["1:2:+"],"switches":["1:3"]}
 //	POST     /repair       {"links":["1:2:+"]}
 //	GET      /healthz      liveness and drain state
-//	GET      /metrics      JSON cache/latency/epoch metrics
+//	GET      /metrics      JSON request/latency/epoch metrics
 //
 // With -addr ending in :0 the kernel picks a free port; -portfile writes
 // the bound host:port to a file so scripts (make serve-smoke) can find it.
@@ -59,7 +58,7 @@ import (
 )
 
 type daemonConfig struct {
-	n, shards    int
+	n            int
 	addr         string
 	portFile     string
 	drainTimeout time.Duration
@@ -69,22 +68,19 @@ type daemonConfig struct {
 	admissionRound time.Duration
 	slowCost       time.Duration
 
-	sweepEvery int
-	maxNets    int
+	maxNets int
 }
 
 func main() {
 	cfg := daemonConfig{}
 	flag.IntVar(&cfg.n, "n", 1024, "network size N (power of two)")
-	flag.IntVar(&cfg.shards, "shards", 0, "tag-cache shards, rounded up to a power of two (0 = 64)")
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	flag.StringVar(&cfg.portFile, "portfile", "", "write the bound host:port to this file once listening")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")
-	flag.IntVar(&cfg.admissionMax, "admission-max", 128, "slow-path admission ceiling: max concurrent fresh TSDT computes (0 disables admission control)")
+	flag.IntVar(&cfg.admissionMax, "admission-max", 128, "slow-path admission ceiling: max concurrent TSDT computes (0 disables admission control)")
 	flag.IntVar(&cfg.admissionMin, "admission-min", 8, "slow-path admission floor the adaptive threshold never sheds below")
 	flag.DurationVar(&cfg.admissionRound, "admission-round", 100*time.Millisecond, "admission controller round: how often the threshold adapts")
-	flag.DurationVar(&cfg.slowCost, "slow-cost", 0, "artificial per-compute cost added to fresh TSDT computes (overload rehearsal; 0 = off)")
-	flag.IntVar(&cfg.sweepEvery, "sweep-every", 0, "auto-sweep stale cache entries every K epoch bumps (0 = 256, negative disables)")
+	flag.DurationVar(&cfg.slowCost, "slow-cost", 0, "artificial per-compute cost added to TSDT computes (overload rehearsal; 0 = off)")
 	flag.IntVar(&cfg.maxNets, "max-nets", 16, "maximum named networks hosted by this process (lazily created on first use)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -106,16 +102,14 @@ func main() {
 // is accepting connections; tests use it in place of the port file.
 func serve(cfg daemonConfig, logw io.Writer, stop <-chan os.Signal, ready chan<- string) error {
 	multi := routesvc.NewMulti(routesvc.Config{
-		N:      cfg.n,
-		Shards: cfg.shards,
+		N: cfg.n,
 		Admission: routesvc.AdmissionConfig{
 			Disabled: cfg.admissionMax == 0,
 			MaxQueue: cfg.admissionMax,
 			MinQueue: cfg.admissionMin,
 			Round:    cfg.admissionRound,
 		},
-		SlowCost:   cfg.slowCost,
-		SweepEvery: cfg.sweepEvery,
+		SlowCost: cfg.slowCost,
 	}, cfg.maxNets)
 	// Materialize the default network up front: it validates the config
 	// before the listener opens.
@@ -158,8 +152,8 @@ func serve(cfg daemonConfig, logw io.Writer, stop <-chan os.Signal, ready chan<-
 		multi.Drain()
 		<-errc // http.ErrServerClosed
 		m, _ := multi.Metrics()
-		fmt.Fprintf(logw, "iadmd: drained; served %d requests across %d nets (ssdt hit rate %.3f, tsdt hit rate %.3f, epoch %d, shed %d)\n",
-			m.Requests, len(multi.Nets()), m.SSDTHitRate, m.TSDTHitRate, m.Epoch, m.Admission.Shed)
+		fmt.Fprintf(logw, "iadmd: drained; served %d requests across %d nets (tsdt computed %d, epoch %d, shed %d)\n",
+			m.Requests, len(multi.Nets()), m.TSDT.Misses, m.Epoch, m.Admission.Shed)
 		return shutErr
 	}
 }

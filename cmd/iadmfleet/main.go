@@ -13,12 +13,12 @@
 //
 // Request placement: a partition (named network) lives on R distinct
 // backends; within a partition each (src,dst) pair has a stable owner
-// replica so repeated requests hit a warm tag cache. /route/batch is
+// replica, placed by a hash of the pair. /route/batch is
 // scatter-gathered — split by owning backend, fanned out concurrently,
 // merged back in input order so each backend's 64-lane sliced kernels
 // see dense lane blocks. /fault and /repair fan out to EVERY replica of
-// the partition and require every ack (Theorems 3.1/3.2: a replica left
-// un-invalidated would keep serving stale TSDT tags).
+// the partition and require every ack (Theorems 3.1/3.2: a replica that
+// missed a report would keep computing TSDT tags against a stale map).
 //
 // -hedge-after arms hedged single routes (a second attempt at the next
 // replica when the first is slow); -retry-budget bounds router-initiated

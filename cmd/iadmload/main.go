@@ -23,7 +23,7 @@
 // partitions of a fleet router, or lazily created networks of a
 // multi-net iadmd). -churn-net confines fault/repair churn to one named
 // network, so a smoke run can churn one partition while checking the
-// others' caches never invalidate.
+// others' epochs never move.
 //
 // -batch sends fixed-size /route/batch requests; -batch-mix cycles through
 // a comma-separated list of sizes per iteration instead (sizes <= 1 go out
@@ -420,11 +420,9 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		lat.Mean(), lat.Percentile(50), lat.Percentile(90), lat.Percentile(99), lat.Max())
 	fmt.Fprintf(w, "churn: %d faults, %d repairs; final epoch %d, blocked %d\n",
 		sum.total.faults, sum.total.repairs, sum.metrics.Service.Epoch, sum.metrics.Controller.BlockedLinks)
-	fmt.Fprintf(w, "server: ssdt hit rate %.3f (%d/%d), tsdt hit rate %.3f (%d/%d), coalesced %d, cache entries %d, http 5xx %d\n",
+	fmt.Fprintf(w, "server: ssdt hit rate %.3f (%d/%d), tsdt computed %d, http 5xx %d\n",
 		sum.metrics.Service.SSDTHitRate, sum.metrics.Service.SSDT.Hits, sum.metrics.Service.SSDT.Hits+sum.metrics.Service.SSDT.Misses,
-		sum.metrics.Service.TSDTHitRate, sum.metrics.Service.TSDT.Hits, sum.metrics.Service.TSDT.Hits+sum.metrics.Service.TSDT.Misses,
-		sum.metrics.Service.SSDT.Coalesced+sum.metrics.Service.TSDT.Coalesced,
-		sum.metrics.Service.CacheEntries, sum.metrics.HTTP5xx)
+		sum.metrics.Service.TSDT.Misses, sum.metrics.HTTP5xx)
 	if sum.metrics.Service.SlicedBlocks > 0 {
 		fmt.Fprintf(w, "server: sliced kernel filled %d lanes in %d blocks (%.1f%% lane fill)\n",
 			sum.metrics.Service.SlicedLanes, sum.metrics.Service.SlicedBlocks,

@@ -2,9 +2,11 @@ package controller
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
+	"iadm/internal/blockage"
+	"iadm/internal/core"
 	"iadm/internal/topology"
 )
 
@@ -68,60 +70,58 @@ func TestStatsConcurrentHitRate(t *testing.T) {
 	}
 }
 
-// TestOnInvalidateHook checks that every effective map change (and only
-// those) fires the hook, in epoch order, and that concurrent mutators and
-// readers don't race with it.
-func TestOnInvalidateHook(t *testing.T) {
+// TestComputeTagUnderReadLock: ComputeTag takes only the read lock, so it
+// returns while another reader holds the lock — both for a pair whose walk
+// flips a state bit around a single-nonstraight blockage and for one whose
+// walk meets a straight blockage and needs BACKTRACK. A computation under
+// the write lock would block here until the test released its read lock.
+func TestComputeTagUnderReadLock(t *testing.T) {
 	c := mustNew(t, 8)
-	var fired atomic.Uint64
-	var mu sync.Mutex
-	var seen []uint64
-	c.OnInvalidate(func(e uint64) {
-		fired.Add(1)
-		mu.Lock()
-		seen = append(seen, e)
-		mu.Unlock()
-	})
+	p := c.Params()
+	// 1→0 takes 1,0,0,0 under all-C: block its -2^0 link so the walk flips.
+	c.ReportFault(topology.Link{Stage: 0, From: 1, Kind: topology.Minus})
+	// 5→4 takes 5,4,4,4: block the straight link out of 4∈S_1.
+	c.ReportFault(topology.Link{Stage: 1, From: 4, Kind: topology.Straight})
+	blk := blockage.NewSet(p)
+	for _, l := range c.Faults() {
+		blk.Block(l)
+	}
+	for _, tc := range []struct {
+		s, d int
+		kind topology.LinkKind // the kind of the all-C walk's first blocked link
+	}{{1, 0, topology.Minus}, {5, 4, topology.Straight}} {
+		path := core.MustTag(p, tc.d).Follow(p, tc.s)
+		if i, hit := path.FirstBlocked(blk); !hit || path.Links[i].Kind != tc.kind {
+			t.Fatalf("%d→%d: all-C walk %v does not meet a %v blockage first", tc.s, tc.d, path, tc.kind)
+		}
 
-	l := topology.Link{Stage: 1, From: 2, Kind: topology.Plus}
-	if !c.ReportFault(l) {
-		t.Fatal("first fault reported no change")
-	}
-	if c.ReportFault(l) {
-		t.Error("duplicate fault reported a change")
-	}
-	if !c.ReportRepair(l) {
-		t.Fatal("repair reported no change")
-	}
-	if c.ReportRepair(l) {
-		t.Error("duplicate repair reported a change")
-	}
-	if got := fired.Load(); got != 2 {
-		t.Fatalf("hook fired %d times, want 2", got)
-	}
-	for i, e := range seen {
-		if e != uint64(i+1) {
-			t.Fatalf("hook epochs %v not in order", seen)
+		var tag core.Tag
+		var epoch uint64
+		var err error
+		done := make(chan struct{})
+		c.mu.RLock()
+		go func() {
+			defer close(done)
+			tag, epoch, err = c.ComputeTag(tc.s, tc.d)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			c.mu.RUnlock()
+			<-done
+			t.Fatalf("%d→%d: ComputeTag blocked behind a held read lock", tc.s, tc.d)
+		}
+		c.mu.RUnlock()
+
+		want, _, wantErr := core.Reroute(p, blk, tc.s, core.MustTag(p, tc.d))
+		if err != nil || wantErr != nil || tag != want {
+			t.Fatalf("%d→%d: ComputeTag = %v, %v; Reroute = %v, %v", tc.s, tc.d, tag, err, want, wantErr)
+		}
+		if epoch != 2 {
+			t.Fatalf("%d→%d: epoch %d, want 2", tc.s, tc.d, epoch)
 		}
 	}
-
-	// Concurrent churn: hooks fire once per effective change.
-	var wg sync.WaitGroup
-	const G = 4
-	for g := 0; g < G; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ml := topology.Link{Stage: 0, From: g, Kind: topology.Minus}
-			for i := 0; i < 50; i++ {
-				c.ReportFault(ml)
-				c.RouteTag(g, (g+3)%8)
-				c.ReportRepair(ml)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if fired.Load() != c.Epoch() {
-		t.Errorf("hook fired %d times, epoch is %d", fired.Load(), c.Epoch())
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || st.CacheEntries != 0 {
+		t.Fatalf("ComputeTag touched the per-pair cache: %+v", st)
 	}
 }

@@ -5,10 +5,12 @@
 // of blockages, which is accessible to every sender of the messages in
 // order to compute a path to avoid the blockages."
 //
-// The controller accepts fault and repair reports, serves rerouting-tag
-// requests computed with algorithm REROUTE, and caches computed tags per
-// (source, destination) pair, clearing the cache when the blockage map
-// changes. It is safe for concurrent use by multiple senders.
+// The controller accepts fault and repair reports and serves rerouting
+// tags computed with algorithm REROUTE. ComputeTag recomputes every tag
+// from the blockage map under the read lock, so senders never serialize
+// on each other; RouteTag also caches computed tags per (source,
+// destination) pair, clearing the cache when the blockage map changes. It
+// is safe for concurrent use by multiple senders.
 package controller
 
 import (
@@ -27,12 +29,11 @@ type Controller struct {
 
 	mu    sync.RWMutex
 	blk   *blockage.Set
-	cache map[pair]core.Tag // tags of the current epoch only
-	subs  []func(epoch uint64)
+	cache map[pair]core.Tag // RouteTag's tags of the current epoch only
 
 	// epoch is incremented (under mu) on every map change; reads are
-	// lock-free so serving layers can stamp cache entries per request
-	// without contending with tag computation.
+	// lock-free so callers can observe map versions without contending
+	// with tag computation.
 	epoch atomic.Uint64
 
 	// stats (atomic: the hit counter is bumped under the read lock)
@@ -57,26 +58,13 @@ func New(N int) (*Controller, error) {
 // Params returns the network parameters.
 func (c *Controller) Params() topology.Params { return c.p }
 
-// bumpEpoch records a map change, drops the per-pair tags (computed
-// against the old map, they can never be served again) and notifies
-// subscribers. Callers must hold mu for writing. A fresh map rather than
-// clear(): clearing costs the map's peak size on every later bump.
+// bumpEpoch records a map change and drops the per-pair tags (computed
+// against the old map, they can never be served again). Callers must hold
+// mu for writing. A fresh map rather than clear(): clearing costs the
+// map's peak size on every later bump.
 func (c *Controller) bumpEpoch() {
 	c.cache = make(map[pair]core.Tag)
-	e := c.epoch.Add(1)
-	for _, fn := range c.subs {
-		fn(e)
-	}
-}
-
-// OnInvalidate registers a hook invoked after every blockage-map change
-// with the new epoch. Hooks run synchronously while the controller's write
-// lock is held — they observe bumps in exact order, and must be fast and
-// must not call back into the Controller.
-func (c *Controller) OnInvalidate(fn func(epoch uint64)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.subs = append(c.subs, fn)
+	c.epoch.Add(1)
 }
 
 // ReportFault records a blocked link. Reporting an already blocked link is
@@ -142,53 +130,73 @@ func (c *Controller) Faults() []topology.Link {
 // map does. It is lock-free.
 func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
 
-// RouteTag returns a TSDT tag routing s to d around all currently known
-// blockages, or an error wrapping core.ErrNoPath when the network is
-// disconnected for the pair. Computed tags are cached until the blockage
-// map changes.
-func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
-	tag, _, err := c.RouteTagEpoch(s, d)
+func (c *Controller) validPair(s, d int) error {
+	if !c.p.ValidSwitch(s) || !c.p.ValidSwitch(d) {
+		return fmt.Errorf("controller: invalid pair (%d, %d)", s, d)
+	}
+	return nil
+}
+
+// compute runs REROUTE for (s, d) against the current map and counts it.
+// Callers must hold mu, for reading or writing.
+func (c *Controller) compute(s, d int) (core.Tag, error) {
+	c.misses.Add(1)
+	tag, err := core.RerouteTag(c.p, c.blk, s, d)
+	if err != nil {
+		c.fails.Add(1)
+	}
 	return tag, err
 }
 
-// RouteTagEpoch is RouteTag plus the epoch of the blockage map the tag
-// was computed (or its cache entry validated) under, read under the
-// same lock — so a mutation racing the call can never pair a tag with
-// a map it was not computed against. An unroutable pair reports the
-// epoch under which it was found unroutable.
-func (c *Controller) RouteTagEpoch(s, d int) (core.Tag, uint64, error) {
-	if !c.p.ValidSwitch(s) || !c.p.ValidSwitch(d) {
-		return core.Tag{}, 0, fmt.Errorf("controller: invalid pair (%d, %d)", s, d)
+// ComputeTag returns a TSDT tag routing s to d around all currently known
+// blockages, or an error wrapping core.ErrNoPath when the network is
+// disconnected for the pair, together with the epoch of the map it was
+// computed against. It keeps no per-pair state: the tag is recomputed
+// (an n-stage walk, Corollary 4.1, with BACKTRACK only where the walk
+// meets a straight or double-nonstraight blockage) under the read lock,
+// so concurrent senders never serialize on each other. The epoch is read
+// under the same lock, and every bump happens under the write lock, so a
+// mutation racing the call can never pair a tag with a map it was not
+// computed against. An unroutable pair reports the epoch under which it
+// was found unroutable; an invalid pair reports epoch 0.
+func (c *Controller) ComputeTag(s, d int) (core.Tag, uint64, error) {
+	if err := c.validPair(s, d); err != nil {
+		return core.Tag{}, 0, err
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	tag, err := c.compute(s, d)
+	return tag, c.epoch.Load(), err
+}
+
+// RouteTag is ComputeTag without the epoch, with computed tags cached per
+// pair until the blockage map changes.
+func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
+	if err := c.validPair(s, d); err != nil {
+		return core.Tag{}, err
 	}
 	key := pair{s, d}
-
-	// The epoch is stable under either lock: every bump happens under the
-	// write lock and empties the cache, so an entry is always current.
 	c.mu.RLock()
 	if tag, ok := c.cache[key]; ok {
 		c.hits.Add(1)
-		epoch := c.epoch.Load()
 		c.mu.RUnlock()
-		return tag, epoch, nil
+		return tag, nil
 	}
 	c.mu.RUnlock()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	epoch := c.epoch.Load()
 	// Recheck under the write lock (another sender may have filled it).
 	if tag, ok := c.cache[key]; ok {
 		c.hits.Add(1)
-		return tag, epoch, nil
+		return tag, nil
 	}
-	c.misses.Add(1)
-	tag, _, err := core.Reroute(c.p, c.blk, s, core.MustTag(c.p, d))
+	tag, err := c.compute(s, d)
 	if err != nil {
-		c.fails.Add(1)
-		return core.Tag{}, epoch, err
+		return core.Tag{}, err
 	}
 	c.cache[key] = tag
-	return tag, epoch, nil
+	return tag, nil
 }
 
 // Route is RouteTag plus the concrete path.
@@ -203,11 +211,11 @@ func (c *Controller) Route(s, d int) (core.Tag, core.Path, error) {
 // Stats is a point-in-time snapshot of the controller's cache behaviour
 // and map state.
 type Stats struct {
-	Hits         uint64 // requests answered from the tag cache
-	Misses       uint64 // tags computed with REROUTE
+	Hits         uint64 // RouteTag requests answered from its tag cache
+	Misses       uint64 // tags computed with REROUTE (ComputeTag, RouteTag misses)
 	Fails        uint64 // rerouting failures (pair disconnected)
 	Epoch        uint64 // blockage-map version
-	CacheEntries int    // cached tags, all of the current epoch
+	CacheEntries int    // RouteTag's cached tags, all of the current epoch
 	BlockedLinks int    // currently blocked links
 }
 
@@ -244,7 +252,7 @@ func (c *Controller) Connectivity() float64 {
 	ok := 0
 	for s := 0; s < N; s++ {
 		for d := 0; d < N; d++ {
-			if _, _, err := core.Reroute(c.p, blk, s, core.MustTag(c.p, d)); err == nil {
+			if _, err := core.RerouteTag(c.p, blk, s, d); err == nil {
 				ok++
 			}
 		}

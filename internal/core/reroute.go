@@ -186,3 +186,40 @@ func Reroute(p topology.Params, blk *blockage.Set, s int, tag Tag) (Tag, Path, e
 	}
 	return Tag{}, Path{}, fmt.Errorf("core: Reroute did not converge in %d iterations (internal error)", p.Stages()+1)
 }
+
+// RerouteTag returns the tag Reroute(p, blk, s, MustTag(p, d)) returns, and
+// an error of the same class, in one allocation-free walk. It follows the
+// all-C tag from s in packed arithmetic (the branchless stage body of
+// RouteTSDTPacked), and at a nonstraight link that is blocked while its
+// opposite is free it complements state bit i and takes the opposite link
+// (Corollary 4.1). REROUTE fixes the lowest-stage blockage first, so on a
+// walk that meets only such single-nonstraight blockages it makes exactly
+// these flips. The first straight or double-nonstraight blockage needs
+// BACKTRACK, and the walk hands the pair to Reroute itself.
+func RerouteTag(p topology.Params, blk *blockage.Set, s, d int) (Tag, error) {
+	if err := checkEndpoints(p, s, d); err != nil {
+		return Tag{}, err
+	}
+	n := p.Stages()
+	mask := p.Size() - 1
+	var state uint64
+	j, bit := s, 1
+	for i := 0; i < n; i++ {
+		jb := j >> uint(i) & 1
+		nonstr := jb ^ (d >> uint(i) & 1)
+		sel := (jb ^ int(state>>uint(i)&1)) & nonstr
+		code := 1 + nonstr - 2*sel
+		if blk.Blocked(topology.Link{Stage: i, From: j, Kind: topology.LinkKind(code)}) {
+			if nonstr == 0 || blk.Blocked(topology.Link{Stage: i, From: j, Kind: topology.LinkKind(2 - code)}) {
+				tag, _, err := Reroute(p, blk, s, MustTag(p, d))
+				return tag, err
+			}
+			state |= 1 << uint(i)
+			sel ^= 1
+		}
+		mag := bit & -nonstr
+		j = (j + (mag ^ -sel) + sel) & mask
+		bit <<= 1
+	}
+	return Tag{n: n, bits: uint64(d) | state<<uint(n)}, nil
+}

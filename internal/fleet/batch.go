@@ -62,7 +62,7 @@ func putBatchWork(w *batchWork) {
 }
 
 // ownerAt returns the backend holding replica `rank` of the item's key:
-// rank 0 is the cache-affinity owner, higher ranks the partition's other
+// rank 0 is the key's owner (Ring.Owner), higher ranks the partition's other
 // replicas in ring order (used by the batch retry round).
 func (rt *Router) ownerAt(it *routesvc.BatchItem, rank int) int {
 	set := rt.ring.ReplicaSet(it.Net)

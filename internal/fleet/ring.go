@@ -4,10 +4,11 @@
 // is one independent IADM instance with its own blockage map and epoch —
 // placed on a consistent-hash ring with virtual nodes, replicated on R
 // distinct backends. Within a partition, (src, dst) keys pin to one
-// replica for tag-cache affinity; fault and repair reports fan out to
-// every replica of the partition so the Theorem 3.1/3.2 invalidation
-// semantics hold on all of them (no replica may keep serving a TSDT tag
-// computed under the pre-fault blockage map).
+// replica by a hash of the key — a deterministic placement that spreads
+// a partition's pairs evenly over its replicas; fault and repair reports
+// fan out to every replica of the partition so all of them compute TSDT
+// tags against the same blockage map (no replica may keep answering
+// under the pre-fault map).
 package fleet
 
 import (
@@ -154,7 +155,7 @@ func keyHash(src, dst int) uint64 {
 }
 
 // Owner returns the backend index that owns (net, src, dst), i.e. the
-// replica whose tag cache should serve this pair, and the partition's
+// replica the key's hash places the pair on, and the partition's
 // replica set (for hedging/retry to the other replicas). Zero-alloc on
 // the hot path once the partition's set is memoized.
 func (r *Ring) Owner(net string, src, dst int) (int, []int) {

@@ -140,22 +140,19 @@ func TestFleetScatterGatherOrder(t *testing.T) {
 // TestFleetFaultFanOutInvalidation is the end-to-end Theorem 3.2 check:
 // after a /fault through the router, NO replica of the partition may
 // serve a TSDT tag computed under the pre-fault map — every replica must
-// have bumped its epoch and recompute on next request.
+// have bumped its epoch and compute against the new map.
 func TestFleetFaultFanOutInvalidation(t *testing.T) {
 	const nb = 3
 	f := newTestFleet(t, nb, Config{Replicas: nb}) // every backend replicates p0
 	const src, dst = 3, 9
 
-	// Warm the same TSDT pair on every replica directly (the router pins
-	// the pair to one replica; the point is that ALL replicas hold a tag).
+	// Route the same TSDT pair on every replica directly (the router pins
+	// the pair to one replica; the point is that ALL replicas answered it
+	// under the pre-fault map).
 	for i, srv := range f.srvs {
 		c := routesvc.NewClient(srv.URL, 5*time.Second)
 		if _, err := c.Route("p0", src, dst, routesvc.SchemeTSDT); err != nil {
 			t.Fatalf("warm backend %d: %v", i, err)
-		}
-		res, err := c.Route("p0", src, dst, routesvc.SchemeTSDT)
-		if err != nil || !res.Cached {
-			t.Fatalf("backend %d not warmed: cached=%v err=%v", i, res.Cached, err)
 		}
 	}
 
@@ -185,6 +182,10 @@ func TestFleetFaultFanOutInvalidation(t *testing.T) {
 		}
 		if res.Epoch != 1 {
 			t.Fatalf("backend %d recomputed under epoch %d, want 1", i, res.Epoch)
+		}
+		// 2:0:+ runs from 0∈S_2 to 4∈S_3.
+		if len(res.Path) != 7 || res.Path[2] == 0 && res.Path[3] == 4 {
+			t.Fatalf("backend %d path %v crosses the faulted link 2:0:+", i, res.Path)
 		}
 	}
 

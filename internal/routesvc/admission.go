@@ -9,8 +9,7 @@ import (
 
 // ErrOverload is returned when the slow path (a fresh TSDT/REROUTE
 // computation) is shed by admission control. The HTTP layer maps it to 429
-// with a Retry-After hint. Cache hits, coalesced joins and SSDT requests
-// are never shed: an SSDT tag is the destination address itself
+// with a Retry-After hint. SSDT requests are never shed: an SSDT tag is the destination address itself
 // (Theorem 3.1), so only the blockage-map-dependent REROUTE work
 // (Theorems 3.2-3.4) sits behind the gate.
 var ErrOverload = errors.New("routesvc: overloaded, slow-path request shed")
@@ -43,7 +42,7 @@ const (
 // much traffic the fast path absorbed, how much slow-path work was
 // admitted, how much was refused, and how deep the slow-path queue got.
 type admissionRound struct {
-	Hits     uint64 // fast-path servings (cache hits + coalesced joins)
+	Hits     uint64 // fast-path servings (SSDT answers)
 	Admitted uint64 // slow-path computations admitted
 	Shed     uint64 // slow-path requests refused with ErrOverload
 	Peak     int    // deepest slow-path occupancy observed
@@ -175,13 +174,11 @@ func (a *admission) release() {
 	}
 }
 
-// noteHit records a fast-path serving (cache hit or coalesced join) for
-// the controller's hit counter.
+// noteHit records a fast-path serving (an SSDT answer) for the
+// controller's hit counter.
 func (a *admission) noteHit() { a.hits.Add(1) }
 
-// noteShed records one request refused with ErrOverload — coalesced
-// followers of a shed flight count too, so the counter matches what
-// clients observe.
+// noteShed records one request refused with ErrOverload.
 func (a *admission) noteShed() { a.shed.Add(1) }
 
 // step runs one controller round: snapshot the round's counters, derive

@@ -24,7 +24,7 @@ import (
 //	POST     /fault        link/switch fault reports
 //	POST     /repair       link repair reports
 //	GET      /healthz      liveness + drain state
-//	GET      /metrics      JSON metrics (cache hit rates, epoch, latency)
+//	GET      /metrics      JSON metrics (request counters, epoch, latency)
 //
 // Per-endpoint latency is recorded in a stats.Stream (microsecond
 // buckets) and reported by /metrics alongside the Service counters.
@@ -463,7 +463,7 @@ func (h *Handler) routeMixed(bs *batchScratch) uint64 {
 // the iadmsim notation: links "stage:from:kind" (kind -, 0, +), switches
 // "stage:index". Net selects the network whose blockage map mutates;
 // only that network's epoch bumps, so the other partitions hosted by a
-// multi-network backend keep their caches.
+// multi-network backend keep theirs.
 type MutateJSON struct {
 	Net      string   `json:"net,omitempty"`
 	Links    []string `json:"links,omitempty"`
@@ -583,9 +583,9 @@ type EndpointJSON struct {
 	MaxUS  float64 `json:"max_us"`
 }
 
-// MetricsJSON is the wire form of /metrics. Service carries the cache and
-// request counters (see Metrics); Controller carries the inner
-// controller's REROUTE cache snapshot.
+// MetricsJSON is the wire form of /metrics. Service carries the request
+// counters (see Metrics); Controller carries the inner controller's
+// REROUTE counters and map size.
 type MetricsJSON struct {
 	Service    Metrics                 `json:"service"`
 	Controller ControllerJSON          `json:"controller"`
@@ -600,11 +600,10 @@ type MetricsJSON struct {
 // (Service there carries the merged totals). Replicas is filled by fleet
 // aggregation — how many backends' scrapes contributed to this line.
 type NetMetrics struct {
-	Net          string `json:"net"`
-	Requests     uint64 `json:"requests_total"`
-	Epoch        uint64 `json:"epoch"`
-	CacheEntries int    `json:"cache_entries"`
-	Replicas     int    `json:"replicas,omitempty"`
+	Net      string `json:"net"`
+	Requests uint64 `json:"requests_total"`
+	Epoch    uint64 `json:"epoch"`
+	Replicas int    `json:"replicas,omitempty"`
 }
 
 // controllerStats converts the wire ControllerJSON back to the internal

@@ -72,8 +72,8 @@ func TestHTTPRoute(t *testing.T) {
 		t.Error("first request cached")
 	}
 	getJSON(t, ts.URL+"/route?src=1&dst=6", http.StatusOK, &got) // scheme defaults to tsdt
-	if !got.Cached {
-		t.Error("second request not cached")
+	if got.Cached || got.Scheme != "tsdt" {
+		t.Errorf("second request %+v, want a TSDT computation (TSDT tags are never stored)", got)
 	}
 
 	// POST body form.

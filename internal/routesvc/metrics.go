@@ -27,9 +27,6 @@ func MergeMetrics(dst *Metrics, src Metrics) {
 	dst.CacheEntries += src.CacheEntries
 	dst.CacheEntriesLive += src.CacheEntriesLive
 	dst.CacheEntriesStale += src.CacheEntriesStale
-	dst.CacheBytes += src.CacheBytes
-	dst.Sweeps += src.Sweeps
-	dst.SweptTotal += src.SweptTotal
 	dst.SSDT.Hits += src.SSDT.Hits
 	dst.SSDT.Misses += src.SSDT.Misses
 	dst.SSDT.Coalesced += src.SSDT.Coalesced
@@ -84,10 +81,6 @@ func mergeAdmission(dst *AdmissionMetrics, src AdmissionMetrics) {
 func finalizeMetrics(m *Metrics) {
 	m.SSDTHitRate = m.SSDT.HitRate()
 	m.TSDTHitRate = m.TSDT.HitRate()
-	m.BitsPerRoute = 0
-	if m.CacheEntries > 0 {
-		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(m.CacheEntries)
-	}
 	m.SlicedFill = 0
 	if m.SlicedBlocks > 0 {
 		m.SlicedFill = float64(m.SlicedLanes) / float64(m.SlicedBlocks*core.Lanes)
@@ -137,7 +130,6 @@ func mergeNetworks(dst, src []NetMetrics) []NetMetrics {
 		for i := range dst {
 			if dst[i].Net == s.Net {
 				dst[i].Requests += s.Requests
-				dst[i].CacheEntries += s.CacheEntries
 				if s.Epoch > dst[i].Epoch {
 					dst[i].Epoch = s.Epoch
 				}

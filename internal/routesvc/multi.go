@@ -16,8 +16,7 @@ var ErrTooManyNets = fmt.Errorf("%w: too many networks", ErrInvalid)
 
 // Multi hosts many named networks ("partitions" in fleet terms) in one
 // process. Every network is an independent Service — its own controller,
-// blockage map, epoch counter and tag cache — created lazily on first
-// use, but all of them share ONE slow-path admission gate: the gate
+// blockage map and epoch counter — created lazily on first use, but all of them share ONE slow-path admission gate: the gate
 // bounds the process's REROUTE compute capacity, and that capacity is a
 // property of the process, not of any single network. (Sharing the gate
 // also keeps fleet capacity comparisons honest: K backends hosting many
@@ -35,7 +34,7 @@ type Multi struct {
 }
 
 // NewMulti builds an empty multi-network host. Every network it creates
-// uses cfg (same N, shard count, slow-path cost and sweep cadence) and
+// uses cfg (same N and slow-path cost) and
 // shares one admission gate built from cfg.Admission; maxNets caps how
 // many distinct networks a stream of requests can demand (<=0 means 16 —
 // a typo'd net name must not allocate an unbounded number of N-sized
@@ -108,7 +107,7 @@ func (m *Multi) Draining() bool {
 }
 
 // Drain refuses new networks, drains every hosted Service (waiting out
-// their in-flight requests and sweep workers), then stops the
+// their in-flight requests), then stops the
 // shared admission gate — gate last, because a draining Service may
 // still be finishing admitted slow-path work.
 func (m *Multi) Drain() {
@@ -152,10 +151,9 @@ func (m *Multi) Metrics() (Metrics, []NetMetrics) {
 		sm := s.Metrics()
 		MergeMetrics(&merged, sm)
 		nets = append(nets, NetMetrics{
-			Net:          names[i],
-			Requests:     sm.Requests,
-			Epoch:        sm.Epoch,
-			CacheEntries: sm.CacheEntries,
+			Net:      names[i],
+			Requests: sm.Requests,
+			Epoch:    sm.Epoch,
 		})
 	}
 	// One process, one gate: the per-Service snapshots merged above all

@@ -36,8 +36,9 @@ func TestMultiLazyCreationAndCap(t *testing.T) {
 
 // TestMultiEpochIsolation pins the partition semantics the fleet fault
 // fan-out relies on: a fault on one network bumps only that network's
-// epoch, so sibling partitions on the same backend keep their TSDT
-// caches (Theorem 3.2 invalidation stays scoped to the mutated map).
+// epoch, so sibling partitions on the same backend keep answering TSDT
+// requests under their own map (Theorem 3.2 invalidation stays scoped to
+// the mutated map).
 func TestMultiEpochIsolation(t *testing.T) {
 	m := newTestMulti(t, 4)
 	defer m.Drain()
@@ -45,11 +46,14 @@ func TestMultiEpochIsolation(t *testing.T) {
 	a, _ := m.Get("p0")
 	b, _ := m.Get("p1")
 
-	// Warm a TSDT entry on both nets.
-	for _, s := range []*Service{a, b} {
-		if _, err := s.Route(3, 9, SchemeTSDT); err != nil {
+	// Route the same TSDT pair on both nets.
+	var before [2]Result
+	for i, s := range []*Service{a, b} {
+		res, err := s.Route(3, 9, SchemeTSDT)
+		if err != nil {
 			t.Fatal(err)
 		}
+		before[i] = res
 	}
 
 	if _, err := a.ReportFault(topology.Link{Stage: 2, From: 0, Kind: topology.Plus}); err != nil {
@@ -62,17 +66,17 @@ func TestMultiEpochIsolation(t *testing.T) {
 		t.Fatalf("fault on p0 bumped p1's epoch to %d", b.Epoch())
 	}
 
-	// p1's cached tag must still hit; p0's must have been invalidated.
+	// p1 still answers under its untouched map; p0 under the new one.
 	resB, err := b.Route(3, 9, SchemeTSDT)
-	if err != nil || !resB.Cached {
-		t.Fatalf("p1 route after p0 fault: cached=%v err=%v, want hit", resB.Cached, err)
+	if err != nil || resB.Epoch != 0 || resB.Tag != before[1].Tag {
+		t.Fatalf("p1 route after p0 fault: %+v err=%v, want tag %v at epoch 0", resB, err, before[1].Tag)
 	}
 	resA, err := a.Route(3, 9, SchemeTSDT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resA.Cached {
-		t.Fatal("p0 served a stale TSDT tag across its own fault")
+	if resA.Cached || resA.Epoch != a.Epoch() {
+		t.Fatalf("p0 answered %+v across its own fault, want a computation at epoch %d", resA, a.Epoch())
 	}
 }
 
@@ -124,16 +128,16 @@ func TestMergeMetricsDerivedRates(t *testing.T) {
 	var dst Metrics
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 3, Requests: 10,
-		CacheEntries: 4, CacheBytes: 64,
-		SSDT:        CacheStats{Hits: 3, Misses: 1},
-		SlicedLanes: 32, SlicedBlocks: 1,
+		CacheEntries: 4,
+		SSDT:         CacheStats{Hits: 3, Misses: 1},
+		SlicedLanes:  32, SlicedBlocks: 1,
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 2000}},
 	})
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 7, Requests: 5,
-		CacheEntries: 4, CacheBytes: 64,
-		SSDT:        CacheStats{Hits: 1, Misses: 3},
-		SlicedLanes: 32, SlicedBlocks: 1,
+		CacheEntries: 4,
+		SSDT:         CacheStats{Hits: 1, Misses: 3},
+		SlicedLanes:  32, SlicedBlocks: 1,
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 6000}},
 	})
 	if dst.Requests != 15 || dst.Epoch != 7 || dst.N != 64 {
@@ -142,9 +146,8 @@ func TestMergeMetricsDerivedRates(t *testing.T) {
 	if dst.SSDTHitRate != 0.5 {
 		t.Fatalf("merged ssdt hit rate=%v, want 0.5", dst.SSDTHitRate)
 	}
-	// 128 bytes over 8 cache entries = 128 bits/route.
-	if dst.BitsPerRoute != 128 {
-		t.Fatalf("merged bits/route=%v, want 128", dst.BitsPerRoute)
+	if dst.CacheEntries != 8 {
+		t.Fatalf("merged cache entries=%d, want 8", dst.CacheEntries)
 	}
 	if dst.SlicedFill != 0.5 {
 		t.Fatalf("merged sliced fill=%v, want 0.5", dst.SlicedFill)

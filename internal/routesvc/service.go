@@ -7,24 +7,27 @@
 //   - SSDT tags are state-independent — "the destination address is the
 //     tag" (Theorem 3.1) — so serving one needs no state at all: the
 //     service validates the pair and renders the n-bit address, with no
-//     cache, no coalescing and no admission ticket.
+//     computation and no admission ticket.
 //   - TSDT/REROUTE tags (Theorems 3.2–3.4) encode detours around the
-//     current blockage map, so every fault or repair report invalidates
-//     them. The service stamps each cached tag with the controller's map
-//     epoch; a mutation bumps the epoch and every stale entry dies lazily
-//     on its next lookup, with no global flush on the mutation path.
+//     current blockage map, so they are recomputed on every request and
+//     never stored: from the all-C tag, one state-bit flip per
+//     single-nonstraight blockage the walk meets (Corollary 4.1), with
+//     BACKTRACK only at a straight or double-nonstraight blockage. The
+//     controller runs that n-stage walk under its read lock and reports
+//     the epoch read under the same lock, so concurrent computations
+//     never serialize, a fault or repair needs no invalidation, and every
+//     answer names exactly the map it was computed against.
 //
-// Concurrency structure: a sharded RWMutex tag cache absorbs the TSDT
-// read traffic, a singleflight group collapses thundering herds so each
-// missing tag is computed once per epoch, and a drain gate lets the
-// daemon finish in-flight requests on shutdown while refusing new ones.
+// The only per-network state is the controller's blockage map; a drain
+// gate lets the daemon finish in-flight requests on shutdown while
+// refusing new ones.
 //
 // The cost split above also tiers the service under overload: SSDT
-// requests and TSDT cache hits are the fast path and always flow; fresh
-// TSDT/REROUTE computations are the slow path and sit behind a bounded
-// admission queue whose threshold a per-round controller adapts from
-// measured hit/queue-depth/shed counters (see admission.go). Shed requests fail
-// fast with ErrOverload, which HTTP maps to 429 plus Retry-After.
+// requests are the fast path and always flow; TSDT/REROUTE computations
+// are the slow path and sit behind a bounded admission queue whose
+// threshold a per-round controller adapts from measured hit/queue-depth/shed
+// counters (see admission.go). Shed requests fail fast with ErrOverload,
+// which HTTP maps to 429 plus Retry-After.
 package routesvc
 
 import (
@@ -89,35 +92,17 @@ var (
 type Config struct {
 	// N is the network size (a power of two >= 2).
 	N int
-	// Shards is the tag-cache shard count, rounded up to a power of two;
-	// 0 means 64.
-	Shards int
 	// Admission configures the slow-path admission controller (see
 	// AdmissionConfig); the zero value enables it with defaults.
 	Admission AdmissionConfig
-	// SlowCost, when positive, stretches every fresh TSDT/REROUTE
-	// computation by that duration (inside its admission ticket). It
-	// models the slow-path cost of fabrics far larger than a test host
-	// can host, giving overload rehearsals (serve-smoke phase 3, the
-	// iadmload -overload contract) a deterministic way to saturate the
-	// slow path. Leave zero in production.
+	// SlowCost, when positive, stretches every TSDT/REROUTE computation
+	// by that duration (inside its admission ticket). It models the
+	// slow-path cost of fabrics far larger than a test host can host,
+	// giving overload rehearsals (serve-smoke phase 3, the iadmload
+	// -overload contract) a deterministic way to saturate the slow path.
+	// Leave zero in production.
 	SlowCost time.Duration
-	// SweepEvery is the auto-sweep cadence: every SweepEvery-th epoch
-	// bump schedules an asynchronous tagCache.sweep, reclaiming stale
-	// TSDT entries without an operator call. 0 means 256; negative
-	// disables the cadence (the epoch-stamp alias guard still forces a
-	// sweep every aliasSweepInterval bumps — see slotLayout).
-	SweepEvery int
 }
-
-// aliasSweepInterval forces a cache sweep every 2^16 epoch bumps even
-// when the configured cadence is disabled: the flat cache stores epoch
-// stamps truncated to >= 17 bits (compact layout), so one full sweep per
-// 2^16 bumps guarantees a stale stamp can never alias a live epoch.
-const aliasSweepInterval = 1 << 16
-
-// defaultSweepEvery backs Config.SweepEvery's zero value.
-const defaultSweepEvery = 256
 
 // Request names one tag request of a batch.
 type Request struct {
@@ -137,26 +122,24 @@ type Result struct {
 	// self-repair may divert it around nonstraight faults).
 	Path core.Path
 	// Epoch is the blockage-map version the tag is valid against. For
-	// TSDT it is exact: a fresh computation reports the epoch the
-	// controller computed under (read under its lock, so a mutation
-	// landing mid-request cannot relabel the tag), and a cache hit
-	// reports the entry's stamp, not a possibly newer current epoch. For
-	// SSDT it is the epoch observed at request time, since Theorem 3.1
-	// makes the tag valid under every map.
+	// TSDT it is exact: the epoch the controller computed under, read
+	// under its lock, so a mutation landing mid-request cannot relabel
+	// the tag. For SSDT it is the epoch observed at request time, since
+	// Theorem 3.1 makes the tag valid under every map.
 	Epoch uint64
-	// Cached reports the tag was served without a computation: a TSDT
-	// cache hit, or any SSDT request (its tag is the destination address).
-	// Coalesced reports the request joined another caller's in-flight
-	// computation.
+	// Cached reports the tag was served without a computation, which
+	// holds for every SSDT request (its tag is the destination address)
+	// and for no TSDT request. Coalesced is never set; it stays so the
+	// wire schema is unchanged.
 	Cached    bool
 	Coalesced bool
 	// Err is the per-item error of a batch request (nil on success).
 	Err error
 }
 
-// CacheStats counts one scheme's cache traffic. Coalesced requests are
-// counted as hits (they were served without a tag computation) and
-// reported separately.
+// CacheStats counts one scheme's traffic: Hits are requests served
+// without a tag computation, Misses are computations. SSDT requests are
+// all hits and TSDT requests all misses; Coalesced reads 0 for both.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -207,34 +190,25 @@ func batchBand(n int) int {
 
 // Metrics is a point-in-time snapshot of the service.
 type Metrics struct {
-	N             int    `json:"n"`
-	Epoch         uint64 `json:"epoch"`
-	Requests      uint64 `json:"requests_total"`
-	Unroutable    uint64 `json:"unroutable_total"`
-	Invalid       uint64 `json:"invalid_total"`
-	Faults        uint64 `json:"faults_total"`
-	Repairs       uint64 `json:"repairs_total"`
+	N          int    `json:"n"`
+	Epoch      uint64 `json:"epoch"`
+	Requests   uint64 `json:"requests_total"`
+	Unroutable uint64 `json:"unroutable_total"`
+	Invalid    uint64 `json:"invalid_total"`
+	Faults     uint64 `json:"faults_total"`
+	Repairs    uint64 `json:"repairs_total"`
+	// Invalidations counts blockage-map changes; it equals Epoch.
 	Invalidations uint64 `json:"invalidations_total"`
-	CacheEntries  int    `json:"cache_entries"`
-	// CacheEntriesLive / CacheEntriesStale split CacheEntries by epoch
-	// stamp: stale TSDT entries linger until swept or overwritten, and
-	// counting them as cache population would skew hit-rate math after
-	// fault churn. CacheEntries = live + stale always.
-	CacheEntriesLive  int `json:"entries_live"`
-	CacheEntriesStale int `json:"entries_stale"`
-	// CacheBytes is the flat cache's slab footprint; BitsPerRoute is that
-	// footprint over its entries.
-	CacheBytes   uint64  `json:"cache_bytes"`
-	BitsPerRoute float64 `json:"bits_per_route"`
-	// SweptTotal counts entries reclaimed by all sweeps (automatic and
-	// operator-invoked). SSDT requests never miss or coalesce, so their
-	// Misses and Coalesced stay 0.
-	Sweeps      uint64     `json:"sweeps_total"`
-	SweptTotal  uint64     `json:"swept_total"`
-	SSDT        CacheStats `json:"ssdt"`
-	TSDT        CacheStats `json:"tsdt"`
-	SSDTHitRate float64    `json:"ssdt_hit_rate"`
-	TSDTHitRate float64    `json:"tsdt_hit_rate"`
+	// CacheEntries, CacheEntriesLive and CacheEntriesStale read 0: the
+	// service stores no tags. They stay for dashboards and benchmarks
+	// that compute stale-entry shares from them.
+	CacheEntries      int        `json:"cache_entries"`
+	CacheEntriesLive  int        `json:"entries_live"`
+	CacheEntriesStale int        `json:"entries_stale"`
+	SSDT              CacheStats `json:"ssdt"`
+	TSDT              CacheStats `json:"tsdt"`
+	SSDTHitRate       float64    `json:"ssdt_hit_rate"`
+	TSDTHitRate       float64    `json:"tsdt_hit_rate"`
 	// SlicedLanes counts requests whose path was produced by the bit-sliced
 	// kernel; SlicedBlocks counts the 64-lane blocks that produced them, so
 	// SlicedFill = SlicedLanes / (64 * SlicedBlocks) is the lane utilization.
@@ -247,49 +221,37 @@ type Metrics struct {
 	Draining     bool             `json:"draining"`
 }
 
-// Service wraps a controller with the serving-layer machinery: the sharded
-// epoch-stamped TSDT tag cache, request coalescing, batch routing, fault
-// ingestion and graceful drain. All methods are safe for concurrent use.
+// Service wraps a controller with the serving-layer machinery: admission
+// control, batch routing, fault ingestion and graceful drain. All methods
+// are safe for concurrent use.
 type Service struct {
 	ctl      *controller.Controller
 	p        topology.Params
-	cache    *tagCache
-	fl       flightGroup
 	adm      *admission
 	ownAdm   bool
 	slowCost time.Duration
-
-	sweepEvery int
-	sweepBusy  atomic.Bool
 
 	drainMu  sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup
 
-	requests      atomic.Uint64
-	unroutable    atomic.Uint64
-	invalid       atomic.Uint64
-	faults        atomic.Uint64
-	repairs       atomic.Uint64
-	invalidations atomic.Uint64
-	ssdtHits      atomic.Uint64
-	tsdtHits      atomic.Uint64
-	tsdtMisses    atomic.Uint64
-	tsdtCoalesced atomic.Uint64
-	slicedLanes   atomic.Uint64
-	slicedBlocks  atomic.Uint64
-	sweeps        atomic.Uint64
-	sweptTotal    atomic.Uint64
-	batchLat      [numBatchBands]struct{ count, sumNs atomic.Uint64 }
+	requests     atomic.Uint64
+	unroutable   atomic.Uint64
+	invalid      atomic.Uint64
+	faults       atomic.Uint64
+	repairs      atomic.Uint64
+	ssdtHits     atomic.Uint64
+	tsdtMisses   atomic.Uint64
+	slicedLanes  atomic.Uint64
+	slicedBlocks atomic.Uint64
+	batchLat     [numBatchBands]struct{ count, sumNs atomic.Uint64 }
 
 	// testComputeHook, when set (by tests in this package), runs at the
-	// start of every tag computation (after the admission ticket is
-	// taken); it lets tests hold a flight open to observe coalescing and
-	// queue occupancy deterministically. testEpochHook runs right after a
-	// TSDT request loads its epoch stamp, so tests can race a map
-	// mutation into the window between stamp and lookup or computation.
+	// start of every TSDT computation, after the admission ticket is taken
+	// and before the controller's read lock; it lets tests hold
+	// computations open to observe concurrency and queue occupancy, or
+	// race a map mutation into the computation, deterministically.
 	testComputeHook func(Scheme)
-	testEpochHook   func()
 }
 
 // New builds a Service for a fault-free network of size cfg.N.
@@ -306,44 +268,13 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{
-		ctl:        ctl,
-		p:          ctl.Params(),
-		cache:      newTagCache(cfg.Shards, ctl.Params()),
-		adm:        adm,
-		ownAdm:     ownAdm,
-		slowCost:   cfg.SlowCost,
-		sweepEvery: cfg.SweepEvery,
-	}
-	if s.sweepEvery == 0 {
-		s.sweepEvery = defaultSweepEvery
-	}
-	// The hook runs under the controller's write lock, so it must only
-	// bump counters and spawn work — never call back into the controller.
-	ctl.OnInvalidate(func(epoch uint64) {
-		s.invalidations.Add(1)
-		if (s.sweepEvery > 0 && epoch%uint64(s.sweepEvery) == 0) || epoch%aliasSweepInterval == 0 {
-			s.scheduleSweep()
-		}
-	})
-	return s, nil
-}
-
-// scheduleSweep runs one asynchronous cache sweep, dropping the request
-// if a sweep is already running or the service is draining. Drain waits
-// for a scheduled sweep through the inflight gate.
-func (s *Service) scheduleSweep() {
-	if !s.sweepBusy.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer s.sweepBusy.Store(false)
-		if s.begin() != nil {
-			return
-		}
-		defer s.end()
-		s.Sweep()
-	}()
+	return &Service{
+		ctl:      ctl,
+		p:        ctl.Params(),
+		adm:      adm,
+		ownAdm:   ownAdm,
+		slowCost: cfg.SlowCost,
+	}, nil
 }
 
 // Params returns the network parameters.
@@ -412,9 +343,9 @@ func (s *Service) Route(src, dst int, scheme Scheme) (Result, error) {
 // Result.Err and never fail the batch. The only batch-level error is
 // ErrDraining.
 //
-// Tags resolve per item through the cache/coalescing machinery, but the
-// path attachments — the per-request tag walk that dominates a hot-cache
-// batch — run through the bit-sliced kernel, 64 requests per block.
+// Tags resolve per item exactly as Route resolves them, but the path
+// attachments — the per-request tag walk — run through the bit-sliced
+// kernel, 64 requests per block.
 //
 // Memory is per batch, not per item: the paths' links share one backing
 // array, each Result's Path.Links a sub-slice capped at its own length
@@ -518,9 +449,9 @@ func (s *Service) route(src, dst int, scheme Scheme) (Result, error) {
 	return res, nil
 }
 
-// resolve serves one tag request through the cache, coalescing and compute
-// machinery, leaving Result.Path unset — the caller decides how to attach
-// the path (scalar for singletons, sliced blocks for batches).
+// resolve serves one tag request, leaving Result.Path unset — the caller
+// decides how to attach the path (scalar for singletons, sliced blocks for
+// batches).
 func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 	s.requests.Add(1)
 	if scheme >= numSchemes {
@@ -534,9 +465,8 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 
 	if scheme == SchemeSSDT {
 		// Theorem 3.1: the tag is the destination address, valid under
-		// every blockage map, so it is rendered in place — no cache probe,
-		// no flight, no admission ticket — and answered as a hit at the
-		// current epoch.
+		// every blockage map, so it is rendered in place — no admission
+		// ticket — and answered as a hit at the current epoch.
 		tag, err := core.NewTag(s.p, dst)
 		if err != nil {
 			s.invalid.Add(1)
@@ -547,56 +477,13 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch(), Cached: true}, nil
 	}
 
-	// Load the cache stamp BEFORE computing: if a mutation lands
-	// mid-compute, the entry is stamped with the old epoch and dies
-	// unread — the stale-pointing direction is impossible by
-	// construction. A hit reports its stamp (never a newer epoch a
-	// concurrent mutation may have produced); a fresh computation reports
-	// the epoch the controller computed under (see below).
-	key := cacheKey{src: int32(src), dst: int32(dst)}
-	stamp := s.ctl.Epoch()
-	if s.testEpochHook != nil {
-		s.testEpochHook()
-	}
-	if tag, ok := s.cache.get(key, stamp); ok {
-		s.tsdtHits.Add(1)
-		s.adm.noteHit()
-		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: stamp, Cached: true}, nil
-	}
-
-	tag, computed, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, uint64, error) {
-		// The admission gate guards the slow path: fresh TSDT/REROUTE
-		// computations against the current blockage map. Cache hits and
-		// SSDT requests never reach here.
-		if !s.adm.acquire() {
-			return core.Tag{}, 0, ErrOverload
-		}
-		defer s.adm.release()
-		if s.testComputeHook != nil {
-			s.testComputeHook(scheme)
-		}
-		if s.slowCost > 0 {
-			time.Sleep(s.slowCost)
-		}
-		tag, computed, err := s.ctl.RouteTagEpoch(src, dst)
-		if err == nil {
-			s.cache.put(key, tag, stamp)
-		}
-		return tag, computed, err
-	})
+	tag, epoch, err := s.computeTSDT(src, dst)
 	if errors.Is(err, ErrOverload) {
-		// A shed flight computed nothing: it is neither a hit nor a
-		// miss, and every caller that shared it was refused too.
+		// A shed request computed nothing: it is neither a hit nor a miss.
 		s.adm.noteShed()
 		return Result{}, err
 	}
-	if shared {
-		s.tsdtHits.Add(1)
-		s.tsdtCoalesced.Add(1)
-		s.adm.noteHit()
-	} else {
-		s.tsdtMisses.Add(1)
-	}
+	s.tsdtMisses.Add(1)
 	if err != nil {
 		if errors.Is(err, core.ErrNoPath) {
 			s.unroutable.Add(1)
@@ -605,9 +492,24 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		}
 		return Result{}, err
 	}
-	// A fresh tag is valid under the map it was computed against, which a
-	// mutation racing this request may have made newer than the stamp.
-	return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: computed, Coalesced: shared}, nil
+	return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: epoch}, nil
+}
+
+// computeTSDT is the slow path: one REROUTE computation against the
+// current blockage map, inside an admission ticket, reporting the epoch
+// the controller computed under.
+func (s *Service) computeTSDT(src, dst int) (core.Tag, uint64, error) {
+	if !s.adm.acquire() {
+		return core.Tag{}, 0, ErrOverload
+	}
+	defer s.adm.release()
+	if s.testComputeHook != nil {
+		s.testComputeHook(SchemeTSDT)
+	}
+	if s.slowCost > 0 {
+		time.Sleep(s.slowCost)
+	}
+	return s.ctl.ComputeTag(src, dst)
 }
 
 func (s *Service) validLink(l topology.Link) error {
@@ -736,51 +638,25 @@ func (s *Service) MapStats() controller.Stats { return s.ctl.Stats() }
 // controller to run a couple of rounds and adapt its threshold.
 func (s *Service) RetryAfter() int { return s.adm.retryAfter() }
 
-// Sweep reclaims stale TSDT cache entries (see tagCache.sweep); it returns
-// how many entries it removed. The service also sweeps automatically every
-// Config.SweepEvery epoch bumps, so serving neither requires an operator
-// call for memory nor (via the alias guard) for stamp-truncation safety.
-func (s *Service) Sweep() int {
-	removed := s.cache.sweep(s.ctl.Epoch())
-	s.sweeps.Add(1)
-	s.sweptTotal.Add(uint64(removed))
-	return removed
-}
-
-// Metrics snapshots the service counters. The cache population split and
-// the slab footprint come from one consistent per-shard pass
-// (tagCache.snapshot): counting entries and summing bytes in two separate
-// lock passes let a concurrent sweep rebuild shards in between, so a
-// scrape could pair a pre-sweep entry count with a post-sweep footprint
-// and report an impossible bits-per-route figure.
+// Metrics snapshots the service counters.
 func (s *Service) Metrics() Metrics {
-	live, stale, cacheBytes := s.cache.snapshot(s.ctl.Epoch())
+	epoch := s.ctl.Epoch()
 	m := Metrics{
-		N:                 s.p.Size(),
-		Epoch:             s.ctl.Epoch(),
-		Requests:          s.requests.Load(),
-		Unroutable:        s.unroutable.Load(),
-		Invalid:           s.invalid.Load(),
-		Faults:            s.faults.Load(),
-		Repairs:           s.repairs.Load(),
-		Invalidations:     s.invalidations.Load(),
-		CacheEntries:      live + stale,
-		CacheEntriesLive:  live,
-		CacheEntriesStale: stale,
-		CacheBytes:        cacheBytes,
-		Sweeps:            s.sweeps.Load(),
-		SweptTotal:        s.sweptTotal.Load(),
-		SSDT:              CacheStats{Hits: s.ssdtHits.Load()},
-		TSDT: CacheStats{
-			Hits:      s.tsdtHits.Load(),
-			Misses:    s.tsdtMisses.Load(),
-			Coalesced: s.tsdtCoalesced.Load(),
-		},
-		SlicedLanes:  s.slicedLanes.Load(),
-		SlicedBlocks: s.slicedBlocks.Load(),
-		Admission:    s.adm.metrics(),
-		Controller:   s.ctl.Stats(),
-		Draining:     s.Draining(),
+		N:             s.p.Size(),
+		Epoch:         epoch,
+		Requests:      s.requests.Load(),
+		Unroutable:    s.unroutable.Load(),
+		Invalid:       s.invalid.Load(),
+		Faults:        s.faults.Load(),
+		Repairs:       s.repairs.Load(),
+		Invalidations: epoch,
+		SSDT:          CacheStats{Hits: s.ssdtHits.Load()},
+		TSDT:          CacheStats{Misses: s.tsdtMisses.Load()},
+		SlicedLanes:   s.slicedLanes.Load(),
+		SlicedBlocks:  s.slicedBlocks.Load(),
+		Admission:     s.adm.metrics(),
+		Controller:    s.ctl.Stats(),
+		Draining:      s.Draining(),
 	}
 	m.BatchLatency = make([]BatchBucket, numBatchBands)
 	for i := range s.batchLat {

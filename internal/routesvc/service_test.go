@@ -18,8 +18,8 @@ func mustService(t *testing.T, cfg Config) *Service {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain waits for the service's asynchronous cache sweeps, so none
-	// outlives its test and frees memory inside another test's window.
+	// Drain stops the service's admission controller loop, so none
+	// outlives its test.
 	t.Cleanup(s.Drain)
 	return s
 }
@@ -42,12 +42,14 @@ func TestRouteBothSchemes(t *testing.T) {
 		if res.Cached != (scheme == SchemeSSDT) {
 			t.Errorf("%v first request cached=%v", scheme, res.Cached)
 		}
+		// TSDT recomputes every request (the service stores no tags) and
+		// gets the same tag back.
 		res2, err := s.Route(1, 6, scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res2.Cached || res2.Tag != res.Tag {
-			t.Errorf("%v second request not served from cache", scheme)
+		if res2.Cached != (scheme == SchemeSSDT) || res2.Tag != res.Tag {
+			t.Errorf("%v second request cached=%v tag %v, first tag %v", scheme, res2.Cached, res2.Tag, res.Tag)
 		}
 	}
 }
@@ -73,7 +75,7 @@ func TestRouteValidation(t *testing.T) {
 // subsequently served TSDT tag may route through a link blocked at request
 // time. Sequential churn makes "at request time" exact.
 func TestNoStaleTagAcrossFault(t *testing.T) {
-	s := mustService(t, Config{N: 16, Shards: 4})
+	s := mustService(t, Config{N: 16})
 	rng := rand.New(rand.NewSource(7))
 	p := s.Params()
 
@@ -132,7 +134,7 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 
 // TestSSDTEpochExempt checks Theorem 3.1's serving consequence: an SSDT
 // answer is a hit from every source and across every fault/repair, while
-// TSDT entries die with their epoch.
+// TSDT tags are computed against the current map.
 func TestSSDTEpochExempt(t *testing.T) {
 	s := mustService(t, Config{N: 8})
 	r1, err := s.Route(1, 5, SchemeSSDT)
@@ -165,7 +167,7 @@ func TestSSDTEpochExempt(t *testing.T) {
 		t.Error("SSDT answer after a fault not a hit (it must be epoch-exempt)")
 	}
 
-	// The TSDT entry for the same pair is NOT exempt.
+	// The TSDT tag for the same pair is NOT exempt.
 	if _, err := s.Route(1, 5, SchemeTSDT); err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +187,16 @@ func TestSSDTEpochExempt(t *testing.T) {
 	}
 }
 
-// TestCoalescing holds one computation open and checks a thundering herd
-// on the same key computes exactly once.
+// TestCoalescing pins that TSDT requests no longer coalesce: concurrent
+// requests for one pair are independent computations under the
+// controller's read lock. All G requests are inside the compute hook at
+// once — none waits on another's computation — and all return the same
+// tag, one miss each.
 func TestCoalescing(t *testing.T) {
 	s := mustService(t, Config{N: 32})
 	const G = 8
 	gate := make(chan struct{})
-	entered := make(chan struct{}, G+1)
+	entered := make(chan struct{}, G)
 	s.testComputeHook = func(Scheme) {
 		entered <- struct{}{}
 		<-gate
@@ -210,34 +215,25 @@ func TestCoalescing(t *testing.T) {
 			results[g] = res
 		}(g)
 	}
-
-	<-entered // the leader is inside compute
-	// Wait until every goroutine has entered route() (each bumps the
-	// request counter first), give the stragglers a beat to reach the
-	// flight, then release the leader.
-	for s.requests.Load() != G {
-		time.Sleep(time.Millisecond)
+	for g := 0; g < G; g++ {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(gate)
+			wg.Wait()
+			t.Fatalf("only %d of %d computations in flight at once", g, G)
+		}
 	}
-	time.Sleep(100 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 
 	m := s.Metrics()
-	if m.TSDT.Misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 compute for the herd", m.TSDT.Misses)
+	if m.TSDT.Misses != G || m.TSDT.Hits != 0 || m.TSDT.Coalesced != 0 {
+		t.Errorf("tsdt stats %+v, want %d misses and no hits or joins", m.TSDT, G)
 	}
-	if m.TSDT.Hits != G-1 {
-		t.Errorf("hits = %d, want %d", m.TSDT.Hits, G-1)
-	}
-	if m.TSDT.Coalesced == 0 {
-		t.Error("no request reported coalesced")
-	}
-	if len(entered) != 0 {
-		t.Errorf("%d extra computations started", len(entered))
-	}
-	for g := 1; g < G; g++ {
-		if results[g].Tag != results[0].Tag {
-			t.Errorf("herd members got different tags")
+	for g := 0; g < G; g++ {
+		if results[g].Tag != results[0].Tag || results[g].Cached || results[g].Coalesced {
+			t.Errorf("request %d: %+v, want request 0's tag %v, computed", g, results[g], results[0].Tag)
 		}
 	}
 }
@@ -318,7 +314,7 @@ func TestRouteBatch(t *testing.T) {
 	}
 	results, err := s.RouteBatch([]Request{
 		{Src: 1, Dst: 6, Scheme: SchemeTSDT},
-		{Src: 1, Dst: 6, Scheme: SchemeTSDT},  // same key: cache hit
+		{Src: 1, Dst: 6, Scheme: SchemeTSDT},  // same key: same tag, computed again
 		{Src: 5, Dst: 5, Scheme: SchemeTSDT},  // unroutable
 		{Src: 0, Dst: 99, Scheme: SchemeSSDT}, // invalid
 	})
@@ -328,8 +324,8 @@ func TestRouteBatch(t *testing.T) {
 	if results[0].Err != nil || results[1].Err != nil {
 		t.Fatalf("routable items failed: %v / %v", results[0].Err, results[1].Err)
 	}
-	if !results[1].Cached {
-		t.Error("duplicate batch item missed the cache")
+	if results[1].Cached || results[1].Tag != results[0].Tag {
+		t.Errorf("duplicate batch item cached=%v tag %v, want a fresh %v", results[1].Cached, results[1].Tag, results[0].Tag)
 	}
 	if !errors.Is(results[2].Err, core.ErrNoPath) {
 		t.Errorf("unroutable item err = %v", results[2].Err)
@@ -368,34 +364,10 @@ func TestRouteBatch(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	s := mustService(t, Config{N: 8, Shards: 2})
-	for d := 0; d < 8; d++ {
-		if _, err := s.Route(0, d, SchemeTSDT); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Route(0, d, SchemeSSDT); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Metrics().CacheEntries; got != 8 {
-		t.Fatalf("cache entries = %d, want the 8 TSDT ones (SSDT stores nothing)", got)
-	}
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus}); err != nil {
-		t.Fatal(err)
-	}
-	if removed := s.Sweep(); removed != 8 {
-		t.Errorf("sweep removed %d entries, want the 8 stale TSDT ones", removed)
-	}
-	if got := s.Metrics().CacheEntries; got != 0 {
-		t.Errorf("cache entries after sweep = %d, want 0", got)
-	}
-}
-
 // TestConcurrentChurn races routers against fault churn under the race
 // detector and then checks counter conservation.
 func TestConcurrentChurn(t *testing.T) {
-	s := mustService(t, Config{N: 32, Shards: 8})
+	s := mustService(t, Config{N: 32})
 	const G, R = 8, 300
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -494,5 +466,60 @@ func TestSlicedBatchMetrics(t *testing.T) {
 	}
 	if got := s.Metrics().SlicedLanes; got != 433 {
 		t.Errorf("Route must not touch the sliced counters, SlicedLanes = %d", got)
+	}
+}
+
+// TestTSDTBatchAllocs: a TSDT computation touches no heap, so a 64-item
+// batch of pairs never requested before, on a faulted net, allocates only
+// its results and their shared link array (3 under -race). Minus-only
+// faults keep every walk on the flip path (no straight or
+// double-nonstraight blockage, so no BACKTRACK).
+func TestTSDTBatchAllocs(t *testing.T) {
+	const budget = 3
+	s := mustService(t, Config{N: 1024})
+	p := s.Params()
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 400; k++ {
+		if _, err := s.ReportFault(topology.Link{Stage: rng.Intn(p.Stages()), From: rng.Intn(p.Size()), Kind: topology.Minus}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One batch per AllocsPerRun call (its warm-up included), no pair
+	// repeated across them.
+	const runs = 50
+	seen := make(map[[2]int]bool)
+	batches := make([][]Request, runs+1)
+	for b := range batches {
+		batches[b] = make([]Request, 64)
+		for i := range batches[b] {
+			pr := [2]int{rng.Intn(p.Size()), rng.Intn(p.Size())}
+			for seen[pr] {
+				pr = [2]int{rng.Intn(p.Size()), rng.Intn(p.Size())}
+			}
+			seen[pr] = true
+			batches[b][i] = Request{Src: pr[0], Dst: pr[1], Scheme: SchemeTSDT}
+		}
+	}
+	flipped, next := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		out, err := s.RouteBatch(batches[next])
+		next++
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range out {
+			if res.Err != nil {
+				t.Fatalf("item %d: %v", i, res.Err)
+			}
+			if res.Tag.StateBits() != 0 {
+				flipped++
+			}
+		}
+	})
+	if flipped == 0 {
+		t.Fatal("no item needed a flip; the faults miss every path")
+	}
+	if allocs > budget {
+		t.Fatalf("64-item TSDT batch: %.1f allocations, budget %d (results + links)", allocs, budget)
 	}
 }

@@ -17,9 +17,8 @@
 #      workers than any backend's admission slots, so nothing sheds),
 #      client p50 latency is measured twice — straight at one backend,
 #      then through the router — and the router may add at most 15
-#      percent. Every request costs a fresh -slow-cost compute, i.e. the
-#      overhead is judged against real slow-path work, not against a
-#      cache hit that nothing would proxy.
+#      percent. Every request costs a -slow-cost compute, i.e. the
+#      overhead is judged against real slow-path work.
 #
 #   3. fast path: a fresh 3-backend fleet with no -slow-cost, behind a
 #      router with iadmfleet's defaults (no hedging), serves SSDT
@@ -173,8 +172,7 @@ fi
 
 # Light load on the same slow-path-bound fleet: fewer workers than one
 # backend's admission slots, so nothing sheds and every request pays one
-# -slow-cost compute. Fresh seeds keep the TSDT pairs unseen (a cache
-# hit would dodge the work the overhead is judged against).
+# -slow-cost compute.
 echo "fleet-smoke: phase 2, p50 overhead (budget 15%)"
 direct_addr=$(cat "$tmp/cap0.port")
 "$tmp/iadmload" -addr "$direct_addr" -workers 2 -duration 1500ms \

@@ -131,8 +131,10 @@ serve-smoke:
 # to stay within 4x the best direct one, and a mixed phase serving 4
 # partitions of batch-heavy traffic while fault/repair churn stays
 # confined to partition p0 (zero 5xx, no SSDT request on the slow path,
-# every other partition's epoch untouched), ending in a clean drain of
-# the router and then every backend.
+# every other partition's epoch untouched, the router's merged
+# backend_latency /route and /route/batch counts equal to the sums of
+# the backends' own), ending in a clean drain of the router and then
+# every backend.
 fleet-smoke:
 	GO='$(GO)' sh scripts/fleet_smoke.sh
 
@@ -143,8 +145,9 @@ fuzz:
 # optimized-vs-reference differential oracles (packet and wormhole
 # modes), the packed-path round-trip/accessor-parity check, the
 # sliced-vs-packed kernel parity oracle, the fast REROUTE walk against
-# the paper-faithful REROUTE on random fault maps, and the wire codec
-# against its encoding/json oracle, 10s each.
+# the paper-faithful REROUTE on random fault maps, the wire codec
+# against its encoding/json oracle, and the latency histogram's merge
+# against recording in sequence, 10s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRingQueue -fuzztime 10s ./internal/simulator
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/refsim
@@ -153,3 +156,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSlicedParity -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRerouteTag -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/routesvc
+	$(GO) test -run '^$$' -fuzz FuzzLatency -fuzztime 10s ./internal/stats

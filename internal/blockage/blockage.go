@@ -15,6 +15,7 @@ package blockage
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -25,16 +26,15 @@ import (
 // Set is a set of blocked links of an IADM network of fixed size. The zero
 // value is not usable; use NewSet.
 //
-// Besides the per-link membership it maintains two derived views kept
-// exactly in sync by Block/Unblock: a per-stage blocked-link count
-// (StageCount — the sliced routing kernels gate their lane-parallel fast
-// path on a stage having zero blockages) and, per (stage, kind), a bitmask
-// over switch indices (StageMask — bit j of word j/64 set iff the kind link
-// leaving switch j at that stage is blocked), which lets per-lane fallback
+// Membership is stored once, per (stage, kind), as a bitmask over switch
+// indices (StageMask — bit j of word j/64 set iff the kind link leaving
+// switch j at that stage is blocked), which also lets per-lane fallback
 // code test a link with one shift instead of recomputing link indices.
+// Block/Unblock keep a per-stage blocked-link count in sync with it
+// (StageCount — the sliced routing kernels gate their lane-parallel fast
+// path on a stage having zero blockages).
 type Set struct {
 	p          topology.Params
-	blocked    []bool
 	count      int
 	stageCount []int
 	masks      []uint64 // 3*Stages() planes of maskWords words each
@@ -47,7 +47,6 @@ func NewSet(p topology.Params) *Set {
 	words := (p.Size() + 63) / 64
 	return &Set{
 		p:          p,
-		blocked:    make([]bool, 3*p.Size()*p.Stages()),
 		stageCount: make([]int, p.Stages()),
 		masks:      make([]uint64, 3*p.Stages()*words),
 		maskWords:  words,
@@ -62,31 +61,36 @@ func (s *Set) plane(stage int, kind topology.LinkKind) int {
 	return (stage*3 + int(kind)) * s.maskWords
 }
 
+// word returns the mask word holding the link's bit, and the bit.
+func (s *Set) word(l topology.Link) (*uint64, uint64) {
+	return &s.masks[s.plane(l.Stage, l.Kind)+int(uint(l.From)/64)], 1 << (uint(l.From) % 64)
+}
+
 // Block marks the link as blocked. Blocking an already blocked link is a
 // no-op.
 func (s *Set) Block(l topology.Link) {
-	idx := l.Index(s.p)
-	if !s.blocked[idx] {
-		s.blocked[idx] = true
+	w, bit := s.word(l)
+	if *w&bit == 0 {
+		*w |= bit
 		s.count++
 		s.stageCount[l.Stage]++
-		s.masks[s.plane(l.Stage, l.Kind)+l.From/64] |= 1 << uint(l.From%64)
 	}
 }
 
 // Unblock clears the link's blocked mark.
 func (s *Set) Unblock(l topology.Link) {
-	idx := l.Index(s.p)
-	if s.blocked[idx] {
-		s.blocked[idx] = false
+	w, bit := s.word(l)
+	if *w&bit != 0 {
+		*w &^= bit
 		s.count--
 		s.stageCount[l.Stage]--
-		s.masks[s.plane(l.Stage, l.Kind)+l.From/64] &^= 1 << uint(l.From%64)
 	}
 }
 
 // Blocked reports whether the link is blocked.
-func (s *Set) Blocked(l topology.Link) bool { return s.blocked[l.Index(s.p)] }
+func (s *Set) Blocked(l topology.Link) bool {
+	return s.masks[s.plane(l.Stage, l.Kind)+int(uint(l.From)/64)]>>(uint(l.From)%64)&1 != 0
+}
 
 // Count returns the number of blocked links.
 func (s *Set) Count() int { return s.count }
@@ -106,9 +110,6 @@ func (s *Set) StageMask(i int, kind topology.LinkKind) []uint64 {
 
 // Clear removes all blockages.
 func (s *Set) Clear() {
-	for i := range s.blocked {
-		s.blocked[i] = false
-	}
 	for i := range s.stageCount {
 		s.stageCount[i] = 0
 	}
@@ -122,13 +123,11 @@ func (s *Set) Clear() {
 func (s *Set) Clone() *Set {
 	c := &Set{
 		p:          s.p,
-		blocked:    make([]bool, len(s.blocked)),
 		count:      s.count,
 		stageCount: make([]int, len(s.stageCount)),
 		masks:      make([]uint64, len(s.masks)),
 		maskWords:  s.maskWords,
 	}
-	copy(c.blocked, s.blocked)
 	copy(c.stageCount, s.stageCount)
 	copy(c.masks, s.masks)
 	return c
@@ -137,9 +136,20 @@ func (s *Set) Clone() *Set {
 // Links returns the blocked links in deterministic (index) order.
 func (s *Set) Links() []topology.Link {
 	out := make([]topology.Link, 0, s.count)
-	for idx, b := range s.blocked {
-		if b {
-			out = append(out, topology.LinkFromIndex(s.p, idx))
+	for i := 0; i < s.p.Stages(); i++ {
+		minus, straight, plus := s.StageMask(i, topology.Minus), s.StageMask(i, topology.Straight), s.StageMask(i, topology.Plus)
+		for w := range minus {
+			// Link index order is switch-major, kind-minor: visit the
+			// switches with any blocked link in order, then their kinds.
+			for sw := minus[w] | straight[w] | plus[w]; sw != 0; sw &= sw - 1 {
+				b := bits.TrailingZeros64(sw)
+				j := w*64 + b
+				for k, m := range [3]uint64{minus[w], straight[w], plus[w]} {
+					if m>>uint(b)&1 != 0 {
+						out = append(out, topology.Link{Stage: i, From: j, Kind: topology.LinkKind(k)})
+					}
+				}
+			}
 		}
 	}
 	return out
@@ -219,8 +229,8 @@ const (
 func (s *Set) RandomLinks(rng *rand.Rand, count int) {
 	total := 3 * s.p.Size() * s.p.Stages()
 	free := make([]int, 0, total-s.count)
-	for idx, b := range s.blocked {
-		if !b {
+	for idx := 0; idx < total; idx++ {
+		if !s.Blocked(topology.LinkFromIndex(s.p, idx)) {
 			free = append(free, idx)
 		}
 	}

@@ -2,6 +2,7 @@ package blockage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iadm/internal/topology"
@@ -212,5 +213,85 @@ func TestStringRendering(t *testing.T) {
 	s.Block(topology.Link{Stage: 0, From: 1, Kind: topology.Straight})
 	if s.String() == "{}" {
 		t.Error("non-empty set rendered empty")
+	}
+}
+
+// TestMasksMatchIndexOracle drives random Block/Unblock/RandomLinks
+// sequences against a per-link-index bool slice and requires the
+// mask-only Set to agree on every link, on Links (in index order), on the
+// counts, and on which links a seeded RandomLinks picks.
+func TestMasksMatchIndexOracle(t *testing.T) {
+	for _, N := range []int{2, 8, 128, 1024} {
+		p := params(t, N)
+		total := 3 * N * p.Stages()
+		rng := rand.New(rand.NewSource(int64(N)))
+		s, oracle := NewSet(p), make([]bool, total)
+		check := func(step string) {
+			t.Helper()
+			var want []topology.Link
+			stage := make([]int, p.Stages())
+			for idx, b := range oracle {
+				l := topology.LinkFromIndex(p, idx)
+				if s.Blocked(l) != b {
+					t.Fatalf("N=%d %s: Blocked(%v)=%v, want %v", N, step, l, !b, b)
+				}
+				if b {
+					want = append(want, l)
+					stage[l.Stage]++
+				}
+			}
+			got := s.Links()
+			if len(got) != len(want) || s.Count() != len(want) {
+				t.Fatalf("N=%d %s: %d links, count %d, want %d", N, step, len(got), s.Count(), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("N=%d %s: Links[%d]=%v, want %v", N, step, i, got[i], want[i])
+				}
+			}
+			for i, c := range stage {
+				if s.StageCount(i) != c {
+					t.Fatalf("N=%d %s: StageCount(%d)=%d, want %d", N, step, i, s.StageCount(i), c)
+				}
+			}
+		}
+		for round := 0; round < 20; round++ {
+			for k := 0; k < 1+total/20; k++ {
+				idx := rng.Intn(total)
+				if rng.Intn(3) == 0 {
+					s.Unblock(topology.LinkFromIndex(p, idx))
+					oracle[idx] = false
+				} else {
+					s.Block(topology.LinkFromIndex(p, idx))
+					oracle[idx] = true
+				}
+			}
+			check("block/unblock")
+			// RandomLinks draws from the unblocked links in index order, so a
+			// seed picks the same links the index-slice layout picked.
+			seed := rng.Int63()
+			var free []int
+			for idx, b := range oracle {
+				if !b {
+					free = append(free, idx)
+				}
+			}
+			n := min(rng.Intn(8), len(free))
+			r := rand.New(rand.NewSource(seed))
+			r.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+			for _, idx := range free[:n] {
+				oracle[idx] = true
+			}
+			s.RandomLinks(rand.New(rand.NewSource(seed)), n)
+			check("RandomLinks")
+			if round%5 == 4 {
+				c, saved := s.Clone(), slices.Clone(oracle)
+				s.Clear()
+				clear(oracle)
+				check("Clear")
+				s, oracle = c, saved
+				check("Clone")
+			}
+		}
 	}
 }

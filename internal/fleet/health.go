@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"maps"
 	"net/http"
 	"sync"
 	"time"
@@ -46,22 +47,27 @@ type BackendMetrics struct {
 }
 
 // FleetMetricsJSON is the router-level section of the /metrics document.
+// RouterLatency repeats the router-observed endpoint histograms;
+// BackendLatency is the exact merge of the scraped backends' endpoint
+// histograms, the fleet-wide server-side latency.
 type FleetMetricsJSON struct {
-	Backends      []BackendMetrics                 `json:"backends"`
-	Hedges        uint64                           `json:"hedges_total"`
-	Retries       uint64                           `json:"retries_total"`
-	RetryBudget   float64                          `json:"retry_budget_fraction"`
-	Batches       uint64                           `json:"batches_total"`
-	SubBatches    uint64                           `json:"sub_batches_total"`
-	ScrapeErrors  int                              `json:"scrape_errors"`
-	RouterLatency map[string]routesvc.EndpointJSON `json:"router_latency"`
+	Backends       []BackendMetrics                 `json:"backends"`
+	Hedges         uint64                           `json:"hedges_total"`
+	Retries        uint64                           `json:"retries_total"`
+	RetryBudget    float64                          `json:"retry_budget_fraction"`
+	Batches        uint64                           `json:"batches_total"`
+	SubBatches     uint64                           `json:"sub_batches_total"`
+	ScrapeErrors   int                              `json:"scrape_errors"`
+	RouterLatency  map[string]routesvc.EndpointJSON `json:"router_latency"`
+	BackendLatency map[string]routesvc.EndpointJSON `json:"backend_latency"`
 }
 
 // MetricsJSON is the router's /metrics document: the merged backend
 // scrape in the exact shape of a single backend's /metrics (so load
 // generators and dashboards pointed at the router keep working), plus a
 // "fleet" section with the router's own state. Endpoints carries the
-// ROUTER-observed latency — the latency clients actually experience.
+// ROUTER-observed latency — the latency clients actually experience —
+// and Fleet.BackendLatency the backends' merged histograms.
 type MetricsJSON struct {
 	routesvc.MetricsJSON
 	Fleet FleetMetricsJSON `json:"fleet"`
@@ -108,8 +114,8 @@ func (rt *Router) Metrics() MetricsJSON {
 	}
 	// The router's own failures join the cluster totals: a 502 the router
 	// manufactured is a 5xx the client saw, whichever host it blames.
-	out.HTTP5xx += rt.http5xx.Load()
-	out.HTTP429 += rt.http429.Load()
+	out.HTTP5xx += rt.rec.HTTP5xx()
+	out.HTTP429 += rt.rec.HTTP429()
 	out.UptimeSec = time.Since(rt.start).Seconds()
 
 	out.Fleet.Hedges = rt.hedges.Load()
@@ -117,25 +123,9 @@ func (rt *Router) Metrics() MetricsJSON {
 	out.Fleet.RetryBudget = rt.budget.frac
 	out.Fleet.Batches = rt.batches.Load()
 	out.Fleet.SubBatches = rt.subs.Load()
-	out.Fleet.RouterLatency = make(map[string]routesvc.EndpointJSON, len(rt.eps))
-	eps := make(map[string]routesvc.EndpointJSON, len(rt.eps))
-	for path, ls := range rt.eps {
-		ls.mu.Lock()
-		e := routesvc.EndpointJSON{
-			Count:  ls.st.N(),
-			MeanUS: ls.st.Mean(),
-			P50US:  ls.st.Percentile(50),
-			P90US:  ls.st.Percentile(90),
-			P99US:  ls.st.Percentile(99),
-			MaxUS:  ls.st.Max(),
-		}
-		ls.mu.Unlock()
-		eps[path] = e
-		out.Fleet.RouterLatency[path] = e
-	}
-	// MergeMetricsJSON drops backend endpoint latencies (cross-host
-	// percentiles do not merge); publish the router's own instead.
-	out.Endpoints = eps
+	out.Fleet.BackendLatency = out.Endpoints
+	out.Endpoints = rt.rec.Endpoints()
+	out.Fleet.RouterLatency = maps.Clone(out.Endpoints)
 	return out
 }
 

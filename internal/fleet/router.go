@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"iadm/internal/routesvc"
-	"iadm/internal/stats"
 )
 
 // Config parameterizes a Router.
@@ -115,32 +114,18 @@ type Router struct {
 	ring  *Ring
 	bks   []*backend
 	n     int // network size, learned from the startup probe
-	mux   *http.ServeMux
+	rec   *routesvc.Recorder
 	start time.Time
 
 	budget  retryBudget
 	hedges  atomic.Uint64
 	batches atomic.Uint64 // /route/batch requests
 	subs    atomic.Uint64 // sub-batches fanned out
-	http5xx atomic.Uint64
-	http429 atomic.Uint64
-
-	eps map[string]*latStream
 
 	drainMu  sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup
 }
-
-type latStream struct {
-	mu sync.Mutex
-	st stats.Stream
-}
-
-const (
-	latBucketUS = 5
-	latBuckets  = 4096
-)
 
 // New builds a Router over cfg.Backends. It does not contact them;
 // call Probe before serving.
@@ -158,20 +143,19 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:   cfg,
 		ring:  ring,
-		mux:   http.NewServeMux(),
+		rec:   routesvc.NewRecorder(),
 		start: time.Now(),
-		eps:   make(map[string]*latStream),
 	}
 	rt.budget.frac, rt.budget.burst = cfg.RetryFraction, cfg.RetryBurst
 	for _, base := range ring.Backends() {
 		rt.bks = append(rt.bks, &backend{base: base, client: routesvc.NewClient(base, cfg.Timeout)})
 	}
-	rt.handle("/route", rt.routeOne)
-	rt.handle("/route/batch", rt.routeBatch)
-	rt.handle("/fault", rt.fault)
-	rt.handle("/repair", rt.repair)
-	rt.handle("/healthz", rt.healthz)
-	rt.handle("/metrics", rt.metrics)
+	rt.rec.Handle("/route", rt.gated(rt.routeOne))
+	rt.rec.Handle("/route/batch", rt.gated(rt.routeBatch))
+	rt.rec.Handle("/fault", rt.gated(rt.fault))
+	rt.rec.Handle("/repair", rt.gated(rt.repair))
+	rt.rec.Handle("/healthz", rt.gated(rt.healthz))
+	rt.rec.Handle("/metrics", rt.gated(rt.metrics))
 	return rt, nil
 }
 
@@ -202,7 +186,7 @@ func (rt *Router) N() int { return rt.n }
 func (rt *Router) Ring() *Ring { return rt.ring }
 
 // ServeHTTP implements http.Handler.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.rec.ServeHTTP(w, r) }
 
 // Drain refuses new requests and waits for in-flight proxying (including
 // fault fan-outs) to finish. The backends are NOT drained — they outlive
@@ -235,39 +219,17 @@ func (rt *Router) begin() error {
 
 func (rt *Router) end() { rt.inflight.Done() }
 
-func (rt *Router) handle(path string, fn func(http.ResponseWriter, *http.Request)) {
-	ls := &latStream{st: stats.NewStream(latBucketUS, latBuckets)}
-	rt.eps[path] = ls
-	rt.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+// gated refuses fn's requests once Drain has begun and counts the rest
+// in flight, so Drain can wait for them.
+func (rt *Router) gated(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		if err := rt.begin(); err != nil {
 			writeErrJSON(w, http.StatusServiceUnavailable, err, "draining", 0)
 			return
 		}
 		defer rt.end()
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r)
-		switch {
-		case sw.code >= 500 && sw.code != http.StatusServiceUnavailable:
-			rt.http5xx.Add(1)
-		case sw.code == http.StatusTooManyRequests:
-			rt.http429.Add(1)
-		}
-		us := float64(time.Since(t0).Microseconds())
-		ls.mu.Lock()
-		ls.st.Add(us)
-		ls.mu.Unlock()
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
+		fn(w, r)
+	}
 }
 
 // writeJSON answers the router's cold endpoints (/fault, /repair,

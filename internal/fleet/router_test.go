@@ -3,10 +3,12 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -525,5 +527,162 @@ func TestFleetProbeMismatchedN(t *testing.T) {
 	}
 	if err := rt.Probe(); err == nil {
 		t.Fatal("probe accepted backends with mismatched N")
+	}
+}
+
+// serveEveryEndpoint sends one request to each endpoint the router serves,
+// in process.
+func serveEveryEndpoint(t *testing.T, h http.Handler) {
+	t.Helper()
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodGet, "/route?src=0&dst=1&scheme=ssdt", ""},
+		{http.MethodPost, "/route/batch", `{"requests":[{"src":0,"dst":1,"scheme":"tsdt"}]}`},
+		{http.MethodPost, "/fault", `{"links":["0:3:+"]}`},
+		{http.MethodPost, "/repair", `{"links":["0:3:+"]}`},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", c.method, c.path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestRouterFootprint bounds what a Router keeps resident once every
+// endpoint has served: its latency histograms grow on demand, so 16
+// routers stay within 16 KiB each (six preallocated 4,096-bucket streams
+// would be 192 KiB each). The backend closes every connection after
+// answering, and the test waits for it to, so no keep-alive connection's
+// buffers, on either side, count against the routers; one router served
+// before the baseline fills the process-wide caches (encoding/json's type
+// cache and the like) that no router owns.
+func TestRouterFootprint(t *testing.T) {
+	m := routesvc.NewMulti(routesvc.Config{N: 64, Admission: routesvc.AdmissionConfig{Disabled: true}}, 4)
+	t.Cleanup(m.Drain)
+	h := routesvc.NewMultiHandler(m)
+	// open counts the backend's connections. A connection is accepted
+	// (StateNew) before its request is served, so once a router's calls
+	// have returned, every connection they opened is counted.
+	var mu sync.Mutex
+	closed := sync.NewCond(&mu)
+	open := 0
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Connection", "close")
+		h.ServeHTTP(w, r)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			open++
+		case http.StateClosed, http.StateHijacked:
+			open--
+			closed.Broadcast()
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	build := func() *Router {
+		rt, err := New(Config{Backends: []string{srv.URL}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Probe(); err != nil {
+			t.Fatal(err)
+		}
+		serveEveryEndpoint(t, rt)
+		return rt
+	}
+	heap := func() int64 {
+		mu.Lock()
+		for open > 0 {
+			closed.Wait()
+		}
+		mu.Unlock()
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	primer := build()
+	const routers = 16
+	rts := make([]*Router, routers)
+	before := heap()
+	for i := range rts {
+		rts[i] = build()
+	}
+	delta := heap() - before
+	runtime.KeepAlive(primer)
+	runtime.KeepAlive(rts)
+	if delta > routers*16<<10 {
+		t.Fatalf("%d routers hold %d KiB (%d KiB each), budget 16 KiB each", routers, delta>>10, delta/routers>>10)
+	}
+	t.Logf("%d routers hold %d KiB", routers, delta>>10)
+}
+
+// TestFleetBackendLatencyMerge: after traffic through three backends, the
+// router's fleet.backend_latency for /route and /route/batch is the exact
+// merge of the backends' own endpoint histograms — counts sum, the max is
+// the largest backend max — while endpoints stays router-observed.
+func TestFleetBackendLatencyMerge(t *testing.T) {
+	f := newTestFleet(t, 3, Config{Replicas: 2})
+	srv := httptest.NewServer(f.rt)
+	defer srv.Close()
+	c := routesvc.NewClient(srv.URL, 5*time.Second)
+	var bin routesvc.BatchJSON
+	for i := 0; i < 60; i++ {
+		net := fmt.Sprintf("p%d", i%4)
+		if _, err := c.Route(net, i%64, (i*7)%64, routesvc.SchemeTSDT); err != nil {
+			t.Fatal(err)
+		}
+		bin.Requests = append(bin.Requests, routesvc.RouteJSON{Net: net, Src: i % 64, Dst: (i * 5) % 64, Scheme: "ssdt"})
+		if i%10 == 9 {
+			if _, err := c.RouteBatch(bin.Requests); err != nil {
+				t.Fatal(err)
+			}
+			bin.Requests = bin.Requests[:0]
+		}
+	}
+	// Scrape the backends first: the router's own scrape lands on their
+	// /metrics endpoints, not on the two compared here.
+	var backends []routesvc.MetricsJSON
+	for _, s := range f.srvs {
+		m, err := routesvc.NewClient(s.URL, 5*time.Second).Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, m)
+	}
+	m := f.rt.Metrics()
+	for _, path := range []string{"/route", "/route/batch"} {
+		var count int
+		var maxUS float64
+		var sumUS uint64
+		for _, b := range backends {
+			e := b.Endpoints[path]
+			count += e.Count
+			maxUS = max(maxUS, e.MaxUS)
+			sumUS += e.SumUS
+		}
+		got, ok := m.Fleet.BackendLatency[path]
+		if !ok || got.Count != count || got.MaxUS != maxUS || got.SumUS != sumUS {
+			t.Fatalf("%s: backend_latency %+v, want count %d max %v sum %d", path, got, count, maxUS, sumUS)
+		}
+		if got.P50US > got.P99US || got.P99US > got.MaxUS {
+			t.Fatalf("%s: merged percentiles out of order: %+v", path, got)
+		}
+	}
+	if got := m.Endpoints["/route"].Count; got != 60 {
+		t.Fatalf("router-observed /route count %d, want 60", got)
+	}
+	if got := m.Endpoints["/route/batch"].Count; got != 6 {
+		t.Fatalf("router-observed /route/batch count %d, want 6", got)
+	}
+	if b := m.Fleet.BackendLatency["/route/batch"].Count; b < 6 {
+		t.Fatalf("backends saw %d /route/batch calls for 6 routed batches", b)
 	}
 }

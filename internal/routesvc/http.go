@@ -8,12 +8,10 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iadm/internal/controller"
 	"iadm/internal/core"
-	"iadm/internal/stats"
 	"iadm/internal/topology"
 )
 
@@ -26,8 +24,11 @@ import (
 //	GET      /healthz      liveness + drain state
 //	GET      /metrics      JSON metrics (request counters, epoch, latency)
 //
-// Per-endpoint latency is recorded in a stats.Stream (microsecond
-// buckets) and reported by /metrics alongside the Service counters.
+// Every endpoint is served through a Recorder, which records each call's
+// latency in a log-bucketed stats.Latency histogram (microseconds, exact
+// below 64 µs and within 1/32 above) and counts 5xx and 429 answers;
+// /metrics ships the histograms in a sparse form that MergeMetricsJSON
+// merges exactly across backends.
 //
 // Overload: slow-path requests shed by admission control answer 429 with
 // a Retry-After header; batch items shed inside a 200 response carry
@@ -41,29 +42,9 @@ import (
 type Handler struct {
 	svc   *Service // single-network mode (NewHandler)
 	multi *Multi   // multi-network mode (NewMultiHandler)
-	mux   *http.ServeMux
+	rec   *Recorder
 	start time.Time
-
-	eps map[string]*epStream
-
-	http5xx atomic.Uint64
-	http429 atomic.Uint64
 }
-
-// epStream is one endpoint's latency recorder. Each endpoint owns its
-// lock, so hot /route traffic never serializes against /metrics or
-// /route/batch recording.
-type epStream struct {
-	mu sync.Mutex
-	st stats.Stream
-}
-
-// Latency histogram geometry: 5 µs buckets spanning 20 ms; slower
-// responses land in the overflow bin and report as Max.
-const (
-	latBucketUS = 5
-	latBuckets  = 4096
-)
 
 // NewHandler wraps one service in its HTTP API (single-network mode).
 func NewHandler(svc *Service) *Handler {
@@ -81,54 +62,18 @@ func NewMultiHandler(m *Multi) *Handler {
 }
 
 func newHandler() *Handler {
-	h := &Handler{
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		eps:   make(map[string]*epStream),
-	}
-	h.handle("/route", h.routeOne)
-	h.handle("/route/batch", h.routeBatch)
-	h.handle("/fault", h.fault)
-	h.handle("/repair", h.repair)
-	h.handle("/healthz", h.healthz)
-	h.handle("/metrics", h.metrics)
+	h := &Handler{rec: NewRecorder(), start: time.Now()}
+	h.rec.Handle("/route", h.routeOne)
+	h.rec.Handle("/route/batch", h.routeBatch)
+	h.rec.Handle("/fault", h.fault)
+	h.rec.Handle("/repair", h.repair)
+	h.rec.Handle("/healthz", h.healthz)
+	h.rec.Handle("/metrics", h.metrics)
 	return h
 }
 
 // ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
-
-// statusWriter captures the response code so the wrapper can count 5xx.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (h *Handler) handle(path string, fn func(http.ResponseWriter, *http.Request)) {
-	es := &epStream{st: stats.NewStream(latBucketUS, latBuckets)}
-	h.eps[path] = es
-	h.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r)
-		switch {
-		case sw.code >= 500 && sw.code != http.StatusServiceUnavailable:
-			// Drain refusals are intentional; anything else 5xx is a bug.
-			h.http5xx.Add(1)
-		case sw.code == http.StatusTooManyRequests:
-			h.http429.Add(1)
-		}
-		us := float64(time.Since(t0).Microseconds())
-		es.mu.Lock()
-		es.st.Add(us)
-		es.mu.Unlock()
-	})
-}
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.rec.ServeHTTP(w, r) }
 
 // writeJSON answers the cold endpoints (/fault, /repair, /healthz,
 // /metrics) through encoding/json; /route and /route/batch answer through
@@ -573,16 +518,6 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// EndpointJSON summarizes one endpoint's latency distribution.
-type EndpointJSON struct {
-	Count  int     `json:"count"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P90US  float64 `json:"p90_us"`
-	P99US  float64 `json:"p99_us"`
-	MaxUS  float64 `json:"max_us"`
-}
-
 // MetricsJSON is the wire form of /metrics. Service carries the request
 // counters (see Metrics); Controller carries the inner controller's
 // REROUTE counters and map size.
@@ -651,22 +586,10 @@ func (h *Handler) Metrics() MetricsJSON {
 			CacheEntries: m.Controller.CacheEntries,
 			BlockedLinks: m.Controller.BlockedLinks,
 		},
-		Endpoints: make(map[string]EndpointJSON, len(h.eps)),
-		HTTP5xx:   h.http5xx.Load(),
-		HTTP429:   h.http429.Load(),
+		Endpoints: h.rec.Endpoints(),
+		HTTP5xx:   h.rec.HTTP5xx(),
+		HTTP429:   h.rec.HTTP429(),
 		UptimeSec: time.Since(h.start).Seconds(),
-	}
-	for path, es := range h.eps {
-		es.mu.Lock()
-		out.Endpoints[path] = EndpointJSON{
-			Count:  es.st.N(),
-			MeanUS: es.st.Mean(),
-			P50US:  es.st.Percentile(50),
-			P90US:  es.st.Percentile(90),
-			P99US:  es.st.Percentile(99),
-			MaxUS:  es.st.Max(),
-		}
-		es.mu.Unlock()
 	}
 	return out
 }

@@ -96,10 +96,11 @@ func finalizeMetrics(m *Metrics) {
 
 // MergeMetricsJSON folds one scraped /metrics document into dst: the
 // service and controller counters merge like MergeMetrics, the HTTP
-// error counters add, and per-endpoint latency streams are dropped
-// (percentiles from distinct hosts do not merge; callers that need them
-// keep the per-target documents). iadmload -targets and the fleet
-// router both aggregate scrapes with this.
+// error counters add, and per-endpoint latency histograms merge exactly
+// by path, their summary fields recomputed from the merged buckets. An
+// endpoint of another histogram geometry (or whose buckets do not add up
+// to its count) cannot merge exactly and is dropped, in dst as in src.
+// iadmload -targets and the fleet router both aggregate scrapes with this.
 func MergeMetricsJSON(dst *MetricsJSON, src MetricsJSON) {
 	dst.Service.Controller = controllerStats(dst.Controller)
 	srcService := src.Service
@@ -118,7 +119,7 @@ func MergeMetricsJSON(dst *MetricsJSON, src MetricsJSON) {
 	if src.UptimeSec > dst.UptimeSec {
 		dst.UptimeSec = src.UptimeSec
 	}
-	dst.Endpoints = nil
+	dst.Endpoints = mergeEndpoints(dst.Endpoints, src.Endpoints)
 	dst.Networks = mergeNetworks(dst.Networks, src.Networks)
 }
 

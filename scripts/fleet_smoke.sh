@@ -39,8 +39,10 @@
 #      router's /metrics must then show p0's epoch advanced while every
 #      other partition stayed at epoch 0 (fault fan-out invalidates
 #      exactly the faulted partition's replicas — Theorems 3.1/3.2 end to
-#      end). The router drains first, then every backend, each logging a
-#      clean drain line.
+#      end), and its fleet.backend_latency /route and /route/batch counts
+#      must equal the sums of the backends' own endpoint counts (the
+#      histograms merge exactly). The router drains first, then every
+#      backend, each logging a clean drain line.
 set -eu
 
 GO=${GO:-go}
@@ -298,6 +300,24 @@ if [ "$scrape_errs" -ne 0 ]; then
     echo "fleet-smoke: router failed to scrape some backends" >&2
     exit 1
 fi
+
+# Exact latency merge: the router's fleet.backend_latency is the bucket-
+# by-bucket merge of the backends' endpoint histograms, so its /route and
+# /route/batch counts must equal the sums of the backends' own counts.
+# The load has stopped, so scraping /metrics moves neither count.
+for ep in /route /route/batch; do
+    want=0
+    for addr in $(echo "$backends" | tr ',' ' '); do
+        n=$(curl -fsS "http://$addr/metrics" | jq --arg ep "$ep" '.endpoints[$ep].count // 0')
+        want=$((want + n))
+    done
+    got=$(jq --arg ep "$ep" '.fleet.backend_latency[$ep].count // -1' "$tmp/mixrt.metrics")
+    echo "fleet-smoke: backend_latency[$ep].count $got, backends' sum $want"
+    if [ "$got" -ne "$want" ]; then
+        echo "fleet-smoke: merged $ep latency count $got != backends' sum $want" >&2
+        exit 1
+    fi
+done
 
 echo "fleet-smoke: draining router, then backends"
 drain_one "$mixrt_pid" "$tmp/mixrt.log" "router"

@@ -40,8 +40,10 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The second pass vets the files only the simcheck build tag compiles.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags simcheck ./...
 
 build:
 	$(GO) build ./...
@@ -126,7 +128,8 @@ serve-smoke:
 # End-to-end smoke of the fleet layer: a capacity phase requiring a
 # 3-backend fleet to push >= 2x the success throughput of one
 # identically-tuned slow-path-bound daemon, a latency phase requiring
-# the router to add < 15% p50 overhead against real slow-path work, a
+# the best routed p50 over 3 alternating direct/routed rounds to stay
+# within 15% of the best direct one against real slow-path work, a
 # fast-path phase requiring the best routed p50 on warmed SSDT singles
 # to stay within 4x the best direct one, and a mixed phase serving 4
 # partitions of batch-heavy traffic while fault/repair churn stays

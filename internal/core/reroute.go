@@ -189,8 +189,8 @@ func Reroute(p topology.Params, blk *blockage.Set, s int, tag Tag) (Tag, Path, e
 
 // RerouteTag returns the tag Reroute(p, blk, s, MustTag(p, d)) returns, and
 // an error of the same class, in one allocation-free walk. It follows the
-// all-C tag from s in packed arithmetic (the branchless stage body of
-// RouteTSDTPacked), and at a nonstraight link that is blocked while its
+// all-C tag from s in packed arithmetic (a branchless stage body that
+// selects the link kind from bits, as the sliced kernels do), and at a nonstraight link that is blocked while its
 // opposite is free it complements state bit i and takes the opposite link
 // (Corollary 4.1). REROUTE fixes the lowest-stage blockage first, so on a
 // walk that meets only such single-nonstraight blockages it makes exactly

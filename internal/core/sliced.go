@@ -50,7 +50,7 @@ import (
 //     still accumulates nonstr/sel into the planes so the shared output
 //     path below applies. Correct for every state, fast for the common one.
 //
-// SSDT parity. RouteSSDTPacked mutates ns (repair flips), so "route lanes
+// SSDT parity. RouteSSDT mutates ns (repair flips), so "route lanes
 // 0..63 one after another" is the semantic the sliced kernel must
 // reproduce bit-for-bit. Processing stage-by-stage with ascending lane
 // order inside a stage is exactly equivalent: a repair flip at stage i
@@ -121,7 +121,8 @@ func (lb *LaneBlock) BlockedMask() uint64 { return lb.blockedMask }
 
 // Flipped returns the stage bitmask of repair flips lane performed during
 // RouteSSDTSliced (bit i set = the stage-i switch on the path flipped),
-// matching RouteSSDTPacked's second result; 0 for failed lanes.
+// matching the stages RouteSSDT reports in SSDTResult.Flipped; 0 for
+// failed lanes.
 func (lb *LaneBlock) Flipped(lane int) uint64 { return lb.flipped[lane] }
 
 // load resets the block for count lanes of an n-stage network.
@@ -358,7 +359,7 @@ func (lb *LaneBlock) scalarFollowStage(p topology.Params, ns *NetworkState, i in
 }
 
 // FollowStateSliced routes every loaded lane (LoadInts) under ns, the
-// sliced counterpart of per-lane FollowStatePacked calls. Uniform stages
+// sliced counterpart of per-lane FollowState calls. Uniform stages
 // run at plane speed; the first mixed stage drops the block into the
 // scalar fallback for the remaining stages. No errors are possible beyond
 // what LoadInts validated, and no allocations are performed.
@@ -384,7 +385,7 @@ func FollowStateSliced(p topology.Params, ns *NetworkState, lb *LaneBlock) {
 }
 
 // RouteTSDTSliced follows every loaded lane's TSDT tag (LoadTags), the
-// sliced counterpart of per-lane RouteTSDTPacked calls. TSDT tags carry
+// sliced counterpart of per-lane Tag.Follow calls. TSDT tags carry
 // their own state bits, so every stage runs at plane speed regardless of
 // network state, with no allocations and no fallback.
 func RouteTSDTSliced(p topology.Params, lb *LaneBlock) {
@@ -399,7 +400,7 @@ func RouteTSDTSliced(p topology.Params, lb *LaneBlock) {
 // scalarSSDTStage advances the live lanes through stage i with the full
 // SSDT repair semantics, in ascending lane order (= sequential parity; see
 // the file comment). dead accumulates lanes that hit an unroutable
-// blockage; they stop participating, exactly like RouteSSDTPacked's early
+// blockage; they stop participating, exactly like RouteSSDT's early
 // error return.
 func (lb *LaneBlock) scalarSSDTStage(p topology.Params, ns *NetworkState, blk *blockage.Set, i int, dead *uint64) {
 	mask := p.Size() - 1
@@ -436,7 +437,7 @@ func (lb *LaneBlock) scalarSSDTStage(p topology.Params, ns *NetworkState, blk *b
 			}
 			// Self-repair: flip the switch and take the opposite
 			// nonstraight link (Theorem 5.1). The flip persists even if
-			// the opposite link is also blocked, matching RouteSSDTPacked.
+			// the opposite link is also blocked, matching RouteSSDT.
 			ns.st[base+j] = ns.st[base+j].Flip()
 			ns.mix[i] = true
 			sel ^= 1
@@ -458,7 +459,7 @@ func (lb *LaneBlock) scalarSSDTStage(p topology.Params, ns *NetworkState, blk *b
 
 // RouteSSDTSliced routes every loaded lane (LoadInts) under the
 // self-repairing SSDT scheme, the sliced counterpart of calling
-// RouteSSDTPacked on lanes 0, 1, .., count-1 in order — including the
+// RouteSSDT on lanes 0, 1, .., count-1 in order — including the
 // repair flips it writes into ns, which are bit-identical to that
 // sequential loop's. Stages that are uniform and blockage-free run at
 // plane speed (they cannot need repair); the first stage that is mixed or
@@ -466,7 +467,7 @@ func (lb *LaneBlock) scalarSSDTStage(p topology.Params, ns *NetworkState, blk *b
 //
 // It returns the error bitmask (also available as ErrMask): bit l set
 // means lane l hit a straight or double-nonstraight blockage, carries no
-// path, and reports Flipped(l) == 0, exactly like RouteSSDTPacked's error
+// path, and reports Flipped(l) == 0, exactly like RouteSSDT's error
 // return. BlockedMask reports every lane whose preferred link was blocked,
 // repaired or not.
 func RouteSSDTSliced(p topology.Params, ns *NetworkState, blk *blockage.Set, lb *LaneBlock) uint64 {

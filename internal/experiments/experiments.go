@@ -7,12 +7,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"iadm/internal/fanout"
 	"iadm/internal/simulator"
 )
 
@@ -100,46 +98,19 @@ func RunAll() ([]Result, error) {
 	return out, nil
 }
 
-// parmap evaluates f(0..n-1) across a GOMAXPROCS-bounded worker pool and
+// parmap evaluates f(0..n-1) on fanout.Map's GOMAXPROCS-bounded pool and
 // returns the results in index order, so experiments can fan their
 // independent computations out without changing their report text. f must
 // be safe for concurrent calls (draw from a shared RNG before the parmap,
 // not inside it). On failure the first error by index is returned.
 func parmap[T any](n int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i], errs[i] = f(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					out[i], errs[i] = f(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
+	return fanout.Map(n, 0, func(i int) (T, error) {
+		v, err := f(i)
 		if err != nil {
-			return nil, fmt.Errorf("task %d: %w", i, err)
+			return v, fmt.Errorf("task %d: %w", i, err)
 		}
-	}
-	return out, nil
+		return v, nil
+	})
 }
 
 // header renders a fixed-width table header row plus separator.

@@ -2,6 +2,7 @@
 
 package fanout
 
-// verifyShards is a no-op unless the simcheck build tag arms the invariant
-// checker (see check_on.go).
-func verifyShards(n int, shards [][2]int) {}
+// Simcheck is false in normal builds: the invariant checkers cost
+// O(links) per cycle and stay out of production and benchmark runs.
+// Build with -tags simcheck to arm them (see check_on.go).
+const Simcheck = false

@@ -2,22 +2,9 @@
 
 package fanout
 
-import "fmt"
-
-// verifyShards asserts the decomposition invariant the package's
-// determinism rests on: the shards tile 0..n-1 exactly — contiguous,
-// non-overlapping, no gaps. Armed by the simcheck build tag (the same
-// switch that turns on the simulator's per-cycle invariants), so `make
-// race` exercises it across every sharded sweep in the test suite.
-func verifyShards(n int, shards [][2]int) {
-	at := 0
-	for k, sh := range shards {
-		if sh[0] != at || sh[1] < sh[0] {
-			panic(fmt.Sprintf("fanout: shard %d is [%d,%d), want to start at %d", k, sh[0], sh[1], at))
-		}
-		at = sh[1]
-	}
-	if at != n {
-		panic(fmt.Sprintf("fanout: shards cover 0..%d, want 0..%d", at, n))
-	}
-}
+// Simcheck is true under the simcheck build tag. It is the one switch for
+// the invariant checks of the simulation stack: the simulator's and the
+// wormhole engine's per-cycle checkers default on (conservation,
+// queue-state agreement, latency mass), and Rows verifies its shard
+// tiling. `make race` runs the whole test suite this way.
+const Simcheck = true

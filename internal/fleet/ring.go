@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"iadm/internal/ctrrng"
 )
 
 // Ring places backends on a consistent-hash circle. Each backend
@@ -35,16 +37,6 @@ type Ring struct {
 type ringPoint struct {
 	hash    uint64
 	backend int
-}
-
-// splitmix64 is the finalizer used everywhere in this repo for integer
-// hashing (simulator RNG, cache slots); here it spreads vnode and key
-// hashes over the ring circle.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // fnv1a hashes a string without allocating (the compiler keeps the
@@ -90,7 +82,7 @@ func NewRing(backends []string, replicas, vnodes int) (*Ring, error) {
 		base := fnv1a(name)
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:    splitmix64(base + uint64(v)),
+				hash:    ctrrng.SplitMix64(base + uint64(v)),
 				backend: b,
 			})
 		}
@@ -120,7 +112,7 @@ func (r *Ring) ReplicaSet(net string) []int {
 	if set, ok = r.sets[net]; ok {
 		return set
 	}
-	set = r.walk(splitmix64(fnv1a(net)))
+	set = r.walk(ctrrng.SplitMix64(fnv1a(net)))
 	r.sets[net] = set
 	return set
 }
@@ -151,7 +143,7 @@ func (r *Ring) walk(h uint64) []int {
 // Exported logic only through Owner; kept separate so the benchmark can
 // pin its cost.
 func keyHash(src, dst int) uint64 {
-	return splitmix64(uint64(src)<<32 | uint64(uint32(dst)))
+	return ctrrng.SplitMix64(uint64(src)<<32 | uint64(uint32(dst)))
 }
 
 // Owner returns the backend index that owns (net, src, dst), i.e. the

@@ -110,3 +110,43 @@ func TestRingOwnerZeroAlloc(t *testing.T) {
 		t.Fatalf("Owner allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// TestRingPlacementGolden pins placement to the values recorded before the
+// ring's hash moved to internal/ctrrng: a change in the hash would silently
+// move every partition and key to other backends across a fleet upgrade.
+func TestRingPlacementGolden(t *testing.T) {
+	pairs := [][2]int{{0, 0}, {1, 2}, {3, 1000}, {1023, 7}, {511, 512}, {65535, 1}}
+	wantKey := []uint64{0xe220a8397b1dcdaf, 0xb3703ad894507022, 0xdc97fabb82cf456a,
+		0x760356b8a535a2e7, 0x6aab9bef563f2fba, 0x34340dc4a0499736}
+	for i, pr := range pairs {
+		if got := keyHash(pr[0], pr[1]); got != wantKey[i] {
+			t.Errorf("keyHash(%d, %d) = %#x, want %#x", pr[0], pr[1], got, wantKey[i])
+		}
+	}
+	r, err := NewRing([]string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003",
+		"127.0.0.1:7004", "127.0.0.1:7005"}, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		net    string
+		set    []int
+		owners []int
+	}{
+		{"", []int{1, 0, 2}, []int{0, 1, 1, 1, 1, 0}},
+		{"p0", []int{1, 4, 2}, []int{4, 1, 1, 1, 1, 4}},
+		{"p1", []int{3, 0, 1}, []int{0, 3, 3, 3, 3, 0}},
+		{"p2", []int{3, 2, 4}, []int{2, 3, 3, 3, 3, 2}},
+		{"p3", []int{4, 3, 1}, []int{3, 4, 4, 4, 4, 3}},
+		{"alpha", []int{4, 0, 3}, []int{0, 4, 4, 4, 4, 0}},
+	} {
+		if got := r.ReplicaSet(c.net); fmt.Sprint(got) != fmt.Sprint(c.set) {
+			t.Errorf("ReplicaSet(%q) = %v, want %v", c.net, got, c.set)
+		}
+		for i, pr := range pairs {
+			if got, _ := r.Owner(c.net, pr[0], pr[1]); got != c.owners[i] {
+				t.Errorf("Owner(%q, %d, %d) = %d, want %d", c.net, pr[0], pr[1], got, c.owners[i])
+			}
+		}
+	}
+}

@@ -154,7 +154,7 @@ func New(cfg Config) (*Router, error) {
 	rt.rec.Handle("/route/batch", rt.gated(rt.routeBatch))
 	rt.rec.Handle("/fault", rt.gated(rt.fault))
 	rt.rec.Handle("/repair", rt.gated(rt.repair))
-	rt.rec.Handle("/healthz", rt.gated(rt.healthz))
+	rt.rec.Handle("/healthz", rt.healthz) // answers while draining, with "status":"draining"
 	rt.rec.Handle("/metrics", rt.gated(rt.metrics))
 	return rt, nil
 }

@@ -491,14 +491,37 @@ func TestFleetMetricsMergeAndDrain(t *testing.T) {
 	}
 
 	// Drain: new requests refused, healthz flips to draining.
-	f.rt.Drain()
 	srv := httptest.NewServer(f.rt)
 	defer srv.Close()
+	checkHealth(t, srv.URL, http.StatusOK, "ok")
+	f.rt.Drain()
 	c := routesvc.NewClient(srv.URL, 2*time.Second)
 	_, err = c.Route("p0", 1, 2, routesvc.SchemeTSDT)
 	apiErr, ok := err.(*routesvc.APIError)
 	if !ok || apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != "draining" {
 		t.Fatalf("route after drain: %v, want 503 draining", err)
+	}
+	// Like a draining backend, the router still answers /healthz with its
+	// own document, not the drain gate's error body.
+	checkHealth(t, srv.URL, http.StatusServiceUnavailable, "draining")
+}
+
+// checkHealth GETs base/healthz and requires the given status code and a
+// router HealthJSON with the given status over the test fleet's 3
+// backends.
+func checkHealth(t *testing.T, base string, code int, status string) {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h HealthJSON
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatalf("healthz body: %v", err)
+	}
+	if resp.StatusCode != code || h.Status != status || h.N != 64 || h.Backends != 3 {
+		t.Fatalf("healthz: %d %+v, want %d with status %q, n 64, 3 backends", resp.StatusCode, h, code, status)
 	}
 }
 

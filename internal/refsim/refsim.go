@@ -14,17 +14,20 @@
 // field by field.
 //
 // RNG contract: both implementations draw from the same counter-based
-// generator — every draw is splitmix64-finalized from (seed, cycle,
-// entity, purpose), where the entity is the incoming-link index for
-// transit routing draws and the source index for injection-side draws,
-// and the purpose constants below are shared numerically with the
-// optimized core. Because a draw is a pure function of its coordinates
-// rather than a position in a stream, the two implementations make
-// identical random decisions no matter how differently they schedule the
-// work (including the optimized core's sharded engine), and for configs
-// with FaultRate == 0 every counter, histogram bucket and utilization
-// sample must match exactly — the strongest form of differential check.
-// The fault process is the one exception: refsim draws one Bernoulli per
+// generator, internal/ctrrng. Every draw is splitmix64-finalized from
+// (seed, cycle, entity, purpose), where the entity is the incoming-link
+// index for transit routing draws and the source index for
+// injection-side draws, and the purpose constants below are shared
+// numerically with the optimized core. The generator is imported, not
+// copied: its bits are pinned by ctrrng's golden test, and this oracle's
+// independence lives in its queues, arbitration and fault process.
+// Because a draw is a pure function of its coordinates rather than a
+// position in a stream, the two implementations make identical random
+// decisions no matter how differently they schedule the work (including
+// the optimized core's sharded engine), and for configs with
+// FaultRate == 0 every counter, histogram bucket and utilization sample
+// must match exactly — the strongest form of differential check. The
+// fault process is the one exception: refsim draws one Bernoulli per
 // link per cycle under its own purpose constant, while the optimized core
 // skip-samples a geometric chain, so fault configs are compared
 // statistically instead.
@@ -32,8 +35,8 @@ package refsim
 
 import (
 	"fmt"
-	"math"
 
+	"iadm/internal/ctrrng"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
@@ -61,45 +64,6 @@ const (
 	refFault      = 0x3c79ac492ba7b653 // refsim-only
 )
 
-// rng is the counter-based generator: each draw splitmix64-finalizes
-// (seed, cycle, entity, purpose), bit-for-bit identical to the optimized
-// core's — see the RNG contract in the package comment. Reimplemented
-// here rather than imported so the reference stays self-contained and a
-// regression in one copy cannot hide in both.
-type rng struct{ seed uint64 }
-
-func (r rng) word(cycle, entity, purpose uint64) uint64 {
-	mix := func(z uint64) uint64 {
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	z := r.seed ^ purpose
-	z += cycle * 0x9e3779b97f4a7c15
-	z += entity * 0xd1b54a32d192ed03
-	return mix(mix(z) + 0x9e3779b97f4a7c15)
-}
-
-func (r rng) bit(cycle, entity, purpose uint64) bool { return r.word(cycle, entity, purpose)&1 == 0 }
-func (r rng) intn(mask, cycle, entity, purpose uint64) int {
-	return int(r.word(cycle, entity, purpose) & mask)
-}
-func (r rng) hit(threshold, cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose) < threshold
-}
-
-// threshold converts a probability into the integer compare threshold,
-// matching the optimized core's convention (p >= 1 maps to MaxUint64).
-func threshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
-
 // state is one reference simulation. Links are addressed by the same
 // dense index as the optimized core — (stage*N + from)*3 + kind with
 // kinds Minus(0), Straight(1), Plus(2) — so sweep order lines up.
@@ -110,7 +74,7 @@ type state struct {
 	n, N, L int
 	single  bool
 
-	rng    rng
+	rng    ctrrng.RNG
 	queues [][]pkt // one FIFO slice per link
 	toOf   []int   // destination switch of each link at the next stage
 
@@ -167,9 +131,9 @@ func Run(cfg simulator.Config) (simulator.Metrics, error) {
 		failUntil:  make([]int, L),
 		switchBusy: make([]bool, (n+1)*N),
 		forwards:   make([]int, L),
-		loadT:      threshold(cfg.Load),
-		hotT:       threshold(cfg.HotspotFrac),
-		faultT:     threshold(cfg.FaultRate),
+		loadT:      ctrrng.BernoulliThreshold(cfg.Load),
+		hotT:       ctrrng.BernoulliThreshold(cfg.HotspotFrac),
+		faultT:     ctrrng.BernoulliThreshold(cfg.FaultRate),
 		dstMask:    uint64(N - 1),
 	}
 	for idx := 0; idx < L; idx++ {
@@ -188,13 +152,13 @@ func Run(cfg simulator.Config) (simulator.Metrics, error) {
 
 	// Initial burst states use the optimized core's coordinates:
 	// (cycle 0, source, drawBurstInit).
-	s.rng = rng{seed: uint64(cfg.Seed)}
+	s.rng = ctrrng.New(cfg.Seed)
 	if cfg.Bursty {
 		s.burstOn = make([]bool, N)
-		s.burstStopT = threshold(1 / float64(cfg.BurstOn))
-		s.burstStartT = threshold(1 / float64(cfg.BurstOff))
+		s.burstStopT = ctrrng.BernoulliThreshold(1 / float64(cfg.BurstOn))
+		s.burstStartT = ctrrng.BernoulliThreshold(1 / float64(cfg.BurstOff))
 		for i := range s.burstOn {
-			s.burstOn[i] = s.rng.bit(0, uint64(i), drawBurstInit)
+			s.burstOn[i] = s.rng.Bit(0, uint64(i), drawBurstInit)
 		}
 	}
 
@@ -243,7 +207,7 @@ func (s *state) chooseQueue(stage, sw, dst, cycle int, entity, purpose uint64) (
 		}
 		return minus, true
 	case simulator.RandomState:
-		if s.rng.bit(uint64(cycle), entity, purpose) {
+		if s.rng.Bit(uint64(cycle), entity, purpose) {
 			return plus, true
 		}
 		return minus, true
@@ -295,7 +259,7 @@ func (s *state) step(cycle int, measured bool) {
 	// configs are compared statistically, not exactly).
 	if s.cfg.FaultRate > 0 {
 		for idx := 0; idx < s.L; idx++ {
-			if s.rng.hit(s.faultT, uint64(cycle), uint64(idx), refFault) && s.failUntil[idx] <= cycle {
+			if s.rng.Hit(s.faultT, uint64(cycle), uint64(idx), refFault) && s.failUntil[idx] <= cycle {
 				s.failUntil[idx] = cycle + s.cfg.RepairCycles
 			}
 		}
@@ -368,22 +332,22 @@ func (s *state) step(cycle int, measured bool) {
 		c, e := uint64(cycle), uint64(src)
 		if s.cfg.Bursty {
 			if s.burstOn[src] {
-				if s.rng.hit(s.burstStopT, c, e, drawBurst) {
+				if s.rng.Hit(s.burstStopT, c, e, drawBurst) {
 					s.burstOn[src] = false
 				}
-			} else if s.rng.hit(s.burstStartT, c, e, drawBurst) {
+			} else if s.rng.Hit(s.burstStartT, c, e, drawBurst) {
 				s.burstOn[src] = true
 			}
 			if !s.burstOn[src] {
 				continue
 			}
 		}
-		if !s.rng.hit(s.loadT, c, e, drawLoad) {
+		if !s.rng.Hit(s.loadT, c, e, drawLoad) {
 			continue
 		}
 		var dst int
 		if s.cfg.Traffic == simulator.Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawDst)
+			dst = s.rng.Intn(s.dstMask, c, e, drawDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}
@@ -418,10 +382,10 @@ func (s *state) pickDestination(src, cycle int) int {
 	c, e := uint64(cycle), uint64(src)
 	switch s.cfg.Traffic {
 	case simulator.Hotspot:
-		if s.rng.hit(s.hotT, c, e, drawHot) {
+		if s.rng.Hit(s.hotT, c, e, drawHot) {
 			return s.cfg.HotspotDest
 		}
-		return s.rng.intn(s.dstMask, c, e, drawDst)
+		return s.rng.Intn(s.dstMask, c, e, drawDst)
 	case simulator.PermutationTraffic:
 		return s.cfg.Perm[src]
 	case simulator.BitComplementTraffic:
@@ -429,7 +393,7 @@ func (s *state) pickDestination(src, cycle int) int {
 	case simulator.Tornado:
 		return (src + s.N/2 - 1) % s.N
 	default:
-		return s.rng.intn(s.dstMask, c, e, drawDst)
+		return s.rng.Intn(s.dstMask, c, e, drawDst)
 	}
 }
 

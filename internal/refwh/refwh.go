@@ -14,24 +14,27 @@
 // (wormhole.Validate), so any config accepted by one runs on both.
 //
 // RNG contract: both implementations draw from the same counter-based
-// generator — every draw splitmix64-finalized from (seed, cycle, entity,
-// purpose), where the entity is the dense lane index for in-flight head
-// routing and the source index for injection draws, and the purpose
-// constants below are shared numerically with internal/wormhole. Because
-// a draw is a pure function of its coordinates, the two implementations
-// make identical random decisions no matter how differently they
-// schedule the work (including the optimized engine's sharded stepping),
-// and for configs with FaultRate == 0 every counter, histogram bucket
-// and utilization sample must match exactly. The fault process is the
-// one exception: refwh draws one Bernoulli per link per cycle under its
-// own purpose constant while the optimized engine skip-samples a
-// geometric chain, so fault configs are compared statistically instead.
+// generator, internal/ctrrng. Every draw is splitmix64-finalized from
+// (seed, cycle, entity, purpose), where the entity is the dense lane
+// index for in-flight head routing and the source index for injection
+// draws, and the purpose constants below are shared numerically with
+// internal/wormhole. The generator is imported, not copied: its bits are
+// pinned by ctrrng's golden test, and this oracle's independence lives
+// in its lanes, credits, arbitration and fault process. Because a draw
+// is a pure function of its coordinates, the two implementations make
+// identical random decisions no matter how differently they schedule the
+// work (including the optimized engine's sharded stepping), and for
+// configs with FaultRate == 0 every counter, histogram bucket and
+// utilization sample must match exactly. The fault process is the one
+// exception: refwh draws one Bernoulli per link per cycle under its own
+// purpose constant while the optimized engine skip-samples a geometric
+// chain, so fault configs are compared statistically instead.
 package refwh
 
 import (
 	"fmt"
-	"math"
 
+	"iadm/internal/ctrrng"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
@@ -51,44 +54,6 @@ const (
 	drawWhRouteInj = 0x3f82d64b17c9ae05
 	refWhFault     = 0x2b64f18ea9c53d07 // refwh-only
 )
-
-// rng is the counter-based generator, bit-for-bit identical to the
-// optimized engine's. Reimplemented rather than imported so the
-// reference stays self-contained and a regression in one copy cannot
-// hide in both.
-type rng struct{ seed uint64 }
-
-func (r rng) word(cycle, entity, purpose uint64) uint64 {
-	mix := func(z uint64) uint64 {
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	z := r.seed ^ purpose
-	z += cycle * 0x9e3779b97f4a7c15
-	z += entity * 0xd1b54a32d192ed03
-	return mix(mix(z) + 0x9e3779b97f4a7c15)
-}
-
-func (r rng) bit(cycle, entity, purpose uint64) bool { return r.word(cycle, entity, purpose)&1 == 0 }
-func (r rng) intn(mask, cycle, entity, purpose uint64) int {
-	return int(r.word(cycle, entity, purpose) & mask)
-}
-func (r rng) hit(threshold, cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose) < threshold
-}
-
-// threshold converts a probability into the integer compare threshold,
-// matching the optimized engine's convention (p >= 1 maps to MaxUint64).
-func threshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
 
 // flit is one unit of transfer; head/tail flags mark worm boundaries.
 // Every flit carries the packet's destination and head-injection cycle,
@@ -121,7 +86,7 @@ type state struct {
 	n, N, L, V, D int
 	single        bool
 
-	rng    rng
+	rng    ctrrng.RNG
 	lanes  []lane
 	rotate []int // per link: lane the arbiter scans first
 	toOf   []int
@@ -166,7 +131,7 @@ func Run(cfg wormhole.Config) (wormhole.Metrics, error) {
 		cfg: cfg, p: p,
 		n: n, N: N, L: L, V: V, D: D,
 		single:     cfg.Switches == simulator.SingleInput,
-		rng:        rng{seed: uint64(cfg.Seed)},
+		rng:        ctrrng.New(cfg.Seed),
 		lanes:      make([]lane, L*V),
 		rotate:     make([]int, L),
 		toOf:       make([]int, L),
@@ -178,9 +143,9 @@ func Run(cfg wormhole.Config) (wormhole.Metrics, error) {
 		srcDst:     make([]int, N),
 		srcBorn:    make([]int, N),
 		forwards:   make([]int, L),
-		loadT:      threshold(cfg.Load),
-		hotT:       threshold(cfg.HotspotFrac),
-		faultT:     threshold(cfg.FaultRate),
+		loadT:      ctrrng.BernoulliThreshold(cfg.Load),
+		hotT:       ctrrng.BernoulliThreshold(cfg.HotspotFrac),
+		faultT:     ctrrng.BernoulliThreshold(cfg.FaultRate),
 		dstMask:    uint64(N - 1),
 	}
 	for q := range s.lanes {
@@ -254,7 +219,7 @@ func (s *state) chooseLink(stage, sw, dst, cycle int, entity, purpose uint64) (i
 		}
 		return minus, true
 	case simulator.RandomState:
-		if s.rng.bit(uint64(cycle), entity, purpose) {
+		if s.rng.Bit(uint64(cycle), entity, purpose) {
 			return plus, true
 		}
 		return minus, true
@@ -419,7 +384,7 @@ func (s *state) step(cycle int, measured bool) {
 	// geometric skip-sampling over its own fault domain.
 	if s.cfg.FaultRate > 0 {
 		for idx := 0; idx < s.L; idx++ {
-			if s.rng.hit(s.faultT, uint64(cycle), uint64(idx), refWhFault) && s.failUntil[idx] <= cycle {
+			if s.rng.Hit(s.faultT, uint64(cycle), uint64(idx), refWhFault) && s.failUntil[idx] <= cycle {
 				s.failUntil[idx] = cycle + s.cfg.RepairCycles
 			}
 		}
@@ -492,12 +457,12 @@ func (s *state) step(cycle int, measured bool) {
 			continue
 		}
 		c, e := uint64(cycle), uint64(src)
-		if !s.rng.hit(s.loadT, c, e, drawWhLoad) {
+		if !s.rng.Hit(s.loadT, c, e, drawWhLoad) {
 			continue
 		}
 		var dst int
 		if s.cfg.Traffic == simulator.Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawWhDst)
+			dst = s.rng.Intn(s.dstMask, c, e, drawWhDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}
@@ -546,10 +511,10 @@ func (s *state) pickDestination(src, cycle int) int {
 	c, e := uint64(cycle), uint64(src)
 	switch s.cfg.Traffic {
 	case simulator.Hotspot:
-		if s.rng.hit(s.hotT, c, e, drawWhHot) {
+		if s.rng.Hit(s.hotT, c, e, drawWhHot) {
 			return s.cfg.HotspotDest
 		}
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, drawWhDst)
 	case simulator.PermutationTraffic:
 		return s.cfg.Perm[src]
 	case simulator.BitComplementTraffic:
@@ -557,7 +522,7 @@ func (s *state) pickDestination(src, cycle int) int {
 	case simulator.Tornado:
 		return (src + s.N/2 - 1) % s.N
 	default:
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, drawWhDst)
 	}
 }
 

@@ -1,15 +1,20 @@
 package simulator
 
-import "fmt"
+import (
+	"fmt"
+
+	"iadm/internal/fanout"
+)
 
 // The invariant checker is the simulator's in-core half of the
 // correctness tooling built around internal/refsim: after every cycle it
 // re-derives the structural invariants the allocation-free hot path is
 // supposed to preserve and panics on the first violation, naming the
 // cycle and the state that broke. It is opt-in because the checks cost
-// O(links) per cycle: the `simcheck` build tag turns it on for a whole
-// test run (`go test -tags simcheck ./...`, what `make race` uses), and
-// tests can flip invariantsEnabled directly for targeted runs.
+// O(links) per cycle: the `simcheck` build tag (fanout.Simcheck) turns it
+// on for a whole test run (`go test -tags simcheck ./...`, what `make
+// race` uses), and tests can flip invariantsEnabled directly for targeted
+// runs.
 //
 // Checked invariants:
 //
@@ -31,7 +36,7 @@ import "fmt"
 //     merge itself at end of run. The bitset half of invariant 2 is
 //     skipped in shard mode, where occ is deliberately unmaintained (see
 //     ringQueues.pushQuiet).
-var invariantsEnabled = invariantsDefault
+var invariantsEnabled = fanout.Simcheck
 
 // invariantCounters shadow the Metrics counters from cycle 0 (Metrics
 // only counts the measured window, so it cannot anchor a per-cycle

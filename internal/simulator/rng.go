@@ -1,26 +1,19 @@
 package simulator
 
-import "math"
-
-// The simulator's randomness is counter-based: every draw is a pure
-// function of (seed, cycle, entity, purpose) pushed through a
-// splitmix64-style finalizer, instead of a position in a sequential
-// stream. That property is what makes intra-run parallelism exact — any
-// switch's draw can be evaluated on any worker in any order and the
-// result is bit-identical to a single-threaded run — and it also means
-// policies that draw nothing (static-C, adaptive-SSDT) consume nothing,
-// so enabling or disabling one draw site never perturbs another.
+// The simulator's randomness is the counter-based generator of
+// internal/ctrrng: every draw is a pure function of (seed, cycle, entity,
+// purpose), which is what makes the sharded engine bit-identical to the
+// sequential one for every worker count.
 //
 // The entity is the dense link index for in-flight routing draws and the
 // source index for injection-side draws; the purpose constants below keep
 // those two id spaces (and every draw site) in disjoint hash domains.
-// internal/refsim reimplements the same function and coordinates
-// independently, which is what keeps the differential oracle exact on
-// fault-free configs regardless of evaluation order.
+// internal/refsim draws with the same constants from its own coordinates,
+// which is what keeps the differential oracle exact on fault-free configs
+// regardless of evaluation order.
 
 // Draw-purpose domain separators. Arbitrary odd 64-bit constants; the
-// values are part of the refsim RNG contract and must match the copies in
-// internal/refsim.
+// values are part of the refsim RNG contract and are repeated there.
 const (
 	drawLoad      = 0xa0761d6478bd642f // per-source injection Bernoulli
 	drawDst       = 0xe7037ed1a0b428db // per-source uniform destination
@@ -31,80 +24,3 @@ const (
 	drawBurstInit = 0x2f9be6cc5be4f095 // per-source initial burst state
 	drawFaultSkip = 0x9e6c63d0a161fe15 // fault skip-chain (simulator only)
 )
-
-// mix64 is the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014):
-// a full-avalanche 64-bit permutation.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// ctrRNG is the counter-based generator: stateless apart from the seed.
-type ctrRNG struct {
-	seed uint64
-}
-
-func newCtrRNG(seed int64) ctrRNG { return ctrRNG{seed: uint64(seed)} }
-
-// word returns 64 uniformly random bits for the draw identified by
-// (cycle, entity, purpose). Cycle and entity are spread by distinct odd
-// multipliers before mixing (a bare XOR of two small integers would
-// collide constantly: 1^2 == 3^0), and two finalizer rounds give full
-// avalanche over the structured input.
-func (r ctrRNG) word(cycle, entity, purpose uint64) uint64 {
-	z := r.seed ^ purpose
-	z += cycle * 0x9e3779b97f4a7c15
-	z += entity * 0xd1b54a32d192ed03
-	return mix64(mix64(z) + 0x9e3779b97f4a7c15)
-}
-
-// intn returns a uniform value in [0, n) for n a power of two.
-func (r ctrRNG) intn(mask, cycle, entity, purpose uint64) int {
-	return int(r.word(cycle, entity, purpose) & mask)
-}
-
-// bit returns a fair coin flip.
-func (r ctrRNG) bit(cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose)&1 == 0
-}
-
-// hit reports one Bernoulli draw against a precomputed threshold.
-func (r ctrRNG) hit(t, cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose) < t
-}
-
-// bernoulliThreshold converts a probability into an integer threshold t
-// such that word() < t holds with probability p, so per-cycle Bernoulli
-// draws in the hot loop are a single integer compare instead of a float
-// conversion. p >= 1 maps to MaxUint64 (a miss then has probability 2^-64,
-// i.e. it will not occur within any feasible simulation length).
-func bernoulliThreshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
-
-// geometricSkipFromWord draws the number of Bernoulli(p) trials up to and
-// including the next success from 64 uniform bits, via inversion:
-// 1 + floor(ln U / ln(1-p)). invLn1mP must be 1/ln(1-p) (precomputed once
-// per run); p >= 1 is signalled by invLn1mP == 0 and yields a skip of 1
-// (every trial hits). The fault injector keys each skip draw by the trial
-// position it starts from, so the resulting fault pattern is a pure
-// function of the seed — independent of worker count and of every other
-// draw site — while still costing O(faults) instead of O(links * cycles).
-func geometricSkipFromWord(u uint64, invLn1mP float64) int64 {
-	if invLn1mP == 0 {
-		return 1
-	}
-	unit := (float64(u>>11) + 1) * (1.0 / (1 << 53)) // uniform in (0, 1]
-	skip := int64(math.Log(unit)*invLn1mP) + 1
-	if skip < 1 {
-		return 1
-	}
-	return skip
-}

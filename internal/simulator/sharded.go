@@ -2,10 +2,8 @@ package simulator
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"iadm/internal/fanout"
 	"iadm/internal/topology"
 )
 
@@ -39,10 +37,10 @@ import (
 // straddle shard boundaries); the workers go through pushQuiet/popQuiet
 // and iterate the `in` table instead.
 //
-// The pool's helper goroutines are persistent: they park on a channel
-// between runs and synchronize phases through an atomic counter with a
-// brief spin before yielding, so a steady-state Runner run still performs
-// zero heap allocations.
+// The phases run on fanout.Pool, whose helper goroutines are persistent:
+// they park between runs and synchronize phases through an atomic
+// counter with a brief spin before yielding, so a steady-state Runner run
+// still performs zero heap allocations.
 
 // shardState is one shard's accumulator set. All counter fields are
 // cumulative from cycle 0 of the current run; mergeCycle recomputes the
@@ -64,111 +62,6 @@ func (sh *shardState) reset() {
 	sh.ckInjected, sh.ckDelivered, sh.ckDropped = 0, 0, 0
 	sh.maxQueue = 0
 	clear(sh.latHist)
-}
-
-// Phase job kinds dispatched to the pool.
-const (
-	jobDeliver = iota // pop the last stage's links into the output ports
-	jobStage          // advance one intermediate stage (pool.stage)
-	jobInject         // per-source injection
-	jobEndRun         // park the helpers until the next run
-)
-
-// workerPool runs shard phases on persistent helper goroutines. The
-// coordinator (the goroutine inside runSharded) publishes a job in the
-// plain fields, bumps the phase counter, executes shard 0 itself, and
-// spins until every helper reports done; helpers spin on the phase
-// counter, yielding after a short burst so the scheme degrades gracefully
-// when shards outnumber cores. Between runs the helpers block on the
-// start channel; Close closes it, ending them.
-type workerPool struct {
-	s       *sim
-	helpers int
-	start   chan struct{}
-
-	phase atomic.Uint32
-	done  atomic.Uint32
-
-	// Job description; written by the coordinator before the phase bump,
-	// read by helpers after observing it (the atomic ordering makes the
-	// plain fields safe).
-	kind     int
-	stage    int
-	cycle    int
-	measured bool
-
-	closeOnce sync.Once
-}
-
-func newWorkerPool(s *sim, shards int) *workerPool {
-	p := &workerPool{s: s, helpers: shards - 1, start: make(chan struct{})}
-	for k := 1; k < shards; k++ {
-		go p.helper(k)
-	}
-	return p
-}
-
-// spinWait spins on cond with periodic yields. The yield matters beyond
-// politeness: with more shards than cores a pure spin could starve the
-// very workers it waits for.
-func spinWait(cond func() bool) {
-	for spins := 0; !cond(); {
-		spins++
-		if spins >= 64 {
-			spins = 0
-			runtime.Gosched()
-		}
-	}
-}
-
-func (p *workerPool) helper(k int) {
-	for range p.start { // one token per run; exits when Close closes the channel
-		last := uint32(0) // coordinator resets phase to 0 before unparking
-		for {
-			spinWait(func() bool { return p.phase.Load() != last })
-			last = p.phase.Load()
-			if p.kind == jobEndRun {
-				p.done.Add(1)
-				break
-			}
-			p.s.runShardPhase(k, p.kind, p.stage, p.cycle, p.measured)
-			p.done.Add(1)
-		}
-	}
-}
-
-// unpark readies the helpers for a run. Helpers are parked (or not yet
-// mid-run), so resetting the phase counter here cannot race them.
-func (p *workerPool) unpark() {
-	p.phase.Store(0)
-	for i := 0; i < p.helpers; i++ {
-		p.start <- struct{}{}
-	}
-}
-
-// dispatch publishes one phase, contributes shard 0 on the coordinator
-// goroutine, and waits for all helpers — the inter-phase barrier.
-func (p *workerPool) dispatch(kind, stage, cycle int, measured bool) {
-	p.done.Store(0)
-	p.kind, p.stage, p.cycle, p.measured = kind, stage, cycle, measured
-	p.phase.Add(1)
-	if kind != jobEndRun {
-		p.s.runShardPhase(0, kind, stage, cycle, measured)
-	}
-	target := uint32(p.helpers)
-	spinWait(func() bool { return p.done.Load() == target })
-}
-
-// Close ends the helper goroutines. Must not be called mid-run.
-func (p *workerPool) Close() {
-	p.closeOnce.Do(func() { close(p.start) })
-}
-
-// closePool releases the intra-run workers, if any.
-func (s *sim) closePool() {
-	if s.pool != nil {
-		s.pool.Close()
-	}
 }
 
 // buildSharding prepares the sharded engine: the per-switch incoming-link
@@ -197,18 +90,18 @@ func (s *sim) buildSharding(latBuckets int) {
 	for k := range s.shards {
 		s.shards[k].latHist = make([]int32, latBuckets)
 	}
-	s.pool = newWorkerPool(s, P)
+	s.pool = fanout.NewPool(P, s.runShardPhase)
 }
 
 // runShardPhase executes one shard's slice of one phase.
-func (s *sim) runShardPhase(k, kind, stage, cycle int, measured bool) {
-	switch kind {
-	case jobDeliver:
-		s.shardDeliver(k, cycle, measured)
-	case jobStage:
-		s.shardStage(k, stage, cycle, measured)
+func (s *sim) runShardPhase(k int, ph fanout.Phase) {
+	switch ph.Kind {
+	case fanout.Deliver:
+		s.shardDeliver(k, ph.Cycle, ph.Measured)
+	case fanout.Stage:
+		s.shardStage(k, ph.Stage, ph.Cycle, ph.Measured)
 	default:
-		s.shardInject(k, cycle, measured)
+		s.shardInject(k, ph.Cycle, ph.Measured)
 	}
 }
 
@@ -217,18 +110,18 @@ func (s *sim) runShardPhase(k, kind, stage, cycle int, measured bool) {
 // and a deterministic merge after each cycle.
 func (s *sim) runSharded() Metrics {
 	total := s.cfg.Warmup + s.cfg.Cycles
-	s.pool.unpark()
+	s.pool.Unpark()
 	for cycle := 0; cycle < total; cycle++ {
 		measured := cycle >= s.cfg.Warmup
 		s.nowCycle = cycle
 		if s.faulty {
 			s.stepFaults(cycle) // sequential: O(faults), read-only during phases
 		}
-		s.pool.dispatch(jobDeliver, 0, cycle, measured)
+		s.pool.Dispatch(fanout.Phase{Kind: fanout.Deliver, Cycle: cycle, Measured: measured})
 		for i := s.n - 2; i >= 0; i-- {
-			s.pool.dispatch(jobStage, i, cycle, measured)
+			s.pool.Dispatch(fanout.Phase{Kind: fanout.Stage, Stage: i, Cycle: cycle, Measured: measured})
 		}
-		s.pool.dispatch(jobInject, 0, cycle, measured)
+		s.pool.Dispatch(fanout.Phase{Kind: fanout.Inject, Cycle: cycle, Measured: measured})
 		s.mergeCycle()
 		if measured {
 			s.queueSum += s.occupied
@@ -238,7 +131,7 @@ func (s *sim) runSharded() Metrics {
 			s.checkInvariants(cycle)
 		}
 	}
-	s.pool.dispatch(jobEndRun, 0, 0, false)
+	s.pool.Park()
 	for k := range s.shards {
 		for v, c := range s.shards[k].latHist {
 			s.latHist[v] += c
@@ -367,22 +260,22 @@ func (s *sim) shardInject(k, cycle int, measured bool) {
 		c, e := uint64(cycle), uint64(src)
 		if s.bursty {
 			if s.burstOn[src] {
-				if s.rng.hit(s.burstStopT, c, e, drawBurst) {
+				if s.rng.Hit(s.burstStopT, c, e, drawBurst) {
 					s.burstOn[src] = false
 				}
-			} else if s.rng.hit(s.burstStartT, c, e, drawBurst) {
+			} else if s.rng.Hit(s.burstStartT, c, e, drawBurst) {
 				s.burstOn[src] = true
 			}
 			if !s.burstOn[src] {
 				continue
 			}
 		}
-		if !s.rng.hit(s.loadT, c, e, drawLoad) {
+		if !s.rng.Hit(s.loadT, c, e, drawLoad) {
 			continue
 		}
 		var dst int
 		if s.traffic == Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawDst)
+			dst = s.rng.Intn(s.dstMask, c, e, drawDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}

@@ -129,3 +129,26 @@ func TestIntraWorkersValidation(t *testing.T) {
 		t.Fatalf("clamped IntraWorkers rejected: %v", err)
 	}
 }
+
+// TestRunnerZeroAllocs: a warm Runner's RunSeed performs no heap
+// allocation, on the sequential engine and on the phase pool, with the
+// fault injector running.
+func TestRunnerZeroAllocs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r, err := NewRunner(Config{N: 64, Policy: RandomState, Load: 0.7, QueueCap: 4,
+			Cycles: 100, Warmup: 10, Traffic: Uniform,
+			FaultRate: 0.002, RepairCycles: 5, IntraWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			r.RunSeed(seed)
+		})
+		r.Close()
+		if allocs != 0 {
+			t.Errorf("IntraWorkers=%d: %v allocs per RunSeed, want 0", workers, allocs)
+		}
+	}
+}

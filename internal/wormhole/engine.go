@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"iadm/internal/ctrrng"
+	"iadm/internal/fanout"
 	"iadm/internal/simulator"
 	"iadm/internal/topology"
 )
@@ -73,8 +75,8 @@ func (sh *shardState) reset() {
 // cost is O(faults) per cycle, and the whole chain is a pure function of
 // the seed.
 func (s *sim) advanceFaultTrial(pos int64) int64 {
-	u := s.rng.word(uint64(pos+1), 0, drawWhFault)
-	return pos + geometricSkipFromWord(u, s.invLn1mF)
+	u := s.rng.Word(uint64(pos+1), 0, drawWhFault)
+	return pos + ctrrng.GeometricSkipFromWord(u, s.invLn1mF)
 }
 
 func (s *sim) stepFaults(cycle int) {
@@ -133,7 +135,7 @@ func (s *sim) chooseLink(stage, sw, dst, cycle int, entity, purpose uint64) (int
 		}
 		return minus, true
 	case simulator.RandomState:
-		if s.rng.bit(uint64(cycle), entity, purpose) {
+		if s.rng.Bit(uint64(cycle), entity, purpose) {
 			return plus, true
 		}
 		return minus, true
@@ -160,10 +162,10 @@ func (s *sim) pickDestination(src, cycle int) int {
 	c, e := uint64(cycle), uint64(src)
 	switch s.traffic {
 	case simulator.Hotspot:
-		if s.rng.hit(s.hotT, c, e, drawWhHot) {
+		if s.rng.Hit(s.hotT, c, e, drawWhHot) {
 			return s.cfg.HotspotDest
 		}
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, drawWhDst)
 	case simulator.PermutationTraffic:
 		return s.cfg.Perm[src]
 	case simulator.BitComplementTraffic:
@@ -171,7 +173,7 @@ func (s *sim) pickDestination(src, cycle int) int {
 	case simulator.Tornado:
 		return (src + s.N/2 - 1) % s.N
 	default:
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, drawWhDst)
 	}
 }
 
@@ -409,12 +411,12 @@ func (s *sim) shardInject(k, cycle int, measured bool) {
 			continue
 		}
 		c, e := uint64(cycle), uint64(src)
-		if !s.rng.hit(s.loadT, c, e, drawWhLoad) {
+		if !s.rng.Hit(s.loadT, c, e, drawWhLoad) {
 			continue
 		}
 		var dst int
 		if s.traffic == simulator.Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawWhDst)
+			dst = s.rng.Intn(s.dstMask, c, e, drawWhDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}
@@ -459,24 +461,24 @@ func (s *sim) shardInject(k, cycle int, measured bool) {
 }
 
 // runShardPhase executes one shard's slice of one phase.
-func (s *sim) runShardPhase(k, kind, stage, cycle int, measured bool) {
-	switch kind {
-	case jobDeliver:
-		s.shardDeliver(k, cycle, measured)
-	case jobStage:
-		s.shardStage(k, stage, cycle, measured)
+func (s *sim) runShardPhase(k int, ph fanout.Phase) {
+	switch ph.Kind {
+	case fanout.Deliver:
+		s.shardDeliver(k, ph.Cycle, ph.Measured)
+	case fanout.Stage:
+		s.shardStage(k, ph.Stage, ph.Cycle, ph.Measured)
 	default:
-		s.shardInject(k, cycle, measured)
+		s.shardInject(k, ph.Cycle, ph.Measured)
 	}
 }
 
 // doPhase runs one phase over every shard: through the pool (with its
 // barrier) when intra-run workers are on, directly otherwise.
-func (s *sim) doPhase(kind, stage, cycle int, measured bool) {
+func (s *sim) doPhase(ph fanout.Phase) {
 	if s.pool != nil {
-		s.pool.dispatch(kind, stage, cycle, measured)
+		s.pool.Dispatch(ph)
 	} else {
-		s.runShardPhase(0, kind, stage, cycle, measured)
+		s.runShardPhase(0, ph)
 	}
 }
 
@@ -518,7 +520,7 @@ func (s *sim) mergeCycle() {
 func (s *sim) run() Metrics {
 	total := s.cfg.Warmup + s.cfg.Cycles
 	if s.pool != nil {
-		s.pool.unpark()
+		s.pool.Unpark()
 	}
 	for cycle := 0; cycle < total; cycle++ {
 		measured := cycle >= s.cfg.Warmup
@@ -526,11 +528,11 @@ func (s *sim) run() Metrics {
 		if s.faulty {
 			s.stepFaults(cycle) // sequential: O(faults), read-only during phases
 		}
-		s.doPhase(jobDeliver, 0, cycle, measured)
+		s.doPhase(fanout.Phase{Kind: fanout.Deliver, Cycle: cycle, Measured: measured})
 		for i := s.n - 2; i >= 0; i-- {
-			s.doPhase(jobStage, i, cycle, measured)
+			s.doPhase(fanout.Phase{Kind: fanout.Stage, Stage: i, Cycle: cycle, Measured: measured})
 		}
-		s.doPhase(jobInject, 0, cycle, measured)
+		s.doPhase(fanout.Phase{Kind: fanout.Inject, Cycle: cycle, Measured: measured})
 		s.mergeCycle()
 		if measured {
 			s.queueSum += s.occupied
@@ -541,7 +543,7 @@ func (s *sim) run() Metrics {
 		}
 	}
 	if s.pool != nil {
-		s.pool.dispatch(jobEndRun, 0, 0, false)
+		s.pool.Park()
 	}
 	for k := range s.shards {
 		for v, c := range s.shards[k].latHist {

@@ -3,13 +3,16 @@ package wormhole
 import (
 	"fmt"
 	"math/bits"
+
+	"iadm/internal/fanout"
 )
 
 // The wormhole invariant checker, mirroring the packet simulator's: after
 // every cycle it re-derives the structural invariants the flat lane/mask
 // hot path is supposed to preserve and panics on the first violation. The
-// `simcheck` build tag turns it on for a whole test run (what `make race`
-// uses); tests can flip invariantsEnabled directly for targeted runs.
+// `simcheck` build tag (fanout.Simcheck) turns it on for a whole test
+// run (what `make race` uses); tests can flip invariantsEnabled directly
+// for targeted runs.
 //
 // Checked invariants:
 //
@@ -26,7 +29,7 @@ import (
 //  4. Shard-merge correctness (sharded engine only): the merged counters
 //     and latency mass equal the exact sums over the per-shard
 //     accumulators.
-var invariantsEnabled = invariantsDefault
+var invariantsEnabled = fanout.Simcheck
 
 // checkInvariants verifies invariants 1 and 2 after a cycle. It panics
 // (rather than returning an error) because a violation means the core's

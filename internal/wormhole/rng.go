@@ -1,14 +1,11 @@
 package wormhole
 
-import "math"
-
-// The wormhole mode reuses the packet simulator's counter-based
-// randomness verbatim (see internal/simulator/rng.go for the full
-// rationale): every draw is a pure function of (seed, cycle, entity,
-// purpose) through a double splitmix64 finalizer, so a draw's value
-// depends on neither evaluation order nor worker, which is what makes
-// the sharded stepping bit-identical for every IntraWorkers count and
-// lets the internal/refwh oracle re-derive every decision independently.
+// The wormhole mode draws from the same counter-based generator as the
+// packet simulator (internal/ctrrng): every draw is a pure function of
+// (seed, cycle, entity, purpose), so a draw's value depends on neither
+// evaluation order nor worker, which is what makes the sharded stepping
+// bit-identical for every IntraWorkers count and lets the internal/refwh
+// oracle re-derive every decision independently.
 //
 // The purpose constants are fresh, disjoint from the packet simulator's,
 // so a wormhole run and a packet run on the same seed are statistically
@@ -16,8 +13,7 @@ import "math"
 // dense lane index (link*Lanes + lane) for in-flight head routing.
 
 // Draw-purpose domain separators. Arbitrary odd 64-bit constants; the
-// values are part of the refwh RNG contract and must match the copies in
-// internal/refwh.
+// values are part of the refwh RNG contract and are repeated there.
 const (
 	drawWhLoad     = 0x9b1f3a6d25c7e84b // per-source packet-start Bernoulli
 	drawWhDst      = 0x6e3c89a5d1f0b72d // per-source uniform destination
@@ -26,69 +22,3 @@ const (
 	drawWhRouteInj = 0x3f82d64b17c9ae05 // per-source random-state choice at injection
 	drawWhFault    = 0xe59a3d7c61b08f27 // fault skip-chain (wormhole engine only)
 )
-
-// mix64 is the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014).
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// ctrRNG is the counter-based generator: stateless apart from the seed.
-type ctrRNG struct {
-	seed uint64
-}
-
-func newCtrRNG(seed int64) ctrRNG { return ctrRNG{seed: uint64(seed)} }
-
-// word returns 64 uniformly random bits for the draw identified by
-// (cycle, entity, purpose).
-func (r ctrRNG) word(cycle, entity, purpose uint64) uint64 {
-	z := r.seed ^ purpose
-	z += cycle * 0x9e3779b97f4a7c15
-	z += entity * 0xd1b54a32d192ed03
-	return mix64(mix64(z) + 0x9e3779b97f4a7c15)
-}
-
-// intn returns a uniform value in [0, n) for n a power of two (mask n-1).
-func (r ctrRNG) intn(mask, cycle, entity, purpose uint64) int {
-	return int(r.word(cycle, entity, purpose) & mask)
-}
-
-// bit returns a fair coin flip.
-func (r ctrRNG) bit(cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose)&1 == 0
-}
-
-// hit reports one Bernoulli draw against a precomputed threshold.
-func (r ctrRNG) hit(t, cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose) < t
-}
-
-// bernoulliThreshold converts a probability into the integer threshold
-// hit() compares against; p >= 1 maps to MaxUint64.
-func bernoulliThreshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
-
-// geometricSkipFromWord draws the number of Bernoulli(p) trials up to and
-// including the next success from 64 uniform bits, via inversion;
-// invLn1mP must be 1/ln(1-p), with p >= 1 signalled by 0. See the packet
-// simulator's fault injector for the full derivation.
-func geometricSkipFromWord(u uint64, invLn1mP float64) int64 {
-	if invLn1mP == 0 {
-		return 1
-	}
-	unit := (float64(u>>11) + 1) * (1.0 / (1 << 53)) // uniform in (0, 1]
-	skip := int64(math.Log(unit)*invLn1mP) + 1
-	if skip < 1 {
-		return 1
-	}
-	return skip
-}

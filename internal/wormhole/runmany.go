@@ -3,8 +3,8 @@ package wormhole
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"iadm/internal/fanout"
 )
 
 // RunMany executes every config as an independent run, fanning out across
@@ -56,39 +56,13 @@ func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
 			workers = 1
 		}
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	results := make([]Metrics, len(cfgs))
-	errs := make([]error, len(cfgs))
-	if workers <= 1 {
-		for i := range cfgs {
-			results[i], errs[i] = Run(cfgs[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cfgs) {
-						return
-					}
-					results[i], errs[i] = Run(cfgs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
+	return fanout.Map(len(cfgs), workers, func(i int) (Metrics, error) {
+		m, err := Run(cfgs[i])
 		if err != nil {
-			return nil, fmt.Errorf("wormhole: run %d (%s): %w", i, configSummary(cfgs[i]), err)
+			return m, fmt.Errorf("wormhole: run %d (%s): %w", i, configSummary(cfgs[i]), err)
 		}
-	}
-	return results, nil
+		return m, nil
+	})
 }
 
 // Sweep builds and runs `points` configs derived from base: point i

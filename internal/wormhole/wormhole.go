@@ -28,12 +28,12 @@
 // core: all lane FIFOs live in one preallocated flit array, per-link
 // bitmasks track non-empty and claimed lanes, credits are bare integer
 // counters, and the steady-state cycle loop performs zero heap
-// allocations. Randomness is the same counter-based discipline as
-// internal/simulator (every draw a pure function of seed, cycle, entity
-// and purpose — see rng.go), which is what makes the sharded intra-run
-// stepping (Config.IntraWorkers) bit-identical for every worker count and
-// lets internal/refwh re-derive every decision independently as a
-// differential oracle. Build with -tags simcheck to re-verify flit
+// allocations. Randomness is the same counter-based generator as
+// internal/simulator's (internal/ctrrng: every draw a pure function of
+// seed, cycle, entity and purpose), which is what makes the sharded
+// intra-run stepping (Config.IntraWorkers) bit-identical for every worker
+// count and lets internal/refwh re-derive every decision independently as
+// a differential oracle. Build with -tags simcheck to re-verify flit
 // conservation, per-lane credit balance and lane-overflow freedom after
 // every cycle.
 package wormhole
@@ -44,6 +44,8 @@ import (
 	"runtime"
 
 	"iadm/internal/blockage"
+	"iadm/internal/ctrrng"
+	"iadm/internal/fanout"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
@@ -86,7 +88,7 @@ type Config struct {
 
 	// IntraWorkers >= 2 steps each cycle on that many worker goroutines
 	// over contiguous switch-column shards, with barriers between stage
-	// phases; metrics are bit-identical for every value (see pool.go).
+	// phases; metrics are bit-identical for every value (see engine.go).
 	IntraWorkers int
 }
 
@@ -151,7 +153,7 @@ type sim struct {
 	V int // lanes per link
 	D int // flits per lane
 
-	rng ctrRNG
+	rng ctrrng.RNG
 
 	// Lane FIFOs: one flat flit array, stride D per lane, with per-lane
 	// head/size cursors. credit[q] is the upstream view of lane q's free
@@ -225,7 +227,7 @@ type sim struct {
 	intraP  int
 	shards  []shardState
 	shardLo []int32
-	pool    *workerPool
+	pool    *fanout.Pool
 
 	check bool
 	ck    checkCounters
@@ -369,8 +371,8 @@ func newSim(cfg Config) (*sim, error) {
 		traffic:     cfg.Traffic,
 		singleInput: cfg.Switches == simulator.SingleInput,
 		faulty:      cfg.FaultRate > 0,
-		loadT:       bernoulliThreshold(cfg.Load),
-		hotT:        bernoulliThreshold(cfg.HotspotFrac),
+		loadT:       ctrrng.BernoulliThreshold(cfg.Load),
+		hotT:        ctrrng.BernoulliThreshold(cfg.HotspotFrac),
 		dstMask:     uint64(N - 1),
 	}
 	for idx := 0; idx < L; idx++ {
@@ -408,7 +410,7 @@ func newSim(cfg Config) (*sim, error) {
 		s.shards[k].latHist = make([]int32, latBuckets)
 	}
 	if s.intraP > 1 {
-		s.pool = newWorkerPool(s, s.intraP)
+		s.pool = fanout.NewPool(s.intraP, s.runShardPhase)
 	}
 	return s, nil
 }
@@ -435,7 +437,7 @@ func (s *sim) buildIn() {
 // reset rewinds the sim to cycle 0 with a fresh seed, reusing every
 // buffer.
 func (s *sim) reset(seed int64) {
-	s.rng = newCtrRNG(seed)
+	s.rng = ctrrng.New(seed)
 	clear(s.head)
 	clear(s.size)
 	clear(s.occMask)
@@ -501,7 +503,7 @@ func Run(cfg Config) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	defer s.closePool()
+	defer s.pool.Close()
 	s.reset(cfg.Seed)
 	return s.run(), nil
 }
@@ -522,7 +524,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r := &Runner{s: s}
 	if s.pool != nil {
-		runtime.SetFinalizer(r, func(r *Runner) { r.s.closePool() })
+		runtime.SetFinalizer(r, func(r *Runner) { r.s.pool.Close() })
 	}
 	return r, nil
 }
@@ -540,5 +542,5 @@ func (r *Runner) RunSeed(seed int64) Metrics {
 // IntraWorkers <= 1). The Runner must not be used afterwards.
 func (r *Runner) Close() {
 	runtime.SetFinalizer(r, nil)
-	r.s.closePool()
+	r.s.pool.Close()
 }

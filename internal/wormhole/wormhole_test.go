@@ -352,3 +352,27 @@ func TestLaneCountHelpsUnderLoad(t *testing.T) {
 		prev = m.FlitThroughput
 	}
 }
+
+// TestRunnerZeroAllocs: a warm Runner's RunSeed performs no heap
+// allocation, on one shard and on the phase pool, with the fault
+// injector running.
+func TestRunnerZeroAllocs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r, err := NewRunner(Config{N: 64, Policy: simulator.RandomState, Load: 0.7,
+			PacketFlits: 4, Lanes: 2, LaneDepth: 2, Cycles: 100, Warmup: 10,
+			Traffic: simulator.Uniform, FaultRate: 0.002, RepairCycles: 5,
+			IntraWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			r.RunSeed(seed)
+		})
+		r.Close()
+		if allocs != 0 {
+			t.Errorf("IntraWorkers=%d: %v allocs per RunSeed, want 0", workers, allocs)
+		}
+	}
+}

@@ -15,16 +15,17 @@
 #
 #   2. overhead: against the same fleet, now under light load (fewer
 #      workers than any backend's admission slots, so nothing sheds),
-#      client p50 latency is measured twice — straight at one backend,
-#      then through the router — and the router may add at most 15
-#      percent. Every request costs a -slow-cost compute, i.e. the
-#      overhead is judged against real slow-path work.
+#      client p50 latency is measured straight at one backend and through
+#      the router in 3 alternating rounds, and the best routed p50 may
+#      exceed the best direct one by at most 15 percent. Every request
+#      costs a -slow-cost compute, i.e. the overhead is judged against
+#      real slow-path work; alternating keeps host drift from counting
+#      as router overhead.
 #
 #   3. fast path: a fresh 3-backend fleet with no -slow-cost, behind a
 #      router with iadmfleet's defaults (no hedging), serves SSDT
-#      singles; client p50 is measured straight at one
-#      backend and through the router in 3 alternating rounds, and the
-#      best routed p50 may be at most 4x the best direct one. This is a
+#      singles; client p50 is measured the same alternating way, and
+#      the best routed p50 may be at most 4x the best direct one. This is a
 #      sanity bound on the router's added latency with no slow-path
 #      work to hide behind, not a regression gate: on a shared 2-core
 #      host the ratio moves with the host's load by more than a change
@@ -110,6 +111,39 @@ p50_us() {
     awk '/^latency/ { for (i = 1; i <= NF; i++) if ($i ~ /^p50=/) { sub(/^p50=/, "", $i); print $i } }' "$1"
 }
 
+# alternate_p50 TAG DIRECT_ADDR ROUTED_ADDR ROUTED_EXTRA SEED0 ARGS... —
+# run iadmload with ARGS for 3 rounds, each straight at one backend and
+# then through the router, so drift of the shared host hits both sides
+# alike. Round r seeds both sides with SEED0+r; ROUTED_EXTRA (split on
+# spaces) is added on the routed side only. Sets best_direct and
+# best_routed to each side's best p50 in microseconds.
+alternate_p50() {
+    tag=$1 d_addr=$2 r_addr=$3 r_extra=$4 seed0=$5
+    shift 5
+    best_direct=""
+    best_routed=""
+    round=1
+    while [ "$round" -le 3 ]; do
+        for side in direct routed; do
+            addr=$d_addr extra=""
+            if [ "$side" = routed ]; then addr=$r_addr extra=$r_extra; fi
+            out="$tmp/$tag-$side.out"
+            # shellcheck disable=SC2086 # extra is a flag list
+            if ! "$tmp/iadmload" -addr "$addr" $extra "$@" -seed $((seed0 + round)) -check >"$out"; then
+                cat "$out" >&2
+                echo "fleet-smoke: $tag round $round $side failed its -check" >&2
+                exit 1
+            fi
+            p50=$(p50_us "$out")
+            echo "fleet-smoke: $tag round $round $side p50=${p50}us"
+            eval "best=\$best_${side}"
+            best=$(awk -v a="$best" -v b="$p50" 'BEGIN { print (a == "" || b + 0 < a + 0) ? b : a }')
+            eval "best_${side}=$best"
+        done
+        round=$((round + 1))
+    done
+}
+
 echo "fleet-smoke: building iadmd, iadmfleet and iadmload"
 $GO build -o "$tmp/iadmd" ./cmd/iadmd
 $GO build -o "$tmp/iadmfleet" ./cmd/iadmfleet
@@ -176,17 +210,11 @@ fi
 # backend's admission slots, so nothing sheds and every request pays one
 # -slow-cost compute.
 echo "fleet-smoke: phase 2, p50 overhead (budget 15%)"
-direct_addr=$(cat "$tmp/cap0.port")
-"$tmp/iadmload" -addr "$direct_addr" -workers 2 -duration 1500ms \
-    -tsdt 1 -zipf 1 -seed 303 -check | tee "$tmp/ovh-direct.out"
-direct_p50=$(p50_us "$tmp/ovh-direct.out")
+alternate_p50 overhead "$(cat "$tmp/cap0.port")" "$caprt_addr" "-nets 4" 302 \
+    -workers 2 -duration 1500ms -tsdt 1 -zipf 1
 
-"$tmp/iadmload" -addr "$caprt_addr" -workers 2 -duration 1500ms \
-    -nets 4 -tsdt 1 -zipf 1 -seed 404 -check | tee "$tmp/ovh-routed.out"
-routed_p50=$(p50_us "$tmp/ovh-routed.out")
-
-echo "fleet-smoke: p50 direct=${direct_p50}us routed=${routed_p50}us"
-if ! awk -v d="$direct_p50" -v r="$routed_p50" -v pct=15 \
+echo "fleet-smoke: p50 overhead best direct=${best_direct}us routed=${best_routed}us"
+if ! awk -v d="$best_direct" -v r="$best_routed" -v pct=15 \
     'BEGIN { exit !(d > 0 && r <= d * (1 + pct / 100)) }'; then
     echo "fleet-smoke: router added more than 15% p50 latency" >&2
     exit 1
@@ -240,25 +268,11 @@ for addr in "$fast_direct_addr" "$fastrt_addr"; do
     "$tmp/iadmload" -addr "$addr" -workers 1 -duration 500ms \
         -tsdt 0 -zipf 1 -seed 606 -check >/dev/null
 done
-fast_direct_p50=""
-fast_routed_p50=""
-round=1
-while [ "$round" -le 3 ]; do
-    for side in direct routed; do
-        if [ "$side" = direct ]; then addr=$fast_direct_addr; else addr=$fastrt_addr; fi
-        "$tmp/iadmload" -addr "$addr" -workers 1 -duration 1s \
-            -tsdt 0 -zipf 1 -seed $((700 + round)) -check >"$tmp/fast-$side.out"
-        p50=$(p50_us "$tmp/fast-$side.out")
-        echo "fleet-smoke: fast-path round $round $side p50=${p50}us"
-        eval "best=\$fast_${side}_p50"
-        best=$(awk -v a="$best" -v b="$p50" 'BEGIN { print (a == "" || b + 0 < a + 0) ? b : a }')
-        eval "fast_${side}_p50=$best"
-    done
-    round=$((round + 1))
-done
+alternate_p50 fast-path "$fast_direct_addr" "$fastrt_addr" "" 700 \
+    -workers 1 -duration 1s -tsdt 0 -zipf 1
 
-echo "fleet-smoke: fast-path best p50 direct=${fast_direct_p50}us routed=${fast_routed_p50}us"
-if ! awk -v d="$fast_direct_p50" -v r="$fast_routed_p50" \
+echo "fleet-smoke: fast-path best p50 direct=${best_direct}us routed=${best_routed}us"
+if ! awk -v d="$best_direct" -v r="$best_routed" \
     'BEGIN { exit !(d > 0 && r <= d * 4) }'; then
     echo "fleet-smoke: routed fast-path p50 exceeded 4x direct" >&2
     exit 1

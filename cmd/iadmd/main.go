@@ -31,6 +31,7 @@
 //
 //	GET|POST /route        ?src=&dst=&scheme=ssdt|tsdt (or JSON body)
 //	POST     /route/batch  {"requests":[{"src":..,"dst":..,"scheme":".."}]}
+//	                       (?answers=tags: items carry only tag and epoch)
 //	POST     /fault        {"links":["1:2:+"],"switches":["1:3"]}
 //	POST     /repair       {"links":["1:2:+"]}
 //	GET      /healthz      liveness and drain state

@@ -15,8 +15,8 @@
 // backends; within a partition each (src,dst) pair has a stable owner
 // replica, placed by a hash of the pair. /route/batch is
 // scatter-gathered — split by owning backend, fanned out concurrently,
-// merged back in input order so each backend's 64-lane sliced kernels
-// see dense lane blocks. /fault and /repair fan out to EVERY replica of
+// merged back in input order, every sub-batch asking for the answer
+// shape the client asked for (?answers=tags or the full shape). /fault and /repair fan out to EVERY replica of
 // the partition and require every ack (Theorems 3.1/3.2: a replica that
 // missed a report would keep computing TSDT tags against a stale map).
 //

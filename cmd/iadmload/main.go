@@ -27,16 +27,16 @@
 //
 // -batch sends fixed-size /route/batch requests; -batch-mix cycles through
 // a comma-separated list of sizes per iteration instead (sizes <= 1 go out
-// as single /route calls), exercising the server's sliced-kernel fill at
-// every remainder shape.
+// as single /route calls), exercising the client's 64-lane path expansion
+// at every remainder shape.
 //
 // With -check the exit status enforces the smoke contract: no transport
 // errors, no non-200 route responses, no server-side 5xx, non-zero
 // throughput, and no SSDT request on the slow path: the server's metrics
 // must show zero SSDT misses and zero SSDT coalesced joins, since an SSDT
 // tag is the destination address (Theorem 3.1) and is never computed.
-// When any batching is requested, the server must also report
-// sliced-kernel lanes used.
+// Every answered batch item's path, which routesvc.Client walks from the
+// item's tag, must have n+1 switches and run from its src to its dst.
 //
 // -overload flips the contract for saturation rehearsals against a daemon
 // running admission control: shed responses (429 or batch items with code
@@ -160,6 +160,7 @@ type workerStats struct {
 	transport    int // connection/IO failures
 	badStatus    int // non-200 route responses (422 unroutable included)
 	itemErrors   int // per-item errors inside 200 batch responses
+	badPaths     int // answered batch items whose path is not n+1 switches from src to dst
 	shed         int // 429 route responses (admission refusals)
 	itemSheds    int // batch items with code "overload" inside 200 responses
 	faults       int // fault toggles sent
@@ -169,12 +170,11 @@ type workerStats struct {
 }
 
 type summary struct {
-	cfg       loadConfig
-	n         int
-	elapsed   time.Duration
-	total     workerStats
-	metrics   routesvc.MetricsJSON
-	batchUsed bool // any /route/batch traffic was requested
+	cfg     loadConfig
+	n       int
+	elapsed time.Duration
+	total   workerStats
+	metrics routesvc.MetricsJSON
 }
 
 func (s *summary) throughput() float64 {
@@ -243,8 +243,8 @@ func (s *summary) violations(cfg loadConfig) []string {
 	if ssdt := s.metrics.Service.SSDT; ssdt.Misses > 0 || ssdt.Coalesced > 0 {
 		v = append(v, fmt.Sprintf("SSDT reached the slow path: %d misses, %d coalesced joins", ssdt.Misses, ssdt.Coalesced))
 	}
-	if s.batchUsed && s.metrics.Service.SlicedLanes == 0 {
-		v = append(v, "batch traffic sent but server reports sliced kernel unused")
+	if s.total.badPaths > 0 {
+		v = append(v, fmt.Sprintf("%d answered batch items with a path that is not n+1 switches from src to dst", s.total.badPaths))
 	}
 	if !cfg.overload {
 		// In a normal run the server should never be driven into its
@@ -376,13 +376,7 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		}
 	}()
 
-	batchUsed := cfg.batch > 1
-	for _, sz := range mix {
-		if sz > 1 {
-			batchUsed = true
-		}
-	}
-	sum := &summary{cfg: cfg, n: n, elapsed: elapsed, batchUsed: batchUsed}
+	sum := &summary{cfg: cfg, n: n, elapsed: elapsed}
 	sum.total.lat = newLatStream()
 	for i := range results {
 		r := &results[i]
@@ -390,6 +384,7 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		sum.total.transport += r.transport
 		sum.total.badStatus += r.badStatus
 		sum.total.itemErrors += r.itemErrors
+		sum.total.badPaths += r.badPaths
 		sum.total.shed += r.shed
 		sum.total.itemSheds += r.itemSheds
 		sum.total.faults += r.faults
@@ -412,9 +407,9 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	}
 
 	lat := &sum.total.lat
-	fmt.Fprintf(w, "requests: %d in %.2fs (%.0f req/s); errors: %d transport, %d bad status, %d batch items, %d mutate\n",
+	fmt.Fprintf(w, "requests: %d in %.2fs (%.0f req/s); errors: %d transport, %d bad status, %d batch items, %d bad paths, %d mutate\n",
 		sum.total.requests, elapsed.Seconds(), sum.throughput(),
-		sum.total.transport, sum.total.badStatus, sum.total.itemErrors, sum.total.mutateErrors)
+		sum.total.transport, sum.total.badStatus, sum.total.itemErrors, sum.total.badPaths, sum.total.mutateErrors)
 	fmt.Fprintf(w, "success: %d ok (%.0f ok/s)\n", sum.successes(), sum.okPerSec())
 	fmt.Fprintf(w, "latency µs: mean=%.1f p50=%g p90=%g p99=%g max=%g\n",
 		lat.Mean(), lat.Percentile(50), lat.Percentile(90), lat.Percentile(99), lat.Max())
@@ -520,12 +515,14 @@ func worker(cfg loadConfig, mix []int, rc *routesvc.Client, claims *churnClaims,
 				continue
 			}
 			ws.lat.Add(us)
-			for _, r := range out.Responses {
+			for i, r := range out.Responses {
 				switch {
 				case r.Code == "overload":
 					ws.itemSheds++
 				case r.Error != "":
 					ws.itemErrors++
+				case !pathJoins(r.Path, reqs[i].Src, reqs[i].Dst, stages):
+					ws.badPaths++
 				}
 			}
 		} else {
@@ -566,6 +563,12 @@ func worker(cfg loadConfig, mix []int, rc *routesvc.Client, claims *churnClaims,
 		claims.release(spec)
 	}
 	return ws
+}
+
+// pathJoins reports whether path visits one switch per stage of an
+// n-stage network, starting at src and ending at dst.
+func pathJoins(path []int, src, dst, n int) bool {
+	return len(path) == n+1 && path[0] == src && path[n] == dst
 }
 
 // churnClaims holds the switches whose nonstraight links some worker

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -82,6 +83,67 @@ func TestRunBatchMode(t *testing.T) {
 	}
 }
 
+// TestRunBatchModeFlagsTamperedPaths: a server whose batch answers name
+// the wrong destination fails the -check contract on the path clause
+// alone. The tamper flips the first destination bit of every tag, so
+// the path the client walks from it ends one switch off the request's
+// dst; an untampered run of the same shape passes (TestRunBatchMode).
+func TestRunBatchModeFlagsTamperedPaths(t *testing.T) {
+	svc, err := routesvc.New(routesvc.Config{N: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := routesvc.NewHandler(svc)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/route/batch" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		for i := 0; i+8 < len(body); i++ {
+			if string(body[i:i+8]) == `"tag":"0` || string(body[i:i+8]) == `"tag":"1` {
+				body[i+7] ^= 1
+			}
+		}
+		routesvc.WriteBody(w, rec.Code, body)
+	}))
+	t.Cleanup(ts.Close)
+	cfg := loadConfig{addr: ts.URL, workers: 1, duration: 100 * time.Millisecond, tsdtFrac: 0.5, batch: 4, seed: 7}
+	var out strings.Builder
+	sum, err := run(cfg, &out)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if sum.total.badPaths == 0 || sum.total.badPaths != sum.successes() {
+		t.Errorf("%d bad paths among %d answered items, want all of them", sum.total.badPaths, sum.successes())
+	}
+	v := sum.violations(cfg)
+	if len(v) != 1 || !strings.Contains(v[0], "not n+1 switches from src to dst") {
+		t.Errorf("violations %v, want the path clause alone\noutput:\n%s", v, out.String())
+	}
+}
+
+func TestPathJoins(t *testing.T) {
+	for _, c := range []struct {
+		path        []int
+		src, dst, n int
+		want        bool
+	}{
+		{[]int{1, 3, 7, 6}, 1, 6, 3, true},
+		{[]int{1, 3, 7, 6}, 2, 6, 3, false},
+		{[]int{1, 3, 7, 6}, 1, 7, 3, false},
+		{[]int{1, 3, 6}, 1, 6, 3, false},
+		{[]int{1, 3, 7, 7, 6}, 1, 6, 3, false},
+		{nil, 1, 6, 3, false},
+	} {
+		if got := pathJoins(c.path, c.src, c.dst, c.n); got != c.want {
+			t.Errorf("pathJoins(%v, %d, %d, %d) = %v, want %v", c.path, c.src, c.dst, c.n, got, c.want)
+		}
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	ts := newTestServer(t, 8)
 	var out strings.Builder
@@ -111,11 +173,12 @@ func TestViolations(t *testing.T) {
 	s.total.transport = 1
 	s.total.badStatus = 2
 	s.total.itemErrors = 3
+	s.total.badPaths = 1
 	s.total.mutateErrors = 4
 	s.metrics.HTTP5xx = 5
 	s.metrics.Service.SSDT.Misses = 1
-	if v := s.violations(cfg); len(v) != 6 {
-		t.Errorf("want 6 violations, got %d: %v", len(v), v)
+	if v := s.violations(cfg); len(v) != 7 {
+		t.Errorf("want 7 violations, got %d: %v", len(v), v)
 	}
 
 	// An SSDT request reaching the slow path fails the run on its own,

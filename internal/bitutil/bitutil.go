@@ -80,14 +80,21 @@ func Parse(s string) (uint64, error) {
 	if len(s) > 64 {
 		return 0, fmt.Errorf("bitutil: bit string %q longer than 64 bits", s)
 	}
-	var v uint64
+	// One branch-free pass: c^'0' is 0 or 1 exactly for '0' and '1', so
+	// any other byte leaves a bit above bit 0 in bad, and c&1 is the
+	// digit's value. Only a refused string is scanned again, for the
+	// first bad byte the error names.
+	var v, bad uint64
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-		case '1':
-			v |= 1 << uint(i)
-		default:
-			return 0, fmt.Errorf("bitutil: invalid character %q in bit string %q", s[i], s)
+		c := s[i]
+		bad |= uint64((c ^ '0') &^ 1)
+		v |= uint64(c&1) << uint(i)
+	}
+	if bad != 0 {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c != '0' && c != '1' {
+				return 0, fmt.Errorf("bitutil: invalid character %q in bit string %q", c, s)
+			}
 		}
 	}
 	return v, nil

@@ -1,6 +1,7 @@
 package bitutil
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,74 @@ func TestParse(t *testing.T) {
 	if _, err := Parse(string(make([]byte, 65))); err == nil {
 		t.Error("Parse accepted overlong string")
 	}
+}
+
+// parseBranchy is Parse as a per-bit switch, the reference the
+// branch-free loop is held to: same value, same error text.
+func parseBranchy(s string) (uint64, error) {
+	if len(s) > 64 {
+		return 0, fmt.Errorf("bitutil: bit string %q longer than 64 bits", s)
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '0':
+		case '1':
+			v |= 1 << uint(i)
+		default:
+			return 0, fmt.Errorf("bitutil: invalid character %q in bit string %q", s[i], s)
+		}
+	}
+	return v, nil
+}
+
+// TestParseBadByteEveryPosition puts every non-digit byte value at every
+// position of a 1..64-bit string (a second bad byte after it, where one
+// fits), and requires Parse to refuse it naming the first bad byte, as
+// the per-bit reference does.
+func TestParseBadByteEveryPosition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 64; n++ {
+		digits := make([]byte, n)
+		for i := range digits {
+			digits[i] = '0' + byte(rng.Intn(2))
+		}
+		if got, err := Parse(string(digits)); err != nil || got != MustParse(string(digits)) {
+			t.Fatalf("Parse(%q) = %d, %v", digits, got, err)
+		}
+		for pos := 0; pos < n; pos++ {
+			for c := 0; c < 256; c++ {
+				if c == '0' || c == '1' {
+					continue
+				}
+				b := append([]byte(nil), digits...)
+				b[pos] = byte(c)
+				if pos+1 < n {
+					b[n-1] = 'x'
+				}
+				_, err := Parse(string(b))
+				_, want := parseBranchy(string(b))
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("Parse(%q) error %v, want %v", b, err, want)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkParse20(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tags := make([]string, 256)
+	for i := range tags {
+		tags[i] = String(rng.Uint64(), 20)
+	}
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := Parse(tags[i&255])
+		sink += v
+	}
+	_ = sink
 }
 
 func TestParseStringRoundTrip(t *testing.T) {

@@ -15,6 +15,8 @@ import (
 // that places it, sub-batches are those bytes concatenated, and each
 // backend's answer is split at item boundaries into sub-slices of its
 // pooled body, which the merged response splices back in input order.
+// Every sub-batch asks for the answer shape the client asked for
+// (routesvc.Answers), so the items splice unchanged in either shape.
 
 // batchWork is the memory one routed batch works in, pooled so a batch
 // allocates per batch rather than per item: the scanned items, the
@@ -22,6 +24,7 @@ import (
 // response splits, and the failed indices and response bodies a fan-out
 // collects.
 type batchWork struct {
+	path   string // the sub-batches' request path: the client's answer shape
 	items  []routesvc.BatchItem
 	out    [][]byte
 	all    []int
@@ -157,7 +160,7 @@ func (rt *Router) sendSub(w *batchWork, b int, idx []int, asRetry bool) (*routes
 	resp := routesvc.GetWireBuf()
 	var spans [][]byte
 	var ep uint64
-	err := bk.client.PostRaw("/route/batch", body.B, resp)
+	err := bk.client.PostRaw(w.path, body.B, resp)
 	if err == nil {
 		spans, ep, err = routesvc.AppendBatchResponses(w.spans[b][:0], resp.B)
 		w.spans[b] = spans
@@ -192,11 +195,17 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrJSON(w, http.StatusBadRequest, fmt.Errorf("method %s", r.Method), "invalid", 0)
 		return
 	}
+	shape, err := routesvc.ParseAnswers(r.URL.RawQuery)
+	if err != nil {
+		writeErrJSON(w, http.StatusBadRequest, err, "invalid", 0)
+		return
+	}
 	in := routesvc.GetWireBuf()
 	defer routesvc.PutWireBuf(in)
 	bw := getBatchWork(len(rt.bks))
 	defer putBatchWork(bw)
-	err := in.ReadAll(r.Body, r.ContentLength)
+	bw.path = shape.BatchPath()
+	err = in.ReadAll(r.Body, r.ContentLength)
 	if err == nil {
 		bw.items, err = routesvc.AppendBatchItems(bw.items[:0], in.B)
 	}
@@ -232,12 +241,17 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 		defer routesvc.PutWireBuf(fails)
 		ends := make([]int, len(failed))
 		for k, i := range failed {
-			// The item was decoded once already by AppendBatchItems.
-			var item routesvc.RouteJSON
-			_ = routesvc.DecodeRouteJSON(items[i].Raw, &item)
-			item.Error, item.Code = ferr.Error(), "backend"
-			// json.Marshal's escaping, as these items were always written.
-			fails.B = routesvc.AppendRouteJSON(fails.B, &item, true)
+			if shape == routesvc.TagAnswers {
+				fails.B = routesvc.AppendErrorJSON(fails.B, ferr.Error(), "backend")
+			} else {
+				// A full-shape item echoes the request, which was decoded
+				// once already by AppendBatchItems.
+				var item routesvc.RouteJSON
+				_ = routesvc.DecodeRouteJSON(items[i].Raw, &item)
+				item.Error, item.Code = ferr.Error(), "backend"
+				// json.Marshal's escaping, as these items were always written.
+				fails.B = routesvc.AppendRouteJSON(fails.B, &item, true)
+			}
 			ends[k] = len(fails.B)
 		}
 		start := 0

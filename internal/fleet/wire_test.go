@@ -31,9 +31,11 @@ func rawPost(t *testing.T, url, body string) (int, []byte) {
 
 // TestRoutedBodiesMatchDirect: through the router, /route answers the
 // backend's body byte for byte, and /route/batch answers the backend's
-// items spliced unchanged into the router's {"responses","epoch"} shape.
-// The fleet has one backend and a twin direct backend sees the same
-// request sequence, so cache flags and epochs agree.
+// items spliced unchanged into the router's {"responses","epoch"} shape;
+// with ?answers=tags, whose body already has that shape, the routed body
+// equals the direct one. The fleet has one backend and a twin direct
+// backend sees the same request sequence, so cache flags and epochs
+// agree.
 func TestRoutedBodiesMatchDirect(t *testing.T) {
 	f := newTestFleet(t, 1, Config{Replicas: 1})
 	twin := routesvc.NewMulti(routesvc.Config{N: 64, Admission: routesvc.AdmissionConfig{Disabled: true}}, 16)
@@ -89,6 +91,12 @@ func TestRoutedBodiesMatchDirect(t *testing.T) {
 		if !bytes.Equal(gotR, want) {
 			t.Fatalf("batch %s:\nrouted %s\n  want %s", body, gotR, want)
 		}
+
+		codeR, gotR = rawPost(t, routed.URL+"/route/batch?answers=tags", body)
+		codeD, gotD = rawPost(t, direct.URL+"/route/batch?answers=tags", body)
+		if codeR != http.StatusOK || codeD != http.StatusOK || !bytes.Equal(gotR, gotD) {
+			t.Fatalf("batch %s with tag answers:\nrouted %d %s\ndirect %d %s", body, codeR, gotR, codeD, gotD)
+		}
 	}
 	for s := 0; s < 64; s += 9 {
 		for d := 0; d < 64; d += 13 {
@@ -108,7 +116,8 @@ func TestRoutedBodiesMatchDirect(t *testing.T) {
 
 // TestFleetTamperedItemCount: a backend answering the wrong number of
 // items fails its whole sub-batch — every item answers a per-item
-// "backend" error, encoded as json.Marshal encodes a RouteJSON.
+// "backend" error: in the full shape encoded as json.Marshal encodes the
+// request's RouteJSON, in the tag shape as the error body.
 func TestFleetTamperedItemCount(t *testing.T) {
 	m := routesvc.NewMulti(routesvc.Config{N: 64, Admission: routesvc.AdmissionConfig{Disabled: true}}, 16)
 	h := routesvc.NewMultiHandler(m)
@@ -164,13 +173,30 @@ func TestFleetTamperedItemCount(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("tampered batch:\n got %s\nwant %s", got, want)
 	}
-	if errs := rt.bks[0].errs.Load(); errs != 1 {
-		t.Errorf("backend error count %d, want 1", errs)
+
+	code, got = rawPost(t, front.URL+"/route/batch?answers=tags", string(body))
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, got)
+	}
+	want = []byte(`{"responses":[`)
+	for i := range in.Requests {
+		if i > 0 {
+			want = append(want, ',')
+		}
+		want = routesvc.AppendErrorJSON(want, msg, "backend")
+	}
+	want = append(want, "],\"epoch\":0}\n"...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("tampered tag-shape batch:\n got %s\nwant %s", got, want)
+	}
+	if errs := rt.bks[0].errs.Load(); errs != 2 {
+		t.Errorf("backend error count %d, want 2", errs)
 	}
 }
 
-// TestRouterRefusesMalformedBatches: bodies the router cannot place
-// answer 400 "invalid" without reaching a backend.
+// TestRouterRefusesMalformedBatches: bodies the router cannot place, and
+// answer shapes it does not know, answer 400 "invalid" without reaching a
+// backend.
 func TestRouterRefusesMalformedBatches(t *testing.T) {
 	f := newTestFleet(t, 2, Config{Replicas: 1})
 	front := httptest.NewServer(f.rt)
@@ -181,6 +207,14 @@ func TestRouterRefusesMalformedBatches(t *testing.T) {
 		_ = json.Unmarshal(got, &e)
 		if code != http.StatusBadRequest || e.Code != "invalid" {
 			t.Errorf("%q: %d %s, want 400 invalid", body, code, got)
+		}
+	}
+	for _, q := range []string{"answers=full", "answers=", "answers=tags&answers=tags"} {
+		code, got := rawPost(t, front.URL+"/route/batch?"+q, `{"requests":[{"src":1,"dst":2}]}`)
+		var e struct{ Code string }
+		_ = json.Unmarshal(got, &e)
+		if code != http.StatusBadRequest || e.Code != "invalid" {
+			t.Errorf("?%s: %d %s, want 400 invalid", q, code, got)
 		}
 	}
 	if subs := f.rt.subs.Load(); subs != 0 {

@@ -215,17 +215,25 @@ func (c *Client) Route(net string, src, dst int, scheme Scheme) (RouteJSON, erro
 	return out, err
 }
 
-// RouteBatch requests many tags in one round trip. The answer's memory
-// is per batch, not per item: Responses has its exact length, the items'
-// Path slices share one backing array, each capped at its own length (so
-// appending to one never touches the next), and their tags are
-// substrings of one string. The caller owns all of it.
+// RouteBatch requests many tags in one round trip. It asks for tag
+// answers (TagAnswers) and completes them from reqs: each item gets its
+// request's net, src and dst, the canonical scheme, and the path the tag
+// walks from src, expanded by the 64-lane sliced kernel. The result
+// equals the full-shape answer except that Cached is always false. An
+// answer with another number of items or a tag that does not parse fails
+// the call as an undecodable body does.
+//
+// The answer's memory is per batch, not per item: Responses has its
+// exact length, the items' Path slices share one backing array, each
+// capped at its own length (so appending to one never touches the
+// next), and their tags are substrings of one string. The caller owns
+// all of it.
 func (c *Client) RouteBatch(reqs []RouteJSON) (BatchJSON, error) {
 	var out BatchJSON
 	body := GetWireBuf()
 	defer PutWireBuf(body)
 	body.B = appendBatchJSON(body.B, &BatchJSON{Requests: reqs})
-	err := c.call("/route/batch", body.B, func(b []byte) error { return decodeBatchJSON(b, &out) })
+	err := c.call(TagAnswers.BatchPath(), body.B, func(b []byte) error { return decodeTagAnswers(b, reqs, &out) })
 	return out, err
 }
 

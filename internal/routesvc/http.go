@@ -19,6 +19,7 @@ import (
 //
 //	GET|POST /route        one tag request (?src=&dst=&scheme= or JSON body)
 //	POST     /route/batch  many tag requests in one round trip
+//	                       (?answers=tags: items carry tag and epoch only)
 //	POST     /fault        link/switch fault reports
 //	POST     /repair       link repair reports
 //	GET      /healthz      liveness + drain state
@@ -273,6 +274,11 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, fmt.Errorf("%w: method %s", ErrInvalid, r.Method))
 		return
 	}
+	shape, err := ParseAnswers(r.URL.RawQuery)
+	if err != nil {
+		h.writeErr(w, err)
+		return
+	}
 	wb := GetWireBuf()
 	defer PutWireBuf(wb)
 	bs := batchPool.Get().(*batchScratch)
@@ -283,7 +289,7 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 	}()
 	reqs, nets := bs.reqs[:0], bs.nets[:0]
 	var schemeErr error
-	err := wb.ReadAll(r.Body, r.ContentLength)
+	err = wb.ReadAll(r.Body, r.ContentLength)
 	if err == nil {
 		d := wireDec{b: wb.B}
 		_, err = d.batch(batchSpec{requests: routeItems, responses: routeItems, epoch: true},
@@ -320,17 +326,25 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		svc, err := h.service(net)
 		if err == nil {
-			bs.links, err = svc.routeBatchInto(reqs, bs.results, bs.links[:0])
+			err = svc.resolveBatch(reqs, bs.results)
 		}
 		if err != nil {
 			h.writeErr(w, err)
 			return
 		}
+		if shape == FullAnswers {
+			bs.links = svc.fillPathsSliced(bs.results, bs.links[:0])
+		}
 		epoch = svc.Epoch()
 	} else {
-		epoch = h.routeMixed(bs)
+		epoch = h.routeMixed(bs, shape)
 	}
-	wb.B = append(appendBatchResults(wb.B[:0], nets, bs.results, epoch), '\n')
+	if shape == TagAnswers {
+		wb.B = appendTagResults(wb.B[:0], bs.results, epoch)
+	} else {
+		wb.B = appendBatchResults(wb.B[:0], nets, bs.results, epoch)
+	}
+	wb.B = append(wb.B, '\n')
 	WriteBody(w, http.StatusOK, wb.B)
 }
 
@@ -345,12 +359,13 @@ func singleNet(nets []string) bool {
 	return true
 }
 
-// routeMixed serves a batch spanning several networks into bs.results.
-// Items are grouped by network, preserving input order inside each group
-// so every per-network sub-batch still packs dense 64-lane sliced blocks;
-// items fail per-item so one draining network cannot poison the others'
-// results. The epoch is the highest any served network reported.
-func (h *Handler) routeMixed(bs *batchScratch) uint64 {
+// routeMixed serves a batch spanning several networks into bs.results,
+// with paths for a full-shape answer. Items are grouped by network,
+// preserving input order inside each group so every per-network
+// sub-batch still packs dense 64-lane sliced blocks; items fail per-item
+// so one draining network cannot poison the others' results. The epoch
+// is the highest any served network reported.
+func (h *Handler) routeMixed(bs *batchScratch, shape Answers) uint64 {
 	// A group is a network that resolved to a service, and a host serves
 	// at most its network cap, so a linear scan of the groups found so far
 	// finds an item's group. An item whose network does not resolve fails
@@ -387,8 +402,10 @@ func (h *Handler) routeMixed(bs *batchScratch) uint64 {
 		}
 		bs.idx, bs.sub = idx, sub
 		bs.subOut = slices.Grow(bs.subOut[:0], len(sub))[:len(sub)]
-		var err error
-		links, err = svc.routeBatchInto(sub, bs.subOut, links)
+		err := svc.resolveBatch(sub, bs.subOut)
+		if err == nil && shape == FullAnswers {
+			links = svc.fillPathsSliced(bs.subOut, links)
+		}
 		for k, i := range idx {
 			if err != nil {
 				bs.results[i] = Result{Src: sub[k].Src, Dst: sub[k].Dst, Scheme: sub[k].Scheme, Err: err}

@@ -14,20 +14,26 @@ import (
 // backend, in ns/route and allocs/route, for one /route single (n=1) and
 // /route/batch batches of 64, 256 and 1024 items. Rungs:
 //
-//   - service: Service.Route (n=1) or Service.RouteBatch — cache lookups
+//   - service: Service.Route (n=1) or Service.RouteBatch — tag resolution
 //     plus the scalar or 64-lane sliced path walk;
-//   - handler: the Handler on an httptest.ResponseRecorder — the service
-//     plus request decode and response encode, no socket;
+//   - handler: the Handler on an httptest.ResponseRecorder — request
+//     decode, tag resolution and response encode, no socket;
 //   - encode: the wire codec rendering the response from the Results;
-//   - decode: the wire codec parsing that response back, as Client does;
+//   - decode: the wire codec parsing that response back, as Client does —
+//     for a batch including the completion (echo from the requests, paths
+//     expanded by the sliced kernel);
 //   - scan (batches only): AppendBatchItems on the request body, the fleet
 //     router's pass that places every item;
 //   - split (batches only): AppendBatchResponses on the response body, the
 //     router's pass that cuts a backend's answer at item boundaries.
 //
-// handler − service is the whole HTTP-and-codec cost of one backend hop;
-// encode and decode split out the codec's part of it, and scan and split
-// the codec's part of a router hop.
+// Batches are answered, encoded, decoded and split in the tag shape
+// (?answers=tags) that Client.RouteBatch asks for; the single in the
+// full /route shape. For the single, handler − service is the whole
+// HTTP-and-codec cost of one backend hop; a batch's service rung also
+// walks the paths that a tag answer leaves to the client's decode.
+// encode and decode split out the codec's part of a hop, and scan and
+// split the codec's part of a router hop.
 
 var ladderSizes = []int{1, 64, 256, 1024}
 
@@ -85,12 +91,8 @@ func BenchmarkServeLadder(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nets := make([]string, n)
-		for i := range nets {
-			nets[i] = "p0"
-		}
-		path, body := "/route/batch", appendBatchJSON(nil, &BatchJSON{Requests: wire})
-		response := appendBatchResults(nil, nets, results, svc.Epoch())
+		path, body := TagAnswers.BatchPath(), appendBatchJSON(nil, &BatchJSON{Requests: wire})
+		response := appendTagResults(nil, results, svc.Epoch())
 		if n == 1 {
 			path, body = "/route", AppendRouteJSON(nil, &wire[0], false)
 			response = appendResult(nil, "p0", &results[0])
@@ -134,7 +136,7 @@ func BenchmarkServeLadder(b *testing.B) {
 				if n == 1 {
 					buf = appendResult(buf[:0], "p0", &results[0])
 				} else {
-					buf = appendBatchResults(buf[:0], nets, results, 1)
+					buf = appendTagResults(buf[:0], results, 1)
 				}
 			}
 			reportPerRoute(b, n, m0)
@@ -149,7 +151,7 @@ func BenchmarkServeLadder(b *testing.B) {
 					err = DecodeRouteJSON(response, &out)
 				} else {
 					var out BatchJSON
-					err = decodeBatchJSON(response, &out)
+					err = decodeTagAnswers(response, wire, &out)
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -352,49 +352,54 @@ func (s *Service) Route(src, dst int, scheme Scheme) (Result, error) {
 // (appending to one never touches the next). The results own that array.
 func (s *Service) RouteBatch(reqs []Request) ([]Result, error) {
 	out := make([]Result, len(reqs))
-	if _, err := s.routeBatchInto(reqs, out, nil); err != nil {
+	if err := s.resolveBatch(reqs, out); err != nil {
 		return nil, err
 	}
+	s.fillPathsSliced(out, nil)
 	return out, nil
 }
 
-// routeBatchInto is RouteBatch into the caller's out[:len(reqs)], with
-// the paths' links appended to links (nil: one exact-size allocation);
-// it returns links extended. The Handler serves pooled slices through it.
-func (s *Service) routeBatchInto(reqs []Request, out []Result, links []topology.Link) ([]topology.Link, error) {
+// resolveBatch resolves the tag of every request into the caller's
+// out[:len(reqs)] under one drain-gate admission, leaving the paths
+// unset: RouteBatch and full-shape /route/batch answers attach them with
+// fillPathsSliced, tag-shape answers never need them.
+func (s *Service) resolveBatch(reqs []Request, out []Result) error {
 	if err := s.begin(); err != nil {
-		return links, err
+		return err
 	}
 	defer s.end()
 	// A zero-length batch does no routing work; returning before the
 	// latency observation keeps it out of the "1" batch band.
 	if len(reqs) == 0 {
-		return links, nil
+		return nil
 	}
 	t0 := time.Now()
-	out = out[:len(reqs)]
-	ok := 0
 	for i, r := range reqs {
 		res, err := s.resolve(r.Src, r.Dst, r.Scheme)
 		if err != nil {
 			res = Result{Src: r.Src, Dst: r.Dst, Scheme: r.Scheme, Err: err}
-		} else {
-			ok++
 		}
 		out[i] = res
 	}
-	links = s.fillPathsSliced(out, slices.Grow(links, ok*s.p.Stages()))
 	s.observeBatch(len(reqs), time.Since(t0))
-	return links, nil
+	return nil
 }
 
 // fillPathsSliced attaches the path to every successfully resolved result,
 // in 64-lane blocks through RouteTSDTSliced, unpacking the links into
-// links (see RouteBatch) and returning it extended. Both schemes hand out
-// core.Tags and Result.Path is defined as the tag's all-C walk, which is
-// exactly what the TSDT kernel computes (SSDT tags carry zero state bits),
-// so one sliced pass replaces len(out) scalar Follow walks.
+// links (see RouteBatch; nil: one exact-size allocation) and returning it
+// extended. Both schemes hand out core.Tags and Result.Path is defined as
+// the tag's all-C walk, which is exactly what the TSDT kernel computes
+// (SSDT tags carry zero state bits), so one sliced pass replaces len(out)
+// scalar Follow walks.
 func (s *Service) fillPathsSliced(out []Result, links []topology.Link) []topology.Link {
+	ok := 0
+	for i := range out {
+		if out[i].Err == nil {
+			ok++
+		}
+	}
+	links = slices.Grow(links, ok*s.p.Stages())
 	var lb core.LaneBlock
 	var idx [core.Lanes]int
 	var srcs [core.Lanes]int

@@ -19,8 +19,8 @@ import (
 
 // This file is the wire codec of the hot endpoints, /route and
 // /route/batch: a hand-written, reflection-free encoder and decoder for
-// RouteJSON, BatchJSON and the error body, shared by the Handler, the
-// fleet router and Client. The cold endpoints (/fault, /repair, /healthz,
+// RouteJSON, BatchJSON, the tag answers of /route/batch?answers=tags and
+// the error body, shared by the Handler, the fleet router and Client. The cold endpoints (/fault, /repair, /healthz,
 // /metrics) keep encoding/json, which is also the codec's test oracle.
 //
 // Encoder: output is byte-identical to a json.Encoder with
@@ -270,17 +270,9 @@ func appendResult(dst []byte, net string, res *Result) []byte {
 	if res.Err != nil {
 		return appendRouteTail(dst, res.Epoch, res.Cached, res.Coalesced, res.Err.Error(), errCode(res.Err), false)
 	}
-	if n := res.Tag.Stages(); n > 0 {
-		// Tag.String order: the n destination bits, then the n state
-		// bits, each LSB first.
+	if res.Tag.Stages() > 0 {
 		dst = append(dst, `,"tag":"`...)
-		for i := 0; i < n; i++ {
-			dst = append(dst, byte('0'+res.Tag.DestBit(i)))
-		}
-		for i := 0; i < n; i++ {
-			dst = append(dst, byte('0'+res.Tag.StateBit(i)))
-		}
-		dst = append(dst, '"')
+		dst = append(appendTagBits(dst, res.Tag), '"')
 	}
 	// Path.Switches: the source, then where each link arrives (Link.To
 	// by mask arithmetic — the network size is a power of two).
@@ -293,6 +285,53 @@ func appendResult(dst []byte, net string, res *Result) []byte {
 	}
 	dst = append(dst, ']')
 	return appendRouteTail(dst, res.Epoch, res.Cached, res.Coalesced, "", "", false)
+}
+
+// appendTagBits appends t in Tag.String order: the n destination bits,
+// then the n state bits, each LSB first.
+func appendTagBits(dst []byte, t core.Tag) []byte {
+	n := t.Stages()
+	for i := 0; i < n; i++ {
+		dst = append(dst, byte('0'+t.DestBit(i)))
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, byte('0'+t.StateBit(i)))
+	}
+	return dst
+}
+
+// appendTagAnswer appends one item of a tag-shape /route/batch answer:
+// {"tag":…,"epoch":…} for a resolved result (which always has a tag;
+// epoch omitted when 0), the error body for a failed one.
+func appendTagAnswer(dst []byte, res *Result) []byte {
+	if res.Err != nil {
+		return AppendErrorJSON(dst, res.Err.Error(), errCode(res.Err))
+	}
+	dst = append(dst, `{"tag":"`...)
+	dst = append(appendTagBits(dst, res.Tag), '"')
+	if res.Epoch != 0 {
+		dst = append(dst, `,"epoch":`...)
+		dst = strconv.AppendUint(dst, res.Epoch, 10)
+	}
+	return append(dst, '}')
+}
+
+// appendTagResults appends the /route/batch?answers=tags response for
+// results: {"responses":[…],"epoch":N}, one appendTagAnswer item per
+// result in request order, epoch always written. It is the shape the
+// fleet router splices its answers into, so a routed body equals a
+// direct one.
+func appendTagResults(dst []byte, results []Result, epoch uint64) []byte {
+	dst = append(dst, `{"responses":[`...)
+	for i := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendTagAnswer(dst, &results[i])
+	}
+	dst = append(dst, `],"epoch":`...)
+	dst = strconv.AppendUint(dst, epoch, 10)
+	return append(dst, '}')
 }
 
 // appendBatchHead opens a BatchJSON body: "requests" has no omitempty,
@@ -388,7 +427,7 @@ var errRefusedKey = errors.New("object key outside the wire codec's grammar")
 // body in parse order; names interns the short strings (net, scheme,
 // code) a batch repeats on every item. tagMode is how tags are decoded:
 // strText appends the bytes of every tag without escapes to text
-// instead of making each a string of its own (decodeBatchJSON cuts them
+// instead of making each a string of its own (decodeTagAnswers cuts them
 // from one string).
 type wireDec struct {
 	b       []byte
@@ -1053,8 +1092,19 @@ func foldEqual(raw []byte, name string) bool {
 	return true
 }
 
-// routeKeys are RouteJSON's field names, indexed by the rk constants.
-var routeKeys = newSchema("net", "src", "dst", "scheme", "tag", "path", "epoch", "cached", "coalesced", "error", "code")
+// rkNames are RouteJSON's field names in the order the encoders write
+// them, indexed by the rk constants; routeKeys is their schema and
+// quotedRouteKeys the keys as written: quoted, colon included.
+var rkNames = [...]string{"net", "src", "dst", "scheme", "tag", "path", "epoch", "cached", "coalesced", "error", "code"}
+
+var routeKeys = newSchema(rkNames[:]...)
+
+var quotedRouteKeys = func() (q [len(rkNames)]string) {
+	for k, name := range rkNames {
+		q[k] = `"` + name + `":`
+	}
+	return q
+}()
 
 const (
 	rkNet = iota
@@ -1070,6 +1120,27 @@ const (
 	rkCode
 )
 
+// encodedKey matches the cursor against the keys the encoders write
+// after field `from`, in their order, and consumes the one it finds
+// (quotes and colon included) unless seen already holds it. It returns
+// -1, consuming nothing, for any other key or spelling, which the
+// general key scan then takes, repeat refusals included.
+func (d *wireDec) encodedKey(from int, seen *uint16) int {
+	rest := d.b[d.i:]
+	for k := from; k < len(quotedRouteKeys); k++ {
+		q := quotedRouteKeys[k]
+		if len(rest) >= len(q) && string(rest[:len(q)]) == q {
+			if *seen&(1<<k) != 0 {
+				return -1
+			}
+			*seen |= 1 << k
+			d.i += len(q)
+			return k
+		}
+	}
+	return -1
+}
+
 // route decodes one RouteJSON object (null leaves r untouched).
 func (d *wireDec) route(r *RouteJSON) error {
 	switch d.ws() {
@@ -1080,16 +1151,25 @@ func (d *wireDec) route(r *RouteJSON) error {
 		return d.mismatch("RouteJSON")
 	}
 	var seen uint16
+	from := 0
 	more, err := d.open('}')
 	for more && err == nil {
-		var raw []byte
-		var slow bool
-		if raw, slow, err = d.key(); err != nil {
-			break
+		k := -1
+		if d.ws() == '"' {
+			k = d.encodedKey(from, &seen)
 		}
-		var k int
-		if k, err = d.field(raw, slow, &routeKeys, &seen); err != nil {
-			break
+		if k < 0 {
+			var raw []byte
+			var slow bool
+			if raw, slow, err = d.key(); err != nil {
+				break
+			}
+			if k, err = d.field(raw, slow, &routeKeys, &seen); err != nil {
+				break
+			}
+		}
+		if k >= 0 {
+			from = k + 1
 		}
 		switch k {
 		case rkNet:
@@ -1161,6 +1241,9 @@ const (
 	// rawItems: elements are any JSON value, kept as byte spans (the
 	// json.RawMessage view).
 	rawItems
+	// answerItems: elements are tag-shape answer items (or null), decoded
+	// into a RouteJSON's Tag, Epoch, Error and Code.
+	answerItems
 )
 
 // batchSpec names what one batch walk decodes.
@@ -1169,25 +1252,19 @@ type batchSpec struct {
 	epoch               bool
 }
 
-// batchHead is what a batch walk found besides its items: the epoch and
-// whether each array was present and not null (an empty array decodes to
-// an empty, non-nil slice).
-type batchHead struct {
-	epoch               uint64
-	requests, responses bool
-}
-
 var batchKeys = newSchema("requests", "responses", "epoch")
 
 // batch walks one batch body. For every element of an array the spec
 // decodes it calls item with the array (false: requests, true:
-// responses), the element's raw bytes and, for routeItems, the element
-// decoded as a RouteJSON (nil for rawItems); r is only valid during the
-// call. Path elements of every item accumulate in d.ints.
-func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r *RouteJSON) error) (batchHead, error) {
-	var h batchHead
+// responses), the element's raw bytes and, for routeItems and
+// answerItems, the element decoded into a RouteJSON (nil for rawItems);
+// r is only valid during the call. Path elements of every item
+// accumulate in d.ints. It returns the body's epoch (0 unless the spec
+// decodes it).
+func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r *RouteJSON) error) (uint64, error) {
+	var epoch uint64
 	if obj, err := d.top(); !obj {
-		return h, err
+		return 0, err
 	}
 	var seen uint16
 	more, err := d.open('}')
@@ -1203,11 +1280,11 @@ func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r *Rout
 		}
 		switch {
 		case k == 0 && spec.requests != skipItems:
-			h.requests, err = d.items(spec.requests, false, item)
+			err = d.items(spec.requests, false, item)
 		case k == 1 && spec.responses != skipItems:
-			h.responses, err = d.items(spec.responses, true, item)
+			err = d.items(spec.responses, true, item)
 		case k == 2 && spec.epoch:
-			err = d.uintInto(&h.epoch)
+			err = d.uintInto(&epoch)
 		default:
 			if k >= 0 {
 				seen &^= 1 << k // outside the spec the key is unknown: repeats are fine
@@ -1218,32 +1295,35 @@ func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r *Rout
 			more, err = d.next('}')
 		}
 	}
-	return h, err
+	return epoch, err
 }
 
-// items walks one batch array; it reports whether the array was present
-// (false for null).
-func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byte, r *RouteJSON) error) (bool, error) {
+// items walks one batch array (null is an empty one).
+func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byte, r *RouteJSON) error) error {
 	switch d.ws() {
 	case 'n':
-		return false, d.literal("null")
+		return d.literal("null")
 	case '[':
 	default:
-		return false, d.mismatch("array")
+		return d.mismatch("array")
 	}
 	// The item a callback sees outlives no call, so one per array will
 	// do; a raw walk needs none.
 	var r *RouteJSON
-	if mode == routeItems {
+	if mode != rawItems {
 		r = new(RouteJSON)
 	}
 	more, err := d.open(']')
 	for more && err == nil {
 		d.ws()
 		start := d.i
-		if mode == rawItems {
+		switch mode {
+		case rawItems:
 			err = d.skip()
-		} else {
+		case answerItems:
+			*r = RouteJSON{}
+			err = d.answer(r)
+		default:
 			*r = RouteJSON{}
 			err = d.route(r)
 		}
@@ -1254,109 +1334,7 @@ func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byt
 			more, err = d.next(']')
 		}
 	}
-	return true, err
-}
-
-// batchDecode is decodeBatchJSON's pooled working memory: the items of
-// each array as decoded, before they are copied out at their exact
-// count, and the tag bytes with the item each tag belongs to.
-type batchDecode struct {
-	items [2][]RouteJSON // requests, responses
-	text  []byte
-	tags  []tagSpan
-}
-
-// tagSpan places a tag cut from the batch's tag text: it ends at end,
-// where the previous one ends it starts, and it belongs to item i of
-// the responses (resp) or the requests.
-type tagSpan struct {
-	resp   bool
-	i, end int
-}
-
-var batchDecodePool = sync.Pool{New: func() any { return new(batchDecode) }}
-
-// decodeBatchJSON decodes a /route/batch body into b. Its memory is per
-// batch, not per item: each array is allocated at its exact length, the
-// paths of all items share one backing array, and their tags are
-// substrings of one string.
-func decodeBatchJSON(body []byte, b *BatchJSON) error {
-	sc := batchDecodePool.Get().(*batchDecode)
-	d := wireDec{b: body, tagMode: strText, text: sc.text[:0]}
-	items, tags := [2][]RouteJSON{sc.items[0][:0], sc.items[1][:0]}, sc.tags[:0]
-	// The arrays are parsed one after the other (a repeated key is
-	// refused), so path elements land in d.ints, and tags in d.text,
-	// array by array.
-	respFirst, seenPath, textEnd := false, false, 0
-	h, err := d.batch(batchSpec{requests: routeItems, responses: routeItems, epoch: true},
-		func(resp bool, _ []byte, r *RouteJSON) error {
-			if len(r.Path) > 0 && !seenPath {
-				respFirst, seenPath = resp, true
-			}
-			a := 0
-			if resp {
-				a = 1
-			}
-			if len(d.text) > textEnd {
-				textEnd = len(d.text)
-				tags = append(tags, tagSpan{resp: resp, i: len(items[a]), end: textEnd})
-			}
-			items[a] = append(items[a], *r)
-			return nil
-		})
-	if err == nil {
-		if h.requests {
-			b.Requests = exactCopy(items[0])
-		}
-		if h.responses {
-			b.Responses = exactCopy(items[1])
-		}
-		b.Epoch = h.epoch
-		text, start := string(d.text), 0
-		for _, t := range tags {
-			dst := b.Requests
-			if t.resp {
-				dst = b.Responses
-			}
-			dst[t.i].Tag = text[start:t.end]
-			start = t.end
-		}
-		// d.ints was reallocated as it grew; re-point every path at its
-		// elements in the final array, in the order they were appended.
-		first, second := b.Requests, b.Responses
-		if respFirst {
-			first, second = second, first
-		}
-		off := repointPaths(first, d.ints, 0)
-		repointPaths(second, d.ints, off)
-	}
-	clear(items[0])
-	clear(items[1])
-	if cap(items[0])+cap(items[1]) <= maxPooledItems && cap(d.text) <= maxPooledWire {
-		sc.items, sc.text, sc.tags = items, d.text, tags
-		batchDecodePool.Put(sc)
-	}
 	return err
-}
-
-// exactCopy copies items into a new slice of their exact length (empty
-// but not nil for none, as encoding/json decodes "[]").
-func exactCopy(items []RouteJSON) []RouteJSON {
-	out := make([]RouteJSON, len(items))
-	copy(out, items)
-	return out
-}
-
-// repointPaths re-slices the non-empty paths of items, in order, from
-// ints starting at off, and returns the offset after them.
-func repointPaths(items []RouteJSON, ints []int, off int) int {
-	for i := range items {
-		if n := len(items[i].Path); n > 0 {
-			items[i].Path = ints[off : off+n : off+n]
-			off += n
-		}
-	}
-	return off
 }
 
 // BatchItem is one element of a /route/batch request as the fleet router
@@ -1371,7 +1349,7 @@ type BatchItem struct {
 // AppendBatchItems scans a /route/batch request body and appends one
 // BatchItem per element of its "requests" array, each Raw a sub-slice of
 // body. Every element is decoded as a RouteJSON, so the body is refused
-// exactly when decodeBatchJSON into a request-only type would refuse it.
+// exactly when the backend's request decode would refuse it.
 func AppendBatchItems(dst []BatchItem, body []byte) ([]BatchItem, error) {
 	d := wireDec{b: body}
 	_, err := d.batch(batchSpec{requests: routeItems}, func(_ bool, raw []byte, r *RouteJSON) error {
@@ -1388,21 +1366,35 @@ func AppendBatchItems(dst []BatchItem, body []byte) ([]BatchItem, error) {
 // body's epoch.
 func AppendBatchResponses(dst [][]byte, body []byte) ([][]byte, uint64, error) {
 	d := wireDec{b: body}
-	h, err := d.batch(batchSpec{responses: rawItems, epoch: true}, func(_ bool, raw []byte, _ *RouteJSON) error {
+	epoch, err := d.batch(batchSpec{responses: rawItems, epoch: true}, func(_ bool, raw []byte, _ *RouteJSON) error {
 		dst = append(dst, raw)
 		return nil
 	})
-	return dst, h.epoch, err
+	return dst, epoch, err
 }
 
-var errKeys = newSchema("error", "code")
+// answerKeys are a tag-shape answer item's keys and errorKeys the error
+// body's, answerKeys' first two; object decodes either by index.
+var answerKeys = newSchema("error", "code", "tag", "epoch")
 
-// decodeErrorJSON decodes an error body into e.
-func decodeErrorJSON(body []byte, e *errJSON) error {
-	d := wireDec{b: body}
-	if obj, err := d.top(); !obj {
-		return err
+var errorKeys = newSchema("error", "code")
+
+// answer decodes one tag-shape answer item (null leaves r untouched)
+// into r's Error, Code, Tag and Epoch; it is object() over answerKeys.
+func (d *wireDec) answer(r *RouteJSON) error {
+	switch d.ws() {
+	case 'n':
+		return d.literal("null")
+	case '{':
+	default:
+		return d.mismatch("object")
 	}
+	return d.object(&answerKeys, r)
+}
+
+// object decodes the members of the object whose '{' is at the cursor
+// into r, against sc: the answer keys or their error-body prefix.
+func (d *wireDec) object(sc *schema, r *RouteJSON) error {
 	var seen uint16
 	more, err := d.open('}')
 	for more && err == nil {
@@ -1412,14 +1404,18 @@ func decodeErrorJSON(body []byte, e *errJSON) error {
 			break
 		}
 		var k int
-		if k, err = d.field(raw, slow, &errKeys, &seen); err != nil {
+		if k, err = d.field(raw, slow, sc, &seen); err != nil {
 			break
 		}
 		switch k {
 		case 0:
-			err = d.stringInto(&e.Error, strCopy)
+			err = d.stringInto(&r.Error, strCopy)
 		case 1:
-			err = d.stringInto(&e.Code, strIntern)
+			err = d.stringInto(&r.Code, strIntern)
+		case 2:
+			err = d.stringInto(&r.Tag, d.tagMode)
+		case 3:
+			err = d.uintInto(&r.Epoch)
 		default:
 			err = d.skip()
 		}
@@ -1427,5 +1423,17 @@ func decodeErrorJSON(body []byte, e *errJSON) error {
 			more, err = d.next('}')
 		}
 	}
+	return err
+}
+
+// decodeErrorJSON decodes an error body into e.
+func decodeErrorJSON(body []byte, e *errJSON) error {
+	d := wireDec{b: body}
+	if obj, err := d.top(); !obj {
+		return err
+	}
+	r := RouteJSON{Error: e.Error, Code: e.Code}
+	err := d.object(&errorKeys, &r)
+	e.Error, e.Code = r.Error, r.Code
 	return err
 }

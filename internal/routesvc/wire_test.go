@@ -77,13 +77,8 @@ func checkWireBody(t *testing.T, body []byte) {
 		checkEncodeRoute(t, &rw)
 	}
 
-	var b, bw BatchJSON
-	errO, errW = decodeBatchJSON(body, &b), oracleDecode(body, &bw)
-	checkDecoded(t, "BatchJSON", body, errO, errW, b, bw)
-	if errO == nil {
-		checkSharedPaths(t, &b)
-	}
-	if errW == nil {
+	var bw BatchJSON
+	if oracleDecode(body, &bw) == nil {
 		if got, want := append(appendBatchJSON(nil, &bw), '\n'), oracleEncode(t, &bw, false); !bytes.Equal(got, want) {
 			t.Fatalf("BatchJSON encode:\n got %q\nwant %q", got, want)
 		}
@@ -119,6 +114,21 @@ func checkWireBody(t *testing.T, body []byte) {
 		}
 	}
 
+	// The client's answer-item scan: each tag-shape item decodes to the
+	// item the oracle decodes.
+	var tb tagBatchJSON
+	var answers []tagAnswerJSON
+	d := wireDec{b: body}
+	epoch, errO := d.batch(batchSpec{responses: answerItems, epoch: true}, func(_ bool, _ []byte, r *RouteJSON) error {
+		answers = append(answers, tagAnswerJSON{Tag: r.Tag, Epoch: r.Epoch, Error: r.Error, Code: r.Code})
+		return nil
+	})
+	errW = oracleDecode(body, &tb)
+	checkDecoded(t, "tag answers", body, errO, errW, nil, nil)
+	if errO == nil && (epoch != tb.Epoch || len(answers) != len(tb.Responses) || len(answers) > 0 && !reflect.DeepEqual(answers, tb.Responses)) {
+		t.Fatalf("tag answers of %q: %+v epoch %d, oracle %+v epoch %d", body, answers, epoch, tb.Responses, tb.Epoch)
+	}
+
 	var rs routerRespView
 	spans, epoch, errO := AppendBatchResponses(nil, body)
 	errW = oracleDecode(body, &rs)
@@ -150,23 +160,21 @@ func checkEncodeRoute(t *testing.T, r *RouteJSON) {
 	}
 }
 
-// checkSharedPaths asserts every path of a decoded batch lives in one
+// checkSharedPaths asserts every path of a completed answer lives in one
 // backing array: laid end to end, each capped at its own length so an
 // append to one cannot clobber the next.
 func checkSharedPaths(t *testing.T, b *BatchJSON) {
 	t.Helper()
 	type span struct{ at, n uintptr }
 	var spans []span
-	for _, items := range [][]RouteJSON{b.Requests, b.Responses} {
-		for _, r := range items {
-			if len(r.Path) == 0 {
-				continue
-			}
-			if cap(r.Path) != len(r.Path) {
-				t.Fatalf("path %v has cap %d", r.Path, cap(r.Path))
-			}
-			spans = append(spans, span{reflect.ValueOf(r.Path).Pointer(), uintptr(len(r.Path))})
+	for _, r := range b.Responses {
+		if len(r.Path) == 0 {
+			continue
 		}
+		if cap(r.Path) != len(r.Path) {
+			t.Fatalf("path %v has cap %d", r.Path, cap(r.Path))
+		}
+		spans = append(spans, span{reflect.ValueOf(r.Path).Pointer(), uintptr(len(r.Path))})
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].at < spans[j].at })
 	for i := 1; i < len(spans); i++ {
@@ -232,6 +240,19 @@ func wireSeedBodies(t testing.TB) [][]byte {
 		`{"path":[1,]}`, `{"path":[1`,
 		`{"responses":[{"path":[01]},{"path":[1 ,2]},{"path":[1,]}]}`, `{"responses":[{"path":[1`,
 		`{"EPOCH":1,"Error":"x"}`, `{"srC":1}`,
+		// Keys as the encoders write them, repeated or out of encoder
+		// order, so the in-order key match hands over to the general
+		// scan and its repeat refusal.
+		`{"net":"a","src":1,"net":"b"}`, `{"src":1,"dst":2,"src":3}`, `{"code":"x","code":"y"}`,
+		`{"dst":2,"src":1,"net":"a","scheme":"ssdt"}`, `{"code":"c","error":"e","path":[1],"tag":"01","net":"n"}`,
+		`{"net":"a","src":1,"dst":2,"scheme":"tsdt","tag":"0110","path":[1,2,3],"epoch":4,"cached":true,"coalesced":false,"error":"e","code":"c"}`,
+		`{"net":"a","src":1,"dst":2,"scheme":"tsdt","tag":"0110","path":[1,2,3],"epoch":4,"cached":true,"coalesced":false,"error":"e","code":"c","src":5}`,
+		`{"net" :"a","src":1,"SRC":2}`, `{"src":1,"Src":2}`, `{"srcx":1,"src":2}`, `{"src":1,"dst":2,"dst":3,"net":"x"}`,
+		`{"requests":[{"src":1,"dst":2},{"dst":2,"src":1},{"src":1,"src":1}]}`,
+		// Tag-shape answers: the client's side of ?answers=tags.
+		`{"responses":[{"tag":"0110","epoch":3},{"error":"routesvc: overload","code":"overload"},{"tag":"1000"}],"epoch":3}`,
+		`{"responses":[{"epoch":2,"tag":"01"},{"code":"x","error":"y"},{"tag":"01","tag":"10"}]}`,
+		`{"responses":[{"tag":1}]}`, `{"responses":[{"epoch":-1}]}`, `{"responses":[{"src":"x","tag":"01"}]}`,
 	} {
 		seeds = append(seeds, []byte(s))
 	}
@@ -299,6 +320,24 @@ func checkEncodeFromBytes(t *testing.T, raw []byte) {
 	if got, w := append(appendResult(nil, r.Net, &res), '\n'), oracleEncode(t, &want, false); !bytes.Equal(got, w) {
 		t.Fatalf("result encode:\n got %q\nwant %q", got, w)
 	}
+
+	// The same result as a tag answer, alone and in a body beside a
+	// failed copy of itself.
+	ta := tagAnswerJSON{Tag: want.Tag, Epoch: want.Epoch, Error: want.Error, Code: want.Code}
+	if res.Err != nil {
+		ta.Tag, ta.Epoch = "", 0
+	}
+	if got, w := append(appendTagAnswer(nil, &res), '\n'), oracleEncode(t, &ta, false); !bytes.Equal(got, w) {
+		t.Fatalf("tag answer encode:\n got %q\nwant %q", got, w)
+	}
+	failed := Result{Err: fmt.Errorf("%w: %s", ErrInvalid, r.Net)}
+	tb := tagBatchJSON{Responses: []tagAnswerJSON{ta, {Error: failed.Err.Error(), Code: "invalid"}}, Epoch: uint64(num(6))}
+	if got, w := append(appendTagResults(nil, []Result{res, failed}, tb.Epoch), '\n'), oracleEncode(t, &tb, false); !bytes.Equal(got, w) {
+		t.Fatalf("tag answers encode:\n got %q\nwant %q", got, w)
+	}
+	if got, w := append(appendTagResults(nil, nil, 0), '\n'), oracleEncode(t, &tagBatchJSON{Responses: []tagAnswerJSON{}}, false); !bytes.Equal(got, w) {
+		t.Fatalf("empty tag answers encode:\n got %q\nwant %q", got, w)
+	}
 }
 
 func TestWireSeedsAgainstOracle(t *testing.T) {
@@ -320,8 +359,8 @@ func TestWireRefusalClasses(t *testing.T) {
 		`{"requests":[],"requests":[]}`, /* repeated array */
 	} {
 		var r RouteJSON
-		var b BatchJSON
-		errR, errB := DecodeRouteJSON([]byte(body), &r), decodeBatchJSON([]byte(body), &b)
+		errR := DecodeRouteJSON([]byte(body), &r)
+		_, errB := AppendBatchItems(nil, []byte(body))
 		if err := oracleDecode([]byte(body), &RouteJSON{}); err != nil {
 			t.Fatalf("oracle refused %s: %v", body, err)
 		}
@@ -332,7 +371,8 @@ func TestWireRefusalClasses(t *testing.T) {
 }
 
 // TestWireTruncatedBodies: every proper prefix of a batch body is
-// refused by the codec and the oracle alike.
+// refused by the codec and the oracle alike, and every proper prefix of
+// a tag answer by the client's decode.
 func TestWireTruncatedBodies(t *testing.T) {
 	body := oracleEncode(t, BatchJSON{
 		Requests:  []RouteJSON{{Net: "p\"1", Src: 3, Dst: 4, Scheme: "ssdt"}},
@@ -341,10 +381,6 @@ func TestWireTruncatedBodies(t *testing.T) {
 	}, false)
 	body = bytes.TrimSpace(body)
 	for n := 0; n < len(body); n++ {
-		var b BatchJSON
-		if err := decodeBatchJSON(body[:n], &b); err == nil {
-			t.Fatalf("prefix %q accepted", body[:n])
-		}
 		if err := oracleDecode(body[:n], &BatchJSON{}); err == nil {
 			t.Fatalf("oracle accepted prefix %q", body[:n])
 		}
@@ -354,6 +390,16 @@ func TestWireTruncatedBodies(t *testing.T) {
 		if _, _, err := AppendBatchResponses(nil, body[:n]); err == nil {
 			t.Fatalf("response split accepted prefix %q", body[:n])
 		}
+	}
+	reqs := []RouteJSON{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}}
+	tags := []byte(`{"responses":[{"tag":"0110","epoch":12},{"error":"é\u2028","code":"unroutable"}],"epoch":12}`)
+	for n := 0; n < len(tags); n++ {
+		if err := decodeTagAnswers(tags[:n], reqs, &BatchJSON{}); err == nil {
+			t.Fatalf("tag answer prefix %q accepted", tags[:n])
+		}
+	}
+	if err := decodeTagAnswers(tags, reqs, &BatchJSON{}); err != nil {
+		t.Fatalf("whole tag answer: %v", err)
 	}
 }
 
@@ -441,40 +487,46 @@ func TestWireStringEscapes(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchSharesPaths: a decoded batch holds all its paths in one
-// backing array, in item order.
+// TestDecodeBatchSharesPaths: a completed tag answer holds all its paths
+// in one backing array, in item order, each the tag's walk from its
+// source and capped at its own length.
 func TestDecodeBatchSharesPaths(t *testing.T) {
-	var in BatchJSON
+	p := topology.MustParams(1024)
+	var reqs []RouteJSON
+	var in tagBatchJSON
 	for i := 0; i < 300; i++ {
-		in.Responses = append(in.Responses, RouteJSON{Src: i, Path: []int{i, i + 1, i + 2}})
-	}
-	in.Responses[7].Path = nil
-	for i := range in.Responses {
-		if i%3 != 1 {
-			in.Responses[i].Tag = fmt.Sprintf("%010b", i)
+		reqs = append(reqs, RouteJSON{Src: i, Dst: (i * 37) % 1024, Scheme: "ssdt"})
+		a := tagAnswerJSON{Tag: core.MustTag(p, reqs[i].Dst).WithStateBit(i%10, 1).String(), Epoch: uint64(i % 3)}
+		if i%7 == 3 {
+			a = tagAnswerJSON{Error: "no", Code: "unroutable"}
 		}
+		in.Responses = append(in.Responses, a)
 	}
-	in.Responses[9].Tag = "a\tb" // a tag with an escape is a string of its own
+	body := oracleEncode(t, in, false)
+	body = bytes.Replace(body, []byte(`"tag":"1`), []byte(`"tag":"\u0031`), 1) // one escaped tag
 	var out BatchJSON
-	if err := decodeBatchJSON(appendBatchJSON(nil, &in), &out); err != nil {
+	if err := decodeTagAnswers(body, reqs, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Responses, in.Responses) {
-		t.Fatal("round trip changed the responses")
-	}
-	if len(out.Responses) != cap(out.Responses) {
-		t.Errorf("responses: len %d cap %d, want an exact-size slice", len(out.Responses), cap(out.Responses))
+	if len(out.Responses) != cap(out.Responses) || len(out.Responses) != len(reqs) {
+		t.Fatalf("responses: len %d cap %d, want an exact-size slice of %d", len(out.Responses), cap(out.Responses), len(reqs))
 	}
 	checkSharedPaths(t, &out)
-	// Every tag is its single-item decode, and appending to one item's
-	// path leaves the next item's untouched.
-	for i := range out.Responses {
-		var one RouteJSON
-		if err := DecodeRouteJSON(AppendRouteJSON(nil, &in.Responses[i], false), &one); err != nil {
-			t.Fatal(err)
+	for i, r := range out.Responses {
+		a := in.Responses[i]
+		if r.Tag != a.Tag || r.Epoch != a.Epoch || r.Error != a.Error || r.Code != a.Code {
+			t.Fatalf("item %d: %+v, sent %+v", i, r, a)
 		}
-		if out.Responses[i].Tag != one.Tag {
-			t.Fatalf("item %d tag %q, single decode %q", i, out.Responses[i].Tag, one.Tag)
+		if a.Error == "" {
+			tag, err := core.ParseTag(p.Stages(), a.Tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tag.Follow(p, reqs[i].Src).Switches(); !slices.Equal(r.Path, want) {
+				t.Fatalf("item %d path %v, tag walk %v", i, r.Path, want)
+			}
+		} else if r.Path != nil {
+			t.Fatalf("failed item %d has path %v", i, r.Path)
 		}
 	}
 	for i := 0; i+1 < len(out.Responses); i++ {

@@ -10,9 +10,10 @@
 #
 #   1. singles: ~2s of /route traffic with 8 workers and 1% fault churn;
 #   2. batch-heavy: mixed /route/batch sizes (singletons, sub-block,
-#      one-block, and non-multiple-of-64 shapes) driving the server's
-#      bit-sliced fill path, with -check additionally requiring the
-#      server to report sliced-kernel lanes used.
+#      one-block, and non-multiple-of-64 shapes), answered with tags
+#      alone and expanded into paths by the client's bit-sliced kernel,
+#      with -check additionally requiring every answered item's path to
+#      have n+1 switches and run from its src to its dst.
 #
 # Finishes by delivering SIGTERM and requiring a clean drain.
 #

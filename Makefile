@@ -114,14 +114,15 @@ bench-compare:
 
 # End-to-end smoke of the serving stack: boot iadmd (N=1024) on an
 # ephemeral port, drive iadmload through a singles phase and a
-# batch-heavy phase (mixed /route/batch sizes exercising the sliced
-# kernel fill, including non-multiples of 64), enforce zero request
-# errors / zero 5xx / no SSDT request on the slow path (zero SSDT misses
-# and coalesced joins) / sliced lanes used, then SIGTERM and require a
-# clean drain. A third phase floods a second daemon (tiny admission bound
-# + artificial slow-path cost) at several times slow-path saturation and
-# requires sheds observed, zero 5xx, continued successes, and a bounded
-# client p99 (`iadmload -overload -check`).
+# batch-heavy phase (mixed /route/batch sizes, including non-multiples
+# of 64), enforce zero request errors / zero 5xx / no SSDT request on
+# the slow path (zero SSDT misses and coalesced joins) / every answered
+# batch path n+1 switches from its src to its dst, then SIGTERM and
+# require a clean drain. A third phase floods a second daemon (a fixed
+# admission bound of 8 computes, -admission-max 8, plus an artificial
+# slow-path cost) at several times slow-path saturation and requires
+# sheds observed, zero 5xx, continued successes, and a bounded client
+# p99 (`iadmload -overload -check`).
 serve-smoke:
 	GO='$(GO)' sh scripts/serve_smoke.sh
 

@@ -10,8 +10,7 @@
 // Usage:
 //
 //	iadmd [-n N] [-addr host:port] [-portfile F] [-max-nets K]
-//	      [-admission-max Q] [-admission-min Q] [-admission-round D]
-//	      [-slow-cost D]
+//	      [-admission-max Q] [-slow-cost D]
 //
 // The daemon hosts named networks ("partitions" to a fleet router, see
 // cmd/iadmfleet): every request may carry a "net" (JSON field or ?net=
@@ -22,10 +21,10 @@
 // slow-path admission gate: the gate bounds this process's REROUTE
 // compute capacity, which the networks share.
 //
-// Admission control bounds concurrent TSDT computes (the slow path);
-// excess requests answer 429 with Retry-After while SSDT requests keep
-// flowing. -slow-cost stretches each compute to rehearse overload against
-// small test fabrics.
+// Admission control holds concurrent TSDT computes (the slow path) to the
+// fixed bound -admission-max; excess requests answer 429 with
+// Retry-After: 1 while SSDT requests keep flowing. -slow-cost stretches
+// each compute to rehearse overload against small test fabrics.
 //
 // Endpoints:
 //
@@ -64,10 +63,8 @@ type daemonConfig struct {
 	portFile     string
 	drainTimeout time.Duration
 
-	admissionMax   int
-	admissionMin   int
-	admissionRound time.Duration
-	slowCost       time.Duration
+	admissionMax int
+	slowCost     time.Duration
 
 	maxNets int
 }
@@ -78,9 +75,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	flag.StringVar(&cfg.portFile, "portfile", "", "write the bound host:port to this file once listening")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")
-	flag.IntVar(&cfg.admissionMax, "admission-max", 128, "slow-path admission ceiling: max concurrent TSDT computes (0 disables admission control)")
-	flag.IntVar(&cfg.admissionMin, "admission-min", 8, "slow-path admission floor the adaptive threshold never sheds below")
-	flag.DurationVar(&cfg.admissionRound, "admission-round", 100*time.Millisecond, "admission controller round: how often the threshold adapts")
+	flag.IntVar(&cfg.admissionMax, "admission-max", 128, "slow-path admission bound: max concurrent TSDT computes (0 disables admission control)")
 	flag.DurationVar(&cfg.slowCost, "slow-cost", 0, "artificial per-compute cost added to TSDT computes (overload rehearsal; 0 = off)")
 	flag.IntVar(&cfg.maxNets, "max-nets", 16, "maximum named networks hosted by this process (lazily created on first use)")
 	version := flag.Bool("version", false, "print version and exit")
@@ -107,8 +102,6 @@ func serve(cfg daemonConfig, logw io.Writer, stop <-chan os.Signal, ready chan<-
 		Admission: routesvc.AdmissionConfig{
 			Disabled: cfg.admissionMax == 0,
 			MaxQueue: cfg.admissionMax,
-			MinQueue: cfg.admissionMin,
-			Round:    cfg.admissionRound,
 		},
 		SlowCost: cfg.slowCost,
 	}, cfg.maxNets)

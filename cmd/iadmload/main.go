@@ -424,9 +424,9 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 			100*sum.metrics.Service.SlicedFill)
 	}
 	if adm := sum.metrics.Service.Admission; cfg.overload || sum.sheds() > 0 || adm.Shed > 0 {
-		fmt.Fprintf(w, "overload: client saw %d 429s + %d shed batch items; server admitted %d, shed %d (%.1fx offered/admitted), threshold %d/%d, %d controller rounds\n",
+		fmt.Fprintf(w, "overload: client saw %d 429s + %d shed batch items; server admitted %d, shed %d (%.1fx offered/admitted), bound %d\n",
 			sum.total.shed, sum.total.itemSheds, adm.Admitted, adm.Shed,
-			sum.overloadFactor(), adm.Threshold, adm.MaxQueue, adm.Rounds)
+			sum.overloadFactor(), adm.MaxQueue)
 	}
 	return sum, nil
 }

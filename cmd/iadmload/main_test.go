@@ -204,13 +204,9 @@ func TestViolations(t *testing.T) {
 // overload -check gate must pass.
 func TestRunOverload(t *testing.T) {
 	svc, err := routesvc.New(routesvc.Config{
-		N: 32,
-		Admission: routesvc.AdmissionConfig{
-			MaxQueue: 2,
-			MinQueue: 1,
-			Round:    20 * time.Millisecond,
-		},
-		SlowCost: 2 * time.Millisecond,
+		N:         32,
+		Admission: routesvc.AdmissionConfig{MaxQueue: 2},
+		SlowCost:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

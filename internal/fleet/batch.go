@@ -245,9 +245,13 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 				fails.B = routesvc.AppendErrorJSON(fails.B, ferr.Error(), "backend")
 			} else {
 				// A full-shape item echoes the request, which was decoded
-				// once already by AppendBatchItems.
+				// once already by AppendBatchItems, with the scheme spelled
+				// as backend items spell it.
 				var item routesvc.RouteJSON
 				_ = routesvc.DecodeRouteJSON(items[i].Raw, &item)
+				if sc, err := routesvc.ParseScheme(item.Scheme); err == nil {
+					item.Scheme = sc.String()
+				}
 				item.Error, item.Code = ferr.Error(), "backend"
 				// json.Marshal's escaping, as these items were always written.
 				fails.B = routesvc.AppendRouteJSON(fails.B, &item, true)

@@ -117,7 +117,8 @@ func TestRoutedBodiesMatchDirect(t *testing.T) {
 // TestFleetTamperedItemCount: a backend answering the wrong number of
 // items fails its whole sub-batch — every item answers a per-item
 // "backend" error: in the full shape encoded as json.Marshal encodes the
-// request's RouteJSON, in the tag shape as the error body.
+// request's RouteJSON with its canonical scheme name, in the tag shape as
+// the error body.
 func TestFleetTamperedItemCount(t *testing.T) {
 	m := routesvc.NewMulti(routesvc.Config{N: 64, Admission: routesvc.AdmissionConfig{Disabled: true}}, 16)
 	h := routesvc.NewMultiHandler(m)
@@ -165,6 +166,8 @@ func TestFleetTamperedItemCount(t *testing.T) {
 		if i > 0 {
 			want = append(want, ',')
 		}
+		// Failed items spell the scheme as backend items do.
+		rq.Scheme = []string{"ssdt", "tsdt", "tsdt"}[i]
 		rq.Error, rq.Code = msg, "backend"
 		item, _ := json.Marshal(rq)
 		want = append(want, item...)

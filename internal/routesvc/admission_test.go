@@ -1,61 +1,17 @@
 package routesvc
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"iadm/internal/core"
 	"iadm/internal/topology"
 )
-
-// TestNextThreshold pins the admission update rule as a pure function:
-// counters in, threshold out, no clock anywhere.
-func TestNextThreshold(t *testing.T) {
-	const lo, hi = 8, 128
-	cases := []struct {
-		name    string
-		cur, lo int
-		r       admissionRound
-		want    int
-	}{
-		{"saturated shed halves", 128, lo, admissionRound{Admitted: 100, Shed: 50}, 64},
-		{"hit-dominated shed is gentle", 128, lo, admissionRound{Hits: 1000, Admitted: 100, Shed: 20}, 96},
-		{"decrease clamps at floor", 9, lo, admissionRound{Admitted: 4, Shed: 4}, 8},
-		{"floor holds under sustained shed", 8, lo, admissionRound{Shed: 100}, 8},
-		{"clean round grows additively", 64, lo, admissionRound{Hits: 10, Admitted: 5}, 73},
-		{"hits alone grow too", 64, lo, admissionRound{Hits: 10}, 73},
-		{"growth clamps at ceiling", 120, lo, admissionRound{Admitted: 5}, 128},
-		{"idle round holds", 64, lo, admissionRound{}, 64},
-		{"idle round holds at floor", 8, lo, admissionRound{}, 8},
-		{"small threshold still decreases", 2, 1, admissionRound{Admitted: 1, Shed: 1}, 1},
-	}
-	for _, c := range cases {
-		if got := nextThreshold(c.cur, c.lo, hi, c.r); got != c.want {
-			t.Errorf("%s: nextThreshold(%d) = %d, want %d", c.name, c.cur, got, c.want)
-		}
-	}
-
-	// A sustained flood converges from ceiling to floor in a few rounds.
-	cur, rounds := hi, 0
-	for cur > lo {
-		cur = nextThreshold(cur, lo, hi, admissionRound{Admitted: uint64(cur), Shed: 100})
-		rounds++
-		if rounds > 10 {
-			t.Fatalf("threshold stuck at %d after 10 congested rounds", cur)
-		}
-	}
-
-	// And recovers to the ceiling once sheds stop.
-	rounds = 0
-	for cur < hi {
-		cur = nextThreshold(cur, lo, hi, admissionRound{Hits: 50, Admitted: 10})
-		rounds++
-		if rounds > 40 {
-			t.Fatalf("threshold stuck at %d after 40 clean rounds", cur)
-		}
-	}
-}
 
 // TestTSDTComputeReportsComputingEpoch is the regression test for the
 // mid-compute epoch stamp: a mutation injected after the request is
@@ -168,100 +124,145 @@ func TestEmptyBatchSkipsLatencyBands(t *testing.T) {
 	}
 }
 
-// TestOverloadShedsSlowPathOnly floods the slow path past a tiny admission
-// bound and checks the tiering contract under -race: TSDT computes beyond
-// the bound shed with ErrOverload, while SSDT requests always flow.
+// TestOverloadShedsSlowPathOnly holds a MaxQueue-k gate full with k
+// computes parked in the compute hook and checks the tiering contract
+// under -race: exactly k computes run, every further TSDT request sheds
+// (ErrOverload from the Service, 429 with Retry-After: 1 on /route,
+// "code":"overload" in a batch), SSDT keeps answering, and a freed slot
+// admits the next TSDT compute at once.
 func TestOverloadShedsSlowPathOnly(t *testing.T) {
-	s := mustService(t, Config{
-		N:         8,
-		Admission: AdmissionConfig{MaxQueue: 2, MinQueue: 1, Round: -1},
-	})
+	const k, G = 2, 6
+	s, ts := newTestServer(t, Config{N: 8, Admission: AdmissionConfig{MaxQueue: k}})
 	// Prime one TSDT pair: repeating it during the flood is a computation
 	// again, so it needs a ticket too.
 	if _, err := s.Route(0, 1, SchemeTSDT); err != nil {
 		t.Fatal(err)
 	}
 
-	const G = 6
+	var running atomic.Int64
 	entered := make(chan struct{}, G)
 	unblock := make(chan struct{})
-	s.testComputeHook = func(sc Scheme) {
-		if sc == SchemeTSDT {
-			entered <- struct{}{}
-			<-unblock
-		}
+	s.testComputeHook = func(Scheme) {
+		running.Add(1)
+		entered <- struct{}{}
+		<-unblock
+		running.Add(-1)
 	}
 
 	errs := make(chan error, G)
 	for g := 0; g < G; g++ {
 		go func(g int) {
-			// Distinct (src, dst) pairs: no coalescing between them.
 			_, err := s.Route(g, 7-g, SchemeTSDT)
 			errs <- err
 		}(g)
 	}
 
-	// Exactly MaxQueue computes enter the slow path and block in the
-	// hook; every other flood request must shed immediately.
-	<-entered
-	<-entered
-	shed := 0
-	for i := 0; i < G-2; i++ {
-		if err := <-errs; errors.Is(err, ErrOverload) {
-			shed++
-		} else {
+	// Exactly k computes enter the slow path and park in the hook; every
+	// other flood request sheds immediately.
+	for i := 0; i < k; i++ {
+		<-entered
+	}
+	for i := 0; i < G-k; i++ {
+		if err := <-errs; !errors.Is(err, ErrOverload) {
 			t.Errorf("flood request returned %v, want ErrOverload", err)
 		}
 	}
-	if shed != G-2 {
-		t.Fatalf("shed %d requests, want %d", shed, G-2)
+	if n := running.Load(); n != k {
+		t.Fatalf("%d computes running, want %d", n, k)
 	}
 
-	// The fast path is untouched while the slow path is saturated; a
-	// TSDT pair served before is slow path like any other.
+	// A TSDT pair served before is slow path like any other.
 	if _, err := s.Route(0, 1, SchemeTSDT); !errors.Is(err, ErrOverload) {
 		t.Errorf("primed TSDT pair during overload: err=%v, want ErrOverload", err)
+	}
+
+	// On the wire: /route answers 429 with a one-second Retry-After.
+	resp, err := http.Get(ts.URL + "/route?src=3&dst=4&scheme=tsdt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errJSON
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || e.Code != "overload" {
+		t.Errorf("shed /route: status %d code %q, want 429 overload", resp.StatusCode, e.Code)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want 1", ra)
+	}
+
+	// A batch sheds its TSDT item alone; the SSDT item and single SSDT
+	// requests are answered while the slow path is full.
+	var batch BatchJSON
+	postJSON(t, ts.URL+"/route/batch", BatchJSON{Requests: []RouteJSON{
+		{Src: 2, Dst: 5, Scheme: "tsdt"},
+		{Src: 2, Dst: 5, Scheme: "ssdt"},
+	}}, http.StatusOK, &batch)
+	if batch.Responses[0].Code != "overload" {
+		t.Errorf("shed batch item code %q, want overload", batch.Responses[0].Code)
+	}
+	if batch.Responses[1].Tag == "" || batch.Responses[1].Error != "" {
+		t.Errorf("SSDT batch item failed: %+v", batch.Responses[1])
 	}
 	if _, err := s.Route(3, 3, SchemeSSDT); err != nil {
 		t.Errorf("SSDT during overload: %v", err)
 	}
+	getJSON(t, ts.URL+"/route?src=5&dst=6&scheme=ssdt", http.StatusOK, nil)
+	if n := running.Load(); n != k {
+		t.Fatalf("%d computes running after the shed requests, want %d", n, k)
+	}
 
-	// One controller round under congestion drops the threshold.
-	s.adm.step()
-	if thr := s.adm.threshold.Load(); thr != 1 {
-		t.Errorf("threshold after congested round = %d, want 1", thr)
+	// Finishing one compute frees its slot at once: the next TSDT request
+	// is admitted, and the one after it sheds again.
+	unblock <- struct{}{}
+	if err := <-errs; err != nil {
+		t.Errorf("admitted compute failed: %v", err)
+	}
+	go func() {
+		_, err := s.Route(1, 6, SchemeTSDT)
+		errs <- err
+	}()
+	<-entered
+	if _, err := s.Route(0, 1, SchemeTSDT); !errors.Is(err, ErrOverload) {
+		t.Errorf("TSDT with the freed slot retaken: err=%v, want ErrOverload", err)
 	}
 
 	close(unblock)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < k; i++ {
 		if err := <-errs; err != nil {
 			t.Errorf("admitted compute failed: %v", err)
 		}
 	}
 
-	// Lifetime admits: the priming compute plus the two flood computes;
-	// sheds: the rest of the flood plus the primed pair's repeat.
+	// Admits: the priming compute, k flood computes and the refill. Sheds:
+	// the rest of the flood, the primed repeat, the 429, the batch item
+	// and the request after the refill.
 	am := s.Metrics().Admission
-	if am.Shed != uint64(G-1) || am.Admitted != 3 {
-		t.Errorf("admission metrics shed=%d admitted=%d, want %d/3", am.Shed, am.Admitted, G-1)
+	if am.Admitted != k+2 || am.Shed != G-k+4 || am.Depth != 0 || am.MaxQueue != k {
+		t.Errorf("admission metrics %+v, want admitted %d, shed %d, depth 0, max %d", am, k+2, G-k+4, k)
 	}
-	if am.FastHits == 0 {
-		t.Error("fast-path hits not counted")
-	}
+}
 
-	// A clean round recovers the threshold toward the ceiling.
-	if _, err := s.Route(0, 1, SchemeTSDT); err != nil {
-		t.Fatal(err)
+// TestGateStartsNoGoroutine: the gate is counters only, so services and
+// hosts built and never drained leave nothing running.
+func TestGateStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		NewMulti(Config{N: 8}, 1)
+		if _, err := New(Config{N: 8}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.adm.step()
-	if thr := s.adm.threshold.Load(); thr != 2 {
-		t.Errorf("threshold after clean round = %d, want 2", thr)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after 50 New and 50 NewMulti, %d before", after, before)
 	}
 }
 
 // TestAdmissionDisabled: Disabled admits everything and reports itself off.
 func TestAdmissionDisabled(t *testing.T) {
-	s := mustService(t, Config{N: 8, Admission: AdmissionConfig{Disabled: true, Round: -1}})
+	s := mustService(t, Config{N: 8, Admission: AdmissionConfig{Disabled: true}})
 	for i := 0; i < 20; i++ {
 		if !s.adm.acquire() {
 			t.Fatal("disabled gate refused work")

@@ -134,17 +134,12 @@ func (h *Handler) service(net string) (*Service, error) {
 	return h.svc, nil
 }
 
-func (h *Handler) retryAfter() int {
-	if h.multi != nil {
-		return h.multi.RetryAfter()
-	}
-	return h.svc.RetryAfter()
-}
-
 func (h *Handler) writeErr(w http.ResponseWriter, err error) {
 	code := errStatus(err)
 	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(h.retryAfter()))
+		// The gate is fail-fast and its bound fixed: a slot frees as
+		// soon as one compute finishes, so one second is ample.
+		w.Header().Set("Retry-After", "1")
 	}
 	wb := GetWireBuf()
 	wb.B = append(AppendErrorJSON(wb.B, err.Error(), errCode(err)), '\n')

@@ -74,7 +74,7 @@ func TestHTTPMutateAckMatchesMap(t *testing.T) {
 func TestHTTPOverload(t *testing.T) {
 	svc, ts := newTestServer(t, Config{
 		N:         8,
-		Admission: AdmissionConfig{MaxQueue: 1, MinQueue: 1, Round: -1},
+		Admission: AdmissionConfig{MaxQueue: 1},
 	})
 
 	entered := make(chan struct{}, 1)

@@ -60,20 +60,16 @@ func MergeMetrics(dst *Metrics, src Metrics) {
 	finalizeMetrics(dst)
 }
 
-// mergeAdmission sums two gate snapshots capacity-style: thresholds and
-// queue bounds add (three backends with 4 slots each are 12 slots of
-// slow-path capacity), counters add, and the merged view is "enabled"
-// when any constituent gate is.
+// mergeAdmission sums two gate snapshots capacity-style: queue bounds
+// add (three backends with 4 slots each are 12 slots of slow-path
+// capacity), counters add, and the merged view is "enabled" when any
+// constituent gate is.
 func mergeAdmission(dst *AdmissionMetrics, src AdmissionMetrics) {
 	dst.Enabled = dst.Enabled || src.Enabled
-	dst.Threshold += src.Threshold
 	dst.Depth += src.Depth
-	dst.MinQueue += src.MinQueue
 	dst.MaxQueue += src.MaxQueue
-	dst.FastHits += src.FastHits
 	dst.Admitted += src.Admitted
 	dst.Shed += src.Shed
-	dst.Rounds += src.Rounds
 }
 
 // finalizeMetrics recomputes every derived field from the summed

@@ -80,7 +80,7 @@ func (m *Multi) Get(net string) (*Service, error) {
 	}
 	// Creation runs under the write lock: concurrent first requests for
 	// the same net must not race two controllers into existence.
-	s, err := newService(m.cfg, m.adm, false)
+	s, err := newService(m.cfg, m.adm)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +106,8 @@ func (m *Multi) Draining() bool {
 	return m.draining
 }
 
-// Drain refuses new networks, drains every hosted Service (waiting out
-// their in-flight requests), then stops the
-// shared admission gate — gate last, because a draining Service may
-// still be finishing admitted slow-path work.
+// Drain refuses new networks and drains every hosted Service (waiting out
+// their in-flight requests).
 func (m *Multi) Drain() {
 	m.mu.Lock()
 	if m.draining {
@@ -125,11 +123,7 @@ func (m *Multi) Drain() {
 	for _, s := range svcs {
 		s.Drain()
 	}
-	m.adm.stop()
 }
-
-// RetryAfter mirrors Service.RetryAfter for the shared gate.
-func (m *Multi) RetryAfter() int { return m.adm.retryAfter() }
 
 // Metrics returns the cluster view (every counter summed across nets,
 // derived rates recomputed, Admission replaced by the one shared gate's

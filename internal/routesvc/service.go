@@ -24,10 +24,9 @@
 //
 // The cost split above also tiers the service under overload: SSDT
 // requests are the fast path and always flow; TSDT/REROUTE computations
-// are the slow path and sit behind a bounded admission queue whose
-// threshold a per-round controller adapts from measured hit/queue-depth/shed
-// counters (see admission.go). Shed requests fail fast with ErrOverload,
-// which HTTP maps to 429 plus Retry-After.
+// are the slow path and sit behind a fixed bound on concurrent computes
+// (see admission.go). Shed requests fail fast with ErrOverload, which
+// HTTP maps to 429 plus Retry-After.
 package routesvc
 
 import (
@@ -92,7 +91,7 @@ var (
 type Config struct {
 	// N is the network size (a power of two >= 2).
 	N int
-	// Admission configures the slow-path admission controller (see
+	// Admission configures the slow-path admission gate (see
 	// AdmissionConfig); the zero value enables it with defaults.
 	Admission AdmissionConfig
 	// SlowCost, when positive, stretches every TSDT/REROUTE computation
@@ -228,7 +227,6 @@ type Service struct {
 	ctl      *controller.Controller
 	p        topology.Params
 	adm      *admission
-	ownAdm   bool
 	slowCost time.Duration
 
 	drainMu  sync.RWMutex
@@ -256,14 +254,13 @@ type Service struct {
 
 // New builds a Service for a fault-free network of size cfg.N.
 func New(cfg Config) (*Service, error) {
-	return newService(cfg, newAdmission(cfg.Admission), true)
+	return newService(cfg, newAdmission(cfg.Admission))
 }
 
 // newService is New with an injected admission gate: a Multi shares one
 // per-process gate across every hosted network (the gate protects the
-// process's slow-path compute capacity, which is shared), in which case
-// the Service does not own it and must not stop it on Drain.
-func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
+// process's slow-path compute capacity, which is shared).
+func newService(cfg Config, adm *admission) (*Service, error) {
 	ctl, err := controller.New(cfg.N)
 	if err != nil {
 		return nil, err
@@ -272,7 +269,6 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 		ctl:      ctl,
 		p:        ctl.Params(),
 		adm:      adm,
-		ownAdm:   ownAdm,
 		slowCost: cfg.SlowCost,
 	}, nil
 }
@@ -299,18 +295,13 @@ func (s *Service) begin() error {
 
 func (s *Service) end() { s.inflight.Done() }
 
-// Drain stops admitting requests (they fail with ErrDraining), blocks
-// until every in-flight request has finished, and stops the admission
-// controller loop (when this Service owns it — a Multi's shared gate is
-// stopped once by Multi.Drain). It is idempotent.
+// Drain stops admitting requests (they fail with ErrDraining) and blocks
+// until every in-flight request has finished. It is idempotent.
 func (s *Service) Drain() {
 	s.drainMu.Lock()
 	s.draining = true
 	s.drainMu.Unlock()
 	s.inflight.Wait()
-	if s.ownAdm {
-		s.adm.stop()
-	}
 }
 
 // Draining reports whether Drain has been called.
@@ -478,7 +469,6 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 			return Result{}, err
 		}
 		s.ssdtHits.Add(1)
-		s.adm.noteHit()
 		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch(), Cached: true}, nil
 	}
 
@@ -637,11 +627,6 @@ func (s *Service) Faults() []topology.Link { return s.ctl.Faults() }
 // MapStats returns the controller's snapshot: epoch and blocked-link
 // count read together under its lock, in O(1).
 func (s *Service) MapStats() controller.Stats { return s.ctl.Stats() }
-
-// RetryAfter returns the overload backoff hint, in seconds, that the HTTP
-// layer attaches to 429 responses: long enough for the admission
-// controller to run a couple of rounds and adapt its threshold.
-func (s *Service) RetryAfter() int { return s.adm.retryAfter() }
 
 // Metrics snapshots the service counters.
 func (s *Service) Metrics() Metrics {

@@ -18,8 +18,7 @@ func mustService(t *testing.T, cfg Config) *Service {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain stops the service's admission controller loop, so none
-	// outlives its test.
+	// Drain waits out any request a test left in flight.
 	t.Cleanup(s.Drain)
 	return s
 }

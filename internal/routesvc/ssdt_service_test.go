@@ -18,7 +18,7 @@ import (
 func TestSSDTNeverReachesSlowPath(t *testing.T) {
 	const N = 64
 	s := mustService(t, Config{N: N,
-		Admission: AdmissionConfig{MaxQueue: 1, MinQueue: 1, Round: -1}})
+		Admission: AdmissionConfig{MaxQueue: 1}})
 	defer s.Drain()
 	if !s.adm.acquire() {
 		t.Fatal("could not take the only admission ticket")

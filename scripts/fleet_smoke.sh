@@ -153,8 +153,7 @@ $GO build -o "$tmp/iadmload" ./cmd/iadmload
 
 echo "fleet-smoke: phase 1, capacity (admission 3, slow-cost 5ms)"
 "$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/single.port" \
-    -admission-max 3 -admission-min 3 \
-    -slow-cost 5ms >"$tmp/single.log" 2>&1 &
+    -admission-max 3 -slow-cost 5ms >"$tmp/single.log" 2>&1 &
 single_pid=$!
 pids="$pids $single_pid"
 wait_port "$tmp/single.port" "$single_pid" "$tmp/single.log"
@@ -169,8 +168,7 @@ bk=0
 backends=""
 while [ "$bk" -lt 3 ]; do
     "$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/cap$bk.port" \
-        -admission-max 3 -admission-min 3 \
-        -slow-cost 5ms >"$tmp/cap$bk.log" 2>&1 &
+        -admission-max 3 -slow-cost 5ms >"$tmp/cap$bk.log" 2>&1 &
     pid=$!
     pids="$pids $pid"
     eval "cap${bk}_pid=$pid"

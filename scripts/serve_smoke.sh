@@ -89,8 +89,7 @@ fi
 
 echo "serve-smoke: phase 3, overload (admission max 8, slow-cost 2ms)"
 "$tmp/iadmd" -n 1024 -addr 127.0.0.1:0 -portfile "$tmp/port2" \
-    -admission-max 8 -admission-min 2 \
-    -admission-round 50ms -slow-cost 2ms \
+    -admission-max 8 -slow-cost 2ms \
     >"$tmp/iadmd-overload.log" 2>&1 &
 daemon_pid=$!
 i=0

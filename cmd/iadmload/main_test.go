@@ -12,11 +12,7 @@ import (
 
 func newTestServer(t *testing.T, n int) *httptest.Server {
 	t.Helper()
-	svc, err := routesvc.New(routesvc.Config{N: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(routesvc.NewHandler(svc))
+	ts := httptest.NewServer(routesvc.NewMultiHandler(routesvc.NewMulti(routesvc.Config{N: n}, 0)))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -89,11 +85,7 @@ func TestRunBatchMode(t *testing.T) {
 // the path the client walks from it ends one switch off the request's
 // dst; an untampered run of the same shape passes (TestRunBatchMode).
 func TestRunBatchModeFlagsTamperedPaths(t *testing.T) {
-	svc, err := routesvc.New(routesvc.Config{N: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := routesvc.NewHandler(svc)
+	h := routesvc.NewMultiHandler(routesvc.NewMulti(routesvc.Config{N: 32}, 0))
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/route/batch" {
 			h.ServeHTTP(w, r)
@@ -183,7 +175,7 @@ func TestViolations(t *testing.T) {
 
 	// An SSDT request reaching the slow path fails the run on its own,
 	// whether it missed or joined another caller's computation.
-	for _, ssdt := range []routesvc.CacheStats{{Hits: 9, Misses: 1}, {Hits: 9, Coalesced: 1}} {
+	for _, ssdt := range []routesvc.SchemeStats{{Hits: 9, Misses: 1}, {Hits: 9, Coalesced: 1}} {
 		s = summary{}
 		s.total.requests = 10
 		s.metrics.Service.SSDT = ssdt
@@ -203,15 +195,11 @@ func TestViolations(t *testing.T) {
 // slow path: sheds must appear, the service must keep answering, and the
 // overload -check gate must pass.
 func TestRunOverload(t *testing.T) {
-	svc, err := routesvc.New(routesvc.Config{
+	ts := httptest.NewServer(routesvc.NewMultiHandler(routesvc.NewMulti(routesvc.Config{
 		N:         32,
 		Admission: routesvc.AdmissionConfig{MaxQueue: 2},
 		SlowCost:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(routesvc.NewHandler(svc))
+	}, 0)))
 	t.Cleanup(ts.Close)
 
 	cfg := loadConfig{
@@ -261,7 +249,6 @@ func TestViolationsOverload(t *testing.T) {
 		var s summary
 		s.total.requests = 1000
 		s.total.shed = 100
-		s.total.lat = newLatStream()
 		s.total.lat.Add(500)
 		s.metrics.Service.Admission.Enabled = true
 		s.metrics.Service.Admission.Admitted = 100
@@ -295,7 +282,7 @@ func TestViolationsOverload(t *testing.T) {
 
 	// Tail blew past the bound.
 	s = mk()
-	s.total.lat.Add(50000) // lands in the overflow bin
+	s.total.lat.Add(50000)
 	cfgTight := cfg
 	cfgTight.maxP99US = 1000
 	if v := s.violations(cfgTight); len(v) != 1 {
@@ -306,6 +293,35 @@ func TestViolationsOverload(t *testing.T) {
 	s = mk()
 	if v := s.violations(loadConfig{tsdtFrac: 1}); len(v) != 1 {
 		t.Errorf("sheds without -overload: want 1 violation, got %v", v)
+	}
+}
+
+// TestClientP99PastTwentyMillis: client latencies far above 20 ms keep
+// their percentiles, so a slow but bounded tail is not reported as its
+// single worst request, in the report line or in the -max-p99us gate.
+func TestClientP99PastTwentyMillis(t *testing.T) {
+	var s summary
+	s.total.requests = 1000
+	s.total.shed = 100
+	for i := uint64(0); i < 999; i++ {
+		s.total.lat.Add(21000 + 10*i) // 21.00–30.98 ms
+	}
+	s.total.lat.Add(400000) // one 400 ms straggler
+	s.metrics.Service.Admission.Enabled = true
+	s.metrics.Service.Admission.Admitted = 100
+	s.metrics.Service.Admission.Shed = 300
+
+	lat := &s.total.lat
+	if p99, up := lat.Percentile(99), lat.PercentileUpper(99); p99 >= lat.Max() || up >= lat.Max() || up < 30890 {
+		t.Fatalf("p99 %d, upper edge %d, max %d: want p99 ≤ 30890 (exact) ≤ edge < max", p99, up, lat.Max())
+	}
+	cfg := loadConfig{overload: true, maxP99US: 40000, maxShedFrac: 0.9, minOverload: 2}
+	if v := s.violations(cfg); len(v) != 0 {
+		t.Errorf("31 ms p99 under a 40 ms bound flagged: %v", v)
+	}
+	cfg.maxP99US = 30000
+	if v := s.violations(cfg); len(v) != 1 || !strings.Contains(v[0], "client p99") {
+		t.Errorf("31 ms p99 over a 30 ms bound: violations %v", v)
 	}
 }
 

@@ -1,46 +1,6 @@
 package controller
 
-import (
-	"testing"
-
-	"iadm/internal/topology"
-)
-
-func BenchmarkRouteTagCacheHit(b *testing.B) {
-	c, err := New(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.RouteTag(1, 2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.RouteTag(1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRouteTagCacheMiss(b *testing.B) {
-	c, err := New(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := topology.Link{Stage: 0, From: 0, Kind: topology.Plus}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Alternate fault/repair to invalidate the cache every iteration.
-		if i%2 == 0 {
-			c.ReportFault(l)
-		} else {
-			c.ReportRepair(l)
-		}
-		if _, err := c.RouteTag(1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+import "testing"
 
 func BenchmarkConcurrentRouteTag(b *testing.B) {
 	c, err := New(64)

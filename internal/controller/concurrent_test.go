@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,15 +11,28 @@ import (
 	"iadm/internal/topology"
 )
 
-// TestStatsConcurrentHitRate hammers a fixed pair set from many goroutines
-// and checks the Stats snapshot accounting: every request is either a hit
-// or a miss, and with a frozen blockage map each distinct pair is computed
-// exactly once — the second checker under the write lock must turn every
-// racing duplicate compute into a hit.
-func TestStatsConcurrentHitRate(t *testing.T) {
+// TestConcurrentRouteTagMatchesReroute hammers a fixed pair set from many
+// goroutines under a fixed fault map: every answer equals core.Reroute's on
+// the same map, and Stats counts every request as one computation.
+func TestConcurrentRouteTagMatchesReroute(t *testing.T) {
 	c := mustNew(t, 16)
+	p := c.Params()
+	c.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus})
+	c.ReportFault(topology.Link{Stage: 2, From: 7, Kind: topology.Plus})
+	blk := blockage.NewSet(p)
+	for _, l := range c.Faults() {
+		blk.Block(l)
+	}
 	const G, R = 8, 400
-	pairs := [][2]int{{0, 5}, {3, 3}, {7, 12}, {15, 1}, {9, 9}, {2, 14}}
+	pairs := [][2]int{{0, 5}, {3, 3}, {7, 12}, {15, 1}, {9, 9}, {2, 14}, {0, 15}}
+	want := make([]core.Tag, len(pairs))
+	for i, pr := range pairs {
+		tag, _, err := core.Reroute(p, blk, pr[0], core.MustTag(p, pr[1]))
+		if err != nil {
+			t.Fatalf("Reroute(%d, %d): %v", pr[0], pr[1], err)
+		}
+		want[i] = tag
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -26,9 +40,10 @@ func TestStatsConcurrentHitRate(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < R; r++ {
-				p := pairs[(g+r)%len(pairs)]
-				if _, err := c.RouteTag(p[0], p[1]); err != nil {
-					t.Errorf("RouteTag(%d, %d): %v", p[0], p[1], err)
+				i := (g + r) % len(pairs)
+				tag, err := c.RouteTag(pairs[i][0], pairs[i][1])
+				if err != nil || tag != want[i] {
+					t.Errorf("RouteTag(%d, %d) = %v, %v; Reroute = %v", pairs[i][0], pairs[i][1], tag, err, want[i])
 					return
 				}
 			}
@@ -37,37 +52,29 @@ func TestStatsConcurrentHitRate(t *testing.T) {
 	wg.Wait()
 
 	st := c.Stats()
-	total := uint64(G * R)
-	if st.Hits+st.Misses != total {
-		t.Errorf("hits(%d)+misses(%d) = %d, want %d", st.Hits, st.Misses, st.Hits+st.Misses, total)
+	if st.Misses != G*R || st.Hits != 0 || st.Fails != 0 || st.Epoch != 2 || st.BlockedLinks != 2 {
+		t.Errorf("Stats = %+v, want %d misses, epoch 2, 2 blocked links", st, G*R)
 	}
-	if st.Misses != uint64(len(pairs)) {
-		t.Errorf("misses = %d, want one per distinct pair (%d)", st.Misses, len(pairs))
-	}
-	if st.Fails != 0 || st.Epoch != 0 || st.BlockedLinks != 0 {
-		t.Errorf("unexpected fails/epoch/blocked in %+v", st)
-	}
-	if st.CacheEntries != len(pairs) {
-		t.Errorf("cache entries = %d, want %d", st.CacheEntries, len(pairs))
-	}
-	if want := 1 - float64(len(pairs))/float64(total); st.HitRate() < want-1e-9 {
-		t.Errorf("hit rate %.4f, want >= %.4f", st.HitRate(), want)
-	}
+}
 
-	// A fault invalidates: the same pair costs exactly one more miss.
-	c.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus})
-	for i := 0; i < 3; i++ {
-		if _, err := c.RouteTag(0, 5); err != nil {
-			t.Fatal(err)
-		}
+// returnsUnderReadLock fails t unless f returns while the test holds c's
+// read lock: a call that took the write lock would block until release.
+func returnsUnderReadLock(t *testing.T, c *Controller, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	c.mu.RLock()
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		c.mu.RUnlock()
+		<-done
+		t.Fatalf("%s blocked behind a held read lock", what)
 	}
-	st2 := c.Stats()
-	if st2.Misses != st.Misses+1 {
-		t.Errorf("misses after fault = %d, want %d", st2.Misses, st.Misses+1)
-	}
-	if st2.Epoch != 1 || st2.BlockedLinks != 1 {
-		t.Errorf("epoch/blocked after fault: %+v", st2)
-	}
+	c.mu.RUnlock()
 }
 
 // TestComputeTagUnderReadLock: ComputeTag takes only the read lock, so it
@@ -98,20 +105,9 @@ func TestComputeTagUnderReadLock(t *testing.T) {
 		var tag core.Tag
 		var epoch uint64
 		var err error
-		done := make(chan struct{})
-		c.mu.RLock()
-		go func() {
-			defer close(done)
+		returnsUnderReadLock(t, c, fmt.Sprintf("ComputeTag(%d, %d)", tc.s, tc.d), func() {
 			tag, epoch, err = c.ComputeTag(tc.s, tc.d)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			c.mu.RUnlock()
-			<-done
-			t.Fatalf("%d→%d: ComputeTag blocked behind a held read lock", tc.s, tc.d)
-		}
-		c.mu.RUnlock()
+		})
 
 		want, _, wantErr := core.Reroute(p, blk, tc.s, core.MustTag(p, tc.d))
 		if err != nil || wantErr != nil || tag != want {
@@ -121,7 +117,25 @@ func TestComputeTagUnderReadLock(t *testing.T) {
 			t.Fatalf("%d→%d: epoch %d, want 2", tc.s, tc.d, epoch)
 		}
 	}
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || st.CacheEntries != 0 {
-		t.Fatalf("ComputeTag touched the per-pair cache: %+v", st)
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("Stats = %+v, want 2 misses", st)
+	}
+}
+
+// TestRouteTagUnderReadLock: RouteTag, like ComputeTag, returns while
+// another reader holds the lock, and answers REROUTE's tag.
+func TestRouteTagUnderReadLock(t *testing.T) {
+	c := mustNew(t, 8)
+	p := c.Params()
+	l := topology.Link{Stage: 0, From: 1, Kind: topology.Minus}
+	c.ReportFault(l)
+	blk := blockage.NewSet(p)
+	blk.Block(l)
+	var tag core.Tag
+	var err error
+	returnsUnderReadLock(t, c, "RouteTag(1, 0)", func() { tag, err = c.RouteTag(1, 0) })
+	want, _, wantErr := core.Reroute(p, blk, 1, core.MustTag(p, 0))
+	if err != nil || wantErr != nil || tag != want {
+		t.Fatalf("RouteTag = %v, %v; Reroute = %v, %v", tag, err, want, wantErr)
 	}
 }

@@ -6,11 +6,10 @@
 // order to compute a path to avoid the blockages."
 //
 // The controller accepts fault and repair reports and serves rerouting
-// tags computed with algorithm REROUTE. ComputeTag recomputes every tag
-// from the blockage map under the read lock, so senders never serialize
-// on each other; RouteTag also caches computed tags per (source,
-// destination) pair, clearing the cache when the blockage map changes. It
-// is safe for concurrent use by multiple senders.
+// tags computed with algorithm REROUTE. The blockage map is its only
+// state: every tag is recomputed from the map under the read lock, so
+// senders never serialize on each other and a map change invalidates
+// nothing. It is safe for concurrent use by multiple senders.
 package controller
 
 import (
@@ -27,20 +26,17 @@ import (
 type Controller struct {
 	p topology.Params
 
-	mu    sync.RWMutex
-	blk   *blockage.Set
-	cache map[pair]core.Tag // RouteTag's tags of the current epoch only
+	mu  sync.RWMutex
+	blk *blockage.Set
 
 	// epoch is incremented (under mu) on every map change; reads are
 	// lock-free so callers can observe map versions without contending
 	// with tag computation.
 	epoch atomic.Uint64
 
-	// stats (atomic: the hit counter is bumped under the read lock)
-	hits, misses, fails atomic.Uint64
+	// stats (atomic: bumped under the read lock)
+	misses, fails atomic.Uint64
 }
-
-type pair struct{ s, d int }
 
 // New creates a controller for a fault-free network of size N.
 func New(N int) (*Controller, error) {
@@ -48,27 +44,14 @@ func New(N int) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{
-		p:     p,
-		blk:   blockage.NewSet(p),
-		cache: make(map[pair]core.Tag),
-	}, nil
+	return &Controller{p: p, blk: blockage.NewSet(p)}, nil
 }
 
 // Params returns the network parameters.
 func (c *Controller) Params() topology.Params { return c.p }
 
-// bumpEpoch records a map change and drops the per-pair tags (computed
-// against the old map, they can never be served again). Callers must hold
-// mu for writing. A fresh map rather than clear(): clearing costs the
-// map's peak size on every later bump.
-func (c *Controller) bumpEpoch() {
-	c.cache = make(map[pair]core.Tag)
-	c.epoch.Add(1)
-}
-
 // ReportFault records a blocked link. Reporting an already blocked link is
-// a no-op (and does not invalidate the cache). It reports whether the map
+// a no-op (and does not bump the epoch). It reports whether the map
 // changed.
 func (c *Controller) ReportFault(l topology.Link) bool {
 	c.mu.Lock()
@@ -77,7 +60,7 @@ func (c *Controller) ReportFault(l topology.Link) bool {
 		return false
 	}
 	c.blk.Block(l)
-	c.bumpEpoch()
+	c.epoch.Add(1)
 	return true
 }
 
@@ -89,7 +72,7 @@ func (c *Controller) ReportRepair(l topology.Link) bool {
 		return false
 	}
 	c.blk.Unblock(l)
-	c.bumpEpoch()
+	c.epoch.Add(1)
 	return true
 }
 
@@ -114,7 +97,7 @@ func (c *Controller) ReportSwitchFault(sw topology.Switch) (int, error) {
 		return 0, err
 	}
 	if blocked > 0 {
-		c.bumpEpoch()
+		c.epoch.Add(1)
 	}
 	return blocked, nil
 }
@@ -169,76 +152,31 @@ func (c *Controller) ComputeTag(s, d int) (core.Tag, uint64, error) {
 	return tag, c.epoch.Load(), err
 }
 
-// RouteTag is ComputeTag without the epoch, with computed tags cached per
-// pair until the blockage map changes.
+// RouteTag is ComputeTag without the epoch.
 func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
-	if err := c.validPair(s, d); err != nil {
-		return core.Tag{}, err
-	}
-	key := pair{s, d}
-	c.mu.RLock()
-	if tag, ok := c.cache[key]; ok {
-		c.hits.Add(1)
-		c.mu.RUnlock()
-		return tag, nil
-	}
-	c.mu.RUnlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Recheck under the write lock (another sender may have filled it).
-	if tag, ok := c.cache[key]; ok {
-		c.hits.Add(1)
-		return tag, nil
-	}
-	tag, err := c.compute(s, d)
-	if err != nil {
-		return core.Tag{}, err
-	}
-	c.cache[key] = tag
-	return tag, nil
+	tag, _, err := c.ComputeTag(s, d)
+	return tag, err
 }
 
-// Route is RouteTag plus the concrete path.
-func (c *Controller) Route(s, d int) (core.Tag, core.Path, error) {
-	tag, err := c.RouteTag(s, d)
-	if err != nil {
-		return core.Tag{}, core.Path{}, err
-	}
-	return tag, tag.Follow(c.p, s), nil
-}
-
-// Stats is a point-in-time snapshot of the controller's cache behaviour
-// and map state.
+// Stats is a point-in-time snapshot of the controller's counters and map
+// state.
 type Stats struct {
-	Hits         uint64 // RouteTag requests answered from its tag cache
-	Misses       uint64 // tags computed with REROUTE (ComputeTag, RouteTag misses)
+	Hits         uint64 // always 0: every tag is computed (kept for benchmark readers)
+	Misses       uint64 // tags computed with REROUTE
 	Fails        uint64 // rerouting failures (pair disconnected)
 	Epoch        uint64 // blockage-map version
-	CacheEntries int    // RouteTag's cached tags, all of the current epoch
 	BlockedLinks int    // currently blocked links
 }
 
-// HitRate returns the fraction of requests served from the cache, or 0
-// before any request.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// Stats reports a consistent snapshot of cache behaviour: hits, misses
-// (tags computed), rerouting failures, the current epoch, and map sizes.
+// Stats reports a consistent snapshot: tags computed, rerouting failures,
+// the current epoch and the blocked-link count.
 func (c *Controller) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return Stats{
-		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
 		Fails:        c.fails.Load(),
 		Epoch:        c.epoch.Load(),
-		CacheEntries: len(c.cache),
 		BlockedLinks: c.blk.Count(),
 	}
 }

@@ -29,11 +29,11 @@ func TestRouteCleanNetwork(t *testing.T) {
 	c := mustNew(t, 8)
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
-			_, path, err := c.Route(s, d)
+			tag, err := c.RouteTag(s, d)
 			if err != nil {
-				t.Fatalf("Route(%d,%d): %v", s, d, err)
+				t.Fatalf("RouteTag(%d,%d): %v", s, d, err)
 			}
-			if path.Destination() != d {
+			if path := tag.Follow(c.Params(), s); path.Destination() != d {
 				t.Fatalf("delivered to %d", path.Destination())
 			}
 		}
@@ -53,91 +53,71 @@ func TestRouteInvalidPair(t *testing.T) {
 	}
 }
 
-func TestCacheHitsAndInvalidation(t *testing.T) {
+// TestFaultReroutesAroundLink: the tag computed after a fault avoids the
+// faulty link, and a duplicate report leaves the epoch unchanged.
+func TestFaultReroutesAroundLink(t *testing.T) {
 	c := mustNew(t, 8)
-	if _, err := c.RouteTag(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RouteTag(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
+	l := topology.Link{Stage: 0, From: 1, Kind: topology.Minus}
+	if tag, err := c.RouteTag(1, 0); err != nil || tag.Follow(c.Params(), 1).Links[0] != l {
+		t.Fatalf("fault-free 1→0 = %v, %v; want a walk over %v", tag, err, l)
 	}
 
-	// A fault report invalidates the cache...
 	epoch := c.Epoch()
-	l := topology.Link{Stage: 0, From: 1, Kind: topology.Minus}
-	c.ReportFault(l)
-	if c.Epoch() == epoch {
-		t.Error("epoch did not change on fault")
+	if !c.ReportFault(l) || c.Epoch() != epoch+1 {
+		t.Fatalf("fault report: epoch %d, want %d", c.Epoch(), epoch+1)
 	}
 	tag, err := c.RouteTag(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 after invalidation", st.Misses)
-	}
-	// ...and the fresh tag avoids the fault.
 	path := tag.Follow(c.Params(), 1)
+	if path.Destination() != 0 {
+		t.Fatalf("tag %v delivers to %d", tag, path.Destination())
+	}
 	for _, pl := range path.Links {
 		if pl == l {
-			t.Error("cached-then-recomputed tag still uses the faulty link")
+			t.Fatalf("tag %v after the fault still uses %v", tag, l)
 		}
 	}
 
-	// Duplicate fault reports are no-ops.
-	epoch = c.Epoch()
-	c.ReportFault(l)
-	if c.Epoch() != epoch {
-		t.Error("duplicate fault changed the epoch")
+	if c.ReportFault(l) || c.Epoch() != epoch+1 {
+		t.Errorf("duplicate fault: epoch %d, want %d", c.Epoch(), epoch+1)
 	}
 }
 
-// TestCacheBoundedPerEpoch: the per-pair tag map holds only the current
-// epoch's tags — k entries after k distinct pairs, none after any map
-// change, a no-op report included in neither — and hits within an epoch
-// are counted as before.
-func TestCacheBoundedPerEpoch(t *testing.T) {
+// TestMissesCountEveryCall: every RouteTag and ComputeTag call is one
+// REROUTE computation, repeated pairs and map changes alike, and Hits
+// stays 0.
+func TestMissesCountEveryCall(t *testing.T) {
 	c := mustNew(t, 16)
-	fill := func(k int) {
+	var calls uint64
+	sweep := func(k int) {
 		t.Helper()
 		for i := 0; i < k; i++ {
 			if _, err := c.RouteTag(i, (5*i+3)%16); err != nil {
 				t.Fatal(err)
 			}
+			if _, _, err := c.ComputeTag(i, (5*i+3)%16); err != nil {
+				t.Fatal(err)
+			}
+			calls += 2
+		}
+		if st := c.Stats(); st.Misses != calls || st.Hits != 0 {
+			t.Fatalf("after %d calls: %+v", calls, st)
 		}
 	}
-	want := func(when string, entries int, hits, misses uint64) {
-		t.Helper()
-		st := c.Stats()
-		if st.CacheEntries != entries || st.Hits != hits || st.Misses != misses {
-			t.Fatalf("%s: entries=%d hits=%d misses=%d, want %d/%d/%d",
-				when, st.CacheEntries, st.Hits, st.Misses, entries, hits, misses)
-		}
-	}
-	fill(7)
-	want("7 distinct pairs", 7, 0, 7)
-	fill(7)
-	want("the same 7 pairs again", 7, 7, 7)
-
+	sweep(7)
+	sweep(7)
 	l := topology.Link{Stage: 1, From: 2, Kind: topology.Plus}
 	c.ReportFault(l)
-	want("after a fault", 0, 7, 7)
 	c.ReportFault(l)
-	fill(3)
-	want("a duplicate fault, then 3 pairs", 3, 7, 10)
-	fill(3)
-	want("the 3 pairs again", 3, 10, 10)
+	sweep(3)
 	c.ReportRepair(l)
-	want("after a repair", 0, 10, 10)
-	fill(2)
+	sweep(3)
 	if _, err := c.ReportSwitchFault(topology.Switch{Stage: 2, Index: 4}); err != nil {
 		t.Fatal(err)
 	}
-	want("after a switch fault", 0, 10, 12)
+	sweep(2)
 }
 
 func TestRepairRestoresRoutes(t *testing.T) {
@@ -174,11 +154,11 @@ func TestReportSwitchFault(t *testing.T) {
 	if got := len(c.Faults()); got != 3 {
 		t.Errorf("Faults = %d links, want 3", got)
 	}
-	_, path, err := c.Route(1, 0)
+	tag, err := c.RouteTag(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path.SwitchAt(1) == 0 {
+	if path := tag.Follow(c.Params(), 1); path.SwitchAt(1) == 0 {
 		t.Errorf("path %v passes through the faulty switch", path)
 	}
 	epoch := c.Epoch()

@@ -51,7 +51,7 @@ func TestTSDTComputeReportsComputingEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cached || s.Epoch() != before+1 {
+		if s.Epoch() != before+1 {
 			t.Fatalf("repair=%v: want a fresh compute across one bump, got %+v at epoch %d", repair, res, s.Epoch())
 		}
 		if res.Epoch != s.Epoch() {

@@ -23,8 +23,8 @@ type Answers uint8
 
 const (
 	// FullAnswers (no answers parameter): every item echoes its request's
-	// net, src, dst and canonical scheme and carries tag, path, epoch and
-	// the cached flag, or its error and code.
+	// net, src, dst and canonical scheme and carries tag, path and epoch,
+	// or its error and code.
 	FullAnswers Answers = iota
 	// TagAnswers (?answers=tags): every item is {"tag":…,"epoch":…} or
 	// {"error":…,"code":…}, in request order, and the body is
@@ -83,7 +83,7 @@ var batchDecodePool = sync.Pool{New: func() any { return new(batchDecode) }}
 // item: Responses has its exact length, the paths share one exact-size
 // backing array, each capped at its own length, and the tags are
 // substrings of one string (a tag with an escape is a string of its
-// own). Cached and Coalesced stay false.
+// own).
 //
 // A body that does not decode, answers another number of items, or
 // carries an item with neither a tag nor an error, a tag that does not

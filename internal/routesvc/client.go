@@ -219,7 +219,7 @@ func (c *Client) Route(net string, src, dst int, scheme Scheme) (RouteJSON, erro
 // answers (TagAnswers) and completes them from reqs: each item gets its
 // request's net, src and dst, the canonical scheme, and the path the tag
 // walks from src, expanded by the 64-lane sliced kernel. The result
-// equals the full-shape answer except that Cached is always false. An
+// equals the full-shape answer. An
 // answer with another number of items or a tag that does not parse fails
 // the call as an undecodable body does.
 //

@@ -35,35 +35,20 @@ import (
 // a Retry-After header; batch items shed inside a 200 response carry
 // "code":"overload". 429s are counted separately from 5xx — a shed is the
 // service protecting itself, not failing.
-// Multi-network mode: a Handler built with NewMultiHandler serves many
-// named networks from one process. Requests select theirs with a "net"
-// field (JSON) or ?net= (query); the empty name is DefaultNet. A Handler
-// built with NewHandler serves exactly one network and ignores "net",
-// so single-network deployments and their clients are unchanged.
+//
+// Networks: a Handler serves the named networks of one Multi. Requests
+// select theirs with a "net" field (JSON) or ?net= (query); the empty
+// name is DefaultNet, so single-network clients never spell one.
 type Handler struct {
-	svc   *Service // single-network mode (NewHandler)
-	multi *Multi   // multi-network mode (NewMultiHandler)
+	multi *Multi
 	rec   *Recorder
 	start time.Time
 }
 
-// NewHandler wraps one service in its HTTP API (single-network mode).
-func NewHandler(svc *Service) *Handler {
-	h := newHandler()
-	h.svc = svc
-	return h
-}
-
-// NewMultiHandler wraps a multi-network host in the same HTTP API; the
-// "net" request field selects the network.
+// NewMultiHandler wraps a multi-network host in the HTTP API; the "net"
+// request field selects the network.
 func NewMultiHandler(m *Multi) *Handler {
-	h := newHandler()
-	h.multi = m
-	return h
-}
-
-func newHandler() *Handler {
-	h := &Handler{rec: NewRecorder(), start: time.Now()}
+	h := &Handler{multi: m, rec: NewRecorder(), start: time.Now()}
 	h.rec.Handle("/route", h.routeOne)
 	h.rec.Handle("/route/batch", h.routeBatch)
 	h.rec.Handle("/fault", h.fault)
@@ -124,16 +109,6 @@ func errCode(err error) string {
 	return ""
 }
 
-// service resolves the network a request addressed. Single-network
-// handlers ignore the name; multi-network handlers create the net
-// lazily (or refuse it: draining, or over the -max-nets cap).
-func (h *Handler) service(net string) (*Service, error) {
-	if h.multi != nil {
-		return h.multi.Get(net)
-	}
-	return h.svc, nil
-}
-
 func (h *Handler) writeErr(w http.ResponseWriter, err error) {
 	code := errStatus(err)
 	if code == http.StatusTooManyRequests {
@@ -156,13 +131,11 @@ type RouteJSON struct {
 	Dst    int    `json:"dst"`
 	Scheme string `json:"scheme"`
 	// Response fields.
-	Tag       string `json:"tag,omitempty"`
-	Path      []int  `json:"path,omitempty"`
-	Epoch     uint64 `json:"epoch,omitempty"`
-	Cached    bool   `json:"cached,omitempty"`
-	Coalesced bool   `json:"coalesced,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Code      string `json:"code,omitempty"`
+	Tag   string `json:"tag,omitempty"`
+	Path  []int  `json:"path,omitempty"`
+	Epoch uint64 `json:"epoch,omitempty"`
+	Error string `json:"error,omitempty"`
+	Code  string `json:"code,omitempty"`
 }
 
 // parseRouteReq accepts GET query parameters or a POST JSON body, and
@@ -214,7 +187,7 @@ func (h *Handler) routeOne(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
-	svc, err := h.service(net)
+	svc, err := h.multi.Get(net)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -312,14 +285,14 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bs.results = slices.Grow(bs.results[:0], len(reqs))[:len(reqs)]
 	var epoch uint64
-	if h.multi == nil || singleNet(nets) {
-		// A single-network batch (the overwhelmingly common case, and
-		// every single-network handler) keeps whole-batch error semantics.
+	if singleNet(nets) {
+		// A single-network batch (the overwhelmingly common case) keeps
+		// whole-batch error semantics.
 		var net string
 		if len(nets) > 0 {
 			net = nets[0]
 		}
-		svc, err := h.service(net)
+		svc, err := h.multi.Get(net)
 		if err == nil {
 			err = svc.resolveBatch(reqs, bs.results)
 		}
@@ -372,7 +345,7 @@ func (h *Handler) routeMixed(bs *batchScratch, shape Answers) uint64 {
 		}
 		g := slices.Index(groups, n)
 		if g < 0 {
-			svc, err := h.service(n)
+			svc, err := h.multi.Get(n)
 			if err != nil {
 				r := bs.reqs[i]
 				bs.results[i] = Result{Src: r.Src, Dst: r.Dst, Scheme: r.Scheme, Err: err}
@@ -452,7 +425,7 @@ func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, isFault bool) {
 		h.writeErr(w, fmt.Errorf("%w: switch repairs are not expressible (repair the input links individually)", ErrInvalid))
 		return
 	}
-	svc, err := h.service(body.Net)
+	svc, err := h.multi.Get(body.Net)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -499,30 +472,23 @@ func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, isFault bool) {
 	})
 }
 
-// HealthJSON is the wire form of /healthz. Nets counts the networks a
-// multi-network host has materialized (0 on single-network handlers,
-// whose one network is implicit).
+// HealthJSON is the wire form of /healthz. Nets counts the networks the
+// host has materialized.
 type HealthJSON struct {
 	Status        string  `json:"status"`
 	N             int     `json:"n"`
-	Epoch         uint64  `json:"epoch"`
 	Nets          int     `json:"nets,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
-	out := HealthJSON{Status: "ok", UptimeSeconds: time.Since(h.start).Seconds()}
-	var draining bool
-	if h.multi != nil {
-		out.N = h.multi.N()
-		out.Nets = len(h.multi.Nets())
-		draining = h.multi.Draining()
-	} else {
-		out.N = h.svc.Params().Size()
-		out.Epoch = h.svc.Epoch()
-		draining = h.svc.Draining()
+	out := HealthJSON{
+		Status:        "ok",
+		N:             h.multi.N(),
+		Nets:          len(h.multi.Nets()),
+		UptimeSeconds: time.Since(h.start).Seconds(),
 	}
-	if draining {
+	if h.multi.Draining() {
 		out.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, out)
 		return
@@ -553,57 +519,39 @@ type NetMetrics struct {
 	Replicas int    `json:"replicas,omitempty"`
 }
 
+// ControllerJSON mirrors controller.Stats onto the wire, without the Hits
+// field that always reads 0.
+type ControllerJSON struct {
+	Misses       uint64 `json:"misses"`
+	Fails        uint64 `json:"fails"`
+	Epoch        uint64 `json:"epoch"`
+	BlockedLinks int    `json:"blocked_links"`
+}
+
+func controllerJSON(s controller.Stats) ControllerJSON {
+	return ControllerJSON{Misses: s.Misses, Fails: s.Fails, Epoch: s.Epoch, BlockedLinks: s.BlockedLinks}
+}
+
 // controllerStats converts the wire ControllerJSON back to the internal
 // controller.Stats (Metrics.Controller is json:"-", so a decoded scrape
 // carries the controller counters only in MetricsJSON.Controller).
 func controllerStats(c ControllerJSON) controller.Stats {
-	return controller.Stats{
-		Hits:         c.Hits,
-		Misses:       c.Misses,
-		Fails:        c.Fails,
-		Epoch:        c.Epoch,
-		CacheEntries: c.CacheEntries,
-		BlockedLinks: c.BlockedLinks,
-	}
-}
-
-// ControllerJSON mirrors controller.Stats onto the wire.
-type ControllerJSON struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Fails        uint64 `json:"fails"`
-	Epoch        uint64 `json:"epoch"`
-	CacheEntries int    `json:"cache_entries"`
-	BlockedLinks int    `json:"blocked_links"`
+	return controller.Stats{Misses: c.Misses, Fails: c.Fails, Epoch: c.Epoch, BlockedLinks: c.BlockedLinks}
 }
 
 // Metrics builds the /metrics payload (exported so load generators can
 // decode it with the same type).
 func (h *Handler) Metrics() MetricsJSON {
-	var m Metrics
-	var nets []NetMetrics
-	if h.multi != nil {
-		m, nets = h.multi.Metrics()
-	} else {
-		m = h.svc.Metrics()
+	m, nets := h.multi.Metrics()
+	return MetricsJSON{
+		Service:    m,
+		Networks:   nets,
+		Controller: controllerJSON(m.Controller),
+		Endpoints:  h.rec.Endpoints(),
+		HTTP5xx:    h.rec.HTTP5xx(),
+		HTTP429:    h.rec.HTTP429(),
+		UptimeSec:  time.Since(h.start).Seconds(),
 	}
-	out := MetricsJSON{
-		Service:  m,
-		Networks: nets,
-		Controller: ControllerJSON{
-			Hits:         m.Controller.Hits,
-			Misses:       m.Controller.Misses,
-			Fails:        m.Controller.Fails,
-			Epoch:        m.Controller.Epoch,
-			CacheEntries: m.Controller.CacheEntries,
-			BlockedLinks: m.Controller.BlockedLinks,
-		},
-		Endpoints: h.rec.Endpoints(),
-		HTTP5xx:   h.rec.HTTP5xx(),
-		HTTP429:   h.rec.HTTP429(),
-		UptimeSec: time.Since(h.start).Seconds(),
-	}
-	return out
 }
 
 func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {

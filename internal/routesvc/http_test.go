@@ -12,11 +12,23 @@ import (
 	"testing"
 )
 
+// newTestHost serves a fresh Multi over HTTP and returns it with its
+// default network, the one requests that name none address.
+func newTestHost(t *testing.T, cfg Config) (*Multi, *Service, *httptest.Server) {
+	t.Helper()
+	m := NewMulti(cfg, 0)
+	svc, err := m.Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewMultiHandler(m))
+	t.Cleanup(ts.Close)
+	return m, svc, ts
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := mustService(t, cfg)
-	ts := httptest.NewServer(NewHandler(svc))
-	t.Cleanup(ts.Close)
+	_, svc, ts := newTestHost(t, cfg)
 	return svc, ts
 }
 
@@ -68,12 +80,9 @@ func TestHTTPRoute(t *testing.T) {
 	if got.Tag == "" || len(got.Path) != 4 || got.Path[0] != 1 || got.Path[3] != 6 {
 		t.Fatalf("route response %+v", got)
 	}
-	if got.Cached {
-		t.Error("first request cached")
-	}
 	getJSON(t, ts.URL+"/route?src=1&dst=6", http.StatusOK, &got) // scheme defaults to tsdt
-	if got.Cached || got.Scheme != "tsdt" {
-		t.Errorf("second request %+v, want a TSDT computation (TSDT tags are never stored)", got)
+	if got.Scheme != "tsdt" {
+		t.Errorf("second request %+v, want a TSDT answer", got)
 	}
 
 	// POST body form.
@@ -168,9 +177,6 @@ func TestHTTPBatch(t *testing.T) {
 			t.Errorf("response %d: %+v", i, r)
 		}
 	}
-	if !got.Responses[2].Cached {
-		t.Error("SSDT batch item not answered as a hit")
-	}
 	if !strings.Contains(got.Responses[3].Error, "invalid") {
 		t.Errorf("bad pair error %q", got.Responses[3].Error)
 	}
@@ -244,7 +250,7 @@ func TestHTTPBatchPoolsConcurrent(t *testing.T) {
 }
 
 func TestHTTPHealthAndMetrics(t *testing.T) {
-	svc, ts := newTestServer(t, Config{N: 16})
+	m, _, ts := newTestHost(t, Config{N: 16})
 
 	var health HealthJSON
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, &health)
@@ -259,44 +265,41 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/fault", MutateJSON{Links: []string{"0:3:+"}}, http.StatusOK, nil)
 
-	var m MetricsJSON
-	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
-	if m.Service.N != 16 || m.Service.Epoch != 1 {
-		t.Errorf("metrics service %+v", m.Service)
+	var mj MetricsJSON
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &mj)
+	if mj.Service.N != 16 || mj.Service.Epoch != 1 {
+		t.Errorf("metrics service %+v", mj.Service)
 	}
-	if m.Service.SSDT.Hits != 10 || m.Service.SSDT.Misses != 0 {
-		t.Errorf("ssdt cache stats %+v", m.Service.SSDT)
+	if mj.Service.SSDT.Hits != 10 || mj.Service.SSDT.Misses != 0 || mj.Controller.Misses != 0 {
+		t.Errorf("ssdt stats %+v, controller %+v: want 10 answers and no computation", mj.Service.SSDT, mj.Controller)
 	}
-	if m.Service.SSDTHitRate != 1 {
-		t.Errorf("ssdt hit rate %v", m.Service.SSDTHitRate)
+	if mj.Service.Faults != 1 || mj.Service.Invalidations != 1 {
+		t.Errorf("fault counters %+v", mj.Service)
 	}
-	if m.Service.Faults != 1 || m.Service.Invalidations != 1 {
-		t.Errorf("fault counters %+v", m.Service)
-	}
-	ep, ok := m.Endpoints["/route"]
+	ep, ok := mj.Endpoints["/route"]
 	if !ok || ep.Count != 10 {
-		t.Errorf("endpoint latency %+v", m.Endpoints)
+		t.Errorf("endpoint latency %+v", mj.Endpoints)
 	}
 	if ep.MeanUS <= 0 || ep.MaxUS < ep.P50US {
 		t.Errorf("latency stats %+v", ep)
 	}
-	if m.HTTP5xx != 0 {
-		t.Errorf("5xx = %d", m.HTTP5xx)
+	if mj.HTTP5xx != 0 {
+		t.Errorf("5xx = %d", mj.HTTP5xx)
 	}
 
 	// Drain: healthz flips to 503, routes are refused with 503, and none
 	// of that counts as a 5xx failure.
-	svc.Drain()
+	m.Drain()
 	getJSON(t, ts.URL+"/healthz", http.StatusServiceUnavailable, &health)
 	if health.Status != "draining" {
 		t.Errorf("draining healthz %+v", health)
 	}
 	getJSON(t, ts.URL+"/route?src=0&dst=1", http.StatusServiceUnavailable, nil)
-	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
-	if !m.Service.Draining {
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &mj)
+	if !mj.Service.Draining {
 		t.Error("metrics not draining")
 	}
-	if m.HTTP5xx != 0 {
-		t.Errorf("drain refusals counted as 5xx: %d", m.HTTP5xx)
+	if mj.HTTP5xx != 0 {
+		t.Errorf("drain refusals counted as 5xx: %d", mj.HTTP5xx)
 	}
 }

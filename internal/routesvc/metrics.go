@@ -3,7 +3,7 @@ package routesvc
 import "iadm/internal/core"
 
 // MergeMetrics accumulates src into dst, summing every counter and
-// recomputing the derived rates, so callers can fold the per-network
+// recomputing the derived fields, so callers can fold the per-network
 // metrics of a Multi — or the per-backend metrics of a fleet — into one
 // cluster-wide view. Epochs are per-network map versions, so the merged
 // Epoch is the maximum (a display value; correctness never reads it).
@@ -24,7 +24,6 @@ func MergeMetrics(dst *Metrics, src Metrics) {
 	dst.Faults += src.Faults
 	dst.Repairs += src.Repairs
 	dst.Invalidations += src.Invalidations
-	dst.CacheEntries += src.CacheEntries
 	dst.CacheEntriesLive += src.CacheEntriesLive
 	dst.CacheEntriesStale += src.CacheEntriesStale
 	dst.SSDT.Hits += src.SSDT.Hits
@@ -42,7 +41,6 @@ func MergeMetrics(dst *Metrics, src Metrics) {
 	if src.Controller.Epoch > dst.Controller.Epoch {
 		dst.Controller.Epoch = src.Controller.Epoch
 	}
-	dst.Controller.CacheEntries += src.Controller.CacheEntries
 	dst.Controller.BlockedLinks += src.Controller.BlockedLinks
 	dst.Draining = dst.Draining || src.Draining
 	if len(dst.BatchLatency) == 0 {
@@ -75,8 +73,6 @@ func mergeAdmission(dst *AdmissionMetrics, src AdmissionMetrics) {
 // finalizeMetrics recomputes every derived field from the summed
 // counters.
 func finalizeMetrics(m *Metrics) {
-	m.SSDTHitRate = m.SSDT.HitRate()
-	m.TSDTHitRate = m.TSDT.HitRate()
 	m.SlicedFill = 0
 	if m.SlicedBlocks > 0 {
 		m.SlicedFill = float64(m.SlicedLanes) / float64(m.SlicedBlocks*core.Lanes)
@@ -102,14 +98,7 @@ func MergeMetricsJSON(dst *MetricsJSON, src MetricsJSON) {
 	srcService := src.Service
 	srcService.Controller = controllerStats(src.Controller)
 	MergeMetrics(&dst.Service, srcService)
-	dst.Controller = ControllerJSON{
-		Hits:         dst.Service.Controller.Hits,
-		Misses:       dst.Service.Controller.Misses,
-		Fails:        dst.Service.Controller.Fails,
-		Epoch:        dst.Service.Controller.Epoch,
-		CacheEntries: dst.Service.Controller.CacheEntries,
-		BlockedLinks: dst.Service.Controller.BlockedLinks,
-	}
+	dst.Controller = controllerJSON(dst.Service.Controller)
 	dst.HTTP5xx += src.HTTP5xx
 	dst.HTTP429 += src.HTTP429
 	if src.UptimeSec > dst.UptimeSec {

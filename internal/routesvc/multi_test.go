@@ -75,7 +75,7 @@ func TestMultiEpochIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resA.Cached || resA.Epoch != a.Epoch() {
+	if resA.Epoch != a.Epoch() {
 		t.Fatalf("p0 answered %+v across its own fault, want a computation at epoch %d", resA, a.Epoch())
 	}
 }
@@ -128,26 +128,21 @@ func TestMergeMetricsDerivedRates(t *testing.T) {
 	var dst Metrics
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 3, Requests: 10,
-		CacheEntries: 4,
-		SSDT:         CacheStats{Hits: 3, Misses: 1},
-		SlicedLanes:  32, SlicedBlocks: 1,
+		SSDT:        SchemeStats{Hits: 3, Misses: 1},
+		SlicedLanes: 32, SlicedBlocks: 1,
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 2000}},
 	})
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 7, Requests: 5,
-		CacheEntries: 4,
-		SSDT:         CacheStats{Hits: 1, Misses: 3},
-		SlicedLanes:  32, SlicedBlocks: 1,
+		SSDT:        SchemeStats{Hits: 1, Misses: 3},
+		SlicedLanes: 32, SlicedBlocks: 1,
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 6000}},
 	})
 	if dst.Requests != 15 || dst.Epoch != 7 || dst.N != 64 {
 		t.Fatalf("sums wrong: %+v", dst)
 	}
-	if dst.SSDTHitRate != 0.5 {
-		t.Fatalf("merged ssdt hit rate=%v, want 0.5", dst.SSDTHitRate)
-	}
-	if dst.CacheEntries != 8 {
-		t.Fatalf("merged cache entries=%d, want 8", dst.CacheEntries)
+	if dst.SSDT.Hits != 4 || dst.SSDT.Misses != 4 {
+		t.Fatalf("merged ssdt=%+v, want 4 hits, 4 misses", dst.SSDT)
 	}
 	if dst.SlicedFill != 0.5 {
 		t.Fatalf("merged sliced fill=%v, want 0.5", dst.SlicedFill)
@@ -161,7 +156,7 @@ func TestMergeMetricsJSON(t *testing.T) {
 	mk := func(requests, h5xx uint64, net string) MetricsJSON {
 		return MetricsJSON{
 			Service:    Metrics{N: 64, Requests: requests},
-			Controller: ControllerJSON{Hits: 2, Misses: 1},
+			Controller: ControllerJSON{Misses: 2, Fails: 1, BlockedLinks: 1},
 			HTTP5xx:    h5xx,
 			Networks:   []NetMetrics{{Net: net, Requests: requests, Replicas: 1}},
 		}
@@ -173,7 +168,7 @@ func TestMergeMetricsJSON(t *testing.T) {
 	if dst.Service.Requests != 22 || dst.HTTP5xx != 3 {
 		t.Fatalf("merged scrape sums wrong: requests=%d 5xx=%d", dst.Service.Requests, dst.HTTP5xx)
 	}
-	if dst.Controller.Hits != 6 || dst.Controller.Misses != 3 {
+	if dst.Controller.Misses != 6 || dst.Controller.Fails != 3 || dst.Controller.BlockedLinks != 3 {
 		t.Fatalf("merged controller wrong: %+v", dst.Controller)
 	}
 	if len(dst.Networks) != 2 {

@@ -126,32 +126,19 @@ type Result struct {
 	// the tag. For SSDT it is the epoch observed at request time, since
 	// Theorem 3.1 makes the tag valid under every map.
 	Epoch uint64
-	// Cached reports the tag was served without a computation, which
-	// holds for every SSDT request (its tag is the destination address)
-	// and for no TSDT request. Coalesced is never set; it stays so the
-	// wire schema is unchanged.
-	Cached    bool
-	Coalesced bool
 	// Err is the per-item error of a batch request (nil on success).
 	Err error
 }
 
-// CacheStats counts one scheme's traffic: Hits are requests served
-// without a tag computation, Misses are computations. SSDT requests are
-// all hits and TSDT requests all misses; Coalesced reads 0 for both.
-type CacheStats struct {
+// SchemeStats counts one scheme's answers: Hits are answers rendered
+// without a tag computation, Misses are REROUTE computations. Every SSDT
+// answer is a hit and every TSDT answer a miss, so SSDT.Misses and
+// TSDT.Hits read 0, and so does Coalesced for both. The field names are
+// the ones benchmark readers compile against.
+type SchemeStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Coalesced uint64 `json:"coalesced"`
-}
-
-// HitRate returns the fraction of requests served without computing a tag,
-// or 0 before any request.
-func (c CacheStats) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
 }
 
 // BatchBucket is one band of the per-batch-size latency histogram: every
@@ -198,16 +185,13 @@ type Metrics struct {
 	Repairs    uint64 `json:"repairs_total"`
 	// Invalidations counts blockage-map changes; it equals Epoch.
 	Invalidations uint64 `json:"invalidations_total"`
-	// CacheEntries, CacheEntriesLive and CacheEntriesStale read 0: the
-	// service stores no tags. They stay for dashboards and benchmarks
-	// that compute stale-entry shares from them.
-	CacheEntries      int        `json:"cache_entries"`
-	CacheEntriesLive  int        `json:"entries_live"`
-	CacheEntriesStale int        `json:"entries_stale"`
-	SSDT              CacheStats `json:"ssdt"`
-	TSDT              CacheStats `json:"tsdt"`
-	SSDTHitRate       float64    `json:"ssdt_hit_rate"`
-	TSDTHitRate       float64    `json:"tsdt_hit_rate"`
+	// CacheEntriesLive and CacheEntriesStale read 0: the service stores
+	// no tags. They stay for the benchmark readers that compile against
+	// them.
+	CacheEntriesLive  int         `json:"entries_live"`
+	CacheEntriesStale int         `json:"entries_stale"`
+	SSDT              SchemeStats `json:"ssdt"`
+	TSDT              SchemeStats `json:"tsdt"`
 	// SlicedLanes counts requests whose path was produced by the bit-sliced
 	// kernel; SlicedBlocks counts the 64-lane blocks that produced them, so
 	// SlicedFill = SlicedLanes / (64 * SlicedBlocks) is the lane utilization.
@@ -462,14 +446,14 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 	if scheme == SchemeSSDT {
 		// Theorem 3.1: the tag is the destination address, valid under
 		// every blockage map, so it is rendered in place — no admission
-		// ticket — and answered as a hit at the current epoch.
+		// ticket — and answered at the current epoch.
 		tag, err := core.NewTag(s.p, dst)
 		if err != nil {
 			s.invalid.Add(1)
 			return Result{}, err
 		}
 		s.ssdtHits.Add(1)
-		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch(), Cached: true}, nil
+		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch()}, nil
 	}
 
 	tag, epoch, err := s.computeTSDT(src, dst)
@@ -640,8 +624,8 @@ func (s *Service) Metrics() Metrics {
 		Faults:        s.faults.Load(),
 		Repairs:       s.repairs.Load(),
 		Invalidations: epoch,
-		SSDT:          CacheStats{Hits: s.ssdtHits.Load()},
-		TSDT:          CacheStats{Misses: s.tsdtMisses.Load()},
+		SSDT:          SchemeStats{Hits: s.ssdtHits.Load()},
+		TSDT:          SchemeStats{Misses: s.tsdtMisses.Load()},
 		SlicedLanes:   s.slicedLanes.Load(),
 		SlicedBlocks:  s.slicedBlocks.Load(),
 		Admission:     s.adm.metrics(),

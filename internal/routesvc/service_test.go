@@ -25,7 +25,9 @@ func mustService(t *testing.T, cfg Config) *Service {
 
 func TestRouteBothSchemes(t *testing.T) {
 	s := mustService(t, Config{N: 8})
+	computed := func() uint64 { return s.Metrics().Controller.Misses }
 	for _, scheme := range []Scheme{SchemeTSDT, SchemeSSDT} {
+		before := computed()
 		res, err := s.Route(1, 6, scheme)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
@@ -36,19 +38,19 @@ func TestRouteBothSchemes(t *testing.T) {
 		if res.Path.Destination() != 6 || res.Path.Source != 1 {
 			t.Errorf("%v path %v", scheme, res.Path)
 		}
-		// Only TSDT computes on a first request: an SSDT tag is the
-		// destination address, so every SSDT answer is a hit.
-		if res.Cached != (scheme == SchemeSSDT) {
-			t.Errorf("%v first request cached=%v", scheme, res.Cached)
-		}
 		// TSDT recomputes every request (the service stores no tags) and
-		// gets the same tag back.
+		// gets the same tag back; an SSDT tag is the destination address,
+		// so SSDT never computes.
 		res2, err := s.Route(1, 6, scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res2.Cached != (scheme == SchemeSSDT) || res2.Tag != res.Tag {
-			t.Errorf("%v second request cached=%v tag %v, first tag %v", scheme, res2.Cached, res2.Tag, res.Tag)
+		want := uint64(2)
+		if scheme == SchemeSSDT {
+			want = 0
+		}
+		if got := computed() - before; got != want || res2.Tag != res.Tag {
+			t.Errorf("%v: %d computations for two requests (want %d), tags %v then %v", scheme, got, want, res.Tag, res2.Tag)
 		}
 	}
 }
@@ -132,8 +134,8 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 }
 
 // TestSSDTEpochExempt checks Theorem 3.1's serving consequence: an SSDT
-// answer is a hit from every source and across every fault/repair, while
-// TSDT tags are computed against the current map.
+// answer needs no computation from any source and across every
+// fault/repair, while TSDT tags are computed against the current map.
 func TestSSDTEpochExempt(t *testing.T) {
 	s := mustService(t, Config{N: 8})
 	r1, err := s.Route(1, 5, SchemeSSDT)
@@ -144,9 +146,6 @@ func TestSSDTEpochExempt(t *testing.T) {
 	r2, err := s.Route(2, 5, SchemeSSDT)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !r2.Cached {
-		t.Error("SSDT answer from a second source not a hit")
 	}
 	if r2.Tag != r1.Tag {
 		t.Errorf("SSDT tags differ across sources: %v vs %v", r1.Tag, r2.Tag)
@@ -162,8 +161,11 @@ func TestSSDTEpochExempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.Cached {
-		t.Error("SSDT answer after a fault not a hit (it must be epoch-exempt)")
+	if r3.Tag != r1.Tag || r3.Epoch != s.Epoch() {
+		t.Errorf("SSDT answer after a fault: %+v, want tag %v at epoch %d", r3, r1.Tag, s.Epoch())
+	}
+	if m := s.Metrics(); m.Controller.Misses != 0 {
+		t.Errorf("SSDT answers computed %d tags", m.Controller.Misses)
 	}
 
 	// The TSDT tag for the same pair is NOT exempt.
@@ -177,8 +179,8 @@ func TestSSDTEpochExempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r5.Cached {
-		t.Error("TSDT entry served across an epoch bump")
+	if r5.Epoch != 2 || s.Metrics().Controller.Misses != 2 {
+		t.Errorf("TSDT answer %+v across an epoch bump, want a computation at epoch 2", r5)
 	}
 	m := s.Metrics()
 	if m.Invalidations != 2 || m.Epoch != 2 {
@@ -231,7 +233,7 @@ func TestCoalescing(t *testing.T) {
 		t.Errorf("tsdt stats %+v, want %d misses and no hits or joins", m.TSDT, G)
 	}
 	for g := 0; g < G; g++ {
-		if results[g].Tag != results[0].Tag || results[g].Cached || results[g].Coalesced {
+		if results[g].Tag != results[0].Tag {
 			t.Errorf("request %d: %+v, want request 0's tag %v, computed", g, results[g], results[0].Tag)
 		}
 	}
@@ -323,8 +325,8 @@ func TestRouteBatch(t *testing.T) {
 	if results[0].Err != nil || results[1].Err != nil {
 		t.Fatalf("routable items failed: %v / %v", results[0].Err, results[1].Err)
 	}
-	if results[1].Cached || results[1].Tag != results[0].Tag {
-		t.Errorf("duplicate batch item cached=%v tag %v, want a fresh %v", results[1].Cached, results[1].Tag, results[0].Tag)
+	if results[1].Tag != results[0].Tag {
+		t.Errorf("duplicate batch item tag %v, want %v", results[1].Tag, results[0].Tag)
 	}
 	if !errors.Is(results[2].Err, core.ErrNoPath) {
 		t.Errorf("unroutable item err = %v", results[2].Err)

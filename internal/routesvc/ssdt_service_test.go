@@ -45,9 +45,9 @@ func TestSSDTNeverReachesSlowPath(t *testing.T) {
 	check := func(what string, res Result, src, dst int) {
 		t.Helper()
 		tag := core.MustTag(p, dst)
-		if res.Tag != tag || !res.Path.Equal(tag.Follow(p, src)) || !res.Cached || res.Epoch != s.Epoch() {
-			t.Fatalf("%s (%d, %d): tag=%v path=%v cached=%v epoch=%d (current %d)",
-				what, src, dst, res.Tag, res.Path, res.Cached, res.Epoch, s.Epoch())
+		if res.Tag != tag || !res.Path.Equal(tag.Follow(p, src)) || res.Epoch != s.Epoch() {
+			t.Fatalf("%s (%d, %d): tag=%v path=%v epoch=%d (current %d)",
+				what, src, dst, res.Tag, res.Path, res.Epoch, s.Epoch())
 		}
 	}
 	for dst := 0; dst < N; dst++ {
@@ -75,25 +75,26 @@ func TestSSDTNeverReachesSlowPath(t *testing.T) {
 		check("batch", res, reqs[i].Src, reqs[i].Dst)
 	}
 	m := s.Metrics()
-	if m.CacheEntries != 0 || m.SSDT.Misses != 0 || m.SSDT.Coalesced != 0 || m.SSDT.Hits != 2*N {
-		t.Fatalf("after SSDT traffic: entries=%d ssdt=%+v, want 0 entries, %d hits, no misses", m.CacheEntries, m.SSDT, 2*N)
+	if m.SSDT.Misses != 0 || m.SSDT.Coalesced != 0 || m.SSDT.Hits != 2*N || m.Controller.Misses != 0 {
+		t.Fatalf("after SSDT traffic: ssdt=%+v, controller=%+v, want %d hits and no computation", m.SSDT, m.Controller, 2*N)
 	}
 }
 
 // TestSSDTOverHTTPNeedsNoWarmup: the first SSDT /route of a fresh daemon
-// is a hit, and there is no warm-up endpoint to call.
+// answers without a computation, and there is no warm-up endpoint to
+// call.
 func TestSSDTOverHTTPNeedsNoWarmup(t *testing.T) {
 	_, ts := newTestServer(t, Config{N: 16})
 	postJSON(t, ts.URL+"/prewarm", struct{}{}, http.StatusNotFound, nil)
 
 	var route RouteJSON
 	getJSON(t, ts.URL+"/route?src=2&dst=9&scheme=ssdt", http.StatusOK, &route)
-	if !route.Cached || route.Tag != core.MustTag(topology.MustParams(16), 9).String() {
+	if route.Tag != core.MustTag(topology.MustParams(16), 9).String() {
 		t.Fatalf("first SSDT /route: %+v", route)
 	}
 	var m MetricsJSON
 	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
-	if m.Service.SSDT.Hits != 1 || m.Service.SSDT.Misses != 0 || m.Service.CacheEntries != 0 {
-		t.Fatalf("metrics: ssdt=%+v entries=%d", m.Service.SSDT, m.Service.CacheEntries)
+	if m.Service.SSDT.Hits != 1 || m.Service.SSDT.Misses != 0 || m.Controller.Misses != 0 {
+		t.Fatalf("metrics: ssdt=%+v controller=%+v", m.Service.SSDT, m.Controller)
 	}
 }

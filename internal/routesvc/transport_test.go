@@ -122,7 +122,7 @@ func TestClientTimeout(t *testing.T) {
 	// The first connection answers one route through a real handler,
 	// then reads the next request and hangs up late without answering;
 	// the redialed connection is never answered.
-	h := NewHandler(mustService(t, Config{N: 16}))
+	h := NewMultiHandler(NewMulti(Config{N: 16}, 0))
 	var first atomic.Bool
 	hangUp := silentListener(t, func(c net.Conn) bool {
 		if !first.CompareAndSwap(false, true) {
@@ -177,8 +177,7 @@ func TestClientTimeout(t *testing.T) {
 // server has closed — idle connections dropped, or the whole backend
 // restarted on the same port — never fail the next call.
 func TestClientSurvivesServerClose(t *testing.T) {
-	svc := mustService(t, Config{N: 16})
-	h := NewHandler(svc)
+	h := NewMultiHandler(NewMulti(Config{N: 16}, 0))
 	ts, cc := countedServer(t, h, nil)
 	c := NewClient(ts.URL, 5*time.Second)
 	route := func(when string) {
@@ -221,8 +220,7 @@ func TestClientSurvivesServerClose(t *testing.T) {
 // TestClientChunkedBatch: a batch answer large enough that net/http
 // sends it chunked arrives intact, and the connection is reused after it.
 func TestClientChunkedBatch(t *testing.T) {
-	svc := mustService(t, Config{N: 64})
-	ts, cc := countedServer(t, NewHandler(svc), nil)
+	ts, cc := countedServer(t, NewMultiHandler(NewMulti(Config{N: 64}, 0)), nil)
 	c := NewClient(ts.URL, 5*time.Second)
 
 	reqs := make([]RouteJSON, 300)
@@ -276,9 +274,9 @@ func TestClientAPIErrors(t *testing.T) {
 	c := NewClient(ts.URL, 5*time.Second)
 	want429 := &APIError{Status: http.StatusTooManyRequests, Code: "overload", Msg: ErrOverload.Error(), RetryAfter: 3}
 
-	svc := mustService(t, Config{N: 16})
-	svc.Drain()
-	dts, _ := countedServer(t, NewHandler(svc), nil)
+	drained := NewMulti(Config{N: 16}, 0)
+	drained.Drain()
+	dts, _ := countedServer(t, NewMultiHandler(drained), nil)
 	dc := NewClient(dts.URL, 5*time.Second)
 	want503 := &APIError{Status: http.StatusServiceUnavailable, Code: "draining", Msg: ErrDraining.Error()}
 
@@ -314,8 +312,7 @@ func TestClientAPIErrors(t *testing.T) {
 // TestClientCloseIdleConnections: HTTPClient().CloseIdleConnections
 // closes the client's pooled connections.
 func TestClientCloseIdleConnections(t *testing.T) {
-	svc := mustService(t, Config{N: 16})
-	ts, cc := countedServer(t, NewHandler(svc), nil)
+	ts, cc := countedServer(t, NewMultiHandler(NewMulti(Config{N: 16}, 0)), nil)
 	c := NewClient(ts.URL, 5*time.Second)
 
 	// Several concurrent calls leave several idle connections.

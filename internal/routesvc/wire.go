@@ -217,16 +217,10 @@ func appendRouteHead(dst []byte, net string, src, dst2 int, scheme string, escap
 
 // appendRouteTail appends the omitempty fields after "path" and the
 // closing brace.
-func appendRouteTail(dst []byte, epoch uint64, cached, coalesced bool, errMsg, code string, escapeHTML bool) []byte {
+func appendRouteTail(dst []byte, epoch uint64, errMsg, code string, escapeHTML bool) []byte {
 	if epoch != 0 {
 		dst = append(dst, `,"epoch":`...)
 		dst = strconv.AppendUint(dst, epoch, 10)
-	}
-	if cached {
-		dst = append(dst, `,"cached":true`...)
-	}
-	if coalesced {
-		dst = append(dst, `,"coalesced":true`...)
 	}
 	if errMsg != "" {
 		dst = append(dst, `,"error":`...)
@@ -258,7 +252,7 @@ func AppendRouteJSON(dst []byte, r *RouteJSON, escapeHTML bool) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	return appendRouteTail(dst, r.Epoch, r.Cached, r.Coalesced, r.Error, r.Code, escapeHTML)
+	return appendRouteTail(dst, r.Epoch, r.Error, r.Code, escapeHTML)
 }
 
 // appendResult appends the wire encoding of one service result, echoing
@@ -268,7 +262,7 @@ func AppendRouteJSON(dst []byte, r *RouteJSON, escapeHTML bool) []byte {
 func appendResult(dst []byte, net string, res *Result) []byte {
 	dst = appendRouteHead(dst, net, res.Src, res.Dst, res.Scheme.String(), false)
 	if res.Err != nil {
-		return appendRouteTail(dst, res.Epoch, res.Cached, res.Coalesced, res.Err.Error(), errCode(res.Err), false)
+		return appendRouteTail(dst, res.Epoch, res.Err.Error(), errCode(res.Err), false)
 	}
 	if res.Tag.Stages() > 0 {
 		dst = append(dst, `,"tag":"`...)
@@ -284,7 +278,7 @@ func appendResult(dst []byte, net string, res *Result) []byte {
 		dst = appendInt(dst, core.Step(p, l.Stage, l.From, l.Kind))
 	}
 	dst = append(dst, ']')
-	return appendRouteTail(dst, res.Epoch, res.Cached, res.Coalesced, "", "", false)
+	return appendRouteTail(dst, res.Epoch, "", "", false)
 }
 
 // appendTagBits appends t in Tag.String order: the n destination bits,
@@ -863,21 +857,6 @@ func (d *wireDec) uintInto(p *uint64) error {
 	return nil
 }
 
-// boolInto decodes true, false or null (a no-op) into *p.
-func (d *wireDec) boolInto(p *bool) error {
-	switch d.ws() {
-	case 't':
-		*p = true
-		return d.literal("true")
-	case 'f':
-		*p = false
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	return d.mismatch("bool")
-}
-
 // emptyInts is the decoded value of "path":[] — empty but not nil, as
 // encoding/json decodes it.
 var emptyInts = []int{}
@@ -1095,7 +1074,7 @@ func foldEqual(raw []byte, name string) bool {
 // rkNames are RouteJSON's field names in the order the encoders write
 // them, indexed by the rk constants; routeKeys is their schema and
 // quotedRouteKeys the keys as written: quoted, colon included.
-var rkNames = [...]string{"net", "src", "dst", "scheme", "tag", "path", "epoch", "cached", "coalesced", "error", "code"}
+var rkNames = [...]string{"net", "src", "dst", "scheme", "tag", "path", "epoch", "error", "code"}
 
 var routeKeys = newSchema(rkNames[:]...)
 
@@ -1114,8 +1093,6 @@ const (
 	rkTag
 	rkPath
 	rkEpoch
-	rkCached
-	rkCoalesced
 	rkError
 	rkCode
 )
@@ -1186,10 +1163,6 @@ func (d *wireDec) route(r *RouteJSON) error {
 			err = d.pathInto(&r.Path)
 		case rkEpoch:
 			err = d.uintInto(&r.Epoch)
-		case rkCached:
-			err = d.boolInto(&r.Cached)
-		case rkCoalesced:
-			err = d.boolInto(&r.Coalesced)
 		case rkError:
 			err = d.stringInto(&r.Error, strCopy)
 		case rkCode:

@@ -26,14 +26,7 @@ func legacyWriteErr(w http.ResponseWriter, err error) {
 
 // resultJSON is the RouteJSON a Result was answered as.
 func resultJSON(res Result) RouteJSON {
-	out := RouteJSON{
-		Src:       res.Src,
-		Dst:       res.Dst,
-		Scheme:    res.Scheme.String(),
-		Epoch:     res.Epoch,
-		Cached:    res.Cached,
-		Coalesced: res.Coalesced,
-	}
+	out := RouteJSON{Src: res.Src, Dst: res.Dst, Scheme: res.Scheme.String(), Epoch: res.Epoch}
 	if res.Err != nil {
 		out.Error = res.Err.Error()
 		out.Code = errCode(res.Err)
@@ -64,7 +57,7 @@ func legacyRouteOne(h *Handler, w http.ResponseWriter, r *http.Request) {
 		legacyWriteErr(w, err)
 		return
 	}
-	svc, err := h.service(net)
+	svc, err := h.multi.Get(net)
 	if err != nil {
 		legacyWriteErr(w, err)
 		return
@@ -111,12 +104,12 @@ func legacyRouteBatch(h *Handler, w http.ResponseWriter, r *http.Request) {
 		}
 		groups[n] = append(groups[n], i)
 	}
-	if h.multi == nil || len(order) <= 1 {
+	if len(order) <= 1 {
 		var net string
 		if len(order) == 1 {
 			net = order[0]
 		}
-		svc, err := h.service(net)
+		svc, err := h.multi.Get(net)
 		if err != nil {
 			legacyWriteErr(w, err)
 			return
@@ -141,7 +134,7 @@ func legacyRouteBatch(h *Handler, w http.ResponseWriter, r *http.Request) {
 		for k, i := range idx {
 			sub[k] = reqs[i]
 		}
-		svc, err := h.service(n)
+		svc, err := h.multi.Get(n)
 		var results []Result
 		if err == nil {
 			results, err = svc.RouteBatch(sub)

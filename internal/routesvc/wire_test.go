@@ -214,7 +214,7 @@ func wireSeedBodies(t testing.TB) [][]byte {
 	add(MutateJSON{Links: []string{"1:5:0"}})
 	add(BatchJSON{
 		Responses: []RouteJSON{
-			{Net: "p1", Src: 1, Dst: 6, Scheme: "tsdt", Tag: "011000", Path: []int{1, 2, 6, 6}, Epoch: 3, Cached: true},
+			{Net: "p1", Src: 1, Dst: 6, Scheme: "tsdt", Tag: "011000", Path: []int{1, 2, 6, 6}, Epoch: 3},
 			{Src: 0, Dst: 99, Scheme: "tsdt", Error: "routesvc: invalid request: pair (0, 99) outside 0..7", Code: "invalid"},
 		},
 		Epoch: 3,
@@ -286,8 +286,7 @@ func checkEncodeFromBytes(t *testing.T, raw []byte) {
 	}
 	r := RouteJSON{
 		Net: part(0), Src: int(num(0)), Dst: int(num(3)), Scheme: part(1), Tag: part(2),
-		Epoch: uint64(num(5)), Cached: len(raw)%2 == 1, Coalesced: len(raw)%3 == 1,
-		Error: part(3), Code: part(4),
+		Epoch: uint64(num(5)), Error: part(3), Code: part(4),
 	}
 	for i := 0; i+1 < len(raw) && i < 16; i += 2 {
 		r.Path = append(r.Path, int(int8(raw[i])))
@@ -303,7 +302,7 @@ func checkEncodeFromBytes(t *testing.T, raw []byte) {
 
 	// A service result rendered in place: tag bits and path switches.
 	p, _ := topology.NewParams(16)
-	res := Result{Src: int(uint64(num(1)) % 16), Dst: int(uint64(num(2)) % 16), Scheme: Scheme(len(raw) % 2), Epoch: r.Epoch, Cached: r.Cached}
+	res := Result{Src: int(uint64(num(1)) % 16), Dst: int(uint64(num(2)) % 16), Scheme: Scheme(len(raw) % 2), Epoch: r.Epoch}
 	res.Tag = core.MustTag(p, res.Dst)
 	for i := 0; i < p.Stages(); i++ {
 		res.Tag = res.Tag.WithStateBit(i, int(num(4)>>i&1))
@@ -376,7 +375,7 @@ func TestWireRefusalClasses(t *testing.T) {
 func TestWireTruncatedBodies(t *testing.T) {
 	body := oracleEncode(t, BatchJSON{
 		Requests:  []RouteJSON{{Net: "p\"1", Src: 3, Dst: 4, Scheme: "ssdt"}},
-		Responses: []RouteJSON{{Src: 1, Dst: 2, Scheme: "tsdt", Tag: "0110", Path: []int{1, 3, 2}, Epoch: 12, Cached: true, Error: "é\u2028"}},
+		Responses: []RouteJSON{{Src: 1, Dst: 2, Scheme: "tsdt", Tag: "0110", Path: []int{1, 3, 2}, Epoch: 12, Error: "é\u2028"}},
 		Epoch:     12,
 	}, false)
 	body = bytes.TrimSpace(body)
@@ -586,7 +585,7 @@ func TestWireHandlerDifferential(t *testing.T) {
 		}
 	}
 	post("/route/batch", batch)
-	post("/route/batch", batch) // now cached
+	post("/route/batch", batch) // the same batch again
 	post("/route/batch", mixed)
 	post("/route/batch", overCap)
 	post("/route/batch", BatchJSON{Requests: []RouteJSON{}})

@@ -158,6 +158,17 @@ func (l *Latency) Percentile(p float64) uint64 {
 	return l.max
 }
 
+// PercentileUpper is Percentile's upper bound: the largest value the
+// bucket holding the nearest-rank observation can hold, clamped to Max.
+// It is never below the exact percentile, so a gate on it is never looser
+// than a gate on the exact value.
+func (l *Latency) PercentileUpper(p float64) uint64 {
+	if l.n == 0 {
+		return 0
+	}
+	return min(latencyFloor(latencyBucket(l.Percentile(p))+1)-1, l.max)
+}
+
 // Buckets appends the histogram's nonzero buckets to dst as (index,
 // count) pairs in index order, the sparse form a histogram travels in.
 func (l *Latency) Buckets(dst [][2]uint64) [][2]uint64 {

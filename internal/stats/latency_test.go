@@ -84,10 +84,11 @@ func recordLatency(vs []uint64) Latency {
 
 // TestLatencyPercentile compares every reported percentile against the
 // exact nearest rank of the sorted samples: the report is the floor of
-// the exact value's bucket, clamped into [min, max].
+// the exact value's bucket, clamped into [min, max], and PercentileUpper
+// the bucket's last value, clamped to max.
 func TestLatencyPercentile(t *testing.T) {
 	var empty Latency
-	if empty.Percentile(50) != 0 || empty.Mean() != 0 || empty.Max() != 0 {
+	if empty.Percentile(50) != 0 || empty.PercentileUpper(50) != 0 || empty.Mean() != 0 || empty.Max() != 0 {
 		t.Fatal("empty histogram reports nonzero")
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -120,6 +121,10 @@ func TestLatencyPercentile(t *testing.T) {
 			}
 			if got < sorted[0] || got > sorted[n-1] {
 				t.Fatalf("n=%d p%v: got %d outside [%d, %d]", n, p, got, sorted[0], sorted[n-1])
+			}
+			if up := l.PercentileUpper(p); up < exact || up > sorted[n-1] || latencyBucket(up) != latencyBucket(exact) {
+				t.Fatalf("n=%d p%v: upper %d, exact %d, max %d (buckets %d, %d)",
+					n, p, up, exact, sorted[n-1], latencyBucket(up), latencyBucket(exact))
 			}
 		}
 	}

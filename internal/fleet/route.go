@@ -4,43 +4,10 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"strconv"
 	"time"
 
 	"iadm/internal/routesvc"
 )
-
-// parseRoute accepts the same wire forms as the backend /route endpoint
-// (GET query or POST JSON body) so the router is a drop-in for a single
-// backend address.
-func parseRoute(r *http.Request) (routesvc.RouteJSON, error) {
-	var in routesvc.RouteJSON
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		in.Net, in.Scheme = q.Get("net"), q.Get("scheme")
-		var err error
-		if in.Src, err = strconv.Atoi(q.Get("src")); err != nil {
-			return in, fmt.Errorf("bad src %q", q.Get("src"))
-		}
-		if in.Dst, err = strconv.Atoi(q.Get("dst")); err != nil {
-			return in, fmt.Errorf("bad dst %q", q.Get("dst"))
-		}
-	case http.MethodPost:
-		wb := routesvc.GetWireBuf()
-		err := wb.ReadAll(r.Body, r.ContentLength)
-		if err == nil {
-			err = routesvc.DecodeRouteJSON(wb.B, &in)
-		}
-		routesvc.PutWireBuf(wb)
-		if err != nil {
-			return in, fmt.Errorf("bad JSON body: %v", err)
-		}
-	default:
-		return in, fmt.Errorf("method %s", r.Method)
-	}
-	return in, nil
-}
 
 // routeOne proxies a single route request to the replica owning its
 // (net, src, dst) key, retrying retryable failures on the next replica
@@ -49,7 +16,9 @@ func parseRoute(r *http.Request) (routesvc.RouteJSON, error) {
 // malformed one counts as a failed attempt, and then written to the
 // client byte for byte.
 func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
-	in, err := parseRoute(r)
+	// The backend's own parser, so a bad request gets the backend's 400
+	// text; the scheme is forwarded unparsed for the backend to check.
+	in, err := routesvc.ParseRoute(r)
 	if err != nil {
 		writeErrJSON(w, http.StatusBadRequest, err, "invalid", 0)
 		return

@@ -224,3 +224,45 @@ func TestRouterRefusesMalformedBatches(t *testing.T) {
 		t.Errorf("%d sub-batches sent for malformed bodies", subs)
 	}
 }
+
+// TestRouterBadRouteMatchesBackend: the router parses /route with the
+// backend's own parser, so a request it cannot parse answers the
+// backend's 400 body byte for byte, and a bad scheme is forwarded for
+// the backend to refuse.
+func TestRouterBadRouteMatchesBackend(t *testing.T) {
+	f := newTestFleet(t, 1, Config{Replicas: 1})
+	front := httptest.NewServer(f.rt)
+	t.Cleanup(front.Close)
+	send := func(base, method, query, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+"/route?"+query, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	cases := []struct{ method, query, body string }{
+		{http.MethodGet, "src=x&dst=1", ""},
+		{http.MethodGet, "src=1&dst=", ""},
+		{http.MethodGet, "src=1&dst=2&scheme=bogus", ""},
+		{http.MethodPost, "", `{"src":1,`},
+		{http.MethodPost, "", `{"src":1,"dst":2,"scheme":"bogus"}`},
+		{http.MethodPut, "src=1&dst=2", ""},
+	}
+	for _, c := range cases {
+		wantCode, want := send(f.srvs[0].URL, c.method, c.query, c.body)
+		code, got := send(front.URL, c.method, c.query, c.body)
+		if wantCode != http.StatusBadRequest || code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("%s ?%s %q: routed %d %s, direct %d %s", c.method, c.query, c.body, code, got, wantCode, want)
+		}
+	}
+}

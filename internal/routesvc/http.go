@@ -138,67 +138,61 @@ type RouteJSON struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// parseRouteReq accepts GET query parameters or a POST JSON body, and
-// returns the addressed network alongside the request.
-func parseRouteReq(r *http.Request) (string, Request, error) {
-	var net, src, dst string
-	var scheme string
+// ParseRoute reads a /route request: GET query parameters or a POST JSON
+// body. Every error wraps ErrInvalid. The scheme is returned unparsed
+// (ParseScheme), so a router can forward the request as it came.
+func ParseRoute(r *http.Request) (RouteJSON, error) {
+	var in RouteJSON
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
-		net, src, dst, scheme = q.Get("net"), q.Get("src"), q.Get("dst"), q.Get("scheme")
+		in.Net, in.Scheme = q.Get("net"), q.Get("scheme")
+		var err error
+		if in.Src, err = strconv.Atoi(q.Get("src")); err != nil {
+			return in, fmt.Errorf("%w: bad src %q", ErrInvalid, q.Get("src"))
+		}
+		if in.Dst, err = strconv.Atoi(q.Get("dst")); err != nil {
+			return in, fmt.Errorf("%w: bad dst %q", ErrInvalid, q.Get("dst"))
+		}
 	case http.MethodPost:
-		var body RouteJSON
 		wb := GetWireBuf()
 		err := wb.ReadAll(r.Body, r.ContentLength)
 		if err == nil {
-			err = DecodeRouteJSON(wb.B, &body)
+			err = DecodeRouteJSON(wb.B, &in)
 		}
 		PutWireBuf(wb)
 		if err != nil {
-			return "", Request{}, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err)
+			return in, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err)
 		}
-		sc, err := ParseScheme(body.Scheme)
-		if err != nil {
-			return "", Request{}, err
-		}
-		return body.Net, Request{Src: body.Src, Dst: body.Dst, Scheme: sc}, nil
 	default:
-		return "", Request{}, fmt.Errorf("%w: method %s", ErrInvalid, r.Method)
+		return in, fmt.Errorf("%w: method %s", ErrInvalid, r.Method)
 	}
-	s, err := strconv.Atoi(src)
-	if err != nil {
-		return "", Request{}, fmt.Errorf("%w: bad src %q", ErrInvalid, src)
-	}
-	d, err := strconv.Atoi(dst)
-	if err != nil {
-		return "", Request{}, fmt.Errorf("%w: bad dst %q", ErrInvalid, dst)
-	}
-	sc, err := ParseScheme(scheme)
-	if err != nil {
-		return "", Request{}, err
-	}
-	return net, Request{Src: s, Dst: d, Scheme: sc}, nil
+	return in, nil
 }
 
 func (h *Handler) routeOne(w http.ResponseWriter, r *http.Request) {
-	net, req, err := parseRouteReq(r)
+	in, err := ParseRoute(r)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	svc, err := h.multi.Get(net)
+	sc, err := ParseScheme(in.Scheme)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	res, err := svc.Route(req.Src, req.Dst, req.Scheme)
+	svc, err := h.multi.Get(in.Net)
+	if err != nil {
+		h.writeErr(w, err)
+		return
+	}
+	res, err := svc.Route(in.Src, in.Dst, sc)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
 	wb := GetWireBuf()
-	wb.B = append(appendResult(wb.B, net, &res), '\n')
+	wb.B = append(appendResult(wb.B, in.Net, &res), '\n')
 	WriteBody(w, http.StatusOK, wb.B)
 	PutWireBuf(wb)
 }

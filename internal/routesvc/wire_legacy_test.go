@@ -53,9 +53,17 @@ func legacyRouteOne(h *Handler, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		net, req = body.Net, Request{Src: body.Src, Dst: body.Dst, Scheme: sc}
-	} else if net, req, err = parseRouteReq(r); err != nil {
-		legacyWriteErr(w, err)
-		return
+	} else {
+		var in RouteJSON
+		var sc Scheme
+		if in, err = ParseRoute(r); err == nil {
+			sc, err = ParseScheme(in.Scheme)
+		}
+		if err != nil {
+			legacyWriteErr(w, err)
+			return
+		}
+		net, req = in.Net, Request{Src: in.Src, Dst: in.Dst, Scheme: sc}
 	}
 	svc, err := h.multi.Get(net)
 	if err != nil {

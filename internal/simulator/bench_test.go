@@ -2,7 +2,11 @@ package simulator
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"iadm/internal/blockage"
+	"iadm/internal/topology"
 )
 
 // BenchmarkCyclesPerSecond is the tracked simulator benchmark: the
@@ -28,6 +32,30 @@ func BenchmarkCyclesPerSecond(b *testing.B) {
 			})
 		}
 	}
+	// The sim-sweep shape: near saturation with blocked links, so the
+	// routing ladder takes its blockage branch.
+	b.Run("N=1024/blocked", func(b *testing.B) {
+		r, err := NewRunner(Config{
+			N: 1024, Policy: AdaptiveSSDT, Load: 0.7, QueueCap: 4,
+			Cycles: 30, Blocked: sweepBlocked(), IntraWorkers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.RunSeed(int64(i))
+		}
+	})
+}
+
+// sweepBlocked blocks eight random nonstraight links of the N=1024
+// network, drawn from a fixed seed (the sim-sweep blocks eight).
+func sweepBlocked() *blockage.Set {
+	set := blockage.NewSet(topology.MustParams(1024))
+	set.RandomNonstraight(rand.New(rand.NewSource(42)), 8)
+	return set
 }
 
 // BenchmarkRunOneShot measures the convenience Run path including its

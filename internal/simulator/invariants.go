@@ -36,18 +36,15 @@ import (
 //     merge itself at end of run. The bitset half of invariant 2 is
 //     skipped in shard mode, where occ is deliberately unmaintained (see
 //     ringQueues.pushQuiet).
+//
+// Invariants 1, 3 and 4 are the shared model's (CheckBalance,
+// checkLatencyMass, checkShardMerge) and hold for the wormhole engine
+// too, counted in flits. The conservation counters count from cycle 0
+// (Metrics only counts the measured window, so it cannot anchor a
+// per-cycle balance). Drops count in-flight drops only: a packet refused
+// a stage-0 buffer by blockage was never accepted into the network, and is
+// visible in Metrics.Dropped but not in the balance.
 var invariantsEnabled = fanout.Simcheck
-
-// invariantCounters shadow the Metrics counters from cycle 0 (Metrics
-// only counts the measured window, so it cannot anchor a per-cycle
-// balance). dropped counts in-flight drops only: a packet refused a
-// stage-0 buffer by blockage was never accepted into the network, and is
-// visible in Metrics.Dropped but not in the conservation balance.
-type invariantCounters struct {
-	injected  int64
-	delivered int64
-	dropped   int64
-}
 
 // checkInvariants verifies invariants 1 and 2 after a cycle. It panics
 // (rather than returning an error) because a violation means the core's
@@ -64,7 +61,7 @@ func (s *sim) checkInvariants(cycle int) {
 			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d head %d outside [0,%d)",
 				cycle, i, h, s.q.cap))
 		}
-		if s.intraP <= 1 { // the sharded engine does not maintain occ
+		if s.IntraP <= 1 { // the sharded stepper does not maintain occ
 			bit := s.q.occ[i>>6]&(1<<uint(i&63)) != 0
 			if (n > 0) != bit {
 				panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d length %d disagrees with occupancy bit %v",
@@ -73,62 +70,69 @@ func (s *sim) checkInvariants(cycle int) {
 		}
 		total += int64(n)
 	}
-	if total != s.occupied {
-		panic(fmt.Sprintf("simulator invariant: cycle %d: incremental occupancy %d != sum of ring lengths %d",
-			cycle, s.occupied, total))
+	s.CheckBalance(cycle, total)
+}
+
+// CheckBalance verifies invariant 1 against total, the engine's recount of
+// its queued units: the merged occupancy must equal it, and every unit
+// accepted since cycle 0 must be delivered, dropped or still queued.
+func (m *Model) CheckBalance(cycle int, total int64) {
+	if total != m.occupied {
+		panic(fmt.Sprintf("%s invariant: cycle %d: incremental occupancy %d != sum of buffer sizes %d",
+			m.spec.Name, cycle, m.occupied, total))
 	}
-	if s.ck.injected != s.ck.delivered+s.ck.dropped+total {
-		panic(fmt.Sprintf("simulator invariant: cycle %d: conservation broken: injected %d != delivered %d + dropped %d + occupied %d",
-			cycle, s.ck.injected, s.ck.delivered, s.ck.dropped, total))
+	if m.ck[0] != m.ck[1]+m.ck[2]+total {
+		panic(fmt.Sprintf("%s invariant: cycle %d: conservation broken: injected %d != delivered %d + dropped %d + queued %d",
+			m.spec.Name, cycle, m.ck[0], m.ck[1], m.ck[2], total))
 	}
 }
 
 // checkShardMerge verifies invariant 4 at end of a sharded run, after the
-// per-shard latency histograms are folded into s.latHist: the merged
+// per-shard latency histograms are folded into latHist: the merged
 // histogram mass and the merged conservation counters must equal the
 // exact sums over the shards.
-func (s *sim) checkShardMerge() {
+func (m *Model) checkShardMerge() {
 	var mergedMass, shardMass int64
-	for _, c := range s.latHist {
+	for _, c := range m.latHist {
 		mergedMass += int64(c)
 	}
-	var ckI, ckD, ckX int64
-	for k := range s.shards {
-		sh := &s.shards[k]
-		for _, c := range sh.latHist {
+	var ck [3]int64
+	for k := range m.Shards {
+		sh := &m.Shards[k]
+		for _, c := range sh.LatHist {
 			shardMass += int64(c)
 		}
-		ckI += sh.ckInjected
-		ckD += sh.ckDelivered
-		ckX += sh.ckDropped
+		ck[0] += sh.CkIn
+		ck[1] += sh.CkOut
+		ck[2] += sh.CkDropped
 	}
 	if mergedMass != shardMass {
-		panic(fmt.Sprintf("simulator invariant: merged latency mass %d != sum over shards %d",
-			mergedMass, shardMass))
+		panic(fmt.Sprintf("%s invariant: merged latency mass %d != sum over shards %d",
+			m.spec.Name, mergedMass, shardMass))
 	}
-	if s.ck.injected != ckI || s.ck.delivered != ckD || s.ck.dropped != ckX {
-		panic(fmt.Sprintf("simulator invariant: merged conservation counters (%d,%d,%d) != shard sums (%d,%d,%d)",
-			s.ck.injected, s.ck.delivered, s.ck.dropped, ckI, ckD, ckX))
+	if m.ck != ck {
+		panic(fmt.Sprintf("%s invariant: merged conservation counters %v != shard sums %v",
+			m.spec.Name, m.ck, ck))
 	}
-	if ckI != ckD+ckX+s.occupied {
-		panic(fmt.Sprintf("simulator invariant: shard-summed conservation broken: injected %d != delivered %d + dropped %d + occupied %d",
-			ckI, ckD, ckX, s.occupied))
+	if ck[0] != ck[1]+ck[2]+m.occupied {
+		panic(fmt.Sprintf("%s invariant: shard-summed conservation broken: injected %d != delivered %d + dropped %d + queued %d",
+			m.spec.Name, ck[0], ck[1], ck[2], m.occupied))
 	}
 }
 
 // checkLatencyMass verifies invariant 3 once the run's latency histogram
 // has been folded into the metrics.
-func (s *sim) checkLatencyMass() {
+func (m *Model) checkLatencyMass() {
 	var mass int64
-	for _, c := range s.latHist {
+	for _, c := range m.latHist {
 		mass += int64(c)
 	}
-	if mass != int64(s.m.Delivered) {
-		panic(fmt.Sprintf("simulator invariant: latency histogram mass %d != delivered %d",
-			mass, s.m.Delivered))
+	if mass != int64(m.totals.Delivered) {
+		panic(fmt.Sprintf("%s invariant: latency histogram mass %d != delivered %d",
+			m.spec.Name, mass, m.totals.Delivered))
 	}
-	if s.lat.N() != s.m.Delivered {
-		panic(fmt.Sprintf("simulator invariant: latency stream holds %d samples, delivered %d",
-			s.lat.N(), s.m.Delivered))
+	if m.lat.N() != m.totals.Delivered {
+		panic(fmt.Sprintf("%s invariant: latency stream holds %d samples, delivered %d",
+			m.spec.Name, m.lat.N(), m.totals.Delivered))
 	}
 }

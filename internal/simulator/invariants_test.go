@@ -67,7 +67,7 @@ func newCheckedSim(t *testing.T) *sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.reset(1)
+	s.Reset(1)
 	return s
 }
 
@@ -112,9 +112,9 @@ func TestInvariantLatencyMassPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.reset(1)
+	s.Reset(1)
 	s.latHist[3] = 7 // phantom deliveries; the zero-load run delivers none
-	mustPanic(t, "latency histogram mass", func() { s.run() })
+	mustPanic(t, "latency histogram mass", func() { s.Model.run(); s.Metrics() })
 }
 
 // TestInvariantCheckerOffByDefault documents that corrupted state goes
@@ -128,11 +128,12 @@ func TestInvariantCheckerOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.reset(1)
+	s.Reset(1)
 	if s.check {
 		t.Fatal("sim armed with invariants disabled")
 	}
 	s.occupied = 99 // silently tolerated without the checker...
 	s.occupied = 0  // ...restore so the run itself stays sane
-	s.run()
+	s.Model.run()
+	s.Metrics()
 }

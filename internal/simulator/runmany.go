@@ -7,86 +7,169 @@ import (
 	"iadm/internal/fanout"
 )
 
-// RunMany executes every config as an independent run, fanning out across
-// a worker pool of GOMAXPROCS goroutines. Each run uses its own
-// deterministically seeded RNG (cfg.Seed), so results are bit-identical to
-// calling Run on each config serially, in the same order as cfgs,
-// regardless of worker count or scheduling. On error the first failing
-// config (by index) is reported.
-func RunMany(cfgs []Config) ([]Metrics, error) {
-	return RunManyWorkers(cfgs, 0)
+// Engine is an engine's sim as the shared run scaffold drives it: the
+// Model it embeds (Base is promoted from it), the reset of its own state
+// for a new seed (after rewinding the model), and its metrics once the
+// model has run.
+type Engine[M any] interface {
+	Base() *Model
+	Reset(seed int64)
+	Metrics() M
 }
 
-// configSummary renders the handful of Config fields that identify a run
-// in error messages, without dumping unbounded fields like Perm.
-func configSummary(cfg Config) string {
-	s := fmt.Sprintf("N=%d policy=%v load=%v qcap=%d cycles=%d warmup=%d seed=%d traffic=%v",
-		cfg.N, cfg.Policy, cfg.Load, cfg.QueueCap, cfg.Cycles, cfg.Warmup, cfg.Seed, cfg.Traffic)
-	if cfg.FaultRate > 0 {
-		s += fmt.Sprintf(" faultRate=%v repair=%d", cfg.FaultRate, cfg.RepairCycles)
+// RunOnce executes one run of a freshly built engine and releases its
+// intra-run workers.
+func RunOnce[M any](e Engine[M], seed int64) M {
+	m := e.Base()
+	defer m.pool.Close()
+	e.Reset(seed)
+	m.run()
+	return e.Metrics()
+}
+
+// Reusable executes repeated runs of one configuration without
+// reallocating any per-run state, so the steady-state cycle loop performs
+// zero heap allocations. The metrics returned by Run/RunSeed share their
+// latency and utilization stream storage with it and are invalidated by
+// the next call; copy the numbers out (or use the one-shot Run functions)
+// if you need them to survive.
+type Reusable[M any] struct {
+	e    Engine[M]
+	seed int64
+}
+
+// NewReusable wraps a freshly built engine whose configured seed is seed.
+func NewReusable[M any](e Engine[M], seed int64) *Reusable[M] {
+	r := &Reusable[M]{e: e, seed: seed}
+	if e.Base().pool != nil {
+		runtime.SetFinalizer(r, func(r *Reusable[M]) { r.e.Base().pool.Close() })
 	}
-	if cfg.IntraWorkers != 0 {
-		s += fmt.Sprintf(" intraWorkers=%d", cfg.IntraWorkers)
+	return r
+}
+
+// Run executes one run with the configured seed.
+func (r *Reusable[M]) Run() M { return r.RunSeed(r.seed) }
+
+// RunSeed executes one run with the given seed, reusing all buffers.
+func (r *Reusable[M]) RunSeed(seed int64) M {
+	r.e.Reset(seed)
+	r.e.Base().run()
+	return r.e.Metrics()
+}
+
+// Close releases the intra-run worker goroutines (a no-op when
+// IntraWorkers <= 1). It must not be used afterwards. A forgotten Close is
+// backstopped by a finalizer, but deterministic shutdown — e.g. before a
+// goroutine-leak check in tests — needs the explicit call.
+func (r *Reusable[M]) Close() {
+	runtime.SetFinalizer(r, nil)
+	r.e.Base().pool.Close()
+}
+
+// Batch is an engine as the shared batch helpers see it.
+type Batch[C, M any] struct {
+	Name string // error prefix: "simulator", "wormhole"
+	// Model is the shared view of a config; Detail renders the engine-only
+	// fields that identify a run in an error.
+	Model  func(*C) ModelConfig
+	Detail func(*C) string
+	Run    func(C) (M, error)
+}
+
+// summary renders the handful of config fields that identify a run in
+// error messages, without dumping unbounded fields like Perm.
+func summary(mc ModelConfig, detail string) string {
+	s := fmt.Sprintf("N=%d policy=%v load=%v %s cycles=%d warmup=%d seed=%d traffic=%v",
+		mc.N, mc.Policy, mc.Load, detail, mc.Cycles, mc.Warmup, mc.Seed, mc.Traffic)
+	if mc.FaultRate > 0 {
+		s += fmt.Sprintf(" faultRate=%v repair=%d", mc.FaultRate, mc.RepairCycles)
+	}
+	if mc.IntraWorkers != 0 {
+		s += fmt.Sprintf(" intraWorkers=%d", mc.IntraWorkers)
 	}
 	return s
 }
 
-// maxIntraWorkers is the largest effective per-run shard count across the
-// batch, the divisor of the nested-parallelism budget.
-func maxIntraWorkers(cfgs []Config) int {
-	max := 1
-	for i := range cfgs {
-		if p := effectiveIntra(normalized(cfgs[i])); p > max {
-			max = p
-		}
-	}
-	return max
-}
-
-// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
-// means automatic sizing: GOMAXPROCS goroutines, divided by the largest
-// per-run IntraWorkers in the batch so the nested product
-// runs x shards stays within GOMAXPROCS (an explicit workers value is
-// taken as-is — the caller owns the oversubscription trade-off then).
-func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
+// RunManyWorkers executes every config as an independent run over
+// fanout.Map. Each run's randomness is a pure function of its seed, so
+// the results are bit-identical to running each config serially, in
+// config order, whatever the worker count or scheduling; on error the
+// first failing config (by index) is reported. workers <= 0 means
+// automatic sizing: GOMAXPROCS goroutines, divided by the largest
+// per-run IntraWorkers in the batch so the nested product runs x shards
+// stays within GOMAXPROCS (an explicit workers value is taken as-is — the
+// caller owns the oversubscription trade-off then).
+func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / maxIntraWorkers(cfgs)
-		if workers < 1 {
-			workers = 1
+		maxIntra := 1
+		for i := range cfgs {
+			mc := b.Model(&cfgs[i])
+			maxIntra = max(maxIntra, effectiveIntra(mc.IntraWorkers, mc.N))
 		}
+		workers = max(runtime.GOMAXPROCS(0)/maxIntra, 1)
 	}
-	return fanout.Map(len(cfgs), workers, func(i int) (Metrics, error) {
-		m, err := Run(cfgs[i])
+	return fanout.Map(len(cfgs), workers, func(i int) (M, error) {
+		m, err := b.Run(cfgs[i])
 		if err != nil {
 			// Name both the index and the config: in a generated batch a
 			// validation failure from config k would otherwise be
 			// indistinguishable from config j's.
-			return m, fmt.Errorf("simulator: run %d (%s): %w", i, configSummary(cfgs[i]), err)
+			return m, fmt.Errorf("%s: run %d (%s): %w", b.Name, i,
+				summary(b.Model(&cfgs[i]), b.Detail(&cfgs[i])), err)
 		}
 		return m, nil
 	})
 }
 
 // Sweep builds and runs `points` configs derived from base: point i copies
+// base and applies vary(i, &cfg) — the engines' Sweep first moves the seed
+// to base.Seed + i — then the runs fan out across RunManyWorkers(workers)
+// and the results come back in point order.
+func (b Batch[C, M]) Sweep(base C, points, workers int, vary func(i int, cfg *C)) ([]M, error) {
+	if points < 0 {
+		return nil, fmt.Errorf("%s: sweep points %d < 0", b.Name, points)
+	}
+	cfgs := make([]C, points)
+	for i := range cfgs {
+		cfgs[i] = base
+		vary(i, &cfgs[i])
+	}
+	return b.RunManyWorkers(cfgs, workers)
+}
+
+// packetBatch is the packet engine's Batch.
+var packetBatch = Batch[Config, Metrics]{
+	Name:   "simulator",
+	Model:  (*Config).model,
+	Detail: func(c *Config) string { return fmt.Sprintf("qcap=%d", c.QueueCap) },
+	Run:    Run,
+}
+
+// RunMany executes every config as an independent run, fanning out across
+// a worker pool of GOMAXPROCS goroutines (see RunManyWorkers).
+func RunMany(cfgs []Config) ([]Metrics, error) {
+	return RunManyWorkers(cfgs, 0)
+}
+
+// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
+// means automatic sizing (see Batch.RunManyWorkers).
+func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
+	return packetBatch.RunManyWorkers(cfgs, workers)
+}
+
+// Sweep builds and runs `points` configs derived from base: point i copies
 // base, decorrelates the seed to base.Seed + i (the counter-based RNG
 // hashes the seed into every draw, so even adjacent seeds give
-// independent streams), then applies vary(i, &cfg) if vary is
-// non-nil — vary may override any field, including the seed. The runs fan
-// out across RunManyWorkers(workers) and the results come back in point
+// independent streams), then applies vary(i, &cfg) if vary is non-nil —
+// vary may override any field, including the seed. The runs fan out
+// across RunManyWorkers(workers) and the results come back in point
 // order. This is the replica-sweep shape of the EXPERIMENTS.md workloads:
 // many independent seeds (or operating points) of one scenario.
 func Sweep(base Config, points, workers int, vary func(i int, cfg *Config)) ([]Metrics, error) {
-	if points < 0 {
-		return nil, fmt.Errorf("simulator: sweep points %d < 0", points)
-	}
-	cfgs := make([]Config, points)
-	for i := range cfgs {
-		cfg := base
-		cfg.Seed = base.Seed + int64(i)
+	return packetBatch.Sweep(base, points, workers, func(i int, cfg *Config) {
+		cfg.Seed += int64(i)
 		if vary != nil {
-			vary(i, &cfg)
+			vary(i, cfg)
 		}
-		cfgs[i] = cfg
-	}
-	return RunManyWorkers(cfgs, workers)
+	})
 }

@@ -2,9 +2,12 @@ package wormhole
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"iadm/internal/blockage"
 	"iadm/internal/simulator"
+	"iadm/internal/topology"
 )
 
 // BenchmarkWormholeCycles is the tracked wormhole benchmark: the
@@ -31,6 +34,39 @@ func BenchmarkWormholeCycles(b *testing.B) {
 			})
 		}
 	}
+	// The sim-sweep shape: two lanes with blocked links, so the head
+	// flits' routing ladder takes its blockage branch.
+	b.Run("N=256/lanes=2/blocked", func(b *testing.B) {
+		r, err := NewRunner(Config{
+			N: 256, Policy: simulator.AdaptiveSSDT, Load: 0.3,
+			PacketFlits: 4, Lanes: 2, LaneDepth: 4,
+			Cycles: 30, Blocked: sweepBlocked(), IntraWorkers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.RunSeed(int64(i))
+		}
+	})
+}
+
+// sweepBlocked folds the packet benchmark's eight blocked links of the
+// N=1024 network onto N=256, as the sim-sweep does: the column modulo 256,
+// links of stages past the last dropped.
+func sweepBlocked() *blockage.Set {
+	big := blockage.NewSet(topology.MustParams(1024))
+	big.RandomNonstraight(rand.New(rand.NewSource(42)), 8)
+	p := topology.MustParams(256)
+	set := blockage.NewSet(p)
+	for _, l := range big.Links() {
+		if p.ValidStage(l.Stage) {
+			set.Block(topology.Link{Stage: l.Stage, From: l.From % 256, Kind: l.Kind})
+		}
+	}
+	return set
 }
 
 // BenchmarkWormholeLargeN is the tracked intra-run scaling benchmark for

@@ -4,35 +4,18 @@ import (
 	"fmt"
 	"math/bits"
 
-	"iadm/internal/ctrrng"
 	"iadm/internal/fanout"
 	"iadm/internal/simulator"
 	"iadm/internal/topology"
 )
 
-// The cycle engine. One engine serves both the sequential and the
-// sharded case: every phase sweeps receiving switches over the
-// contiguous column ranges [shardLo[k], shardLo[k+1]), and IntraWorkers
-// merely decides how many such ranges run concurrently (one covers the
-// whole column when the pool is off). Bit-identical results for every
-// worker count follow from the same two properties as the packet engine
-// (see internal/simulator/sharded.go):
-//
-//  1. Every random draw is a pure function of (seed, cycle, entity,
-//     purpose), so its value does not depend on which worker evaluates
-//     it or when.
-//
-//  2. Ownership sharding: within a phase, the owner of receiving switch
-//     `at` is the only goroutine touching (a) its incoming links' lane
-//     FIFOs, credits, occupancy/claim masks, flit counts, rotation
-//     pointers and forward counters — pops — and (b) its own outgoing
-//     links' lane state — pushes. Outgoing links of distinct switches
-//     are distinct, incoming links have a single receiver, and the
-//     phase order (deliver, then stages n-2..0, then inject) means the
-//     links a phase pushes into were popped in an earlier,
-//     barrier-separated phase. Operations of different receiving
-//     switches therefore commute, and any contiguous partition of a
-//     phase's sweep yields the state the full sequential sweep would.
+// The flit-level phases. The cycle loop, the shard partition and the
+// accumulators are the shared model's (internal/simulator/model.go, which
+// also gives the ownership argument that makes every shard count
+// bit-identical); here the owner of receiving switch `at` is the only
+// goroutine touching (a) its incoming links' lane FIFOs, credits,
+// occupancy/claim masks, flit counts, rotation pointers and forward
+// counters — pops — and (b) its own outgoing links' lane state — pushes.
 //
 // Credits close in a single cycle: a pop returns its lane's credit at
 // the barrier before the upstream push phase runs, so a slot vacated
@@ -46,134 +29,15 @@ import (
 // feed-forward (stage 0 -> n-1, ejection always drains), so worms
 // cannot deadlock — they only stall on backpressure or die by drop.
 
-// shardState is one shard's accumulator set, cumulative from cycle 0 of
-// the current run; mergeCycle recomputes the sim-level totals from the
-// full set each cycle, which keeps the merge order-independent. The pad
-// keeps adjacent shards' hot counters off one cache line.
-type shardState struct {
-	injected, delivered, dropped, refused int64 // packets, measured window
-	fInjected, fDelivered, fDropped       int64 // flits, measured window
-	occDelta                              int64 // net queued-flit delta
-	ckFInj, ckFDel, ckFDrop               int64 // conservation shadows (warmup included)
-	maxDepth                              int32
-	latHist                               []int32
-	_                                     [64]byte
-}
-
-func (sh *shardState) reset() {
-	sh.injected, sh.delivered, sh.dropped, sh.refused = 0, 0, 0, 0
-	sh.fInjected, sh.fDelivered, sh.fDropped = 0, 0, 0
-	sh.occDelta = 0
-	sh.ckFInj, sh.ckFDel, sh.ckFDrop = 0, 0, 0
-	sh.maxDepth = 0
-	clear(sh.latHist)
-}
-
-// advanceFaultTrial and stepFaults are the packet engine's geometric
-// fault skip-chain, keyed under the wormhole's own purpose constant: the
-// flattened (cycle, link) Bernoulli trial sequence is skip-sampled so the
-// cost is O(faults) per cycle, and the whole chain is a pure function of
-// the seed.
-func (s *sim) advanceFaultTrial(pos int64) int64 {
-	u := s.rng.Word(uint64(pos+1), 0, drawWhFault)
-	return pos + ctrrng.GeometricSkipFromWord(u, s.invLn1mF)
-}
-
-func (s *sim) stepFaults(cycle int) {
-	start := int64(cycle) * int64(s.L)
-	end := start + int64(s.L)
-	for s.nextFaultTrial < end {
-		idx := int(s.nextFaultTrial - start)
-		if int(s.failUntil[idx]) <= cycle {
-			s.failUntil[idx] = int32(cycle + s.cfg.RepairCycles)
-		}
-		s.nextFaultTrial = s.advanceFaultTrial(s.nextFaultTrial)
-	}
-}
-
-// linkBlocked reports whether a link is statically blocked or transiently
-// failed right now. Read-only during phases (stepFaults runs before the
-// first barrier of the cycle).
-func (s *sim) linkBlocked(idx int) bool {
-	if s.hasStatic && s.staticBlocked[idx] {
-		return true
-	}
-	return s.faulty && int(s.failUntil[idx]) > s.nowCycle
-}
-
-// chooseLink picks the outgoing link of switch sw at the given stage for
-// a head flit to dst: the same destination-tag ladder as the packet
-// engine's chooseQueue, with AdaptiveSSDT comparing total queued flits
-// per link instead of packets. ok=false means no usable link exists and
-// the worm must be dropped.
-func (s *sim) chooseLink(stage, sw, dst, cycle int, entity, purpose uint64) (int, bool) {
-	base := (stage*s.N + sw) * 3
-	if ((sw^dst)>>uint(stage))&1 == 0 {
-		idx := base + 1 // straight
-		if s.blockable && s.linkBlocked(idx) {
-			return 0, false
-		}
-		return idx, true
-	}
-	minus, plus := base, base+2
-	if s.blockable {
-		mOK, pOK := !s.linkBlocked(minus), !s.linkBlocked(plus)
-		switch {
-		case !pOK && !mOK:
-			return 0, false
-		case pOK && !mOK:
-			return plus, true
-		case mOK && !pOK:
-			return minus, true
-		}
-	}
-	switch s.policy {
-	case simulator.StaticC:
-		// State C: even_i uses +2^i, odd_i uses -2^i.
-		if (sw>>uint(stage))&1 == 0 {
-			return plus, true
-		}
-		return minus, true
-	case simulator.RandomState:
-		if s.rng.Bit(uint64(cycle), entity, purpose) {
-			return plus, true
-		}
-		return minus, true
-	default: // AdaptiveSSDT
-		lp, lm := s.linkFlits[plus], s.linkFlits[minus]
-		switch {
-		case lp < lm:
-			return plus, true
-		case lm < lp:
-			return minus, true
-		default:
-			// Tie: fall back to the state-C default.
-			if (sw>>uint(stage))&1 == 0 {
-				return plus, true
-			}
-			return minus, true
-		}
-	}
-}
-
-// pickDestination draws a destination for a packet from src (non-Uniform
-// traffic kinds; Uniform is inlined at the call site).
-func (s *sim) pickDestination(src, cycle int) int {
-	c, e := uint64(cycle), uint64(src)
-	switch s.traffic {
-	case simulator.Hotspot:
-		if s.rng.Hit(s.hotT, c, e, drawWhHot) {
-			return s.cfg.HotspotDest
-		}
-		return s.rng.Intn(s.dstMask, c, e, drawWhDst)
-	case simulator.PermutationTraffic:
-		return s.cfg.Perm[src]
-	case simulator.BitComplementTraffic:
-		return s.N - 1 - src
-	case simulator.Tornado:
-		return (src + s.N/2 - 1) % s.N
+// phase executes one shard's slice of one phase.
+func (s *sim) phase(k int, ph fanout.Phase) {
+	switch ph.Kind {
+	case fanout.Deliver:
+		s.deliver(k, ph.Cycle, ph.Measured)
+	case fanout.Stage:
+		s.stage(k, ph.Stage, ph.Cycle, ph.Measured)
 	default:
-		return s.rng.Intn(s.dstMask, c, e, drawWhDst)
+		s.inject(k, ph.Cycle, ph.Measured)
 	}
 }
 
@@ -222,7 +86,7 @@ func (s *sim) popLane(q, e int, lbit uint64) flit {
 // (one flit into each link per cycle). Returns whether a flit passed
 // through the switch — drops and drains consume the link's turn but do
 // not count as passing (the SingleInput budget).
-func (s *sim) forwardOne(sh *shardState, e, at, stageOut, outBase, cycle int, measured bool, inPort *[3]bool) bool {
+func (s *sim) forwardOne(sh *simulator.Shard, e, at, stageOut, outBase, cycle int, measured bool, inPort *[3]bool) bool {
 	am := s.occMask[e]
 	if am == 0 {
 		return false
@@ -241,27 +105,27 @@ func (s *sim) forwardOne(sh *shardState, e, at, stageOut, outBase, cycle int, me
 				// Drain one flit of a dropped worm; the tail pop releases
 				// the claim (and popLane resets route to laneNone).
 				s.popLane(q, e, lbit)
-				sh.ckFDrop++
-				sh.occDelta--
+				sh.CkDropped++
+				sh.OccDelta--
 				if measured {
-					sh.fDropped++
+					sh.FlitsDropped++
 				}
 				s.rotate[e] = int32((l + 1) % s.V)
 				return false
 			}
 			var q2 int
 			if f.meta&metaHead != 0 {
-				out, ok := s.chooseLink(stageOut, at, int(f.dst), cycle, uint64(q), drawWhRoute)
+				out, ok := s.Choose(stageOut, at, int(f.dst), cycle, uint64(q), drawWhRoute)
 				if !ok {
 					// No usable link: the worm dies here. The head is
 					// discarded now; the lane drains the body as it
 					// arrives.
 					s.popLane(q, e, lbit)
-					sh.ckFDrop++
-					sh.occDelta--
+					sh.CkDropped++
+					sh.OccDelta--
 					if measured {
-						sh.fDropped++
-						sh.dropped++
+						sh.FlitsDropped++
+						sh.Dropped++
 					}
 					if f.meta&metaTail == 0 {
 						s.route[q] = laneDropping
@@ -293,8 +157,8 @@ func (s *sim) forwardOne(sh *shardState, e, at, stageOut, outBase, cycle int, me
 				}
 			}
 			s.pushLane(q2, f)
-			if s.size[q2] > sh.maxDepth {
-				sh.maxDepth = s.size[q2]
+			if s.size[q2] > sh.MaxOcc {
+				sh.MaxOcc = s.size[q2]
 			}
 			s.popLane(q, e, lbit)
 			if f.meta&(metaHead|metaTail) == metaHead {
@@ -302,7 +166,7 @@ func (s *sim) forwardOne(sh *shardState, e, at, stageOut, outBase, cycle int, me
 			}
 			inPort[q2/s.V-outBase] = true
 			if measured {
-				s.forwards[e]++
+				s.Forwards[e]++
 			}
 			s.rotate[e] = int32((l + 1) % s.V)
 			return true
@@ -311,23 +175,23 @@ func (s *sim) forwardOne(sh *shardState, e, at, stageOut, outBase, cycle int, me
 	return false
 }
 
-// shardDeliver ejects flits from the last stage's links into the output
+// deliver ejects flits from the last stage's links into the output
 // ports owned by shard k: one flit per link per cycle (SingleInput: one
 // per output switch), lane chosen by the same rotating priority as
 // forwarding. Tail ejections complete packets.
-func (s *sim) shardDeliver(k, cycle int, measured bool) {
-	sh := &s.shards[k]
-	rowBase := (s.n - 1) * s.N
-	for to := int(s.shardLo[k]); to < int(s.shardLo[k+1]); to++ {
+func (s *sim) deliver(k, cycle int, measured bool) {
+	sh := &s.Shards[k]
+	rowBase := (s.Stages - 1) * s.N
+	for to := int(s.ShardLo[k]); to < int(s.ShardLo[k+1]); to++ {
 		inBase := (rowBase + to) * 3
 		passed := false
 		for j := 0; j < 3; j++ {
-			idx := int(s.in[inBase+j])
+			idx := int(s.In[inBase+j])
 			am := s.occMask[idx]
 			if am == 0 {
 				continue
 			}
-			if s.singleInput && passed {
+			if s.SingleInput && passed {
 				continue
 			}
 			cand := am & (s.fullMask << uint(s.rotate[idx]))
@@ -337,45 +201,40 @@ func (s *sim) shardDeliver(k, cycle int, measured bool) {
 			l := bits.TrailingZeros64(cand)
 			q := idx*s.V + l
 			f := s.popLane(q, idx, uint64(1)<<uint(l))
-			sh.ckFDel++
-			sh.occDelta--
+			sh.CkOut++
+			sh.OccDelta--
 			if int(f.dst) != to {
 				panic(fmt.Sprintf("wormhole: flit for %d delivered to %d via %v",
-					f.dst, to, topology.LinkFromIndex(s.p, idx)))
+					f.dst, to, topology.LinkFromIndex(s.P, idx)))
 			}
 			passed = true
 			s.rotate[idx] = int32((l + 1) % s.V)
 			if measured {
-				sh.fDelivered++
-				s.forwards[idx]++
+				sh.FlitsDelivered++
+				s.Forwards[idx]++
 				if f.meta&metaTail != 0 {
-					sh.delivered++
-					lat := cycle - int(f.born)
-					if lat >= len(sh.latHist) {
-						lat = len(sh.latHist) - 1
-					}
-					sh.latHist[lat]++
+					sh.AddLatency(cycle - int(f.born))
 				}
 			}
 		}
 	}
 }
 
-// shardStage advances stage i's links into the column-(i+1) switches
+// stage advances stage i's links into the column-(i+1) switches
 // owned by shard k.
-func (s *sim) shardStage(k, i, cycle int, measured bool) {
-	sh := &s.shards[k]
+func (s *sim) stage(k, i, cycle int, measured bool) {
+	sh := &s.Shards[k]
 	rowBase := i * s.N
-	for at := int(s.shardLo[k]); at < int(s.shardLo[k+1]); at++ {
+	for at := int(s.ShardLo[k]); at < int(s.ShardLo[k+1]); at++ {
 		inBase := (rowBase + at) * 3
 		outBase := ((i+1)*s.N + at) * 3
 		var inPort [3]bool
 		passed := false
 		for j := 0; j < 3; j++ {
-			if s.singleInput && passed {
+			if s.SingleInput && passed {
 				continue
 			}
-			e := int(s.in[inBase+j])
+			e := int(s.In[inBase+j])
 			if s.forwardOne(sh, e, at, i+1, outBase, cycle, measured, &inPort) {
 				passed = true
 			}
@@ -383,13 +242,13 @@ func (s *sim) shardStage(k, i, cycle int, measured bool) {
 	}
 }
 
-// shardInject runs the injection loop for the sources owned by shard k.
+// inject runs the injection loop for the sources owned by shard k.
 // A source streams one packet at a time: while flits remain it pushes the
 // next one into its claimed stage-0 lane when credit allows (stalling
 // otherwise), and only an idle source draws for a new packet.
-func (s *sim) shardInject(k, cycle int, measured bool) {
-	sh := &s.shards[k]
-	for src := int(s.shardLo[k]); src < int(s.shardLo[k+1]); src++ {
+func (s *sim) inject(k, cycle int, measured bool) {
+	sh := &s.Shards[k]
+	for src := int(s.ShardLo[k]); src < int(s.ShardLo[k+1]); src++ {
 		if rem := s.srcPending[src]; rem > 0 {
 			q := int(s.srcLane[src])
 			if s.credit[q] > 0 {
@@ -398,41 +257,35 @@ func (s *sim) shardInject(k, cycle int, measured bool) {
 					meta = metaTail
 				}
 				s.pushLane(q, flit{dst: s.srcDst[src], born: s.srcBorn[src], meta: meta})
-				if s.size[q] > sh.maxDepth {
-					sh.maxDepth = s.size[q]
+				if s.size[q] > sh.MaxOcc {
+					sh.MaxOcc = s.size[q]
 				}
 				s.srcPending[src] = rem - 1
-				sh.ckFInj++
-				sh.occDelta++
+				sh.CkIn++
+				sh.OccDelta++
 				if measured {
-					sh.fInjected++
+					sh.FlitsInjected++
 				}
 			}
 			continue
 		}
-		c, e := uint64(cycle), uint64(src)
-		if !s.rng.Hit(s.loadT, c, e, drawWhLoad) {
+		if !s.Starts(src, cycle) {
 			continue
 		}
-		var dst int
-		if s.traffic == simulator.Uniform {
-			dst = s.rng.Intn(s.dstMask, c, e, drawWhDst)
-		} else {
-			dst = s.pickDestination(src, cycle)
-		}
-		out, ok := s.chooseLink(0, src, dst, cycle, e, drawWhRouteInj)
+		dst := s.Dest(src, cycle)
+		out, ok := s.Choose(0, src, dst, cycle, uint64(src), drawWhRouteInj)
 		if !ok {
 			// Blockage at the very first hop: the packet never enters the
 			// network (no flit counters move).
 			if measured {
-				sh.dropped++
+				sh.Dropped++
 			}
 			continue
 		}
 		free := ^s.claimMask[out] & s.fullMask
 		if free == 0 {
 			if measured {
-				sh.refused++
+				sh.Refused++
 			}
 			continue
 		}
@@ -444,114 +297,18 @@ func (s *sim) shardInject(k, cycle int, measured bool) {
 			meta |= metaTail
 		}
 		s.pushLane(q, flit{dst: int32(dst), born: int32(cycle), meta: meta})
-		if s.size[q] > sh.maxDepth {
-			sh.maxDepth = s.size[q]
+		if s.size[q] > sh.MaxOcc {
+			sh.MaxOcc = s.size[q]
 		}
 		s.srcPending[src] = int32(s.cfg.PacketFlits - 1)
 		s.srcLane[src] = int32(q)
 		s.srcDst[src] = int32(dst)
 		s.srcBorn[src] = int32(cycle)
-		sh.ckFInj++
-		sh.occDelta++
+		sh.CkIn++
+		sh.OccDelta++
 		if measured {
-			sh.injected++
-			sh.fInjected++
+			sh.Injected++
+			sh.FlitsInjected++
 		}
 	}
-}
-
-// runShardPhase executes one shard's slice of one phase.
-func (s *sim) runShardPhase(k int, ph fanout.Phase) {
-	switch ph.Kind {
-	case fanout.Deliver:
-		s.shardDeliver(k, ph.Cycle, ph.Measured)
-	case fanout.Stage:
-		s.shardStage(k, ph.Stage, ph.Cycle, ph.Measured)
-	default:
-		s.shardInject(k, ph.Cycle, ph.Measured)
-	}
-}
-
-// doPhase runs one phase over every shard: through the pool (with its
-// barrier) when intra-run workers are on, directly otherwise.
-func (s *sim) doPhase(ph fanout.Phase) {
-	if s.pool != nil {
-		s.pool.Dispatch(ph)
-	} else {
-		s.runShardPhase(0, ph)
-	}
-}
-
-// mergeCycle recomputes the sim-level totals from the cumulative
-// per-shard accumulators: exact integer sums and maxes, so the result is
-// identical for every shard count and unaffected by when the merge runs.
-func (s *sim) mergeCycle() {
-	var inj, del, drop, ref, fi, fd, fx, occ int64
-	var ckI, ckD, ckX int64
-	var md int32
-	for k := range s.shards {
-		sh := &s.shards[k]
-		inj += sh.injected
-		del += sh.delivered
-		drop += sh.dropped
-		ref += sh.refused
-		fi += sh.fInjected
-		fd += sh.fDelivered
-		fx += sh.fDropped
-		occ += sh.occDelta
-		ckI += sh.ckFInj
-		ckD += sh.ckFDel
-		ckX += sh.ckFDrop
-		if sh.maxDepth > md {
-			md = sh.maxDepth
-		}
-	}
-	s.m.Injected, s.m.Delivered, s.m.Dropped, s.m.Refused = int(inj), int(del), int(drop), int(ref)
-	s.m.FlitsInjected, s.m.FlitsDelivered, s.m.FlitsDropped = int(fi), int(fd), int(fx)
-	s.occupied = occ
-	s.ck = checkCounters{fInjected: ckI, fDelivered: ckD, fDropped: ckX}
-	s.maxDepth = md
-}
-
-// run executes the configured cycles and finalizes metrics. Phase order
-// within a cycle: faults, deliver (stage n-1), stages n-2..0, inject —
-// back-to-front, so a flit advances at most one stage per cycle and a
-// pop's returned credit is visible to the upstream push phase.
-func (s *sim) run() Metrics {
-	total := s.cfg.Warmup + s.cfg.Cycles
-	if s.pool != nil {
-		s.pool.Unpark()
-	}
-	for cycle := 0; cycle < total; cycle++ {
-		measured := cycle >= s.cfg.Warmup
-		s.nowCycle = cycle
-		if s.faulty {
-			s.stepFaults(cycle) // sequential: O(faults), read-only during phases
-		}
-		s.doPhase(fanout.Phase{Kind: fanout.Deliver, Cycle: cycle, Measured: measured})
-		for i := s.n - 2; i >= 0; i-- {
-			s.doPhase(fanout.Phase{Kind: fanout.Stage, Stage: i, Cycle: cycle, Measured: measured})
-		}
-		s.doPhase(fanout.Phase{Kind: fanout.Inject, Cycle: cycle, Measured: measured})
-		s.mergeCycle()
-		if measured {
-			s.queueSum += s.occupied
-			s.queueSamples += int64(s.L) * int64(s.V)
-		}
-		if s.check {
-			s.checkInvariants(cycle)
-		}
-	}
-	if s.pool != nil {
-		s.pool.Park()
-	}
-	for k := range s.shards {
-		for v, c := range s.shards[k].latHist {
-			s.latHist[v] += c
-		}
-	}
-	if s.check && s.intraP > 1 {
-		s.checkShardMerge()
-	}
-	return s.finish()
 }

@@ -10,7 +10,7 @@ import (
 // must reproduce the sequential run's metrics bit-identically — full
 // latency and utilization distributions included. Run under -race (make
 // race does, with invariants armed) this also exercises the ownership
-// claims of the sharding argument in engine.go.
+// claims of the sharding argument in internal/simulator/model.go.
 func TestIntraWorkersInvariance(t *testing.T) {
 	for i, cfg := range sampleConfigs(t) {
 		t.Run(fmt.Sprintf("cfg%02d", i), func(t *testing.T) {

@@ -7,12 +7,13 @@ import (
 	"iadm/internal/fanout"
 )
 
-// The wormhole invariant checker, mirroring the packet simulator's: after
-// every cycle it re-derives the structural invariants the flat lane/mask
-// hot path is supposed to preserve and panics on the first violation. The
-// `simcheck` build tag (fanout.Simcheck) turns it on for a whole test
-// run (what `make race` uses); tests can flip invariantsEnabled directly
-// for targeted runs.
+// The wormhole invariant checker: after every cycle it re-derives the
+// structural invariants the flat lane/mask hot path is supposed to
+// preserve and panics on the first violation. The `simcheck` build tag
+// (fanout.Simcheck) turns it on for a whole test run (what `make race`
+// uses); tests can flip invariantsEnabled directly for targeted runs.
+// Invariants 1, 3 and 4 are the shared model's checks (see
+// internal/simulator/invariants.go), counted here in flits.
 //
 // Checked invariants:
 //
@@ -88,60 +89,5 @@ func (s *sim) checkInvariants(cycle int) {
 		}
 		total += linkSum
 	}
-	if total != s.occupied {
-		panic(fmt.Sprintf("wormhole invariant: cycle %d: merged occupancy %d != sum of lane sizes %d",
-			cycle, s.occupied, total))
-	}
-	if s.ck.fInjected != s.ck.fDelivered+s.ck.fDropped+total {
-		panic(fmt.Sprintf("wormhole invariant: cycle %d: flit conservation broken: injected %d != delivered %d + dropped %d + queued %d",
-			cycle, s.ck.fInjected, s.ck.fDelivered, s.ck.fDropped, total))
-	}
-}
-
-// checkShardMerge verifies invariant 4 at end of a sharded run, after
-// the per-shard latency histograms are folded into s.latHist.
-func (s *sim) checkShardMerge() {
-	var mergedMass, shardMass int64
-	for _, c := range s.latHist {
-		mergedMass += int64(c)
-	}
-	var ckI, ckD, ckX int64
-	for k := range s.shards {
-		sh := &s.shards[k]
-		for _, c := range sh.latHist {
-			shardMass += int64(c)
-		}
-		ckI += sh.ckFInj
-		ckD += sh.ckFDel
-		ckX += sh.ckFDrop
-	}
-	if mergedMass != shardMass {
-		panic(fmt.Sprintf("wormhole invariant: merged latency mass %d != sum over shards %d",
-			mergedMass, shardMass))
-	}
-	if s.ck.fInjected != ckI || s.ck.fDelivered != ckD || s.ck.fDropped != ckX {
-		panic(fmt.Sprintf("wormhole invariant: merged conservation counters (%d,%d,%d) != shard sums (%d,%d,%d)",
-			s.ck.fInjected, s.ck.fDelivered, s.ck.fDropped, ckI, ckD, ckX))
-	}
-	if ckI != ckD+ckX+s.occupied {
-		panic(fmt.Sprintf("wormhole invariant: shard-summed flit conservation broken: injected %d != delivered %d + dropped %d + queued %d",
-			ckI, ckD, ckX, s.occupied))
-	}
-}
-
-// checkLatencyMass verifies invariant 3 once the run's latency histogram
-// has been folded into the metrics.
-func (s *sim) checkLatencyMass() {
-	var mass int64
-	for _, c := range s.latHist {
-		mass += int64(c)
-	}
-	if mass != int64(s.m.Delivered) {
-		panic(fmt.Sprintf("wormhole invariant: latency histogram mass %d != delivered packets %d",
-			mass, s.m.Delivered))
-	}
-	if s.lat.N() != s.m.Delivered {
-		panic(fmt.Sprintf("wormhole invariant: latency stream has %d samples, want %d",
-			s.lat.N(), s.m.Delivered))
-	}
+	s.CheckBalance(cycle, total)
 }

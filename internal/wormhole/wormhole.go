@@ -24,28 +24,30 @@
 // excluded from the head's ladder; a head with no usable link drops its
 // whole worm, draining the body flits as they arrive.
 //
+// The network model is the packet engine's (simulator.Model, embedded by
+// value): the links, the fault process and static blockage, the routing
+// ladder (AdaptiveSSDT reads the flits queued per link), the traffic
+// source, the shard partition with its phase loop, and the run scaffold.
+// This package adds the flits, lanes and credits, its own draw-purpose
+// constants (rng.go), and its Config and Metrics.
+//
 // The hot path reuses the flat ring-buffer/bitset style of the packet
 // core: all lane FIFOs live in one preallocated flit array, per-link
 // bitmasks track non-empty and claimed lanes, credits are bare integer
 // counters, and the steady-state cycle loop performs zero heap
-// allocations. Randomness is the same counter-based generator as
-// internal/simulator's (internal/ctrrng: every draw a pure function of
-// seed, cycle, entity and purpose), which is what makes the sharded
-// intra-run stepping (Config.IntraWorkers) bit-identical for every worker
-// count and lets internal/refwh re-derive every decision independently as
-// a differential oracle. Build with -tags simcheck to re-verify flit
-// conservation, per-lane credit balance and lane-overflow freedom after
-// every cycle.
+// allocations. Randomness is the counter-based generator of
+// internal/ctrrng (every draw a pure function of seed, cycle, entity and
+// purpose), which is what makes the sharded intra-run stepping
+// (Config.IntraWorkers) bit-identical for every worker count and lets
+// internal/refwh re-derive every decision independently as a differential
+// oracle. Build with -tags simcheck to re-verify flit conservation,
+// per-lane credit balance and lane-overflow freedom after every cycle.
 package wormhole
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 
 	"iadm/internal/blockage"
-	"iadm/internal/ctrrng"
-	"iadm/internal/fanout"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
@@ -88,7 +90,8 @@ type Config struct {
 
 	// IntraWorkers >= 2 steps each cycle on that many worker goroutines
 	// over contiguous switch-column shards, with barriers between stage
-	// phases; metrics are bit-identical for every value (see engine.go).
+	// phases; metrics are bit-identical for every value (see the shared
+	// model in internal/simulator/model.go).
 	IntraWorkers int
 }
 
@@ -140,20 +143,15 @@ const (
 	laneDropping = -2
 )
 
-// sim holds the preallocated state of one configuration. Links use the
-// dense index (stage*N+from)*3 + kind shared with the packet core; lane q
-// of link e has dense lane index e*Lanes + q.
+// sim is the wormhole engine: the shared simulator.Model (links, faults,
+// routing ladder, traffic source, shards and phase loop) plus the lanes,
+// flits and credits. Lane q of link e has dense lane index e*Lanes + q.
 type sim struct {
+	simulator.Model
 	cfg Config
-	p   topology.Params
 
-	n int // stages
-	N int // switches per stage
-	L int // 3*N*n links
 	V int // lanes per link
 	D int // flits per lane
-
-	rng ctrrng.RNG
 
 	// Lane FIFOs: one flat flit array, stride D per lane, with per-lane
 	// head/size cursors. credit[q] is the upstream view of lane q's free
@@ -176,21 +174,6 @@ type sim struct {
 	rotate    []int32
 	fullMask  uint64 // (1<<V)-1: every lane claimed
 
-	// toOf[link] is the switch the link leads to; in[((r-1)*N+sw)*3+j] is
-	// the j-th incoming link of switch sw at column r (ascending dense
-	// index), the sharded sweep's iteration table.
-	toOf []int32
-	in   []int32
-
-	staticBlocked []bool
-	hasStatic     bool
-	blockable     bool
-
-	failUntil      []int32
-	faulty         bool
-	invLn1mF       float64
-	nextFaultTrial int64
-
 	// Per-source injection state: a source streams one packet at a time
 	// into its claimed stage-0 lane. pending is the flits still to inject
 	// (0 = idle), srcLane/srcDst/srcBorn the worm being streamed.
@@ -198,49 +181,14 @@ type sim struct {
 	srcLane    []int32
 	srcDst     []int32
 	srcBorn    []int32
-
-	// forwards[link] counts flits forwarded out of the link during
-	// measured cycles (drops excluded), the utilization numerator.
-	forwards []int32
-
-	policy      simulator.Policy
-	traffic     simulator.TrafficKind
-	singleInput bool
-
-	loadT, hotT uint64
-	dstMask     uint64
-
-	nowCycle int
-
-	latHist      []int32
-	occupied     int64 // total flits queued in lanes, merged per cycle
-	queueSum     int64
-	queueSamples int64
-	maxDepth     int32
-
-	lat, utilS, utilN stats.Stream
-
-	// intraP is the effective shard count; shards hold the per-shard
-	// cumulative accumulators (shard 0 doubles as the sequential engine's
-	// accumulator), shardLo the contiguous column partition, pool the
-	// persistent worker pool (nil when intraP == 1).
-	intraP  int
-	shards  []shardState
-	shardLo []int32
-	pool    *fanout.Pool
-
-	check bool
-	ck    checkCounters
-
-	m Metrics
 }
 
-// checkCounters shadow the flit counters from cycle 0 (warmup included)
-// so the conservation balance is exact at every cycle under simcheck.
-type checkCounters struct {
-	fInjected  int64
-	fDelivered int64
-	fDropped   int64
+// model is the shared view of cfg.
+func (cfg *Config) model() simulator.ModelConfig {
+	return simulator.ModelConfig{N: cfg.N, Policy: cfg.Policy, Load: cfg.Load, Cycles: cfg.Cycles,
+		Warmup: cfg.Warmup, Seed: cfg.Seed, Traffic: cfg.Traffic, HotspotDest: cfg.HotspotDest,
+		HotspotFrac: cfg.HotspotFrac, Perm: cfg.Perm, Switches: cfg.Switches, Blocked: cfg.Blocked,
+		FaultRate: cfg.FaultRate, RepairCycles: cfg.RepairCycles, IntraWorkers: cfg.IntraWorkers}
 }
 
 // Validate reports whether cfg would be accepted by Run, without
@@ -255,9 +203,6 @@ func Validate(cfg Config) error {
 }
 
 func validate(cfg *Config) error {
-	if cfg.Load < 0 || cfg.Load > 1 {
-		return fmt.Errorf("wormhole: load %v out of [0,1]", cfg.Load)
-	}
 	if cfg.PacketFlits < 1 || cfg.PacketFlits > 1<<12 {
 		return fmt.Errorf("wormhole: packet length %d flits outside [1,%d]", cfg.PacketFlits, 1<<12)
 	}
@@ -267,68 +212,11 @@ func validate(cfg *Config) error {
 	if cfg.LaneDepth < 1 {
 		return fmt.Errorf("wormhole: lane depth %d < 1", cfg.LaneDepth)
 	}
-	if cfg.Cycles < 1 {
-		return fmt.Errorf("wormhole: cycles %d < 1", cfg.Cycles)
-	}
-	if cfg.Warmup < 0 {
-		return fmt.Errorf("wormhole: warmup %d < 0", cfg.Warmup)
-	}
-	if cfg.Warmup+cfg.Cycles >= math.MaxInt32 {
-		return fmt.Errorf("wormhole: warmup+cycles %d overflows the cycle counter", cfg.Warmup+cfg.Cycles)
-	}
-	if cfg.Traffic == simulator.PermutationTraffic {
-		if len(cfg.Perm) != cfg.N {
-			return fmt.Errorf("wormhole: permutation has %d entries, want %d", len(cfg.Perm), cfg.N)
-		}
-		seen := make([]bool, cfg.N)
-		for src, dst := range cfg.Perm {
-			if dst < 0 || dst >= cfg.N {
-				return fmt.Errorf("wormhole: permutation maps source %d to %d, outside [0,%d)", src, dst, cfg.N)
-			}
-			if seen[dst] {
-				return fmt.Errorf("wormhole: permutation maps two sources to destination %d", dst)
-			}
-			seen[dst] = true
-		}
-	}
-	if cfg.Traffic == simulator.Hotspot {
-		if cfg.HotspotDest < 0 || cfg.HotspotDest >= cfg.N {
-			return fmt.Errorf("wormhole: hotspot destination %d out of range", cfg.HotspotDest)
-		}
-		if cfg.HotspotFrac < 0 || cfg.HotspotFrac > 1 {
-			return fmt.Errorf("wormhole: hotspot fraction %v out of [0,1]", cfg.HotspotFrac)
-		}
-	}
-	if cfg.Traffic == simulator.Tornado && cfg.N < 4 {
-		return fmt.Errorf("wormhole: tornado traffic degenerates to self-traffic at N=%d; need N >= 4", cfg.N)
-	}
-	if cfg.FaultRate < 0 || cfg.FaultRate > 1 {
-		return fmt.Errorf("wormhole: fault rate %v out of [0,1]", cfg.FaultRate)
-	}
-	if cfg.FaultRate > 0 && cfg.RepairCycles < 0 {
-		return fmt.Errorf("wormhole: repair cycles %d < 0 with fault rate %v", cfg.RepairCycles, cfg.FaultRate)
-	}
-	if cfg.IntraWorkers < 0 {
-		return fmt.Errorf("wormhole: intra workers %d < 0", cfg.IntraWorkers)
-	}
-	return nil
+	return cfg.model().Validate("wormhole")
 }
 
-// effectiveIntra is the shard count a config actually steps with: at
-// least 1, at most one shard per switch column.
-func effectiveIntra(cfg Config) int {
-	p := cfg.IntraWorkers
-	if p < 1 {
-		p = 1
-	}
-	if p > cfg.N {
-		p = cfg.N
-	}
-	return p
-}
-
-// newSim validates cfg and allocates every buffer a run needs; reset must
-// be called before run.
+// newSim validates cfg and allocates every buffer a run needs; Reset must
+// be called before a run.
 func newSim(cfg Config) (*sim, error) {
 	p, err := topology.NewParams(cfg.N)
 	if err != nil {
@@ -337,13 +225,11 @@ func newSim(cfg Config) (*sim, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	n, N := p.Stages(), cfg.N
-	L := 3 * N * n
+	L := 3 * cfg.N * p.Stages()
 	V, D := cfg.Lanes, cfg.LaneDepth
 	Q := L * V
 	s := &sim{
-		cfg: cfg, p: p,
-		n: n, N: N, L: L, V: V, D: D,
+		cfg: cfg, V: V, D: D,
 		buf:    make([]flit, Q*D),
 		head:   make([]int32, Q),
 		size:   make([]int32, Q),
@@ -358,143 +244,50 @@ func newSim(cfg Config) (*sim, error) {
 		// exactly the full-claim sentinel wanted there.
 		fullMask: uint64(1)<<uint(V) - 1,
 
-		toOf: make([]int32, L),
-
-		failUntil:  make([]int32, L),
-		srcPending: make([]int32, N),
-		srcLane:    make([]int32, N),
-		srcDst:     make([]int32, N),
-		srcBorn:    make([]int32, N),
-		forwards:   make([]int32, L),
-
-		policy:      cfg.Policy,
-		traffic:     cfg.Traffic,
-		singleInput: cfg.Switches == simulator.SingleInput,
-		faulty:      cfg.FaultRate > 0,
-		loadT:       ctrrng.BernoulliThreshold(cfg.Load),
-		hotT:        ctrrng.BernoulliThreshold(cfg.HotspotFrac),
-		dstMask:     uint64(N - 1),
+		srcPending: make([]int32, cfg.N),
+		srcLane:    make([]int32, cfg.N),
+		srcDst:     make([]int32, cfg.N),
+		srcBorn:    make([]int32, cfg.N),
 	}
-	for idx := 0; idx < L; idx++ {
-		s.toOf[idx] = int32(topology.LinkFromIndex(p, idx).To(p))
-	}
-	s.buildIn()
-	if cfg.Blocked != nil {
-		s.staticBlocked = make([]bool, L)
-		for idx := 0; idx < L; idx++ {
-			if cfg.Blocked.Blocked(topology.LinkFromIndex(p, idx)) {
-				s.staticBlocked[idx] = true
-				s.hasStatic = true
-			}
-		}
-	}
-	if s.faulty && cfg.FaultRate < 1 {
-		s.invLn1mF = 1 / math.Log(1-cfg.FaultRate)
-	}
-	s.blockable = s.hasStatic || s.faulty
-	latBuckets := cfg.Warmup + cfg.Cycles + 1
-	if latBuckets > 1<<16 {
-		latBuckets = 1 << 16
-	}
-	s.latHist = make([]int32, latBuckets)
-	s.lat = stats.NewStream(1, latBuckets)
-	s.utilS = stats.NewStream(1.0/1024, 1025)
-	s.utilN = stats.NewStream(1.0/1024, 1025)
-	s.intraP = effectiveIntra(cfg)
-	s.shardLo = make([]int32, s.intraP+1)
-	for k := 0; k <= s.intraP; k++ {
-		s.shardLo[k] = int32(k * N / s.intraP)
-	}
-	s.shards = make([]shardState, s.intraP)
-	for k := range s.shards {
-		s.shards[k].latHist = make([]int32, latBuckets)
-	}
-	if s.intraP > 1 {
-		s.pool = fanout.NewPool(s.intraP, s.runShardPhase)
-	}
+	s.Init(p, cfg.model(), simulator.Spec{
+		Name:    "wormhole",
+		Draws:   simulator.Draws{Load: drawWhLoad, Dst: drawWhDst, Hot: drawWhHot, Fault: drawWhFault},
+		Load:    s.linkFlits,
+		Buffers: V,
+		Phase:   s.phase,
+		Check:   s.checkInvariants,
+	})
 	return s, nil
 }
 
-// buildIn prepares the per-switch incoming-link table every phase sweep
-// iterates: row (r-1)*N+sw lists the three stage-(r-1) links into switch
-// sw of column r, in ascending dense index.
-func (s *sim) buildIn() {
-	s.in = make([]int32, s.n*s.N*3)
-	fill := make([]int8, s.n*s.N)
-	for idx := 0; idx < s.L; idx++ {
-		stage := idx / (3 * s.N)
-		row := stage*s.N + int(s.toOf[idx])
-		s.in[row*3+int(fill[row])] = int32(idx)
-		fill[row]++
-	}
-	for row, c := range fill {
-		if c != 3 {
-			panic(fmt.Sprintf("wormhole: switch row %d has %d incoming links, want 3", row, c))
-		}
-	}
-}
-
-// reset rewinds the sim to cycle 0 with a fresh seed, reusing every
+// Reset rewinds the sim to cycle 0 with a fresh seed, reusing every
 // buffer.
-func (s *sim) reset(seed int64) {
-	s.rng = ctrrng.New(seed)
+func (s *sim) Reset(seed int64) {
+	s.Rewind(seed, invariantsEnabled)
 	clear(s.head)
 	clear(s.size)
 	clear(s.occMask)
 	clear(s.claimMask)
 	clear(s.linkFlits)
 	clear(s.rotate)
-	clear(s.failUntil)
 	clear(s.srcPending)
-	clear(s.forwards)
-	clear(s.latHist)
 	for q := range s.credit {
 		s.credit[q] = int32(s.D)
 		s.route[q] = laneNone
 	}
-	s.occupied, s.queueSum, s.queueSamples = 0, 0, 0
-	s.maxDepth = 0
-	s.nowCycle = 0
-	s.check = invariantsEnabled
-	s.ck = checkCounters{}
-	s.m = Metrics{}
-	s.lat.Reset()
-	s.utilS.Reset()
-	s.utilN.Reset()
-	for k := range s.shards {
-		s.shards[k].reset()
-	}
-	if s.faulty {
-		s.nextFaultTrial = s.advanceFaultTrial(-1)
-	}
 }
 
-// finish derives the run-level metrics from the accumulated counters.
-func (s *sim) finish() Metrics {
-	s.m.Throughput = float64(s.m.Delivered) / float64(s.cfg.Cycles) / float64(s.N)
-	s.m.FlitThroughput = float64(s.m.FlitsDelivered) / float64(s.cfg.Cycles) / float64(s.N)
-	if s.queueSamples > 0 {
-		s.m.MeanLaneOcc = float64(s.queueSum) / float64(s.queueSamples)
+// Metrics derives the run's metrics once the model has run.
+func (s *sim) Metrics() Metrics {
+	r := s.Finish()
+	return Metrics{
+		Injected: r.Injected, Delivered: r.Delivered, Dropped: r.Dropped, Refused: r.Refused,
+		FlitsInjected: r.FlitsInjected, FlitsDelivered: r.FlitsDelivered, FlitsDropped: r.FlitsDropped,
+		Latency: r.Latency, MaxLaneDepth: r.MaxOcc, MeanLaneOcc: r.MeanOcc, Throughput: r.Throughput,
+		FlitThroughput:  float64(r.FlitsDelivered) / float64(s.cfg.Cycles) / float64(s.N),
+		UtilStraight:    r.UtilStraight,
+		UtilNonstraight: r.UtilNonstraight,
 	}
-	s.m.MaxLaneDepth = int(s.maxDepth)
-	for v, c := range s.latHist {
-		s.lat.AddN(float64(v), int(c))
-	}
-	if s.check {
-		s.checkLatencyMass()
-	}
-	for idx := 0; idx < s.L; idx++ {
-		util := float64(s.forwards[idx]) / float64(s.cfg.Cycles)
-		if idx%3 != 1 { // kinds are Minus(0), Straight(1), Plus(2)
-			s.utilN.Add(util)
-		} else {
-			s.utilS.Add(util)
-		}
-	}
-	s.m.Latency = s.lat
-	s.m.UtilStraight = s.utilS
-	s.m.UtilNonstraight = s.utilN
-	return s.m
 }
 
 // Run executes the simulation and returns its metrics.
@@ -503,18 +296,12 @@ func Run(cfg Config) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	defer s.pool.Close()
-	s.reset(cfg.Seed)
-	return s.run(), nil
+	return simulator.RunOnce[Metrics](s, cfg.Seed), nil
 }
 
 // Runner executes repeated runs of one configuration without
-// reallocating per-run state, so the steady-state cycle loop performs
-// zero heap allocations. Returned Metrics share their stream storage with
-// the Runner and are invalidated by the next call.
-type Runner struct {
-	s *sim
-}
+// reallocating per-run state (see simulator.Reusable).
+type Runner = simulator.Reusable[Metrics]
 
 // NewRunner validates cfg and preallocates a reusable simulation.
 func NewRunner(cfg Config) (*Runner, error) {
@@ -522,25 +309,39 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{s: s}
-	if s.pool != nil {
-		runtime.SetFinalizer(r, func(r *Runner) { r.s.pool.Close() })
-	}
-	return r, nil
+	return simulator.NewReusable[Metrics](s, cfg.Seed), nil
 }
 
-// Run executes one run with the configured seed.
-func (r *Runner) Run() Metrics { return r.RunSeed(r.s.cfg.Seed) }
-
-// RunSeed executes one run with the given seed, reusing all buffers.
-func (r *Runner) RunSeed(seed int64) Metrics {
-	r.s.reset(seed)
-	return r.s.run()
+// batch is the wormhole engine's simulator.Batch.
+var batch = simulator.Batch[Config, Metrics]{
+	Name:  "wormhole",
+	Model: (*Config).model,
+	Detail: func(c *Config) string {
+		return fmt.Sprintf("flits=%d lanes=%d depth=%d", c.PacketFlits, c.Lanes, c.LaneDepth)
+	},
+	Run: Run,
 }
 
-// Close releases the Runner's intra-run worker goroutines (a no-op when
-// IntraWorkers <= 1). The Runner must not be used afterwards.
-func (r *Runner) Close() {
-	runtime.SetFinalizer(r, nil)
-	r.s.pool.Close()
+// RunMany executes every config as an independent run, fanning out across
+// a worker pool (see simulator.Batch.RunManyWorkers).
+func RunMany(cfgs []Config) ([]Metrics, error) {
+	return RunManyWorkers(cfgs, 0)
+}
+
+// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
+// means automatic sizing.
+func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
+	return batch.RunManyWorkers(cfgs, workers)
+}
+
+// Sweep builds and runs `points` configs derived from base: point i
+// copies base, decorrelates the seed to base.Seed + i, then applies
+// vary(i, &cfg) if non-nil. Results come back in point order.
+func Sweep(base Config, points, workers int, vary func(i int, cfg *Config)) ([]Metrics, error) {
+	return batch.Sweep(base, points, workers, func(i int, cfg *Config) {
+		cfg.Seed += int64(i)
+		if vary != nil {
+			vary(i, cfg)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -373,6 +374,37 @@ func TestRunnerZeroAllocs(t *testing.T) {
 		r.Close()
 		if allocs != 0 {
 			t.Errorf("IntraWorkers=%d: %v allocs per RunSeed, want 0", workers, allocs)
+		}
+	}
+}
+
+// TestRepairOutlastingRunStaysFailed: a fault whose repair time reaches
+// past the end of the run keeps its link failed to the end, however far
+// past. A repair cycle that overflowed the per-link cycle counter used to
+// wrap negative and bring the link back at once.
+func TestRepairOutlastingRunStaysFailed(t *testing.T) {
+	for _, intra := range []int{1, 3} {
+		cfg := baseConfig()
+		cfg.Cycles, cfg.Warmup, cfg.Seed = 300, 20, 5
+		cfg.FaultRate, cfg.IntraWorkers = 0.01, intra
+		cfg.RepairCycles = cfg.Warmup + cfg.Cycles
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Dropped == 0 {
+			t.Fatal("no drops: the config does not exercise lasting faults")
+		}
+		for _, repair := range []int{cfg.RepairCycles + 1, math.MaxInt32, math.MaxInt32 + 7} {
+			cfg.RepairCycles = repair
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !metricsEqual(got, want) {
+				t.Errorf("intra %d, RepairCycles %d: dropped %d delivered %d, want %d and %d (as for a repair at the run's end)",
+					intra, repair, got.Dropped, got.Delivered, want.Dropped, want.Delivered)
+			}
 		}
 	}
 }

@@ -58,15 +58,16 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector, with the simulator's per-cycle
-# invariant checker (conservation, bitset/ring agreement, latency mass)
+# invariant checker (conservation, bitset/FIFO agreement, latency mass)
 # defaulted on via the simcheck build tag.
 race:
 	$(GO) test -race -tags simcheck ./...
 
 # Tracked simulator numbers (steady-state cycle loop and intra-run
-# scaling; expect 0 allocs/op).
+# scaling, expect 0 allocs/op; and the sim-sweep batch, one engine built
+# per worker).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCyclesPerSecond|BenchmarkLargeN' -benchmem ./internal/simulator
+	$(GO) test -run '^$$' -bench 'BenchmarkCyclesPerSecond|BenchmarkLargeN|BenchmarkRunMany/N=1024' -benchmem ./internal/simulator
 
 # One human-readable pass over the tracked routing suite (expect 0
 # allocs/op on every packed kernel and frontier walk).

@@ -332,7 +332,7 @@ func gitCommit() string {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkCyclesPerSecond|BenchmarkLargeN", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkCyclesPerSecond|BenchmarkLargeN|BenchmarkRunMany/N=1024", "benchmark regex passed to go test -bench")
 	pkg := flag.String("pkg", "./internal/simulator", "package(s) to benchmark, comma-separated")
 	count := flag.Int("count", 5, "samples per benchmark (go test -count)")
 	out := flag.String("o", "BENCH_simulator.json", "output file (- for stdout)")

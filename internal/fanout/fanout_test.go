@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRowsCoversEveryRowOnce: every row is visited exactly once for a wide
@@ -125,6 +126,9 @@ func TestMapOrderAndFirstError(t *testing.T) {
 // TestPoolPhases: every phase reaches every shard exactly once, shard k
 // runs with index k, Dispatch is a barrier (no shard sees phase c+1 before
 // all finished phase c), and the helpers survive Park/Unpark cycles.
+// Every seventh phase one shard, each in turn (shard 0 runs on the
+// coordinator), outlasts the barrier's spin, so the others park and must
+// be woken.
 func TestPoolPhases(t *testing.T) {
 	const shards, phases = 4, 50
 	var seen [shards][phases]int32
@@ -134,6 +138,9 @@ func TestPoolPhases(t *testing.T) {
 		// phase's finished before any of this one began.
 		if got := int(finished.Load()); got/shards != ph.Cycle {
 			t.Errorf("shard %d began phase %d after %d shard-phases", k, ph.Cycle, got)
+		}
+		if ph.Cycle%7 == 0 && k == ph.Cycle/7%shards {
+			time.Sleep(4 * spinFor)
 		}
 		atomic.AddInt32(&seen[k][ph.Cycle], 1)
 		finished.Add(1)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Phase kinds of one cycle of a multistage-network simulation, in the
@@ -24,11 +25,15 @@ type Phase struct {
 // Pool runs one simulation's phases on persistent helper goroutines, so
 // that a steady-state run performs zero heap allocations. The
 // coordinator (the goroutine stepping the run) publishes a phase in plain
-// fields, bumps the phase counter, executes shard 0 itself, and spins
-// until every helper reports done — the inter-phase barrier. Helpers spin
-// on the phase counter, yielding after a short burst so the scheme
-// degrades gracefully when shards outnumber cores. Between runs the
-// helpers block on the start channel; Close closes it, ending them.
+// fields, bumps the phase counter, executes shard 0 itself, and waits
+// until every helper reports done — the inter-phase barrier. Both sides
+// wait the same way (sleeper.wait): a bounded spin on the counter, with
+// yields between bursts, then a park on a channel until the other side
+// wakes them. The spin keeps short phases cheap; the park hands the core
+// back to the operating system when the awaited goroutine is descheduled,
+// which a yield cannot do — runtime.Gosched only hands it to another
+// goroutine of the same process. Between runs the helpers block on the
+// start channel; Close closes it, ending them.
 type Pool struct {
 	run     func(k int, ph Phase)
 	helpers int
@@ -43,44 +48,99 @@ type Pool struct {
 	job  Phase
 	park bool
 
+	// coord is where the coordinator parks on the barrier, sleepers[k-1]
+	// where helper k parks awaiting the next phase.
+	coord    sleeper
+	sleepers []sleeper
+
 	closeOnce sync.Once
+	exited    sync.WaitGroup
 }
 
 // NewPool starts shards-1 helper goroutines; run(k, ph) executes shard
 // k's slice of phase ph and must touch only state shard k owns.
 func NewPool(shards int, run func(k int, ph Phase)) *Pool {
 	p := &Pool{run: run, helpers: shards - 1, start: make(chan struct{})}
+	p.coord.wake = make(chan struct{}, 1)
+	p.sleepers = make([]sleeper, p.helpers)
+	for i := range p.sleepers {
+		p.sleepers[i].wake = make(chan struct{}, 1)
+	}
+	p.exited.Add(p.helpers)
 	for k := 1; k < shards; k++ {
 		go p.helper(k)
 	}
 	return p
 }
 
-// spinWait spins on cond with periodic yields. The yield matters beyond
-// politeness: with more shards than cores a pure spin could starve the
-// very workers it waits for.
-func spinWait(cond func() bool) {
-	for spins := 0; !cond(); {
-		spins++
-		if spins >= 64 {
-			spins = 0
-			runtime.Gosched()
+// spinFor bounds a wait's spin before the waiter parks: longer than the
+// imbalance between the shards of a typical phase on idle cores, so that
+// a steady run rarely parks, and far shorter than an operating-system
+// time slice, so that a waiter whose peer lost its core gives its own up
+// instead of spinning the slice away.
+const spinFor = 50 * time.Microsecond
+
+// sleeper is one goroutine's parking spot: a flag it raises before it
+// blocks, and a one-token channel its waker sends on after lowering the
+// flag. Whichever side lowers the flag decides: the waker sends a token
+// only when it lowered it, and a sleeper that lowered it itself receives
+// none, so no token outlives the wait it was sent for.
+type sleeper struct {
+	asleep atomic.Bool
+	wake   chan struct{}
+}
+
+// wait returns once cond holds; the goroutine that makes cond true must
+// call wakeUp afterwards.
+func (s *sleeper) wait(cond func() bool) {
+	var start time.Time
+	for r := 0; ; r++ {
+		for i := 0; i < 64; i++ {
+			if cond() {
+				return
+			}
 		}
+		if r == 0 {
+			start = time.Now()
+		} else if time.Since(start) > spinFor {
+			break
+		}
+		runtime.Gosched()
+	}
+	for !cond() {
+		s.asleep.Store(true)
+		if cond() && s.asleep.CompareAndSwap(true, false) {
+			return
+		}
+		<-s.wake
+	}
+}
+
+// wakeUp wakes the sleeper if it parked (or is about to).
+func (s *sleeper) wakeUp() {
+	if s.asleep.CompareAndSwap(true, false) {
+		s.wake <- struct{}{}
 	}
 }
 
 func (p *Pool) helper(k int) {
+	defer p.exited.Done()
+	sl := &p.sleepers[k-1]
 	for range p.start { // one token per run; exits when Close closes the channel
 		last := uint32(0) // Unpark resets phase to 0 before handing out tokens
 		for {
-			spinWait(func() bool { return p.phase.Load() != last })
+			sl.wait(func() bool { return p.phase.Load() != last })
 			last = p.phase.Load()
-			if p.park {
-				p.done.Add(1)
+			park := p.park
+			if !park {
+				p.run(k, p.job)
+			}
+			if p.done.Add(1) == uint32(p.helpers) {
+				p.coord.wakeUp()
+			}
+			if park {
 				break
 			}
-			p.run(k, p.job)
-			p.done.Add(1)
 		}
 	}
 }
@@ -112,17 +172,22 @@ func (p *Pool) publish(ph Phase, park bool) {
 	p.done.Store(0)
 	p.job, p.park = ph, park
 	p.phase.Add(1)
+	for i := range p.sleepers {
+		p.sleepers[i].wakeUp()
+	}
 }
 
 func (p *Pool) wait() {
 	target := uint32(p.helpers)
-	spinWait(func() bool { return p.done.Load() == target })
+	p.coord.wait(func() bool { return p.done.Load() == target })
 }
 
-// Close ends the helper goroutines. It must not be called mid-run; a nil
-// Pool (a run without intra-run workers) closes as a no-op.
+// Close ends the helper goroutines and returns once they have exited. It
+// must not be called mid-run; a nil Pool (a run without intra-run
+// workers) closes as a no-op, and so does a second Close.
 func (p *Pool) Close() {
 	if p != nil {
 		p.closeOnce.Do(func() { close(p.start) })
+		p.exited.Wait()
 	}
 }

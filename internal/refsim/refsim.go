@@ -2,8 +2,8 @@
 // cycle-level IADM packet simulator: the differential oracle the
 // optimized core (internal/simulator) is cross-validated against.
 //
-// Where the optimized core keeps every per-link FIFO in one flat ring
-// buffer behind an occupancy bitset, draws Bernoulli trials as integer
+// Where the optimized core keeps every per-link FIFO in one flat buffer
+// behind an occupancy bitset, draws Bernoulli trials as integer
 // threshold compares, and injects transient faults by geometric
 // skip-sampling, this package does the obviously-correct thing: one
 // []packet slice per link, one fault draw per link per cycle, and direct

@@ -99,6 +99,26 @@ func BenchmarkRunMany(b *testing.B) {
 			}
 		})
 	}
+	// The sim-sweep request: four seeds of its packet config on two
+	// workers, so each worker builds one engine and reuses it once.
+	b.Run("N=1024/blocked/workers=2", func(b *testing.B) {
+		blk, sweep := sweepBlocked(), make([]Config, 4)
+		for i := range sweep {
+			sweep[i] = Config{
+				N: 1024, Policy: AdaptiveSSDT, Load: 0.7, QueueCap: 4,
+				Cycles: 30, Blocked: blk, IntraWorkers: 1,
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range sweep {
+				sweep[j].Seed = int64(i*len(sweep) + j)
+			}
+			if _, err := RunManyWorkers(sweep, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkHotspotRun(b *testing.B) {

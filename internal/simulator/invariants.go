@@ -22,20 +22,20 @@ import (
 //     buffer is delivered, dropped, or still queued —
 //     injected == delivered + dropped + occupied, counted from cycle 0
 //     (warmup included) so the balance is exact at every cycle.
-//  2. Occupancy-bitset / ring agreement: bit i of the occupancy bitset is
-//     set iff ring queue i is nonempty; ring sizes stay within
-//     [0, QueueCap], heads within [0, QueueCap); and the incrementally
-//     maintained total occupancy equals the sum of ring sizes.
+//  2. Occupancy-bitset / FIFO agreement: bit i of the occupancy bitset is
+//     set iff queue i is nonempty; queue sizes stay within [0, QueueCap];
+//     and the incrementally maintained total occupancy equals the sum of
+//     queue sizes.
 //  3. Latency histogram mass (end of run): sum(latHist) == Delivered, and
 //     the folded stats.Stream holds exactly one sample per delivery.
 //  4. Shard-merge correctness (sharded engine only): the merged counters,
 //     the conservation balance, and the merged latency-histogram mass all
 //     equal the exact sums over the per-shard accumulators. Invariants 1
 //     and 2's occupancy recount already anchors the merged totals to the
-//     ring ground truth every cycle; checkShardMerge re-verifies the
+//     queue ground truth every cycle; checkShardMerge re-verifies the
 //     merge itself at end of run. The bitset half of invariant 2 is
 //     skipped in shard mode, where occ is deliberately unmaintained (see
-//     ringQueues.pushQuiet).
+//     fifos.pushQuiet).
 //
 // Invariants 1, 3 and 4 are the shared model's (CheckBalance,
 // checkLatencyMass, checkShardMerge) and hold for the wormhole engine
@@ -56,10 +56,6 @@ func (s *sim) checkInvariants(cycle int) {
 		if n < 0 || n > s.q.cap {
 			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d size %d outside [0,%d]",
 				cycle, i, n, s.q.cap))
-		}
-		if h := s.q.head[i]; h < 0 || h >= s.q.cap {
-			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d head %d outside [0,%d)",
-				cycle, i, h, s.q.cap))
 		}
 		if s.IntraP <= 1 { // the sharded stepper does not maintain occ
 			bit := s.q.occ[i>>6]&(1<<uint(i&63)) != 0

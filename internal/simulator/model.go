@@ -3,6 +3,7 @@ package simulator
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"iadm/internal/blockage"
 	"iadm/internal/ctrrng"
@@ -17,7 +18,7 @@ import (
 // fault process and static blockage, the SSDT routing ladder, the traffic
 // source, the shard partition with its accumulators and phase loop, and
 // the end-of-run metrics — and each engine embeds one Model by value and
-// adds only its buffers (ring queues; lanes, flits and credits) and their
+// adds only its buffers (packet FIFOs; lanes, flits and credits) and their
 // phases.
 //
 // A run steps each cycle as phases: the fault process, then deliver (the
@@ -55,8 +56,8 @@ import (
 // and is read-only during the phases.
 //
 // The phases run on fanout.Pool, whose helper goroutines are persistent:
-// they park between runs and synchronize phases through an atomic counter
-// with a brief spin before yielding, so a steady-state Runner run still
+// they park between runs and synchronize phases through an atomic counter,
+// spinning briefly before they park, so a steady-state Runner run still
 // performs zero heap allocations. At one shard the phases run inline.
 
 // ModelConfig is the part of a run's configuration both engines share.
@@ -453,57 +454,45 @@ func (m *Model) linkBlocked(idx int) bool {
 // already matches; otherwise a nonstraight link chosen by the policy,
 // which Theorem 3.1 makes safe, with blocked and failed links excluded.
 // ok=false means no usable link exists and the unit must be dropped. The
-// returned value is a dense link index. When no link can ever be blocked
-// (the common case) the whole blockage ladder is skipped. (cycle, entity,
-// purpose) are the draw coordinates of the RandomState coin.
+// returned value is a dense link index. (cycle, entity, purpose) are the
+// draw coordinates of the RandomState coin.
+//
+// The policy's pick is computed arithmetically rather than through a
+// ladder of comparisons: minus is 1 when the policy takes the -2^stage
+// link, and the link is base + 1 + ns*(1 - 2*minus), where ns is 1 when
+// the stage bit must change. Only a picked link that is blocked costs a
+// branch: a straight one drops, a nonstraight one falls to its sibling,
+// which drops too when it is blocked. That equals the spelled-out ladder
+// (a usable sibling of a blocked link wins, both blocked drop, both usable
+// take the policy's pick) because every draw is a pure function of its
+// coordinates, so a coin drawn for a unit that then takes the straight or
+// the other link has no side effect. choose_test.go keeps the spelled-out
+// ladder as the reference and compares the two exhaustively.
 func (m *Model) Choose(stage, sw, dst, cycle int, entity, purpose uint64) (int, bool) {
 	base := (stage*m.N + sw) * 3
-	if ((sw^dst)>>uint(stage))&1 == 0 {
-		idx := base + 1 // straight
-		if m.blockable && m.linkBlocked(idx) {
-			return 0, false
-		}
-		return idx, true
-	}
-	minus, plus := base, base+2
-	if m.blockable {
-		mOK, pOK := !m.linkBlocked(minus), !m.linkBlocked(plus)
-		switch {
-		case !pOK && !mOK:
-			return 0, false
-		case pOK && !mOK:
-			return plus, true
-		case mOK && !pOK:
-			return minus, true
-		}
-	}
+	ns := ((sw ^ dst) >> uint(stage)) & 1
+	minus := (sw >> uint(stage)) & 1 // state C: even_i uses +2^i, odd_i uses -2^i
 	switch m.mc.Policy {
-	case StaticC:
-		// State C: even_i uses +2^i, odd_i uses -2^i.
-		if (sw>>uint(stage))&1 == 0 {
-			return plus, true
-		}
-		return minus, true
+	case AdaptiveSSDT:
+		// The less loaded link, ties to state C: minus iff
+		// Load[minus] - Load[plus] - cbit < 0 (minus holds cbit until
+		// here), read off the sign bit.
+		d := int(m.spec.Load[base]) - int(m.spec.Load[base+2]) - minus
+		minus = int(uint(d) >> (bits.UintSize - 1))
 	case RandomState:
-		if m.rng.Bit(uint64(cycle), entity, purpose) {
-			return plus, true
+		minus = int(m.rng.Word(uint64(cycle), entity, purpose) & 1) // Bit's coin: 0 takes plus
+	}
+	idx := base + 1 + ns*(1-2*minus)
+	if m.blockable && m.linkBlocked(idx) {
+		if ns == 0 {
+			return 0, false
 		}
-		return minus, true
-	default: // AdaptiveSSDT
-		lp, lm := m.spec.Load[plus], m.spec.Load[minus]
-		switch {
-		case lp < lm:
-			return plus, true
-		case lm < lp:
-			return minus, true
-		default:
-			// Tie: fall back to the state-C default.
-			if (sw>>uint(stage))&1 == 0 {
-				return plus, true
-			}
-			return minus, true
+		idx = 2*base + 2 - idx // the other nonstraight link
+		if m.linkBlocked(idx) {
+			return 0, false
 		}
 	}
+	return idx, true
 }
 
 // Starts is the traffic source's Bernoulli(Load) draw: whether source src
@@ -621,6 +610,13 @@ func (m *Model) merge() {
 	m.ck = ck
 	m.occupied = occ
 	m.maxOcc = mx
+}
+
+// detachStreams leaves the streams of the last Finish to the metrics that
+// hold them: the model continues with clones, so its next run cannot
+// overwrite a result already handed out.
+func (m *Model) detachStreams() {
+	m.lat, m.utilS, m.utilN = m.lat.Clone(), m.utilS.Clone(), m.utilN.Clone()
 }
 
 // Finish derives the run-level metrics from the merged accumulators. The

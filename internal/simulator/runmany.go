@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 
 	"iadm/internal/fanout"
@@ -70,10 +71,12 @@ func (r *Reusable[M]) Close() {
 type Batch[C, M any] struct {
 	Name string // error prefix: "simulator", "wormhole"
 	// Model is the shared view of a config; Detail renders the engine-only
-	// fields that identify a run in an error.
+	// fields that identify a run in an error; Seed points at a config's
+	// seed; New validates a config and builds its engine.
 	Model  func(*C) ModelConfig
 	Detail func(*C) string
-	Run    func(C) (M, error)
+	Seed   func(*C) *int64
+	New    func(C) (Engine[M], error)
 }
 
 // summary renders the handful of config fields that identify a run in
@@ -90,6 +93,43 @@ func summary(mc ModelConfig, detail string) string {
 	return s
 }
 
+// workerEngine is one batch worker's engine and the config it was built
+// for, with the seed zeroed: its shape.
+type workerEngine[C, M any] struct {
+	r     *Reusable[M]
+	shape C
+}
+
+// run executes cfg on the worker's engine when cfg has its shape, and on
+// a freshly built one (which the worker then keeps) otherwise. Shapes are
+// whole configs compared by reflect.DeepEqual, so every field counts,
+// the contents of Blocked and Perm included, and a field added later
+// cannot be missed. The returned metrics own their streams.
+func (w *workerEngine[C, M]) run(b Batch[C, M], cfg C) (M, error) {
+	seed, shape := *b.Seed(&cfg), cfg
+	*b.Seed(&shape) = 0
+	if w.r == nil || !reflect.DeepEqual(w.shape, shape) {
+		w.close()
+		e, err := b.New(cfg)
+		if err != nil {
+			var zero M
+			return zero, err
+		}
+		w.r, w.shape = NewReusable(e, seed), shape
+	}
+	m := w.r.RunSeed(seed)
+	w.r.e.Base().detachStreams()
+	return m, nil
+}
+
+// close releases the engine's intra-run workers, if it has any.
+func (w *workerEngine[C, M]) close() {
+	if w.r != nil {
+		w.r.Close()
+		w.r = nil
+	}
+}
+
 // RunManyWorkers executes every config as an independent run over
 // fanout.Map. Each run's randomness is a pure function of its seed, so
 // the results are bit-identical to running each config serially, in
@@ -99,6 +139,13 @@ func summary(mc ModelConfig, detail string) string {
 // per-run IntraWorkers in the batch so the nested product runs x shards
 // stays within GOMAXPROCS (an explicit workers value is taken as-is — the
 // caller owns the oversubscription trade-off then).
+//
+// Each worker keeps the engine of its last run and reuses it for a config
+// that differs only in Seed (the shape of Sweep and of replica batches),
+// so a batch of seeds builds one engine per worker rather than one per
+// run. The engines live for this call only: their intra-run workers are
+// closed before it returns, and nothing is cached across calls, so a
+// Blocked set mutated between calls is snapshotted again.
 func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 	if workers <= 0 {
 		maxIntra := 1
@@ -108,8 +155,22 @@ func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 		}
 		workers = max(runtime.GOMAXPROCS(0)/maxIntra, 1)
 	}
+	// One engine slot per worker: a task takes a slot for its run and
+	// returns it, so no two tasks share an engine.
+	slots := make(chan *workerEngine[C, M], min(workers, len(cfgs)))
+	for range cap(slots) {
+		slots <- &workerEngine[C, M]{}
+	}
+	defer func() {
+		close(slots)
+		for w := range slots {
+			w.close()
+		}
+	}()
 	return fanout.Map(len(cfgs), workers, func(i int) (M, error) {
-		m, err := b.Run(cfgs[i])
+		w := <-slots
+		defer func() { slots <- w }()
+		m, err := w.run(b, cfgs[i])
 		if err != nil {
 			// Name both the index and the config: in a generated batch a
 			// validation failure from config k would otherwise be
@@ -142,7 +203,8 @@ var packetBatch = Batch[Config, Metrics]{
 	Name:   "simulator",
 	Model:  (*Config).model,
 	Detail: func(c *Config) string { return fmt.Sprintf("qcap=%d", c.QueueCap) },
-	Run:    Run,
+	Seed:   func(c *Config) *int64 { return &c.Seed },
+	New:    func(c Config) (Engine[Metrics], error) { return newSim(c) },
 }
 
 // RunMany executes every config as an independent run, fanning out across

@@ -55,6 +55,13 @@ func (s *Stream) Reset() {
 	}
 }
 
+// Clone returns a copy of s that shares no storage with it.
+func (s *Stream) Clone() Stream {
+	c := *s
+	c.counts = append([]int(nil), s.counts...)
+	return c
+}
+
 // Add records one observation.
 func (s *Stream) Add(x float64) {
 	if s.counts == nil {

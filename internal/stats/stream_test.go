@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -145,6 +146,25 @@ func TestStreamReset(t *testing.T) {
 	st.Add(1.0)
 	if st.N() != 1 || st.Percentile(50) != 1.0 {
 		t.Errorf("stream unusable after reset: %+v", st)
+	}
+}
+
+// TestStreamClone: a clone equals its source and shares no storage with
+// it, so resetting and refilling the source leaves the clone intact.
+func TestStreamClone(t *testing.T) {
+	st := NewStream(1, 8)
+	for _, x := range []float64{1, 2, 2, 5, 9} {
+		st.Add(x)
+	}
+	c := st.Clone()
+	if !reflect.DeepEqual(c, st) {
+		t.Fatalf("clone %+v differs from %+v", c, st)
+	}
+	want := c.String()
+	st.Reset()
+	st.Add(3)
+	if got := c.String(); got != want {
+		t.Errorf("clone changed with its source: %s, want %s", got, want)
 	}
 }
 

@@ -53,6 +53,31 @@ func BenchmarkWormholeCycles(b *testing.B) {
 	})
 }
 
+// BenchmarkWormholeRunMany is the sim-sweep request of the wormhole
+// engine: four seeds of its config on two workers, so each worker builds
+// one engine and reuses it once.
+func BenchmarkWormholeRunMany(b *testing.B) {
+	b.Run("N=256/lanes=2/blocked/workers=2", func(b *testing.B) {
+		blk, sweep := sweepBlocked(), make([]Config, 4)
+		for i := range sweep {
+			sweep[i] = Config{
+				N: 256, Policy: simulator.AdaptiveSSDT, Load: 0.3,
+				PacketFlits: 4, Lanes: 2, LaneDepth: 4,
+				Cycles: 30, Blocked: blk, IntraWorkers: 1,
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range sweep {
+				sweep[j].Seed = int64(i*len(sweep) + j)
+			}
+			if _, err := RunManyWorkers(sweep, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // sweepBlocked folds the packet benchmark's eight blocked links of the
 // N=1024 network onto N=256, as the sim-sweep does: the column modulo 256,
 // links of stages past the last dropped.

@@ -31,8 +31,8 @@
 // This package adds the flits, lanes and credits, its own draw-purpose
 // constants (rng.go), and its Config and Metrics.
 //
-// The hot path reuses the flat ring-buffer/bitset style of the packet
-// core: all lane FIFOs live in one preallocated flit array, per-link
+// The hot path reuses the flat-buffer/bitset style of the packet core:
+// all lane FIFOs live in one preallocated flit array, per-link
 // bitmasks track non-empty and claimed lanes, credits are bare integer
 // counters, and the steady-state cycle loop performs zero heap
 // allocations. Randomness is the counter-based generator of
@@ -319,7 +319,8 @@ var batch = simulator.Batch[Config, Metrics]{
 	Detail: func(c *Config) string {
 		return fmt.Sprintf("flits=%d lanes=%d depth=%d", c.PacketFlits, c.Lanes, c.LaneDepth)
 	},
-	Run: Run,
+	Seed: func(c *Config) *int64 { return &c.Seed },
+	New:  func(c Config) (simulator.Engine[Metrics], error) { return newSim(c) },
 }
 
 // RunMany executes every config as an independent run, fanning out across

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"iadm/internal/blockage"
@@ -405,6 +406,109 @@ func TestRepairOutlastingRunStaysFailed(t *testing.T) {
 				t.Errorf("intra %d, RepairCycles %d: dropped %d delivered %d, want %d and %d (as for a repair at the run's end)",
 					intra, repair, got.Dropped, got.Delivered, want.Dropped, want.Delivered)
 			}
+		}
+	}
+}
+
+// reuseConfigs interleaves config shapes, so a batch worker's kept engine
+// is reusable for some runs and not for others: two blockage sets (one
+// also as an equal copy under another pointer), a permutation, a lane
+// change and a sharded shape.
+func reuseConfigs() []Config {
+	p := topology.MustParams(16)
+	blkA, blkB, blkA2 := blockage.NewSet(p), blockage.NewSet(p), blockage.NewSet(p)
+	blkA.RandomNonstraight(rand.New(rand.NewSource(1)), 4)
+	blkB.RandomNonstraight(rand.New(rand.NewSource(2)), 4)
+	for _, l := range blkA.Links() {
+		blkA2.Block(l)
+	}
+	a := baseConfig()
+	a.Load, a.Cycles, a.Warmup, a.Blocked = 0.6, 80, 8, blkA
+	b := a
+	b.Blocked = blkB
+	a2 := a
+	a2.Blocked = blkA2
+	perm := a
+	perm.Traffic, perm.Perm = simulator.PermutationTraffic, rand.New(rand.NewSource(3)).Perm(16)
+	lanes := a
+	lanes.Lanes = 3
+	intra := b
+	intra.IntraWorkers = 3
+	shapes := []Config{a, b, a, a2, b, perm, perm, a, lanes, lanes, a, intra, intra, b, a}
+	for i := range shapes {
+		shapes[i].Seed = int64(200 + i)
+	}
+	return shapes
+}
+
+// TestRunManyEngineReuse: a batch whose workers reuse engines across
+// configs that differ only in Seed returns what serial Run returns, for
+// every worker count; its results alias neither one another nor a later
+// batch's; and its sharded engines' helpers are gone when it returns.
+func TestRunManyEngineReuse(t *testing.T) {
+	cfgs := reuseConfigs()
+	want := make([]Metrics, len(cfgs))
+	for i, cfg := range cfgs {
+		m, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("Run(%d): %v", i, err)
+		}
+		want[i] = m
+	}
+	baseline := runtime.NumGoroutine()
+	var first []Metrics
+	for _, workers := range []int{1, 2, 3} {
+		got, err := RunManyWorkers(cfgs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range want {
+			if !metricsEqual(got[i], want[i]) {
+				t.Errorf("workers=%d run %d: metrics differ from serial Run", workers, i)
+			}
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("workers=%d: %d goroutines after the batch, %d before", workers, n, baseline)
+		}
+		if first == nil {
+			first = got
+		}
+	}
+	for i := range want {
+		if !metricsEqual(first[i], want[i]) {
+			t.Errorf("run %d of the first batch changed under later batches", i)
+		}
+	}
+}
+
+// TestRunManyResnapshotsBlocked: a blockage set mutated between two
+// batches is read again by the second.
+func TestRunManyResnapshotsBlocked(t *testing.T) {
+	blk := blockage.NewSet(topology.MustParams(16))
+	cfgs := make([]Config, 4)
+	for i := range cfgs {
+		cfgs[i] = baseConfig()
+		cfgs[i].Seed, cfgs[i].Cycles, cfgs[i].Blocked = int64(i), 100, blk
+	}
+	before, err := RunManyWorkers(cfgs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk.Block(topology.Link{Stage: 1, From: 3, Kind: topology.Straight})
+	after, err := RunManyWorkers(cfgs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !metricsEqual(after[i], want) {
+			t.Errorf("run %d: batch after the mutation differs from Run", i)
+		}
+		if before[i].Dropped != 0 || after[i].Dropped == 0 {
+			t.Errorf("run %d: dropped %d before blocking a straight link, %d after", i, before[i].Dropped, after[i].Dropped)
 		}
 	}
 }

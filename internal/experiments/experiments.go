@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"iadm/internal/fanout"
-	"iadm/internal/simulator"
 )
 
 // Result is the output of one experiment.
@@ -32,23 +31,14 @@ func register(id, title string, run func() (string, error)) {
 	registry[id] = experiment{title: title, run: run}
 }
 
-// IntraWorkers sets the per-run shard count applied to every simulator
-// batch the experiments launch (cmd/experiments -intra). Because the
-// simulator's counter-based RNG makes results bit-identical for every
-// worker count, changing it can never alter an experiment's report —
-// goldens stay valid — it only trades cores between runs-in-parallel and
-// cycles-in-parallel within one run.
+// IntraWorkers sets the per-run shard count applied to every wormhole
+// batch the experiments launch (cmd/experiments -intra); the packet
+// engine steps each run on one goroutine. Because the counter-based RNG
+// makes results bit-identical for every shard count, changing it can
+// never alter an experiment's report — goldens stay valid — it only
+// trades cores between runs-in-parallel and cycles-in-parallel within one
+// run.
 var IntraWorkers int
-
-// runSims routes every experiment's simulator batch through one place,
-// applying the IntraWorkers override; RunMany's automatic worker sizing
-// then keeps runs x shards within GOMAXPROCS.
-func runSims(cfgs []simulator.Config) ([]simulator.Metrics, error) {
-	for i := range cfgs {
-		cfgs[i].IntraWorkers = IntraWorkers
-	}
-	return simulator.RunMany(cfgs)
-}
 
 // IDs returns all experiment identifiers in order.
 func IDs() []string {

@@ -39,7 +39,7 @@ func runE12() (string, error) {
 			Traffic: simulator.Hotspot, HotspotDest: 0, HotspotFrac: 0.25,
 		})
 	}
-	ms, err := runSims(cfgs)
+	ms, err := simulator.RunMany(cfgs)
 	if err != nil {
 		return "", err
 	}

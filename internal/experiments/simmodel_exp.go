@@ -36,7 +36,7 @@ func runE20() (string, error) {
 			}
 		}
 	}
-	ms, err := runSims(cfgs)
+	ms, err := simulator.RunMany(cfgs)
 	if err != nil {
 		return "", err
 	}
@@ -71,7 +71,7 @@ func runE21() (string, error) {
 			FaultRate: f, RepairCycles: 30,
 		}
 	}
-	ms, err := runSims(cfgs)
+	ms, err := simulator.RunMany(cfgs)
 	if err != nil {
 		return "", err
 	}

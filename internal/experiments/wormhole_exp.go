@@ -13,10 +13,9 @@ func init() {
 	register("E30", "Wormhole packet length: worm depth vs latency and buffer pressure", runE30)
 }
 
-// runWormholeSims is runSims for the flit-level mode: one funnel applying
-// the IntraWorkers override. The wormhole engine shares the packet
-// simulator's bit-identical-for-every-shard-count guarantee, so the
-// override can never move a golden.
+// runWormholeSims routes every wormhole batch through one funnel applying
+// the IntraWorkers override. The engine's metrics are bit-identical for
+// every shard count, so the override can never move a golden.
 func runWormholeSims(cfgs []wormhole.Config) ([]wormhole.Metrics, error) {
 	for i := range cfgs {
 		cfgs[i].IntraWorkers = IntraWorkers

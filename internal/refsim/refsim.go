@@ -23,14 +23,13 @@
 // independence lives in its queues, arbitration and fault process.
 // Because a draw is a pure function of its coordinates rather than a
 // position in a stream, the two implementations make identical random
-// decisions no matter how differently they schedule the work (including
-// the optimized core's sharded engine), and for configs with
-// FaultRate == 0 every counter, histogram bucket and utilization sample
-// must match exactly — the strongest form of differential check. The
-// fault process is the one exception: refsim draws one Bernoulli per
-// link per cycle under its own purpose constant, while the optimized core
-// skip-samples a geometric chain, so fault configs are compared
-// statistically instead.
+// decisions no matter how differently they schedule the work, and for
+// configs with FaultRate == 0 every counter, histogram bucket and
+// utilization sample must match exactly — the strongest form of
+// differential check. The fault process is the one exception: refsim
+// draws one Bernoulli per link per cycle under its own purpose constant,
+// while the optimized core skip-samples a geometric chain, so fault
+// configs are compared statistically instead.
 package refsim
 
 import (

@@ -34,17 +34,19 @@ func (q *fifos) reset() {
 	clear(q.occ)
 }
 
-// len returns the occupancy of queue i.
-func (q *fifos) len(i int) int32 { return q.size[i] }
-
 // push appends pk to queue i, reporting false (and storing nothing) when
 // the queue is at capacity. On success it returns the new occupancy.
 func (q *fifos) push(i int, pk packet) (int32, bool) {
-	n, ok := q.pushQuiet(i, pk)
-	if ok && n == 1 {
+	n := q.size[i]
+	if n >= q.cap {
+		return n, false
+	}
+	q.buf[int32(i)*q.cap+n] = pk
+	q.size[i] = n + 1
+	if n == 0 {
 		q.occ[i>>6] |= 1 << uint(i&63)
 	}
-	return n, ok
+	return n + 1, true
 }
 
 // front returns the head packet of queue i; the queue must be non-empty.
@@ -53,8 +55,7 @@ func (q *fifos) front(i int) packet {
 }
 
 // pop removes and returns the head packet of queue i; the queue must be
-// non-empty. It repeats popQuiet rather than calling it, which would take
-// it past the compiler's inlining budget.
+// non-empty.
 func (q *fifos) pop(i int) packet {
 	base := int32(i) * q.cap
 	pk := q.buf[base]
@@ -63,35 +64,6 @@ func (q *fifos) pop(i int) packet {
 	if n == 0 {
 		q.occ[i>>6] &^= 1 << uint(i&63)
 	} else {
-		copy(q.buf[base:], q.buf[base+1:base+1+n])
-	}
-	return pk
-}
-
-// pushQuiet and popQuiet are push/pop without occupancy-bitset
-// maintenance. The sharded stepper iterates switches through their
-// incoming-link lists and never consults occ, but its shards would race
-// on the shared bitset words (a 64-link word spans shard boundaries); the
-// quiet variants keep every mutation inside the per-queue state a single
-// shard owns. A sim run stays on one stepper throughout, and reset()
-// clears occ, so a stale bitset never leaks into the sequential sweeps.
-
-func (q *fifos) pushQuiet(i int, pk packet) (int32, bool) {
-	n := q.size[i]
-	if n >= q.cap {
-		return n, false
-	}
-	q.buf[int32(i)*q.cap+n] = pk
-	q.size[i] = n + 1
-	return n + 1, true
-}
-
-func (q *fifos) popQuiet(i int) packet {
-	base := int32(i) * q.cap
-	pk := q.buf[base]
-	n := q.size[i] - 1
-	q.size[i] = n
-	if n > 0 {
 		copy(q.buf[base:], q.buf[base+1:base+1+n])
 	}
 	return pk

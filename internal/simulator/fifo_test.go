@@ -7,75 +7,70 @@ import (
 
 // checkFIFOTape drives one fifos instance with an operation tape and
 // checks it against a reference slice-of-slices model: same contents, same
-// pop order, same rejection behaviour at capacity. The loud variants must
-// keep the occupancy bit set iff the queue is nonempty; the quiet ones
-// (the sharded stepper's) must never touch the bitset. Each op byte names
+// pop order, same rejection behaviour at capacity, and the occupancy bit
+// set iff the queue is nonempty. Each op byte names
 // a queue in its low seven bits and a push (high bit clear) or a front
 // then pop (set), as the advance loop does.
-func checkFIFOTape(t *testing.T, links, capacity int, quiet bool, ops []byte) {
+func checkFIFOTape(t *testing.T, links, capacity int, ops []byte) {
 	t.Helper()
 	q := newFIFOs(links, capacity)
-	push, pop := q.push, q.pop
-	if quiet {
-		push, pop = q.pushQuiet, q.popQuiet
-	}
 	ref := make([][]packet, links)
 	checkOcc := func(step, i int) {
 		t.Helper()
 		occBit := q.occ[i>>6]>>(uint(i)&63)&1 == 1
-		if want := !quiet && len(ref[i]) > 0; occBit != want {
-			t.Fatalf("quiet=%v step %d: occ bit for %d is %v with %d queued", quiet, step, i, occBit, len(ref[i]))
+		if want := len(ref[i]) > 0; occBit != want {
+			t.Fatalf("step %d: occ bit for %d is %v with %d queued", step, i, occBit, len(ref[i]))
 		}
 	}
 	for step, op := range ops {
 		i := int(op&0x7f) % links
 		if op&0x80 == 0 {
 			pk := packet{dst: int32(step), born: int32(i)}
-			ln, ok := push(i, pk)
+			ln, ok := q.push(i, pk)
 			wantOK := len(ref[i]) < capacity
 			if ok != wantOK {
-				t.Fatalf("quiet=%v step %d: push(%d) ok=%v, want %v", quiet, step, i, ok, wantOK)
+				t.Fatalf("step %d: push(%d) ok=%v, want %v", step, i, ok, wantOK)
 			}
 			if ok {
 				ref[i] = append(ref[i], pk)
 				if int(ln) != len(ref[i]) {
-					t.Fatalf("quiet=%v step %d: push(%d) occupancy %d, want %d", quiet, step, i, ln, len(ref[i]))
+					t.Fatalf("step %d: push(%d) occupancy %d, want %d", step, i, ln, len(ref[i]))
 				}
 			} else if int(ln) != capacity {
-				t.Fatalf("quiet=%v step %d: full push(%d) occupancy %d, want %d", quiet, step, i, ln, capacity)
+				t.Fatalf("step %d: full push(%d) occupancy %d, want %d", step, i, ln, capacity)
 			}
 		} else if len(ref[i]) > 0 {
 			if got, want := q.front(i), ref[i][0]; got != want {
-				t.Fatalf("quiet=%v step %d: front(%d) = %+v, want %+v", quiet, step, i, got, want)
+				t.Fatalf("step %d: front(%d) = %+v, want %+v", step, i, got, want)
 			}
-			if got, want := pop(i), ref[i][0]; got != want {
-				t.Fatalf("quiet=%v step %d: pop(%d) = %+v, want %+v", quiet, step, i, got, want)
+			if got, want := q.pop(i), ref[i][0]; got != want {
+				t.Fatalf("step %d: pop(%d) = %+v, want %+v", step, i, got, want)
 			}
 			ref[i] = ref[i][1:]
 		}
-		if got, want := q.len(i), int32(len(ref[i])); got != want {
-			t.Fatalf("quiet=%v step %d: len(%d) = %d, want %d", quiet, step, i, got, want)
+		if got, want := q.size[i], int32(len(ref[i])); got != want {
+			t.Fatalf("step %d: len(%d) = %d, want %d", step, i, got, want)
 		}
 		checkOcc(step, i)
 	}
 	// Drain everything and verify full FIFO order and a clean bitset.
 	for i := range ref {
 		for len(ref[i]) > 0 {
-			if got, want := pop(i), ref[i][0]; got != want {
-				t.Fatalf("quiet=%v drain: pop(%d) = %+v, want %+v", quiet, i, got, want)
+			if got, want := q.pop(i), ref[i][0]; got != want {
+				t.Fatalf("drain: pop(%d) = %+v, want %+v", i, got, want)
 			}
 			ref[i] = ref[i][1:]
 		}
 	}
 	for w, word := range q.occ {
 		if word != 0 {
-			t.Fatalf("quiet=%v drained bitset word %d = %#x, want 0", quiet, w, word)
+			t.Fatalf("drained bitset word %d = %#x, want 0", w, word)
 		}
 	}
 }
 
-// FuzzRingQueue drives the per-link FIFOs, loud and quiet, with an
-// arbitrary operation tape against the slice model.
+// FuzzRingQueue drives the per-link FIFOs with an arbitrary operation tape
+// against the slice model.
 func FuzzRingQueue(f *testing.F) {
 	f.Add(2, 3, []byte{0, 1, 2, 0x80, 0x81, 0, 0x80})
 	f.Add(1, 1, []byte{0, 0, 0x80, 0x80})
@@ -84,8 +79,7 @@ func FuzzRingQueue(f *testing.F) {
 		if links < 1 || links > 128 || capacity < 1 || capacity > 64 {
 			t.Skip()
 		}
-		checkFIFOTape(t, links, capacity, false, ops)
-		checkFIFOTape(t, links, capacity, true, ops)
+		checkFIFOTape(t, links, capacity, ops)
 	})
 }
 
@@ -110,8 +104,7 @@ func TestFIFOsMatchSliceModel(t *testing.T) {
 				}
 				ops[j] = op
 			}
-			checkFIFOTape(t, links, capacity, false, ops)
-			checkFIFOTape(t, links, capacity, true, ops)
+			checkFIFOTape(t, links, capacity, ops)
 		}
 	}
 }
@@ -124,8 +117,8 @@ func TestRingQueueReset(t *testing.T) {
 	}
 	q.reset()
 	for i := 0; i < 5; i++ {
-		if q.len(i) != 0 {
-			t.Errorf("after reset, len(%d) = %d", i, q.len(i))
+		if q.size[i] != 0 {
+			t.Errorf("after reset, len(%d) = %d", i, q.size[i])
 		}
 	}
 	for w, word := range q.occ {

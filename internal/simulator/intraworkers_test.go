@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"iadm/internal/blockage"
@@ -9,9 +10,9 @@ import (
 )
 
 // shardSampleConfigs is a stratified sample over the dimensions that
-// exercise distinct sharded-engine paths: network size (including N=2,
-// where the stage loop is empty, and sizes that don't divide evenly into
-// the worker counts under test), every policy (RandomState consumes
+// exercise distinct stepper paths: network size (including N=2, where the
+// stage loop is empty, and sizes that don't divide evenly into the worker
+// counts under test), every policy (RandomState consumes
 // routing draws, AdaptiveSSDT reads queue lengths, StaticC draws
 // nothing), traffic patterns, both switch models, bursty modulation,
 // static blockage, and the transient-fault model.
@@ -64,12 +65,11 @@ func shardSampleConfigs(t *testing.T) []Config {
 	return cfgs
 }
 
-// TestIntraWorkersInvariance is the tentpole's core property: Run metrics
-// are bit-identical for every IntraWorkers value, because each random
-// draw is a pure function of (seed, cycle, entity, purpose) and shard
-// merging uses exact integer arithmetic. 0 and 1 run the sequential
-// engine, the rest the sharded one (3 does not divide most N evenly; 8
-// exceeds N for the N=2 configs, exercising the clamp).
+// TestIntraWorkersInvariance pins that the packet engine ignores
+// IntraWorkers: Run metrics are bit-identical for every value, because
+// every run steps on one goroutine whatever the field says (3 does not
+// divide most N evenly; 8 exceeds N for the N=2 configs, values the
+// wormhole engine shards or clamps).
 func TestIntraWorkersInvariance(t *testing.T) {
 	for i, cfg := range shardSampleConfigs(t) {
 		t.Run(fmt.Sprintf("cfg%02d", i), func(t *testing.T) {
@@ -94,9 +94,10 @@ func TestIntraWorkersInvariance(t *testing.T) {
 	}
 }
 
-// TestRunnerShardedReuse checks that a sharded Runner's buffers and
-// worker pool are correctly rewound between runs: interleaved seeds
-// reproduce their first-run metrics exactly, and Close is idempotent.
+// TestRunnerShardedReuse checks that a Runner configured with IntraWorkers
+// 4, which the packet engine ignores, rewinds its buffers between runs:
+// interleaved seeds reproduce their first-run metrics exactly, and Close
+// is idempotent.
 func TestRunnerShardedReuse(t *testing.T) {
 	cfg := Config{N: 32, Policy: AdaptiveSSDT, Load: 0.7, QueueCap: 4,
 		Cycles: 150, Warmup: 15, Traffic: Uniform, IntraWorkers: 4}
@@ -124,15 +125,15 @@ func TestIntraWorkersValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative IntraWorkers accepted")
 	}
-	cfg.IntraWorkers = 64 // clamped to N=8
+	cfg.IntraWorkers = 64 // above N=8: accepted, and ignored by the packet engine
 	if _, err := Run(cfg); err != nil {
-		t.Fatalf("clamped IntraWorkers rejected: %v", err)
+		t.Fatalf("IntraWorkers above N rejected: %v", err)
 	}
 }
 
 // TestRunnerZeroAllocs: a warm Runner's RunSeed performs no heap
-// allocation, on the sequential engine and on the phase pool, with the
-// fault injector running.
+// allocation at every IntraWorkers value, with the fault injector
+// running.
 func TestRunnerZeroAllocs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		r, err := NewRunner(Config{N: 64, Policy: RandomState, Load: 0.7, QueueCap: 4,
@@ -151,4 +152,28 @@ func TestRunnerZeroAllocs(t *testing.T) {
 			t.Errorf("IntraWorkers=%d: %v allocs per RunSeed, want 0", workers, allocs)
 		}
 	}
+}
+
+// TestRunnerStartsNoGoroutine: the packet engine builds no phase pool, so
+// a Runner asking for four shards starts no goroutine at construction,
+// during a run or at Close. The count may fall below the baseline while
+// an earlier test's workers finish exiting, so only a rise fails.
+func TestRunnerStartsNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	check := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("%s: %d goroutines, %d before NewRunner", when, n, baseline)
+		}
+	}
+	r, err := NewRunner(Config{N: 64, Policy: AdaptiveSSDT, Load: 0.7, QueueCap: 4,
+		Cycles: 50, Warmup: 5, Traffic: Uniform, IntraWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after NewRunner")
+	r.RunSeed(1)
+	check("after RunSeed")
+	r.Close()
+	check("after Close")
 }

@@ -28,14 +28,13 @@ import (
 //     queue sizes.
 //  3. Latency histogram mass (end of run): sum(latHist) == Delivered, and
 //     the folded stats.Stream holds exactly one sample per delivery.
-//  4. Shard-merge correctness (sharded engine only): the merged counters,
-//     the conservation balance, and the merged latency-histogram mass all
+//  4. Shard-merge correctness (the wormhole engine at two or more
+//     shards; the packet engine runs one): the merged counters, the
+//     conservation balance, and the merged latency-histogram mass all
 //     equal the exact sums over the per-shard accumulators. Invariants 1
 //     and 2's occupancy recount already anchors the merged totals to the
 //     queue ground truth every cycle; checkShardMerge re-verifies the
-//     merge itself at end of run. The bitset half of invariant 2 is
-//     skipped in shard mode, where occ is deliberately unmaintained (see
-//     fifos.pushQuiet).
+//     merge itself at end of run.
 //
 // Invariants 1, 3 and 4 are the shared model's (CheckBalance,
 // checkLatencyMass, checkShardMerge) and hold for the wormhole engine
@@ -57,12 +56,9 @@ func (s *sim) checkInvariants(cycle int) {
 			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d size %d outside [0,%d]",
 				cycle, i, n, s.q.cap))
 		}
-		if s.IntraP <= 1 { // the sharded stepper does not maintain occ
-			bit := s.q.occ[i>>6]&(1<<uint(i&63)) != 0
-			if (n > 0) != bit {
-				panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d length %d disagrees with occupancy bit %v",
-					cycle, i, n, bit))
-			}
+		if bit := s.q.occ[i>>6]&(1<<uint(i&63)) != 0; (n > 0) != bit {
+			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d length %d disagrees with occupancy bit %v",
+				cycle, i, n, bit))
 		}
 		total += int64(n)
 	}

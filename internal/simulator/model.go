@@ -16,17 +16,22 @@ import (
 // this package and the flit-level engine of internal/wormhole. It holds
 // everything the two share — the links and their switches, the transient
 // fault process and static blockage, the SSDT routing ladder, the traffic
-// source, the shard partition with its accumulators and phase loop, and
+// source, the cycle loop, the shard partition with its accumulators, and
 // the end-of-run metrics — and each engine embeds one Model by value and
 // adds only its buffers (packet FIFOs; lanes, flits and credits) and their
-// phases.
+// stepping.
 //
 // A run steps each cycle as phases: the fault process, then deliver (the
 // last stage's links into the output ports), then stages n-2..0, then
 // inject. Back to front, so a unit (packet or flit) advances at most one
 // stage per cycle and a pop frees its slot for the upstream push phase of
-// the same cycle. The metrics are bit-identical for every shard count
-// (IntraWorkers), the sequential case included, for two reasons:
+// the same cycle. An engine steps them in one of two ways, set by its
+// Spec. The packet engine has a Step: one call runs a whole cycle's
+// phases on the calling goroutine, and IntraWorkers is ignored (sharding
+// it measured slower than one core at every N, DESIGN §6). The
+// wormhole engine has a Phase: the model calls it once per phase, on
+// IntraWorkers shards. Its metrics are bit-identical for every shard
+// count, the sequential case included, for two reasons:
 //
 //  1. Every random draw is a pure function of (seed, cycle, entity,
 //     purpose) — see internal/ctrrng — so a draw's value does not depend
@@ -55,10 +60,11 @@ import (
 // before the first phase of a cycle (it is O(faults), not worth sharding)
 // and is read-only during the phases.
 //
-// The phases run on fanout.Pool, whose helper goroutines are persistent:
-// they park between runs and synchronize phases through an atomic counter,
-// spinning briefly before they park, so a steady-state Runner run still
-// performs zero heap allocations. At one shard the phases run inline.
+// At two or more shards the phases run on fanout.Pool, whose helper
+// goroutines are persistent: they park between runs and synchronize
+// phases through an atomic counter, spinning briefly before they park, so
+// a steady-state Runner run still performs zero heap allocations. At one
+// shard the phases run inline.
 
 // ModelConfig is the part of a run's configuration both engines share.
 // Each engine's Config carries the same fields flat (documented there) and
@@ -174,9 +180,11 @@ type Spec struct {
 	// Buffers is how many buffers each link has, the unit of the mean
 	// occupancy.
 	Buffers int
-	// Phase runs shard k's slice of one phase. Step, if set, runs a whole
-	// cycle's phases at one shard in its place. Check verifies the
-	// engine's per-cycle invariants when they are armed.
+	// An engine sets one of Phase and Step. Phase runs shard k's slice of
+	// one phase, and the model steps such an engine on IntraWorkers
+	// shards. Step runs a whole cycle's phases at one shard, and the model
+	// ignores IntraWorkers for such an engine. Check verifies the engine's
+	// per-cycle invariants when they are armed.
 	Phase func(k int, ph fanout.Phase)
 	Step  func(cycle int, measured bool)
 	Check func(cycle int)
@@ -246,15 +254,16 @@ type Model struct {
 	// ToOf[link] is the switch the link leads to at the next stage.
 	// In[((r-1)*N+sw)*3 + j] is the j-th incoming link (ascending dense
 	// index) of switch sw at column r, for r = 1..n (r = n is the output
-	// column); nil when no phase iterates it.
+	// column); nil for an engine without a Phase.
 	ToOf []int32
 	In   []int32
 
 	// SingleInput: at most one unit passes through a switch per cycle.
 	SingleInput bool
 
-	// IntraP is the effective shard count; shard k owns switch columns
-	// [ShardLo[k], ShardLo[k+1]) and accumulates into Shards[k].
+	// IntraP is the effective shard count (1 for an engine without a
+	// Phase); shard k owns switch columns [ShardLo[k], ShardLo[k+1]) and
+	// accumulates into Shards[k].
 	IntraP  int
 	ShardLo []int32
 	Shards  []Shard
@@ -317,7 +326,7 @@ func (m *Model) Init(p topology.Params, mc ModelConfig, spec Spec) {
 		P: p, Stages: n, N: N, L: L,
 		ToOf:        make([]int32, L),
 		SingleInput: mc.Switches == SingleInput,
-		IntraP:      effectiveIntra(mc.IntraWorkers, N),
+		IntraP:      1,
 		Forwards:    make([]int32, L),
 		spec:        spec,
 		mc:          mc,
@@ -350,7 +359,8 @@ func (m *Model) Init(p topology.Params, mc ModelConfig, spec Spec) {
 	m.lat = stats.NewStream(1, latBuckets)
 	m.utilS = stats.NewStream(1.0/1024, 1025)
 	m.utilN = stats.NewStream(1.0/1024, 1025)
-	if m.IntraP > 1 || spec.Step == nil { // the phases iterate In
+	if spec.Phase != nil { // the phases iterate In, on IntraWorkers shards
+		m.IntraP = effectiveIntra(mc.IntraWorkers, N)
 		m.buildIn()
 	}
 	m.ShardLo = make([]int32, m.IntraP+1)
@@ -522,13 +532,13 @@ func (m *Model) Dest(src, cycle int) int {
 
 // run executes the configured cycles; Finish then derives the metrics.
 func (m *Model) run() {
-	// Phases run inline at one shard (as one Step, if the engine has one),
-	// through the pool (with its barrier) otherwise.
+	// An engine with a Step runs each cycle in one call; one with a Phase
+	// runs each phase inline at one shard, through the pool (with its
+	// barrier) otherwise.
 	phase, step := m.spec.Phase, m.spec.Step
 	if pool := m.pool; pool != nil {
 		pool.Unpark()
 		phase = func(_ int, ph fanout.Phase) { pool.Dispatch(ph) }
-		step = nil
 	}
 	for cycle := 0; cycle < m.horizon; cycle++ {
 		measured := cycle >= m.mc.Warmup

@@ -58,10 +58,11 @@ func (r *Reusable[M]) RunSeed(seed int64) M {
 	return r.e.Metrics()
 }
 
-// Close releases the intra-run worker goroutines (a no-op when
-// IntraWorkers <= 1). It must not be used afterwards. A forgotten Close is
-// backstopped by a finalizer, but deterministic shutdown — e.g. before a
-// goroutine-leak check in tests — needs the explicit call.
+// Close releases the intra-run worker goroutines of an engine that shards
+// a run (the wormhole engine at IntraWorkers >= 2; a no-op otherwise). It
+// must not be used afterwards. A forgotten Close is backstopped by a
+// finalizer, but deterministic shutdown — e.g. before a goroutine-leak
+// check in tests — needs the explicit call.
 func (r *Reusable[M]) Close() {
 	runtime.SetFinalizer(r, nil)
 	r.e.Base().pool.Close()
@@ -70,6 +71,9 @@ func (r *Reusable[M]) Close() {
 // Batch is an engine as the shared batch helpers see it.
 type Batch[C, M any] struct {
 	Name string // error prefix: "simulator", "wormhole"
+	// Sharded is set when the engine steps a run on IntraWorkers shards
+	// (its Spec has a Phase), so automatic sizing budgets runs x shards.
+	Sharded bool
 	// Model is the shared view of a config; Detail renders the engine-only
 	// fields that identify a run in an error; Seed points at a config's
 	// seed; New validates a config and builds its engine.
@@ -135,10 +139,8 @@ func (w *workerEngine[C, M]) close() {
 // the results are bit-identical to running each config serially, in
 // config order, whatever the worker count or scheduling; on error the
 // first failing config (by index) is reported. workers <= 0 means
-// automatic sizing: GOMAXPROCS goroutines, divided by the largest
-// per-run IntraWorkers in the batch so the nested product runs x shards
-// stays within GOMAXPROCS (an explicit workers value is taken as-is — the
-// caller owns the oversubscription trade-off then).
+// automatic sizing (autoWorkers at GOMAXPROCS); an explicit workers value
+// is taken as-is — the caller owns the oversubscription trade-off then.
 //
 // Each worker keeps the engine of its last run and reuses it for a config
 // that differs only in Seed (the shape of Sweep and of replica batches),
@@ -148,12 +150,7 @@ func (w *workerEngine[C, M]) close() {
 // Blocked set mutated between calls is snapshotted again.
 func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 	if workers <= 0 {
-		maxIntra := 1
-		for i := range cfgs {
-			mc := b.Model(&cfgs[i])
-			maxIntra = max(maxIntra, effectiveIntra(mc.IntraWorkers, mc.N))
-		}
-		workers = max(runtime.GOMAXPROCS(0)/maxIntra, 1)
+		workers = b.autoWorkers(cfgs, runtime.GOMAXPROCS(0))
 	}
 	// One engine slot per worker: a task takes a slot for its run and
 	// returns it, so no two tasks share an engine.
@@ -180,6 +177,22 @@ func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 		}
 		return m, nil
 	})
+}
+
+// autoWorkers is the automatic run count of a batch on procs cores: procs,
+// divided for a sharded engine by the largest per-run shard count in the
+// batch so the nested product runs x shards stays within procs. The
+// packet engine ignores IntraWorkers, so its batches keep one run per
+// core.
+func (b Batch[C, M]) autoWorkers(cfgs []C, procs int) int {
+	maxIntra := 1
+	if b.Sharded {
+		for i := range cfgs {
+			mc := b.Model(&cfgs[i])
+			maxIntra = max(maxIntra, effectiveIntra(mc.IntraWorkers, mc.N))
+		}
+	}
+	return max(procs/maxIntra, 1)
 }
 
 // Sweep builds and runs `points` configs derived from base: point i copies

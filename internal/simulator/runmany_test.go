@@ -290,7 +290,8 @@ func ExampleSweep() {
 // reuseConfigs is a batch that interleaves config shapes, so a worker's
 // kept engine is reusable for some runs and not for others: two blockage
 // sets (one also as an equal copy under another pointer), a permutation,
-// a QueueCap change and a sharded shape.
+// a QueueCap change and an IntraWorkers change (ignored by the engine,
+// but part of the shape).
 func reuseConfigs() []Config {
 	p := topology.MustParams(16)
 	blkA, blkB, blkA2 := blockage.NewSet(p), blockage.NewSet(p), blockage.NewSet(p)
@@ -320,7 +321,7 @@ func reuseConfigs() []Config {
 // TestRunManyEngineReuse: a batch whose workers reuse engines across
 // configs that differ only in Seed returns what serial Run returns, for
 // every worker count; its results alias neither one another nor a later
-// batch's; and its sharded engines' helpers are gone when it returns.
+// batch's; and no goroutine of the batch outlives it.
 func TestRunManyEngineReuse(t *testing.T) {
 	cfgs := reuseConfigs()
 	want := make([]Metrics, len(cfgs))
@@ -385,6 +386,35 @@ func TestRunManyResnapshotsBlocked(t *testing.T) {
 		}
 		if before[i].Dropped != 0 || after[i].Dropped == 0 {
 			t.Errorf("run %d: dropped %d before blocking a straight link, %d after", i, before[i].Dropped, after[i].Dropped)
+		}
+	}
+}
+
+// TestAutoWorkers pins automatic batch sizing: a packet batch runs one run
+// per core whatever IntraWorkers says, since the packet engine ignores
+// it, while a sharded engine's batch (the wormhole engine's) divides the
+// cores by the largest shard count, clamped to N, so runs x shards stays
+// within them.
+func TestAutoWorkers(t *testing.T) {
+	sharded := packetBatch
+	sharded.Sharded = true
+	cfgs := []Config{{N: 16, IntraWorkers: 0}, {N: 16, IntraWorkers: 4}, {N: 2, IntraWorkers: 8}}
+	for _, tc := range []struct {
+		b           Batch[Config, Metrics]
+		cfgs        []Config
+		procs, want int
+	}{
+		{packetBatch, cfgs, 8, 8},
+		{packetBatch, cfgs, 1, 1},
+		{sharded, cfgs, 8, 2},
+		{sharded, cfgs[:1], 8, 8},
+		{sharded, cfgs[2:], 8, 4}, // IntraWorkers 8 clamps to N=2
+		{sharded, cfgs, 2, 1},     // never below one run
+		{sharded, nil, 8, 8},
+	} {
+		if got := tc.b.autoWorkers(tc.cfgs, tc.procs); got != tc.want {
+			t.Errorf("sharded=%v %d configs on %d procs: %d workers, want %d",
+				tc.b.Sharded, len(tc.cfgs), tc.procs, got, tc.want)
 		}
 	}
 }

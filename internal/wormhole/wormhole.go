@@ -314,8 +314,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 // batch is the wormhole engine's simulator.Batch.
 var batch = simulator.Batch[Config, Metrics]{
-	Name:  "wormhole",
-	Model: (*Config).model,
+	Name:    "wormhole",
+	Sharded: true,
+	Model:   (*Config).model,
 	Detail: func(c *Config) string {
 		return fmt.Sprintf("flits=%d lanes=%d depth=%d", c.PacketFlits, c.Lanes, c.LaneDepth)
 	},

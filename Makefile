@@ -123,7 +123,7 @@ bench-compare:
 # ephemeral port, drive iadmload through a singles phase and a
 # batch-heavy phase (mixed /route/batch sizes, including non-multiples
 # of 64), enforce zero request errors / zero 5xx / no SSDT request on
-# the slow path (zero SSDT misses and coalesced joins) / every answered
+# the slow path (admission tickets equal TSDT computations) / every answered
 # batch path n+1 switches from its src to its dst, then SIGTERM and
 # require a clean drain. A third phase floods a second daemon (a fixed
 # admission bound of 8 computes, -admission-max 8, plus an artificial

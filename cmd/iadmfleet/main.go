@@ -6,10 +6,9 @@
 //
 // Usage:
 //
-//	iadmfleet -backends URL[,URL...] [-replicas R] [-vnodes V]
-//	          [-addr host:port] [-portfile F] [-hedge-after D]
-//	          [-retry-budget F] [-retry-burst K] [-timeout D]
-//	          [-probe-wait D]
+//	iadmfleet -backends URL[,URL...] [-replicas R]
+//	          [-addr host:port] [-portfile F]
+//	          [-retry-budget F] [-timeout D] [-probe-wait D]
 //
 // Request placement: a partition (named network) lives on R distinct
 // backends; within a partition each (src,dst) pair has a stable owner
@@ -20,10 +19,10 @@
 // the partition and require every ack (Theorems 3.1/3.2: a replica that
 // missed a report would keep computing TSDT tags against a stale map).
 //
-// -hedge-after arms hedged single routes (a second attempt at the next
-// replica when the first is slow); -retry-budget bounds router-initiated
-// retries to a fraction of observed traffic so a dying backend cannot
-// turn the router into a load amplifier.
+// A failed single route or sub-batch retries on the next replica;
+// -retry-budget bounds router-initiated retries to a fraction of observed
+// traffic so a dying backend cannot turn the router into a load
+// amplifier.
 //
 // At startup the router probes every backend's /healthz (retrying up to
 // -probe-wait) and requires one common network size N; a fleet over
@@ -51,15 +50,12 @@ import (
 type fleetConfig struct {
 	backends     string
 	replicas     int
-	vnodes       int
 	addr         string
 	portFile     string
 	drainTimeout time.Duration
 	probeWait    time.Duration
 
-	hedgeAfter  time.Duration
 	retryBudget float64
-	retryBurst  int
 	timeout     time.Duration
 }
 
@@ -67,14 +63,11 @@ func main() {
 	cfg := fleetConfig{}
 	flag.StringVar(&cfg.backends, "backends", "", "comma-separated backend base URLs (required)")
 	flag.IntVar(&cfg.replicas, "replicas", 0, "replicas per partition (0 = min(2, backends))")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per backend on the hash ring (0 = 64)")
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8090", "listen address (port 0 picks a free port)")
 	flag.StringVar(&cfg.portFile, "portfile", "", "write the bound host:port to this file once listening")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")
 	flag.DurationVar(&cfg.probeWait, "probe-wait", 10*time.Second, "how long to keep retrying the startup backend probe")
-	flag.DurationVar(&cfg.hedgeAfter, "hedge-after", 0, "hedge a single /route to the next replica after this long (0 disables)")
 	flag.Float64Var(&cfg.retryBudget, "retry-budget", 0.1, "retries allowed as a fraction of observed requests (0 disables retries)")
-	flag.IntVar(&cfg.retryBurst, "retry-burst", 0, "constant retry headroom on top of the budget fraction (0 = 10)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "per-backend-call timeout (0 = 10s)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -117,10 +110,7 @@ func serve(cfg fleetConfig, logw io.Writer, stop <-chan os.Signal, ready chan<- 
 	rt, err := fleet.New(fleet.Config{
 		Backends:      backends,
 		Replicas:      cfg.replicas,
-		Vnodes:        cfg.vnodes,
-		HedgeAfter:    cfg.hedgeAfter,
 		RetryFraction: cfg.retryBudget,
-		RetryBurst:    cfg.retryBurst,
 		Timeout:       cfg.timeout,
 	})
 	if err != nil {
@@ -174,8 +164,8 @@ func serve(cfg fleetConfig, logw io.Writer, stop <-chan os.Signal, ready chan<- 
 		for _, bk := range m.Fleet.Backends {
 			proxied += bk.Requests
 		}
-		fmt.Fprintf(logw, "iadmfleet: drained; proxied %d backend calls (%d batches, %d sub-batches, %d hedges, %d retries, %d scrape errors)\n",
-			proxied, m.Fleet.Batches, m.Fleet.SubBatches, m.Fleet.Hedges, m.Fleet.Retries, m.Fleet.ScrapeErrors)
+		fmt.Fprintf(logw, "iadmfleet: drained; proxied %d backend calls (%d batches, %d sub-batches, %d retries, %d scrape errors)\n",
+			proxied, m.Fleet.Batches, m.Fleet.SubBatches, m.Fleet.Retries, m.Fleet.ScrapeErrors)
 		return shutErr
 	}
 }

@@ -33,9 +33,12 @@
 //
 // With -check the exit status enforces the smoke contract: no transport
 // errors, no non-200 route responses, no server-side 5xx, non-zero
-// throughput, and no SSDT request on the slow path: the server's metrics
-// must show zero SSDT misses and zero SSDT coalesced joins, since an SSDT
-// tag is the destination address (Theorem 3.1) and is never computed.
+// throughput, and no SSDT request on the slow path: with admission
+// enabled, the server's admitted slow-path tickets must equal its TSDT
+// computations in the final scrape, taken after every worker has
+// returned. Each ticket is exactly one TSDT compute, and an SSDT tag is
+// the destination address (Theorem 3.1), never computed, so an SSDT
+// request that took a ticket breaks the equality.
 // Every answered batch item's path, which routesvc.Client walks from the
 // item's tag, must have n+1 switches and run from its src to its dst.
 //
@@ -238,8 +241,8 @@ func (s *summary) violations(cfg loadConfig) []string {
 	if s.metrics.HTTP5xx > 0 {
 		v = append(v, fmt.Sprintf("server counted %d 5xx", s.metrics.HTTP5xx))
 	}
-	if ssdt := s.metrics.Service.SSDT; ssdt.Misses > 0 || ssdt.Coalesced > 0 {
-		v = append(v, fmt.Sprintf("SSDT reached the slow path: %d misses, %d coalesced joins", ssdt.Misses, ssdt.Coalesced))
+	if adm, tsdt := s.metrics.Service.Admission, s.metrics.Service.TSDT.Misses; adm.Enabled && adm.Admitted != tsdt {
+		v = append(v, fmt.Sprintf("SSDT reached the slow path: %d admission tickets for %d TSDT computations", adm.Admitted, tsdt))
 	}
 	if s.total.badPaths > 0 {
 		v = append(v, fmt.Sprintf("%d answered batch items with a path that is not n+1 switches from src to dst", s.total.badPaths))
@@ -413,8 +416,8 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		lat.Mean(), lat.Percentile(50), lat.Percentile(90), lat.Percentile(99), lat.Max())
 	fmt.Fprintf(w, "churn: %d faults, %d repairs; final epoch %d, blocked %d\n",
 		sum.total.faults, sum.total.repairs, sum.metrics.Service.Epoch, sum.metrics.Controller.BlockedLinks)
-	fmt.Fprintf(w, "server: ssdt answered %d, ssdt computed %d, tsdt computed %d, http 5xx %d\n",
-		sum.metrics.Service.SSDT.Hits, sum.metrics.Service.SSDT.Misses, sum.metrics.Service.TSDT.Misses, sum.metrics.HTTP5xx)
+	fmt.Fprintf(w, "server: ssdt answered %d, tsdt computed %d, slow-path tickets %d, http 5xx %d\n",
+		sum.metrics.Service.SSDT.Hits, sum.metrics.Service.TSDT.Misses, sum.metrics.Service.Admission.Admitted, sum.metrics.HTTP5xx)
 	if sum.metrics.Service.SlicedBlocks > 0 {
 		fmt.Fprintf(w, "server: sliced kernel filled %d lanes in %d blocks (%.1f%% lane fill)\n",
 			sum.metrics.Service.SlicedLanes, sum.metrics.Service.SlicedBlocks,

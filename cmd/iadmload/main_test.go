@@ -168,19 +168,36 @@ func TestViolations(t *testing.T) {
 	s.total.badPaths = 1
 	s.total.mutateErrors = 4
 	s.metrics.HTTP5xx = 5
-	s.metrics.Service.SSDT.Misses = 1
+	s.metrics.Service.Admission = routesvc.AdmissionMetrics{Enabled: true, Admitted: 3}
+	s.metrics.Service.TSDT.Misses = 2
 	if v := s.violations(cfg); len(v) != 7 {
 		t.Errorf("want 7 violations, got %d: %v", len(v), v)
 	}
 
-	// An SSDT request reaching the slow path fails the run on its own,
-	// whether it missed or joined another caller's computation.
-	for _, ssdt := range []routesvc.SchemeStats{{Hits: 9, Misses: 1}, {Hits: 9, Coalesced: 1}} {
+	// Every admission ticket is one TSDT computation. A ticket without
+	// one (an SSDT request on the slow path) or a computation without one
+	// fails the run on its own; with the gate disabled no ticket is
+	// counted and the clause is off.
+	for _, c := range []struct {
+		adm      routesvc.AdmissionMetrics
+		computed uint64
+		fails    bool
+	}{
+		{routesvc.AdmissionMetrics{Enabled: true, Admitted: 4}, 4, false},
+		{routesvc.AdmissionMetrics{Enabled: true, Admitted: 5}, 4, true},
+		{routesvc.AdmissionMetrics{Enabled: true, Admitted: 3}, 4, true},
+		{routesvc.AdmissionMetrics{}, 4, false},
+	} {
 		s = summary{}
 		s.total.requests = 10
-		s.metrics.Service.SSDT = ssdt
-		if v := s.violations(cfg); len(v) != 1 || !strings.Contains(v[0], "SSDT reached the slow path") {
-			t.Errorf("SSDT stats %+v: violations %v", ssdt, v)
+		s.metrics.Service.Admission = c.adm
+		s.metrics.Service.TSDT.Misses = c.computed
+		want := 0
+		if c.fails {
+			want = 1
+		}
+		if v := s.violations(cfg); len(v) != want || (c.fails && !strings.Contains(v[0], "SSDT reached the slow path")) {
+			t.Errorf("admission %+v, %d TSDT computations: violations %v", c.adm, c.computed, v)
 		}
 	}
 
@@ -253,6 +270,7 @@ func TestViolationsOverload(t *testing.T) {
 		s.metrics.Service.Admission.Enabled = true
 		s.metrics.Service.Admission.Admitted = 100
 		s.metrics.Service.Admission.Shed = 300
+		s.metrics.Service.TSDT.Misses = 100
 		return s
 	}
 	if s := mk(); len(s.violations(cfg)) != 0 {
@@ -310,6 +328,7 @@ func TestClientP99PastTwentyMillis(t *testing.T) {
 	s.metrics.Service.Admission.Enabled = true
 	s.metrics.Service.Admission.Admitted = 100
 	s.metrics.Service.Admission.Shed = 300
+	s.metrics.Service.TSDT.Misses = 100
 
 	lat := &s.total.lat
 	if p99, up := lat.Percentile(99), lat.PercentileUpper(99); p99 >= lat.Max() || up >= lat.Max() || up < 30890 {

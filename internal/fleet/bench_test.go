@@ -25,7 +25,7 @@ import (
 // isolate software overhead, not network distance.
 
 func BenchmarkRingOwner(b *testing.B) {
-	r, err := NewRing(testBackends(3), 2, 64)
+	r, err := NewRing(testBackends(3), 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,6 @@ type BackendMetrics struct {
 	Errors   uint64 `json:"errors_total"`
 	HTTP429  uint64 `json:"http_429"` // sheds observed from this backend
 	HTTP5xx  uint64 `json:"http_5xx"`
-	Hedged   uint64 `json:"hedged_total"`
 	Retried  uint64 `json:"retried_total"`
 	ScrapeOK bool   `json:"scrape_ok"`
 }
@@ -52,7 +51,7 @@ type BackendMetrics struct {
 // histograms, the fleet-wide server-side latency.
 type FleetMetricsJSON struct {
 	Backends       []BackendMetrics                 `json:"backends"`
-	Hedges         uint64                           `json:"hedges_total"`
+	Hedges         uint64                           `json:"hedges_total"` // reads 0: nothing hedges; the benchmark compiles against it (DESIGN §12)
 	Retries        uint64                           `json:"retries_total"`
 	RetryBudget    float64                          `json:"retry_budget_fraction"`
 	Batches        uint64                           `json:"batches_total"`
@@ -96,7 +95,6 @@ func (rt *Router) Metrics() MetricsJSON {
 			Errors:   bk.errs.Load(),
 			HTTP429:  bk.s429.Load(),
 			HTTP5xx:  bk.s5xx.Load(),
-			Hedged:   bk.hedged.Load(),
 			Retried:  bk.retried.Load(),
 			ScrapeOK: errs[i] == nil,
 		}
@@ -118,7 +116,6 @@ func (rt *Router) Metrics() MetricsJSON {
 	out.HTTP429 += rt.rec.HTTP429()
 	out.UptimeSec = time.Since(rt.start).Seconds()
 
-	out.Fleet.Hedges = rt.hedges.Load()
 	out.Fleet.Retries = rt.budget.retries.Load()
 	out.Fleet.RetryBudget = rt.budget.frac
 	out.Fleet.Batches = rt.batches.Load()

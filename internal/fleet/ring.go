@@ -19,6 +19,9 @@ import (
 	"iadm/internal/ctrrng"
 )
 
+// vnodes is the virtual-node count per backend on the ring.
+const vnodes = 64
+
 // Ring places backends on a consistent-hash circle. Each backend
 // contributes vnodes points; a partition's replica set is the first R
 // distinct backends clockwise from the partition's hash. Replica sets
@@ -27,7 +30,6 @@ import (
 type Ring struct {
 	backends []string
 	replicas int
-	vnodes   int
 	points   []ringPoint
 
 	mu   sync.RWMutex
@@ -54,10 +56,10 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// NewRing builds a ring of the given backends with R-way replication and
-// vnodes virtual nodes per backend (0 means 64). Backend order is
-// identity: callers address backends by index into the slice they passed.
-func NewRing(backends []string, replicas, vnodes int) (*Ring, error) {
+// NewRing builds a ring of the given backends with R-way replication.
+// Backend order is identity: callers address backends by index into the
+// slice they passed.
+func NewRing(backends []string, replicas int) (*Ring, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one backend")
 	}
@@ -68,13 +70,9 @@ func NewRing(backends []string, replicas, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("fleet: %d replicas want %d distinct backends, have %d",
 			replicas, replicas, len(backends))
 	}
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	r := &Ring{
 		backends: append([]string(nil), backends...),
 		replicas: replicas,
-		vnodes:   vnodes,
 		points:   make([]ringPoint, 0, len(backends)*vnodes),
 		sets:     make(map[string][]int),
 	}
@@ -148,7 +146,7 @@ func keyHash(src, dst int) uint64 {
 
 // Owner returns the backend index that owns (net, src, dst), i.e. the
 // replica the key's hash places the pair on, and the partition's
-// replica set (for hedging/retry to the other replicas). Zero-alloc on
+// replica set (for retries to the other replicas). Zero-alloc on
 // the hot path once the partition's set is memoized.
 func (r *Ring) Owner(net string, src, dst int) (int, []int) {
 	set := r.ReplicaSet(net)

@@ -14,7 +14,7 @@ func testBackends(n int) []string {
 }
 
 func TestRingReplicaSets(t *testing.T) {
-	r, err := NewRing(testBackends(5), 3, 64)
+	r, err := NewRing(testBackends(5), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRingReplicaSets(t *testing.T) {
 }
 
 func TestRingOwnerStableAndInSet(t *testing.T) {
-	r, err := NewRing(testBackends(4), 2, 64)
+	r, err := NewRing(testBackends(4), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRingOwnerStableAndInSet(t *testing.T) {
 // vnodes a backend owning zero of 256 partitions would mean a broken
 // ring walk, not bad luck.
 func TestRingSpread(t *testing.T) {
-	r, err := NewRing(testBackends(3), 2, 64)
+	r, err := NewRing(testBackends(3), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestRingSpread(t *testing.T) {
 }
 
 func TestRingErrors(t *testing.T) {
-	if _, err := NewRing(nil, 1, 8); err == nil {
+	if _, err := NewRing(nil, 1); err == nil {
 		t.Fatal("empty backend list accepted")
 	}
-	if _, err := NewRing(testBackends(2), 3, 8); err == nil {
+	if _, err := NewRing(testBackends(2), 3); err == nil {
 		t.Fatal("3 replicas over 2 backends accepted")
 	}
 }
@@ -98,7 +98,7 @@ func TestRingErrors(t *testing.T) {
 // TestRingOwnerZeroAlloc pins the hot-path contract: once a partition's
 // replica set is memoized, Owner must not allocate.
 func TestRingOwnerZeroAlloc(t *testing.T) {
-	r, err := NewRing(testBackends(3), 2, 64)
+	r, err := NewRing(testBackends(3), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRingPlacementGolden(t *testing.T) {
 		}
 	}
 	r, err := NewRing([]string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003",
-		"127.0.0.1:7004", "127.0.0.1:7005"}, 3, 0)
+		"127.0.0.1:7004", "127.0.0.1:7005"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

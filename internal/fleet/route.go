@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"net/http"
-	"slices"
 	"time"
 
 	"iadm/internal/routesvc"
@@ -11,10 +10,9 @@ import (
 
 // routeOne proxies a single route request to the replica owning its
 // (net, src, dst) key, retrying retryable failures on the next replica
-// under the router-wide retry budget (and hedging to it after
-// cfg.HedgeAfter, when set). The backend's 200 body is decoded, so a
-// malformed one counts as a failed attempt, and then written to the
-// client byte for byte.
+// under the router-wide retry budget, all on the request's goroutine.
+// The backend's 200 body is decoded, so a malformed one counts as a
+// failed attempt, and then written to the client byte for byte.
 func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
 	// The backend's own parser, so a bad request gets the backend's 400
 	// text; the scheme is forwarded unparsed for the backend to check.
@@ -28,12 +26,7 @@ func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
 	rt.budget.note()
 	body := routesvc.GetWireBuf()
 	body.B = routesvc.AppendRouteJSON(body.B, &in, false)
-	var out *routesvc.WireBuf
-	if rt.cfg.HedgeAfter > 0 && len(set) > 1 {
-		out, err = rt.sendRouteHedged(set, ownerPos, slices.Clone(body.B))
-	} else {
-		out, err = rt.sendRoute(set, ownerPos, body.B)
-	}
+	out, err := rt.sendRoute(set, ownerPos, body.B)
 	routesvc.PutWireBuf(body)
 	if err != nil {
 		rt.proxyErr(w, err)
@@ -49,10 +42,10 @@ func (rt *Router) replica(set []int, ownerPos, rank int) *backend {
 	return rt.bks[set[(ownerPos+rank)%len(set)]]
 }
 
-// retryNext reports whether a failed attempt may retry at rank next. Both
-// send modes share this policy: retry against the next untried replica,
-// budget permitting, after retryBackoff — a small linear backoff, so a
-// brown-out is not met with an instant second volley.
+// retryNext reports whether a failed attempt may retry at rank next:
+// retry against the next untried replica, budget permitting, after
+// retryBackoff — a small linear backoff, so a brown-out is not met with
+// an instant second volley.
 func (rt *Router) retryNext(err error, next, replicas int) bool {
 	return retryable(err) && next < replicas && rt.budget.allow()
 }
@@ -90,57 +83,4 @@ func (rt *Router) sendRoute(set []int, ownerPos int, body []byte) (*routesvc.Wir
 		out, err = rt.tryRoute(set, ownerPos, rank, body)
 	}
 	return out, err
-}
-
-// sendRouteHedged races attempts on goroutines: besides the retries, the
-// next replica gets the request when no answer has come within
-// cfg.HedgeAfter, and the first success wins. At most len(set) attempts
-// are ever in flight, so the reply channel never blocks a loser, which
-// may still be sending body after the call returns.
-func (rt *Router) sendRouteHedged(set []int, ownerPos int, body []byte) (*routesvc.WireBuf, error) {
-	type reply struct {
-		out *routesvc.WireBuf
-		err error
-	}
-	ch := make(chan reply, len(set))
-	send := func(rank int, delay time.Duration) {
-		go func() {
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			out, err := rt.tryRoute(set, ownerPos, rank, body)
-			ch <- reply{out, err}
-		}()
-	}
-
-	send(0, 0)
-	launched, nextRank := 1, 1
-	hedgeT := time.After(rt.cfg.HedgeAfter)
-	var lastErr error
-	for launched > 0 {
-		select {
-		case rep := <-ch:
-			launched--
-			if rep.err == nil {
-				return rep.out, nil
-			}
-			lastErr = rep.err
-			if rt.retryNext(rep.err, nextRank, len(set)) {
-				rt.replica(set, ownerPos, nextRank).retried.Add(1)
-				send(nextRank, retryBackoff(nextRank))
-				nextRank++
-				launched++
-			}
-		case <-hedgeT:
-			hedgeT = nil
-			if nextRank < len(set) {
-				rt.hedges.Add(1)
-				rt.replica(set, ownerPos, nextRank).hedged.Add(1)
-				send(nextRank, 0)
-				nextRank++
-				launched++
-			}
-		}
-	}
-	return nil, lastErr
 }

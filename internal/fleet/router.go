@@ -20,21 +20,10 @@ type Config struct {
 	// Replicas is the per-partition replica count R (every named network
 	// lives on R distinct backends); 0 means min(2, len(Backends)).
 	Replicas int
-	// Vnodes is the virtual-node count per backend; 0 means 64.
-	Vnodes int
-	// HedgeAfter launches a second /route attempt at the next replica
-	// when the primary has not answered within this duration; 0 disables
-	// hedging. Only single-route requests hedge — a batch re-sends only
-	// on failure, under the retry budget.
-	HedgeAfter time.Duration
 	// RetryFraction bounds router-initiated retries to this fraction of
-	// observed requests (plus RetryBurst): a dying backend must not turn
+	// observed requests (plus retryBurst): a dying backend must not turn
 	// the router into a load amplifier. 0 disables retries.
 	RetryFraction float64
-	// RetryBurst is the retry budget's constant headroom (lets the first
-	// few failures retry even while the request count is tiny); 0 means
-	// 10 when RetryFraction > 0.
-	RetryBurst int
 	// Timeout bounds each backend call; 0 means 10s.
 	Timeout time.Duration
 }
@@ -48,7 +37,6 @@ type backend struct {
 	errs    atomic.Uint64 // transport errors + 5xx
 	s429    atomic.Uint64 // overload sheds observed from this backend
 	s5xx    atomic.Uint64 // 5xx statuses observed from this backend
-	hedged  atomic.Uint64 // hedge attempts sent here
 	retried atomic.Uint64 // retry attempts sent here
 }
 
@@ -81,14 +69,17 @@ func retryable(err error) bool {
 	return true
 }
 
+// retryBurst is the retry budget's constant headroom: it lets the first
+// few failures retry even while the request count is tiny.
+const retryBurst = 10
+
 // retryBudget is the router-wide token budget for retries: retries are
-// allowed while retries < fraction*requests + burst. Counters are
+// allowed while retries < fraction*requests + retryBurst. Counters are
 // independent atomics, so the bound is approximate under concurrency —
 // by at most the number of in-flight requests, which is exactly the
 // slack a budget needs anyway.
 type retryBudget struct {
 	frac    float64
-	burst   int
 	reqs    atomic.Uint64
 	retries atomic.Uint64
 }
@@ -99,7 +90,7 @@ func (b *retryBudget) allow() bool {
 	if b.frac <= 0 {
 		return false
 	}
-	if float64(b.retries.Load()) >= b.frac*float64(b.reqs.Load())+float64(b.burst) {
+	if float64(b.retries.Load()) >= b.frac*float64(b.reqs.Load())+retryBurst {
 		return false
 	}
 	b.retries.Add(1)
@@ -110,7 +101,6 @@ func (b *retryBudget) allow() bool {
 // wire API, proxying each request to the backend(s) that own its
 // partition.
 type Router struct {
-	cfg   Config
 	ring  *Ring
 	bks   []*backend
 	n     int // network size, learned from the startup probe
@@ -118,7 +108,6 @@ type Router struct {
 	start time.Time
 
 	budget  retryBudget
-	hedges  atomic.Uint64
 	batches atomic.Uint64 // /route/batch requests
 	subs    atomic.Uint64 // sub-batches fanned out
 
@@ -133,20 +122,16 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = min(2, len(cfg.Backends))
 	}
-	ring, err := NewRing(cfg.Backends, cfg.Replicas, cfg.Vnodes)
+	ring, err := NewRing(cfg.Backends, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RetryFraction > 0 && cfg.RetryBurst == 0 {
-		cfg.RetryBurst = 10
-	}
 	rt := &Router{
-		cfg:   cfg,
 		ring:  ring,
 		rec:   routesvc.NewRecorder(),
 		start: time.Now(),
 	}
-	rt.budget.frac, rt.budget.burst = cfg.RetryFraction, cfg.RetryBurst
+	rt.budget.frac = cfg.RetryFraction
 	for _, base := range ring.Backends() {
 		rt.bks = append(rt.bks, &backend{base: base, client: routesvc.NewClient(base, cfg.Timeout)})
 	}

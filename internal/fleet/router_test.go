@@ -18,7 +18,7 @@ import (
 
 // testFleet is an in-process fleet: real routesvc multi-network backends
 // behind httptest servers, fronted by a Router. delays lets tests slow
-// one backend down (hedge tests) and garbled makes one answer /route with
+// one backend down and garbled makes one answer /route with
 // a malformed 200 body; closing a server simulates its death.
 type testFleet struct {
 	rt      *Router
@@ -195,64 +195,72 @@ func TestFleetFaultFanOutInvalidation(t *testing.T) {
 	}
 }
 
-func TestFleetHedgedRoute(t *testing.T) {
-	f := newTestFleet(t, 3, Config{Replicas: 2, HedgeAfter: 20 * time.Millisecond})
-	in := routesvc.RouteJSON{Net: "p0", Src: 5, Dst: 40, Scheme: "tsdt"}
-	owner, _ := f.rt.ring.Owner(in.Net, in.Src, in.Dst)
-	// Make the owner slow; the hedge must win from the other replica.
-	f.delays[owner].Store(int64(300 * time.Millisecond))
-
-	t0 := time.Now()
-	var out routesvc.RouteJSON
-	if code := f.do(t, "/route", in, &out); code != http.StatusOK {
-		t.Fatalf("hedged route status %d", code)
-	}
-	if d := time.Since(t0); d > 200*time.Millisecond {
-		t.Fatalf("hedged route took %v; the hedge did not fire", d)
-	}
-	if out.Error != "" || len(out.Path) == 0 {
-		t.Fatalf("hedged route bad response: %+v", out)
-	}
-	if got := f.rt.hedges.Load(); got != 1 {
-		t.Fatalf("hedges_total=%d, want 1", got)
-	}
-}
-
-// TestFleetSingleRunsInline: without hedging, a routed single's backend
-// attempts run on the goroutine serving the request — no sender goroutine
-// is spawned.
+// TestFleetSingleRunsInline: a routed single's backend attempts, the
+// owner's and a retry's alike, run on the goroutine serving the request —
+// no sender goroutine is spawned. Each case parks one attempt on a slow
+// backend and samples every goroutine while it waits.
 func TestFleetSingleRunsInline(t *testing.T) {
-	f := newTestFleet(t, 3, Config{Replicas: 2})
-	in := routesvc.RouteJSON{Net: "p0", Src: 5, Dst: 40, Scheme: "tsdt"}
-	owner, _ := f.rt.ring.Owner(in.Net, in.Src, in.Dst)
-	f.delays[owner].Store(int64(300 * time.Millisecond))
-	body, _ := json.Marshal(in)
-	done := make(chan int)
-	go func() {
-		rec := httptest.NewRecorder()
-		f.rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route", strings.NewReader(string(body))))
-		done <- rec.Code
-	}()
-
-	// Sample every goroutine while the request waits on the slow owner.
-	var attempts []string
-	for deadline := time.Now().Add(250 * time.Millisecond); len(attempts) == 0 && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-		buf := make([]byte, 1<<20)
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "fleet.(*Router).tryRoute") {
-				attempts = append(attempts, g)
+	for _, tc := range []struct {
+		name string
+		// park slows the backend whose attempt is sampled (killing the
+		// owner first, for a retry) and returns it.
+		park func(f *testFleet, owner, sibling int) int
+	}{
+		{"slow owner", func(f *testFleet, owner, _ int) int {
+			f.delays[owner].Store(int64(300 * time.Millisecond))
+			return owner
+		}},
+		{"dead owner, slow retry", func(f *testFleet, owner, sibling int) int {
+			f.srvs[owner].Close()
+			f.delays[sibling].Store(int64(300 * time.Millisecond))
+			return sibling
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newTestFleet(t, 3, Config{Replicas: 2, RetryFraction: 0.5})
+			in := routesvc.RouteJSON{Net: "p0", Src: 5, Dst: 40, Scheme: "tsdt"}
+			owner, set := f.rt.ring.Owner(in.Net, in.Src, in.Dst)
+			sibling := set[0]
+			if sibling == owner {
+				sibling = set[1]
 			}
-		}
-	}
-	if len(attempts) != 1 {
-		t.Fatalf("%d goroutines in a backend attempt, want 1", len(attempts))
-	}
-	if !strings.Contains(attempts[0], "fleet.(*Router).routeOne") {
-		t.Fatalf("the backend attempt runs off the request's goroutine:\n%s", attempts[0])
-	}
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("status %d", code)
+			parked := tc.park(f, owner, sibling)
+			body, _ := json.Marshal(in)
+			done := make(chan int)
+			go func() {
+				rec := httptest.NewRecorder()
+				f.rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route", strings.NewReader(string(body))))
+				done <- rec.Code
+			}()
+
+			// Sample every goroutine while the request waits on the parked
+			// backend (its request count rises as the attempt starts).
+			var attempts []string
+			for deadline := time.Now().Add(250 * time.Millisecond); len(attempts) == 0 && time.Now().Before(deadline); {
+				time.Sleep(10 * time.Millisecond)
+				if f.rt.bks[parked].reqs.Load() == 0 {
+					continue
+				}
+				buf := make([]byte, 1<<20)
+				for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+					if strings.Contains(g, "fleet.(*Router).tryRoute") {
+						attempts = append(attempts, g)
+					}
+				}
+			}
+			if len(attempts) != 1 {
+				t.Fatalf("%d goroutines in a backend attempt, want 1", len(attempts))
+			}
+			if !strings.Contains(attempts[0], "fleet.(*Router).routeOne") {
+				t.Fatalf("the backend attempt runs off the request's goroutine:\n%s", attempts[0])
+			}
+			if code := <-done; code != http.StatusOK {
+				t.Fatalf("status %d", code)
+			}
+			if parked == sibling && f.rt.bks[sibling].retried.Load() != 1 {
+				t.Fatalf("sibling retried_total=%d, want 1", f.rt.bks[sibling].retried.Load())
+			}
+		})
 	}
 }
 
@@ -351,7 +359,7 @@ func TestFleetMalformedSingleRetries(t *testing.T) {
 }
 
 func TestFleetRetryAfterBackendDeath(t *testing.T) {
-	f := newTestFleet(t, 3, Config{Replicas: 2, RetryFraction: 0.5, RetryBurst: 100})
+	f := newTestFleet(t, 3, Config{Replicas: 2, RetryFraction: 0.5})
 	in := routesvc.RouteJSON{Net: "p0", Src: 5, Dst: 40, Scheme: "tsdt"}
 	owner, _ := f.rt.ring.Owner(in.Net, in.Src, in.Dst)
 	f.srvs[owner].Close() // kill the primary

@@ -23,8 +23,7 @@
 #      as router overhead.
 #
 #   3. fast path: a fresh 3-backend fleet with no -slow-cost, behind a
-#      router with iadmfleet's defaults (no hedging), serves SSDT
-#      singles; client p50 is measured the same alternating way, and
+#      router with iadmfleet's defaults, serves SSDT singles; client p50 is measured the same alternating way, and
 #      the best routed p50 may be at most 4x the best direct one. This is a
 #      sanity bound on the router's added latency with no slow-path
 #      work to hide behind, not a regression gate: on a shared 2-core
@@ -32,15 +31,15 @@
 #      to the router does. The routed single's cost is gated by its
 #      allocation count instead (TestFleetRoutedSingleAllocs).
 #
-#   4. mixed: the same 3 backends, behind a hedging router, serve 4
+#   4. mixed: the same 3 backends, behind a fresh router, serve 4
 #      named partitions of mixed singles/batch traffic while fault/repair
 #      churn is confined to partition p0 (-churn-net). `iadmload -check`
 #      enforces zero request errors, zero 5xx and no SSDT request on the
-#      slow path (zero merged SSDT misses and coalesced joins); the
-#      router's /metrics must then show p0's epoch advanced while every
-#      other partition stayed at epoch 0 (fault fan-out invalidates
-#      exactly the faulted partition's replicas — Theorems 3.1/3.2 end to
-#      end), and its fleet.backend_latency /route and /route/batch counts
+#      slow path (merged admission tickets equal merged TSDT
+#      computations); the router's /metrics must then show p0's epoch
+#      advanced while every other partition stayed at epoch 0 (fault
+#      fan-out invalidates exactly the faulted partition's replicas —
+#      Theorems 3.1/3.2 end to end), and its fleet.backend_latency /route and /route/batch counts
 #      must equal the sums of the backends' own endpoint counts (the
 #      histograms merge exactly). The router drains first, then every
 #      backend, each logging a clean drain line.
@@ -281,7 +280,7 @@ drain_one "$fastrt_pid" "$tmp/fastrt.log" "fast-path router"
 
 echo "fleet-smoke: phase 4, mixed load with churn confined to p0"
 "$tmp/iadmfleet" -backends "$backends" -addr 127.0.0.1:0 -portfile "$tmp/mixrt.port" \
-    -hedge-after 50ms -retry-budget 0.1 >"$tmp/mixrt.log" 2>&1 &
+    -retry-budget 0.1 >"$tmp/mixrt.log" 2>&1 &
 mixrt_pid=$!
 pids="$pids $mixrt_pid"
 wait_port "$tmp/mixrt.port" "$mixrt_pid" "$tmp/mixrt.log"

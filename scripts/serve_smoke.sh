@@ -4,9 +4,9 @@
 # Builds iadmd and iadmload into a temp dir, starts the daemon at the
 # acceptance shape (N=1024) on an ephemeral port, and drives two load
 # phases, each under `iadmload -check` (non-zero throughput, zero request
-# errors, zero server 5xx, and no SSDT request on the slow path: zero
-# server-side SSDT misses and coalesced joins, from the very first
-# request):
+# errors, zero server 5xx, and no SSDT request on the slow path: the
+# server's admission tickets equal its TSDT computations, from the very
+# first request):
 #
 #   1. singles: ~2s of /route traffic with 8 workers and 1% fault churn;
 #   2. batch-heavy: mixed /route/batch sizes (singletons, sub-block,

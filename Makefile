@@ -26,8 +26,8 @@ SERVE_PKGS = ./internal/routesvc
 SERVE_BENCH = BenchmarkServeLadder
 
 # The tracked wormhole suite: the flit-level cycle loop (expect 0
-# allocs/op steady state) across lane counts, plus the large-N sharded
-# stepping path.
+# allocs/op steady state) across lane counts, one large-N run per N, and
+# the sim-sweep batch.
 WORMHOLE_PKGS = ./internal/wormhole
 WORMHOLE_BENCH = BenchmarkWormhole
 
@@ -63,8 +63,8 @@ test:
 race:
 	$(GO) test -race -tags simcheck ./...
 
-# Tracked simulator numbers (steady-state cycle loop and intra-run
-# scaling, expect 0 allocs/op; and the sim-sweep batch, one engine built
+# Tracked simulator numbers (steady-state cycle loop and one large-N run
+# per N, expect 0 allocs/op; and the sim-sweep batch, one engine built
 # per worker).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCyclesPerSecond|BenchmarkLargeN|BenchmarkRunMany/N=1024' -benchmem ./internal/simulator

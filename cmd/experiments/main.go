@@ -24,7 +24,6 @@ import (
 func main() {
 	runID := flag.String("run", "", "comma-separated experiment ids to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	intra := flag.Int("intra", 0, "worker goroutines inside each wormhole run (0/1 = sequential; reports are bit-identical for every value; packet runs always step on one)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	version := flag.Bool("version", false, "print version and exit")
@@ -33,7 +32,6 @@ func main() {
 		fmt.Println(buildinfo.Version("experiments"))
 		return
 	}
-	experiments.IntraWorkers = *intra
 	err := profiling.WithProfiles(*cpuprofile, *memprofile, func() error {
 		return run(os.Stdout, *runID, *list)
 	})

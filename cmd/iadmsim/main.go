@@ -62,7 +62,6 @@ import (
 type options struct {
 	N        int
 	workers  int
-	intra    int
 	seed     int64
 	lanes    int
 	depth    int
@@ -79,8 +78,7 @@ func defaultOptions(N int) options {
 
 func main() {
 	n := flag.Int("n", 8, "network size N (power of two)")
-	workers := flag.Int("workers", 0, "worker goroutines for multi-run commands (0 = GOMAXPROCS; GOMAXPROCS/intra for wormhole runs)")
-	intra := flag.Int("intra", 0, "worker goroutines inside each wormhole run (0/1 = sequential; results are bit-identical for every value; packet runs always step on one)")
+	workers := flag.Int("workers", 0, "worker goroutines for multi-run commands (0 = GOMAXPROCS; each run steps on one)")
 	seed := flag.Int64("seed", 1, "PRNG seed for simulation commands (replicas use seed..seed+R-1)")
 	lanes := flag.Int("lanes", 2, "wormhole: virtual lanes per link (1..64)")
 	depth := flag.Int("depth", 2, "wormhole: flit buffer depth per lane")
@@ -96,7 +94,7 @@ func main() {
 		return
 	}
 	o := options{
-		N: *n, workers: *workers, intra: *intra, seed: *seed,
+		N: *n, workers: *workers, seed: *seed,
 		lanes: *lanes, depth: *depth, flits: *flits,
 		traffic: *traffic, scenPath: *scenPath,
 	}
@@ -110,7 +108,7 @@ func main() {
 }
 
 func run(w io.Writer, o options, args []string) error {
-	N, workers, intra := o.N, o.workers, o.intra
+	N, workers := o.N, o.workers
 	p, err := topology.NewParams(N)
 	if err != nil {
 		return err
@@ -279,7 +277,6 @@ func run(w io.Writer, o options, args []string) error {
 			N: N, Policy: pol, Load: load,
 			PacketFlits: o.flits, Lanes: o.lanes, LaneDepth: o.depth,
 			Cycles: 5000, Warmup: 500, Seed: o.seed,
-			IntraWorkers: intra,
 		}
 		switch o.traffic {
 		case "uniform":

@@ -174,7 +174,7 @@ func TestSimulateReplicas(t *testing.T) {
 	// the same report.
 	var sb strings.Builder
 	o := defaultOptions(8)
-	o.workers, o.intra = 3, 2
+	o.workers = 3
 	if err := run(&sb, o, []string{"simulate", "adaptive", "0.3", "4"}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@
 //
 // A draw is a pure function of (seed, cycle, entity, purpose) pushed
 // through a splitmix64 finalizer, instead of a position in a sequential
-// stream. That property is what makes intra-run parallelism exact: any
-// switch's draw can be evaluated on any worker in any order and the
-// result is bit-identical to a single-threaded run. It also means
-// policies that draw nothing consume nothing, so enabling or disabling
-// one draw site never perturbs another.
+// stream. So a draw does not depend on the order it is made in: an
+// oracle that schedules its work differently from its engine still makes
+// the same decisions, bit for bit. It also means policies that draw
+// nothing consume nothing, so enabling or disabling one draw site never
+// perturbs another.
 //
 // Callers own the meaning of the coordinates. Each engine keeps its own
 // draw-purpose constants (arbitrary odd 64-bit values that put every draw

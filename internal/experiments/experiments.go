@@ -31,15 +31,6 @@ func register(id, title string, run func() (string, error)) {
 	registry[id] = experiment{title: title, run: run}
 }
 
-// IntraWorkers sets the per-run shard count applied to every wormhole
-// batch the experiments launch (cmd/experiments -intra); the packet
-// engine steps each run on one goroutine. Because the counter-based RNG
-// makes results bit-identical for every shard count, changing it can
-// never alter an experiment's report — goldens stay valid — it only
-// trades cores between runs-in-parallel and cycles-in-parallel within one
-// run.
-var IntraWorkers int
-
 // IDs returns all experiment identifiers in order.
 func IDs() []string {
 	out := make([]string, 0, len(registry))

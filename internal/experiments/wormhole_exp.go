@@ -13,16 +13,6 @@ func init() {
 	register("E30", "Wormhole packet length: worm depth vs latency and buffer pressure", runE30)
 }
 
-// runWormholeSims routes every wormhole batch through one funnel applying
-// the IntraWorkers override. The engine's metrics are bit-identical for
-// every shard count, so the override can never move a golden.
-func runWormholeSims(cfgs []wormhole.Config) ([]wormhole.Metrics, error) {
-	for i := range cfgs {
-		cfgs[i].IntraWorkers = IntraWorkers
-	}
-	return wormhole.RunMany(cfgs)
-}
-
 func runE29() (string, error) {
 	traffics := []simulator.TrafficKind{simulator.Uniform, simulator.BitComplementTraffic}
 	lanes := []int{1, 2, 4, 8}
@@ -36,7 +26,7 @@ func runE29() (string, error) {
 			})
 		}
 	}
-	ms, err := runWormholeSims(cfgs)
+	ms, err := wormhole.RunMany(cfgs)
 	if err != nil {
 		return "", err
 	}
@@ -79,7 +69,7 @@ func runE30() (string, error) {
 			Cycles: 3000, Warmup: 300, Seed: 30, Traffic: simulator.Uniform,
 		}
 	}
-	ms, err := runWormholeSims(cfgs)
+	ms, err := wormhole.RunMany(cfgs)
 	if err != nil {
 		return "", err
 	}

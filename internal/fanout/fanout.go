@@ -1,8 +1,8 @@
 // Package fanout holds the repository's parallel machinery, each piece
-// once: Rows, the contiguous-shard sweep of the all-pairs analyses; Map,
-// the index-ordered dynamic pool that runs independent tasks (simulation
-// replicas, experiment rows); and Pool, the persistent phase pool the
-// wormhole engine steps one run's cycles with. Simcheck, set by the
+// once: Rows, the contiguous-shard sweep of the all-pairs analyses; and
+// Map, the index-ordered dynamic pool that runs independent tasks
+// (simulation replicas, experiment rows). A simulation run itself steps on
+// one goroutine: batches of runs fill the cores. Simcheck, set by the
 // simcheck build tag, arms the invariant checks of every package built
 // on them.
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestRowsCoversEveryRowOnce: every row is visited exactly once for a wide
@@ -121,47 +120,4 @@ func TestMapOrderAndFirstError(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPoolPhases: every phase reaches every shard exactly once, shard k
-// runs with index k, Dispatch is a barrier (no shard sees phase c+1 before
-// all finished phase c), and the helpers survive Park/Unpark cycles.
-// Every seventh phase one shard, each in turn (shard 0 runs on the
-// coordinator), outlasts the barrier's spin, so the others park and must
-// be woken.
-func TestPoolPhases(t *testing.T) {
-	const shards, phases = 4, 50
-	var seen [shards][phases]int32
-	var finished atomic.Int32
-	p := NewPool(shards, func(k int, ph Phase) {
-		// Shards of one phase run concurrently, but all of the previous
-		// phase's finished before any of this one began.
-		if got := int(finished.Load()); got/shards != ph.Cycle {
-			t.Errorf("shard %d began phase %d after %d shard-phases", k, ph.Cycle, got)
-		}
-		if ph.Cycle%7 == 0 && k == ph.Cycle/7%shards {
-			time.Sleep(4 * spinFor)
-		}
-		atomic.AddInt32(&seen[k][ph.Cycle], 1)
-		finished.Add(1)
-	})
-	defer p.Close()
-	for run := 0; run < 3; run++ {
-		finished.Store(0)
-		p.Unpark()
-		for c := 0; c < phases; c++ {
-			p.Dispatch(Phase{Kind: Stage, Stage: c % 3, Cycle: c, Measured: c%2 == 0})
-		}
-		p.Park()
-	}
-	for k := range seen {
-		for c, v := range seen[k] {
-			if v != 3 {
-				t.Fatalf("shard %d saw phase %d %d times over 3 runs, want 3", k, c, v)
-			}
-		}
-	}
-	p.Close() // a second Close is a no-op
-	var none *Pool
-	none.Close()
 }

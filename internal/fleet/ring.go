@@ -138,8 +138,8 @@ func (r *Ring) walk(h uint64) []int {
 }
 
 // keyHash spreads one (src, dst) pair over a partition's replica set.
-// Exported logic only through Owner; kept separate so the benchmark can
-// pin its cost.
+// Owner, the router's single placement and its batch placement (ownerAt)
+// all place a key by it.
 func keyHash(src, dst int) uint64 {
 	return ctrrng.SplitMix64(uint64(src)<<32 | uint64(uint32(dst)))
 }

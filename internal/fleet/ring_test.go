@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"testing"
+
+	"iadm/internal/routesvc"
 )
 
 func testBackends(n int) []string {
@@ -146,6 +148,36 @@ func TestRingPlacementGolden(t *testing.T) {
 		for i, pr := range pairs {
 			if got, _ := r.Owner(c.net, pr[0], pr[1]); got != c.owners[i] {
 				t.Errorf("Owner(%q, %d, %d) = %d, want %d", c.net, pr[0], pr[1], got, c.owners[i])
+			}
+		}
+	}
+}
+
+// TestSinglePlacementMatchesOwnerAndBatch: over a sample of keys, a
+// single route's replica order (placeSingle, one hash of the key) equals
+// Ring.Owner at rank 0 and the batch placement ownerAt at every rank, so
+// singles and batch items place a key on the same replicas.
+func TestSinglePlacementMatchesOwnerAndBatch(t *testing.T) {
+	rt, err := New(Config{Backends: testBackends(5), Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []string{"", "p0", "p1", "alpha"} {
+		for src := 0; src < 64; src += 3 {
+			for dst := 0; dst < 64; dst += 5 {
+				set, pos := rt.placeSingle(net, src, dst)
+				owner, _ := rt.ring.Owner(net, src, dst)
+				if set[pos] != owner {
+					t.Fatalf("%q (%d,%d): single owner %d, Ring.Owner %d", net, src, dst, set[pos], owner)
+				}
+				it := routesvc.BatchItem{Net: net, Src: src, Dst: dst}
+				for rank := range set {
+					single := rt.replica(set, pos, rank)
+					if batch := rt.bks[rt.ownerAt(&it, rank)]; single != batch {
+						t.Fatalf("%q (%d,%d) rank %d: single goes to %s, batch to %s",
+							net, src, dst, rank, single.base, batch.base)
+					}
+				}
 			}
 		}
 	}

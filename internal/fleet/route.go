@@ -21,8 +21,7 @@ func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
 		writeErrJSON(w, http.StatusBadRequest, err, "invalid", 0)
 		return
 	}
-	_, set := rt.ring.Owner(in.Net, in.Src, in.Dst)
-	ownerPos := int(keyHash(in.Src, in.Dst) % uint64(len(set)))
+	set, ownerPos := rt.placeSingle(in.Net, in.Src, in.Dst)
 	rt.budget.note()
 	body := routesvc.GetWireBuf()
 	body.B = routesvc.AppendRouteJSON(body.B, &in, false)
@@ -34,6 +33,15 @@ func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
 	}
 	routesvc.WriteBody(w, http.StatusOK, out.B)
 	routesvc.PutWireBuf(out)
+}
+
+// placeSingle returns a single route's replica set and its owner's
+// position in the set, hashing the key once. The owner is Ring.Owner's
+// and ownerAt's rank 0, so a key lands on the same replica as a single
+// and as a batch item.
+func (rt *Router) placeSingle(net string, src, dst int) ([]int, int) {
+	set := rt.ring.ReplicaSet(net)
+	return set, int(keyHash(src, dst) % uint64(len(set)))
 }
 
 // replica is the backend at replica rank k of a route: the owner first,

@@ -89,22 +89,6 @@ func TestDifferentialStratified(t *testing.T) {
 	}
 }
 
-// TestDifferentialSharded re-runs a slice of the fault-free sweep with
-// the optimized engine sharded (IntraWorkers 4): the oracle is
-// sequential by construction, so exact agreement here pins the sharded
-// stepping to the naive semantics, not just to the sequential engine.
-func TestDifferentialSharded(t *testing.T) {
-	for i := 0; i < 60; i++ {
-		cfg := stratifiedConfig(i)
-		if cfg.FaultRate > 0 {
-			continue
-		}
-		cfg.IntraWorkers = 4
-		name := fmt.Sprintf("%03d/%s/%s/%s", i, cfg.Traffic, cfg.Switches, cfg.Policy)
-		t.Run(name, func(t *testing.T) { checkExact(t, cfg) })
-	}
-}
-
 // TestMetamorphicSeedDeterminism: the optimized wormhole engine is a
 // pure function of its config — two runs of the same config are
 // bit-equal.

@@ -14,9 +14,7 @@ import (
 // except FaultRate (fault configs are only statistically comparable —
 // see the refwh package comment — and a fuzzer needs a crisp oracle).
 // Any config that passes validation must produce exactly equal metrics
-// from the optimized wormhole engine and the reference; the low bit of
-// flags additionally flips the optimized run onto the sharded stepping
-// path, which the sequential oracle must still match.
+// from the optimized wormhole engine and the reference.
 //
 // Run with: go test -run '^$' -fuzz FuzzWormholeDifferential -fuzztime 10s ./internal/refwh
 func FuzzWormholeDifferential(f *testing.F) {
@@ -58,9 +56,6 @@ func FuzzWormholeDifferential(f *testing.F) {
 			blk := blockage.NewSet(topology.MustParams(N))
 			blk.RandomLinks(rand.New(rand.NewSource(seed)), 1+int(flags%5))
 			cfg.Blocked = blk
-		}
-		if flags&0x01 != 0 {
-			cfg.IntraWorkers = 2 + int(flags%7)
 		}
 		if err := wormhole.Validate(cfg); err != nil {
 			t.Skip()

@@ -23,12 +23,11 @@
 // in its lanes, credits, arbitration and fault process. Because a draw
 // is a pure function of its coordinates, the two implementations make
 // identical random decisions no matter how differently they schedule the
-// work (including the optimized engine's sharded stepping), and for
-// configs with FaultRate == 0 every counter, histogram bucket and
-// utilization sample must match exactly. The fault process is the one
-// exception: refwh draws one Bernoulli per link per cycle under its own
-// purpose constant while the optimized engine skip-samples a geometric
-// chain, so fault configs are compared statistically instead.
+// work, and for configs with FaultRate == 0 every counter, histogram
+// bucket and utilization sample must match exactly. The fault process is
+// the one exception: refwh draws one Bernoulli per link per cycle under
+// its own purpose constant while the optimized engine skip-samples a
+// geometric chain, so fault configs are compared statistically instead.
 package refwh
 
 import (
@@ -113,9 +112,7 @@ type state struct {
 
 // Run executes cfg on the reference simulator and returns metrics with
 // the same meaning (and, for FaultRate == 0, the same values) as
-// wormhole.Run. IntraWorkers is ignored: the reference is sequential by
-// construction, which is exactly what makes it a useful oracle for the
-// sharded engine.
+// wormhole.Run. IntraWorkers is ignored, as it is by wormhole.Run.
 func Run(cfg wormhole.Config) (wormhole.Metrics, error) {
 	if err := wormhole.Validate(cfg); err != nil {
 		return wormhole.Metrics{}, err

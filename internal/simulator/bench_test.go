@@ -138,9 +138,9 @@ func BenchmarkHotspotRun(b *testing.B) {
 }
 
 // BenchmarkLargeN is the tracked large-N benchmark: one run per N on the
-// packet engine's single stepper. The cells keep their workers=1 names so
-// the tracked baselines still match; a cell at more workers would time
-// the same sequential engine, which ignores IntraWorkers. Cycle counts
+// engine's one stepper. The cells keep their workers=1 names so the
+// tracked baselines still match; a cell at more workers would time the
+// same run, since IntraWorkers is ignored. Cycle counts
 // are kept small so the grid stays tractable; ns/op comparisons are only
 // meaningful within one N. Steady state must stay at 0 allocs/op.
 func BenchmarkLargeN(b *testing.B) {
@@ -157,7 +157,6 @@ func BenchmarkLargeN(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer r.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

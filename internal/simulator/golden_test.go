@@ -22,7 +22,9 @@ var goldenFaults = []string{"none", "static", "transient"}
 
 // goldenGridConfigs is the pinned grid: every policy x traffic kind x
 // fault mode x switch model, plus bursty sources under every policy and
-// fault mode. Each config is run at IntraWorkers 1 and 3.
+// fault mode. Each config is run twice, keyed IntraWorkers 1 and 3: the
+// engine ignores the field, so each pair of lines must agree, and the keys
+// keep the recorded file.
 func goldenGridConfigs(t *testing.T) (keys []string, cfgs []Config) {
 	t.Helper()
 	const N = 16

@@ -76,7 +76,7 @@ func newCheckedSim(t *testing.T) *sim {
 func TestInvariantConservationPanics(t *testing.T) {
 	s := newCheckedSim(t)
 	s.q.push(0, packet{dst: 1, born: 0})
-	s.occupied++ // occupancy bookkeeping is consistent; the balance is not
+	s.Acc.Occupied++ // occupancy bookkeeping is consistent; the balance is not
 	mustPanic(t, "conservation broken", func() { s.checkInvariants(0) })
 }
 
@@ -92,7 +92,7 @@ func TestInvariantBitsetRingAgreementPanics(t *testing.T) {
 // drifting from the sum of ring lengths.
 func TestInvariantOccupancyTotalPanics(t *testing.T) {
 	s := newCheckedSim(t)
-	s.occupied = 3
+	s.Acc.Occupied = 3
 	mustPanic(t, "incremental occupancy", func() { s.checkInvariants(0) })
 }
 
@@ -113,7 +113,7 @@ func TestInvariantLatencyMassPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Reset(1)
-	s.latHist[3] = 7 // phantom deliveries; the zero-load run delivers none
+	s.Acc.LatHist[3] = 7 // phantom deliveries; the zero-load run delivers none
 	mustPanic(t, "latency histogram mass", func() { s.Model.run(); s.Metrics() })
 }
 
@@ -132,8 +132,8 @@ func TestInvariantCheckerOffByDefault(t *testing.T) {
 	if s.check {
 		t.Fatal("sim armed with invariants disabled")
 	}
-	s.occupied = 99 // silently tolerated without the checker...
-	s.occupied = 0  // ...restore so the run itself stays sane
+	s.Acc.Occupied = 99 // silently tolerated without the checker...
+	s.Acc.Occupied = 0  // ...restore so the run itself stays sane
 	s.Model.run()
 	s.Metrics()
 }

@@ -7,7 +7,6 @@ import (
 
 	"iadm/internal/blockage"
 	"iadm/internal/ctrrng"
-	"iadm/internal/fanout"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
 )
@@ -16,55 +15,29 @@ import (
 // this package and the flit-level engine of internal/wormhole. It holds
 // everything the two share — the links and their switches, the transient
 // fault process and static blockage, the SSDT routing ladder, the traffic
-// source, the cycle loop, the shard partition with its accumulators, and
-// the end-of-run metrics — and each engine embeds one Model by value and
-// adds only its buffers (packet FIFOs; lanes, flits and credits) and their
-// stepping.
+// source, the cycle loop with its accumulators, and the end-of-run
+// metrics — and each engine embeds one Model by value and adds only its
+// buffers (packet FIFOs; lanes, flits and credits) and their stepping.
 //
 // A run steps each cycle as phases: the fault process, then deliver (the
 // last stage's links into the output ports), then stages n-2..0, then
 // inject. Back to front, so a unit (packet or flit) advances at most one
 // stage per cycle and a pop frees its slot for the upstream push phase of
-// the same cycle. An engine steps them in one of two ways, set by its
-// Spec. The packet engine has a Step: one call runs a whole cycle's
-// phases on the calling goroutine, and IntraWorkers is ignored (sharding
-// it measured slower than one core at every N, DESIGN §6). The
-// wormhole engine has a Phase: the model calls it once per phase, on
-// IntraWorkers shards. Its metrics are bit-identical for every shard
-// count, the sequential case included, for two reasons:
+// the same cycle. The model runs the fault process (O(faults) per cycle,
+// read-only during the phases); the engine's Spec.Step runs the other
+// phases of one cycle on the calling goroutine and counts into the
+// model's one accumulator set, Acc. A run is never split across
+// goroutines: batches of independent runs (RunManyWorkers, Sweep) fill the
+// cores. Splitting one run was slower than one core at every N in the
+// packet engine, and paid in the wormhole engine only for a single large
+// run, which no caller makes (DESIGN §6). IntraWorkers is accepted and
+// ignored.
 //
-//  1. Every random draw is a pure function of (seed, cycle, entity,
-//     purpose) — see internal/ctrrng — so a draw's value does not depend
-//     on which worker evaluates it or when.
-//
-//  2. Ownership sharding: each phase partitions the 0..N-1 switch columns
-//     into contiguous ranges [ShardLo[k], ShardLo[k+1]), and shard k
-//     touches only state its receiving switches own: their incoming links
-//     (pops, and every per-link counter of those links), their own
-//     outgoing links (pushes), and the load signal of those outgoing links
-//     (AdaptiveSSDT). Outgoing links of distinct switches are distinct and
-//     every link has one receiver, so operations on different receiving
-//     switches commute; the projection of the sequential ascending-link
-//     sweep onto one receiving switch is "its incoming links in ascending
-//     dense index" — exactly the order of the In table. The phase order
-//     means the links a phase pushes into were popped in an earlier,
-//     barrier-separated phase, so a stage's pushes never race the next
-//     stage's pops.
-//
-// Per-shard accumulators are cumulative over the run and merged by exact
-// integer sums and maxes after each cycle (mergeCycle is a pure
-// recompute), so the merged metrics depend on neither the shard count nor
-// the merge timing. The latency histogram is summed once at the end of the
-// run, and the one float-sensitive structure, the stats.Stream, is built
-// from the merged integer histogram. The fault process runs sequentially
-// before the first phase of a cycle (it is O(faults), not worth sharding)
-// and is read-only during the phases.
-//
-// At two or more shards the phases run on fanout.Pool, whose helper
-// goroutines are persistent: they park between runs and synchronize
-// phases through an atomic counter, spinning briefly before they park, so
-// a steady-state Runner run still performs zero heap allocations. At one
-// shard the phases run inline.
+// Every random draw is a pure function of (seed, cycle, entity, purpose)
+// — see internal/ctrrng — so a draw's value does not depend on when it is
+// made, a run's metrics are a pure function of its config, and the
+// reference simulators (internal/refsim, internal/refwh) re-derive every
+// decision independently.
 
 // ModelConfig is the part of a run's configuration both engines share.
 // Each engine's Config carries the same fields flat (documented there) and
@@ -146,19 +119,6 @@ func (c ModelConfig) Validate(name string) error {
 	return nil
 }
 
-// effectiveIntra is the shard count a config actually steps with: at
-// least 1, at most one shard per switch column.
-func effectiveIntra(intraWorkers, n int) int {
-	p := intraWorkers
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	return p
-}
-
 // Draws are the draw-purpose constants of the draws the model makes on an
 // engine's behalf. Each engine keeps its own (and its oracle repeats
 // them), so the two engines' random streams stay disjoint.
@@ -180,50 +140,42 @@ type Spec struct {
 	// Buffers is how many buffers each link has, the unit of the mean
 	// occupancy.
 	Buffers int
-	// An engine sets one of Phase and Step. Phase runs shard k's slice of
-	// one phase, and the model steps such an engine on IntraWorkers
-	// shards. Step runs a whole cycle's phases at one shard, and the model
-	// ignores IntraWorkers for such an engine. Check verifies the engine's
-	// per-cycle invariants when they are armed.
-	Phase func(k int, ph fanout.Phase)
+	// Step runs one cycle's deliver, stage and inject phases on the
+	// calling goroutine; Check verifies the engine's per-cycle invariants
+	// when they are armed.
 	Step  func(cycle int, measured bool)
 	Check func(cycle int)
 }
 
-// Shard is one shard's accumulator set, cumulative from cycle 0 of the
-// current run. Counters of the measured window count packets, the Flits*
-// counters flits (the wormhole engine only); OccDelta and the Ck*
-// conservation shadows (warmup included) count the engine's queued unit,
-// packets or flits. The pad keeps adjacent shards' hot counters off one
-// cache line.
-type Shard struct {
-	Injected, Delivered, Dropped, Refused       int64
-	FlitsInjected, FlitsDelivered, FlitsDropped int64
-	OccDelta                                    int64
-	CkIn, CkOut, CkDropped                      int64
-	MaxOcc                                      int32
-	LatHist                                     []int32
-	_                                           [64]byte
+// Acc is a run's accumulator set, cumulative from cycle 0. The Totals
+// count the measured window, in packets and (the wormhole engine only) in
+// flits; Occupied and the Ck* conservation shadows (warmup included) count
+// the engine's queued unit, packets or flits.
+type Acc struct {
+	Totals
+	Occupied               int64 // units queued now
+	CkIn, CkOut, CkDropped int64
+	MaxOcc                 int32 // largest buffer occupancy observed
+	LatHist                []int32
 }
 
-func (sh *Shard) reset() {
-	lat := sh.LatHist
+func (a *Acc) reset() {
+	lat := a.LatHist
 	clear(lat)
-	*sh = Shard{LatHist: lat}
+	*a = Acc{LatHist: lat}
 }
 
 // AddLatency counts one delivered packet and its latency in cycles.
 // Latencies at or beyond the last histogram bucket are clamped into it.
-func (sh *Shard) AddLatency(lat int) {
-	sh.Delivered++
-	if lat >= len(sh.LatHist) {
-		lat = len(sh.LatHist) - 1
+func (a *Acc) AddLatency(lat int) {
+	a.Delivered++
+	if lat >= len(a.LatHist) {
+		lat = len(a.LatHist) - 1
 	}
-	sh.LatHist[lat]++
+	a.LatHist[lat]++
 }
 
-// Totals are a run's merged packet and flit counters over the measured
-// window.
+// Totals are a run's packet and flit counters over the measured window.
 type Totals struct {
 	Injected, Delivered, Dropped, Refused       int
 	FlitsInjected, FlitsDelivered, FlitsDropped int
@@ -252,21 +204,13 @@ type Model struct {
 	L      int // 3*N*n links
 
 	// ToOf[link] is the switch the link leads to at the next stage.
-	// In[((r-1)*N+sw)*3 + j] is the j-th incoming link (ascending dense
-	// index) of switch sw at column r, for r = 1..n (r = n is the output
-	// column); nil for an engine without a Phase.
 	ToOf []int32
-	In   []int32
 
 	// SingleInput: at most one unit passes through a switch per cycle.
 	SingleInput bool
 
-	// IntraP is the effective shard count (1 for an engine without a
-	// Phase); shard k owns switch columns [ShardLo[k], ShardLo[k+1]) and
-	// accumulates into Shards[k].
-	IntraP  int
-	ShardLo []int32
-	Shards  []Shard
+	// Acc is what the engine's Step counts into.
+	Acc Acc
 
 	// Forwards[link] counts units forwarded out of the link during
 	// measured cycles, the utilization numerator.
@@ -275,7 +219,6 @@ type Model struct {
 	spec Spec
 	mc   ModelConfig
 	rng  ctrrng.RNG
-	pool *fanout.Pool
 
 	// staticBlocked is the snapshot of the config's blockage set; blockable
 	// is true when any link can ever be unusable (static blockage or
@@ -302,15 +245,10 @@ type Model struct {
 	loadT, hotT uint64
 	dstMask     uint64
 
-	// The merged accumulators. latHist is folded from the shards at the
-	// end of the run; occupied is the total of queued units.
-	totals       Totals
-	ck           [3]int64 // merged CkIn, CkOut, CkDropped
-	occupied     int64
+	// The occupancy time sum over the measured window, and its sample
+	// count in buffers.
 	queueSum     int64
 	queueSamples int64
-	maxOcc       int32
-	latHist      []int32
 
 	lat, utilS, utilN stats.Stream
 
@@ -326,7 +264,6 @@ func (m *Model) Init(p topology.Params, mc ModelConfig, spec Spec) {
 		P: p, Stages: n, N: N, L: L,
 		ToOf:        make([]int32, L),
 		SingleInput: mc.Switches == SingleInput,
-		IntraP:      1,
 		Forwards:    make([]int32, L),
 		spec:        spec,
 		mc:          mc,
@@ -355,42 +292,10 @@ func (m *Model) Init(p topology.Params, mc ModelConfig, spec Spec) {
 	}
 	m.blockable = m.hasStatic || m.faulty
 	latBuckets := min(m.horizon+1, 1<<16)
-	m.latHist = make([]int32, latBuckets)
+	m.Acc.LatHist = make([]int32, latBuckets)
 	m.lat = stats.NewStream(1, latBuckets)
 	m.utilS = stats.NewStream(1.0/1024, 1025)
 	m.utilN = stats.NewStream(1.0/1024, 1025)
-	if spec.Phase != nil { // the phases iterate In, on IntraWorkers shards
-		m.IntraP = effectiveIntra(mc.IntraWorkers, N)
-		m.buildIn()
-	}
-	m.ShardLo = make([]int32, m.IntraP+1)
-	for k := 0; k <= m.IntraP; k++ {
-		m.ShardLo[k] = int32(k * N / m.IntraP)
-	}
-	m.Shards = make([]Shard, m.IntraP)
-	for k := range m.Shards {
-		m.Shards[k].LatHist = make([]int32, latBuckets)
-	}
-	if m.IntraP > 1 {
-		m.pool = fanout.NewPool(m.IntraP, spec.Phase)
-	}
-}
-
-// buildIn fills the incoming-link table: row (r-1)*N+sw lists the three
-// stage-(r-1) links into switch sw of column r, in ascending dense index.
-func (m *Model) buildIn() {
-	m.In = make([]int32, m.L)
-	fill := make([]int8, m.Stages*m.N)
-	for idx := 0; idx < m.L; idx++ {
-		row := idx/(3*m.N)*m.N + int(m.ToOf[idx])
-		m.In[row*3+int(fill[row])] = int32(idx)
-		fill[row]++
-	}
-	for row, c := range fill {
-		if c != 3 {
-			panic(fmt.Sprintf("%s: switch row %d has %d incoming links, want 3", m.spec.Name, row, c))
-		}
-	}
 }
 
 // Base returns the model an engine embeds.
@@ -402,19 +307,13 @@ func (m *Model) Rewind(seed int64, check bool) {
 	m.rng = ctrrng.New(seed)
 	clear(m.failUntil)
 	clear(m.Forwards)
-	clear(m.latHist)
-	m.totals = Totals{}
-	m.ck = [3]int64{}
-	m.occupied, m.queueSum, m.queueSamples = 0, 0, 0
-	m.maxOcc = 0
+	m.Acc.reset()
+	m.queueSum, m.queueSamples = 0, 0
 	m.nowCycle = 0
 	m.check = check
 	m.lat.Reset()
 	m.utilS.Reset()
 	m.utilN.Reset()
-	for k := range m.Shards {
-		m.Shards[k].reset()
-	}
 	if m.faulty {
 		m.nextFaultTrial = m.advanceFaultTrial(-1)
 	}
@@ -532,94 +431,21 @@ func (m *Model) Dest(src, cycle int) int {
 
 // run executes the configured cycles; Finish then derives the metrics.
 func (m *Model) run() {
-	// An engine with a Step runs each cycle in one call; one with a Phase
-	// runs each phase inline at one shard, through the pool (with its
-	// barrier) otherwise.
-	phase, step := m.spec.Phase, m.spec.Step
-	if pool := m.pool; pool != nil {
-		pool.Unpark()
-		phase = func(_ int, ph fanout.Phase) { pool.Dispatch(ph) }
-	}
 	for cycle := 0; cycle < m.horizon; cycle++ {
 		measured := cycle >= m.mc.Warmup
 		m.nowCycle = cycle
 		if m.faulty {
 			m.stepFaults(cycle)
 		}
-		if step != nil {
-			step(cycle, measured)
-		} else {
-			phase(0, fanout.Phase{Kind: fanout.Deliver, Cycle: cycle, Measured: measured})
-			for i := m.Stages - 2; i >= 0; i-- {
-				phase(0, fanout.Phase{Kind: fanout.Stage, Stage: i, Cycle: cycle, Measured: measured})
-			}
-			phase(0, fanout.Phase{Kind: fanout.Inject, Cycle: cycle, Measured: measured})
-		}
-		m.mergeCycle()
+		m.spec.Step(cycle, measured)
 		if measured {
-			m.queueSum += m.occupied
+			m.queueSum += m.Acc.Occupied
 			m.queueSamples += int64(m.L) * int64(m.spec.Buffers)
 		}
 		if m.check {
 			m.spec.Check(cycle)
 		}
 	}
-	if m.pool != nil {
-		m.pool.Park()
-	}
-	m.merge()
-	for k := range m.Shards {
-		for v, c := range m.Shards[k].LatHist {
-			m.latHist[v] += c
-		}
-	}
-	if m.check && m.IntraP > 1 {
-		m.checkShardMerge()
-	}
-}
-
-// mergeCycle recomputes what the end of a cycle reads from the cumulative
-// per-shard accumulators: the occupancy, and every merged total when the
-// checkers are armed.
-func (m *Model) mergeCycle() {
-	if m.check {
-		m.merge()
-		return
-	}
-	var occ int64
-	for k := range m.Shards {
-		occ += m.Shards[k].OccDelta
-	}
-	m.occupied = occ
-}
-
-// merge recomputes the merged totals from the cumulative per-shard
-// accumulators: exact integer sums and maxes, so the result is identical
-// for every shard count and unaffected by when the merge runs.
-func (m *Model) merge() {
-	var t [7]int64
-	var ck [3]int64
-	var occ int64
-	var mx int32
-	for k := range m.Shards {
-		sh := &m.Shards[k]
-		t[0] += sh.Injected
-		t[1] += sh.Delivered
-		t[2] += sh.Dropped
-		t[3] += sh.Refused
-		t[4] += sh.FlitsInjected
-		t[5] += sh.FlitsDelivered
-		t[6] += sh.FlitsDropped
-		occ += sh.OccDelta
-		ck[0] += sh.CkIn
-		ck[1] += sh.CkOut
-		ck[2] += sh.CkDropped
-		mx = max(mx, sh.MaxOcc)
-	}
-	m.totals = Totals{int(t[0]), int(t[1]), int(t[2]), int(t[3]), int(t[4]), int(t[5]), int(t[6])}
-	m.ck = ck
-	m.occupied = occ
-	m.maxOcc = mx
 }
 
 // detachStreams leaves the streams of the last Finish to the metrics that
@@ -629,15 +455,15 @@ func (m *Model) detachStreams() {
 	m.lat, m.utilS, m.utilN = m.lat.Clone(), m.utilS.Clone(), m.utilN.Clone()
 }
 
-// Finish derives the run-level metrics from the merged accumulators. The
-// streams share storage with the model until the next run.
+// Finish derives the run-level metrics from the accumulators. The streams
+// share storage with the model until the next run.
 func (m *Model) Finish() Result {
-	r := Result{Totals: m.totals, MaxOcc: int(m.maxOcc)}
+	r := Result{Totals: m.Acc.Totals, MaxOcc: int(m.Acc.MaxOcc)}
 	r.Throughput = float64(r.Delivered) / float64(m.mc.Cycles) / float64(m.N)
 	if m.queueSamples > 0 {
 		r.MeanOcc = float64(m.queueSum) / float64(m.queueSamples)
 	}
-	for v, c := range m.latHist {
+	for v, c := range m.Acc.LatHist {
 		m.lat.AddN(float64(v), int(c))
 	}
 	if m.check {

@@ -2,8 +2,8 @@ package simulator
 
 // The simulator's randomness is the counter-based generator of
 // internal/ctrrng: every draw is a pure function of (seed, cycle, entity,
-// purpose), which is what makes the sharded engine bit-identical to the
-// sequential one for every worker count.
+// purpose), so a run's metrics are a pure function of its config,
+// whichever batch worker runs it.
 //
 // The entity is the dense link index for in-flight routing draws and the
 // source index for injection-side draws; the purpose constants below keep

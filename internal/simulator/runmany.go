@@ -18,13 +18,10 @@ type Engine[M any] interface {
 	Metrics() M
 }
 
-// RunOnce executes one run of a freshly built engine and releases its
-// intra-run workers.
+// RunOnce executes one run of a freshly built engine.
 func RunOnce[M any](e Engine[M], seed int64) M {
-	m := e.Base()
-	defer m.pool.Close()
 	e.Reset(seed)
-	m.run()
+	e.Base().run()
 	return e.Metrics()
 }
 
@@ -41,39 +38,18 @@ type Reusable[M any] struct {
 
 // NewReusable wraps a freshly built engine whose configured seed is seed.
 func NewReusable[M any](e Engine[M], seed int64) *Reusable[M] {
-	r := &Reusable[M]{e: e, seed: seed}
-	if e.Base().pool != nil {
-		runtime.SetFinalizer(r, func(r *Reusable[M]) { r.e.Base().pool.Close() })
-	}
-	return r
+	return &Reusable[M]{e: e, seed: seed}
 }
 
 // Run executes one run with the configured seed.
 func (r *Reusable[M]) Run() M { return r.RunSeed(r.seed) }
 
 // RunSeed executes one run with the given seed, reusing all buffers.
-func (r *Reusable[M]) RunSeed(seed int64) M {
-	r.e.Reset(seed)
-	r.e.Base().run()
-	return r.e.Metrics()
-}
-
-// Close releases the intra-run worker goroutines of an engine that shards
-// a run (the wormhole engine at IntraWorkers >= 2; a no-op otherwise). It
-// must not be used afterwards. A forgotten Close is backstopped by a
-// finalizer, but deterministic shutdown — e.g. before a goroutine-leak
-// check in tests — needs the explicit call.
-func (r *Reusable[M]) Close() {
-	runtime.SetFinalizer(r, nil)
-	r.e.Base().pool.Close()
-}
+func (r *Reusable[M]) RunSeed(seed int64) M { return RunOnce(r.e, seed) }
 
 // Batch is an engine as the shared batch helpers see it.
 type Batch[C, M any] struct {
 	Name string // error prefix: "simulator", "wormhole"
-	// Sharded is set when the engine steps a run on IntraWorkers shards
-	// (its Spec has a Phase), so automatic sizing budgets runs x shards.
-	Sharded bool
 	// Model is the shared view of a config; Detail renders the engine-only
 	// fields that identify a run in an error; Seed points at a config's
 	// seed; New validates a config and builds its engine.
@@ -90,9 +66,6 @@ func summary(mc ModelConfig, detail string) string {
 		mc.N, mc.Policy, mc.Load, detail, mc.Cycles, mc.Warmup, mc.Seed, mc.Traffic)
 	if mc.FaultRate > 0 {
 		s += fmt.Sprintf(" faultRate=%v repair=%d", mc.FaultRate, mc.RepairCycles)
-	}
-	if mc.IntraWorkers != 0 {
-		s += fmt.Sprintf(" intraWorkers=%d", mc.IntraWorkers)
 	}
 	return s
 }
@@ -113,7 +86,6 @@ func (w *workerEngine[C, M]) run(b Batch[C, M], cfg C) (M, error) {
 	seed, shape := *b.Seed(&cfg), cfg
 	*b.Seed(&shape) = 0
 	if w.r == nil || !reflect.DeepEqual(w.shape, shape) {
-		w.close()
 		e, err := b.New(cfg)
 		if err != nil {
 			var zero M
@@ -126,31 +98,22 @@ func (w *workerEngine[C, M]) run(b Batch[C, M], cfg C) (M, error) {
 	return m, nil
 }
 
-// close releases the engine's intra-run workers, if it has any.
-func (w *workerEngine[C, M]) close() {
-	if w.r != nil {
-		w.r.Close()
-		w.r = nil
-	}
-}
-
 // RunManyWorkers executes every config as an independent run over
 // fanout.Map. Each run's randomness is a pure function of its seed, so
 // the results are bit-identical to running each config serially, in
 // config order, whatever the worker count or scheduling; on error the
 // first failing config (by index) is reported. workers <= 0 means
-// automatic sizing (autoWorkers at GOMAXPROCS); an explicit workers value
-// is taken as-is — the caller owns the oversubscription trade-off then.
+// GOMAXPROCS runs at a time, one per core; an explicit workers value is
+// taken as-is — the caller owns the oversubscription trade-off then.
 //
 // Each worker keeps the engine of its last run and reuses it for a config
 // that differs only in Seed (the shape of Sweep and of replica batches),
 // so a batch of seeds builds one engine per worker rather than one per
-// run. The engines live for this call only: their intra-run workers are
-// closed before it returns, and nothing is cached across calls, so a
-// Blocked set mutated between calls is snapshotted again.
+// run. The engines live for this call only: nothing is cached across
+// calls, so a Blocked set mutated between calls is snapshotted again.
 func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 	if workers <= 0 {
-		workers = b.autoWorkers(cfgs, runtime.GOMAXPROCS(0))
+		workers = runtime.GOMAXPROCS(0)
 	}
 	// One engine slot per worker: a task takes a slot for its run and
 	// returns it, so no two tasks share an engine.
@@ -158,12 +121,6 @@ func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 	for range cap(slots) {
 		slots <- &workerEngine[C, M]{}
 	}
-	defer func() {
-		close(slots)
-		for w := range slots {
-			w.close()
-		}
-	}()
 	return fanout.Map(len(cfgs), workers, func(i int) (M, error) {
 		w := <-slots
 		defer func() { slots <- w }()
@@ -177,22 +134,6 @@ func (b Batch[C, M]) RunManyWorkers(cfgs []C, workers int) ([]M, error) {
 		}
 		return m, nil
 	})
-}
-
-// autoWorkers is the automatic run count of a batch on procs cores: procs,
-// divided for a sharded engine by the largest per-run shard count in the
-// batch so the nested product runs x shards stays within procs. The
-// packet engine ignores IntraWorkers, so its batches keep one run per
-// core.
-func (b Batch[C, M]) autoWorkers(cfgs []C, procs int) int {
-	maxIntra := 1
-	if b.Sharded {
-		for i := range cfgs {
-			mc := b.Model(&cfgs[i])
-			maxIntra = max(maxIntra, effectiveIntra(mc.IntraWorkers, mc.N))
-		}
-	}
-	return max(procs/maxIntra, 1)
 }
 
 // Sweep builds and runs `points` configs derived from base: point i copies

@@ -389,32 +389,3 @@ func TestRunManyResnapshotsBlocked(t *testing.T) {
 		}
 	}
 }
-
-// TestAutoWorkers pins automatic batch sizing: a packet batch runs one run
-// per core whatever IntraWorkers says, since the packet engine ignores
-// it, while a sharded engine's batch (the wormhole engine's) divides the
-// cores by the largest shard count, clamped to N, so runs x shards stays
-// within them.
-func TestAutoWorkers(t *testing.T) {
-	sharded := packetBatch
-	sharded.Sharded = true
-	cfgs := []Config{{N: 16, IntraWorkers: 0}, {N: 16, IntraWorkers: 4}, {N: 2, IntraWorkers: 8}}
-	for _, tc := range []struct {
-		b           Batch[Config, Metrics]
-		cfgs        []Config
-		procs, want int
-	}{
-		{packetBatch, cfgs, 8, 8},
-		{packetBatch, cfgs, 1, 1},
-		{sharded, cfgs, 8, 2},
-		{sharded, cfgs[:1], 8, 8},
-		{sharded, cfgs[2:], 8, 4}, // IntraWorkers 8 clamps to N=2
-		{sharded, cfgs, 2, 1},     // never below one run
-		{sharded, nil, 8, 8},
-	} {
-		if got := tc.b.autoWorkers(tc.cfgs, tc.procs); got != tc.want {
-			t.Errorf("sharded=%v %d configs on %d procs: %d workers, want %d",
-				tc.b.Sharded, len(tc.cfgs), tc.procs, got, tc.want)
-		}
-	}
-}

@@ -501,27 +501,25 @@ func TestLivenessUnderSaturation(t *testing.T) {
 // past. A repair cycle that overflowed the per-link cycle counter used to
 // wrap negative and bring the link back at once.
 func TestRepairOutlastingRunStaysFailed(t *testing.T) {
-	for _, intra := range []int{1, 3} {
-		cfg := Config{N: 16, Policy: AdaptiveSSDT, Load: 0.6, QueueCap: 4,
-			Cycles: 300, Warmup: 20, Seed: 5, FaultRate: 0.01, IntraWorkers: intra}
-		cfg.RepairCycles = cfg.Warmup + cfg.Cycles
-		want, err := Run(cfg)
+	cfg := Config{N: 16, Policy: AdaptiveSSDT, Load: 0.6, QueueCap: 4,
+		Cycles: 300, Warmup: 20, Seed: 5, FaultRate: 0.01}
+	cfg.RepairCycles = cfg.Warmup + cfg.Cycles
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Dropped == 0 {
+		t.Fatal("no drops: the config does not exercise lasting faults")
+	}
+	for _, repair := range []int{cfg.RepairCycles + 1, math.MaxInt32, math.MaxInt32 + 7} {
+		cfg.RepairCycles = repair
+		got, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Dropped == 0 {
-			t.Fatal("no drops: the config does not exercise lasting faults")
-		}
-		for _, repair := range []int{cfg.RepairCycles + 1, math.MaxInt32, math.MaxInt32 + 7} {
-			cfg.RepairCycles = repair
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !metricsEqual(got, want) {
-				t.Errorf("intra %d, RepairCycles %d: dropped %d delivered %d, want %d and %d (as for a repair at the run's end)",
-					intra, repair, got.Dropped, got.Delivered, want.Dropped, want.Delivered)
-			}
+		if !metricsEqual(got, want) {
+			t.Errorf("RepairCycles %d: dropped %d delivered %d, want %d and %d (as for a repair at the run's end)",
+				repair, got.Dropped, got.Delivered, want.Dropped, want.Delivered)
 		}
 	}
 }

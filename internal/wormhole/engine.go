@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"math/bits"
 
-	"iadm/internal/fanout"
 	"iadm/internal/simulator"
 	"iadm/internal/topology"
 )
 
-// The flit-level phases. The cycle loop, the shard partition and the
-// accumulators are the shared model's (internal/simulator/model.go, which
-// also gives the ownership argument that makes every shard count
-// bit-identical); here the owner of receiving switch `at` is the only
-// goroutine touching (a) its incoming links' lane FIFOs, credits,
-// occupancy/claim masks, flit counts, rotation pointers and forward
-// counters — pops — and (b) its own outgoing links' lane state — pushes.
+// The flit-level phases. The cycle loop, the fault process and the
+// accumulators are the shared model's (internal/simulator/model.go); step
+// runs one cycle's phases, each visiting the receiving switches in
+// ascending column order and, per switch, its incoming links in ascending
+// dense index (the in table).
 //
-// Credits close in a single cycle: a pop returns its lane's credit at
-// the barrier before the upstream push phase runs, so a slot vacated
-// this cycle is usable this cycle — the same compacting-shift semantics
-// as the packet engine's queue pops. Backpressure is still real (a full
+// Credits close in a single cycle: a pop returns its lane's credit
+// before the upstream push phase runs, so a slot vacated this cycle is
+// usable this cycle — the same compacting-shift semantics as the packet
+// engine's queue pops. Backpressure is still real (a full
 // lane has credit 0 and stalls its worm); the credit counters are the
 // upstream bandwidth accounting, and simcheck re-verifies
 // credit+size == LaneDepth on every lane after every cycle.
@@ -29,16 +26,13 @@ import (
 // feed-forward (stage 0 -> n-1, ejection always drains), so worms
 // cannot deadlock — they only stall on backpressure or die by drop.
 
-// phase executes one shard's slice of one phase.
-func (s *sim) phase(k int, ph fanout.Phase) {
-	switch ph.Kind {
-	case fanout.Deliver:
-		s.deliver(k, ph.Cycle, ph.Measured)
-	case fanout.Stage:
-		s.stage(k, ph.Stage, ph.Cycle, ph.Measured)
-	default:
-		s.inject(k, ph.Cycle, ph.Measured)
+// step runs one cycle's phases: deliver, stages n-2..0, then inject.
+func (s *sim) step(cycle int, measured bool) {
+	s.deliver(cycle, measured)
+	for i := s.Stages - 2; i >= 0; i-- {
+		s.stage(i, cycle, measured)
 	}
+	s.inject(cycle, measured)
 }
 
 // pushLane appends a flit to lane q (caller has verified space via
@@ -86,7 +80,7 @@ func (s *sim) popLane(q, e int, lbit uint64) flit {
 // (one flit into each link per cycle). Returns whether a flit passed
 // through the switch — drops and drains consume the link's turn but do
 // not count as passing (the SingleInput budget).
-func (s *sim) forwardOne(sh *simulator.Shard, e, at, stageOut, outBase, cycle int, measured bool, inPort *[3]bool) bool {
+func (s *sim) forwardOne(sh *simulator.Acc, e, at, stageOut, outBase, cycle int, measured bool, inPort *[3]bool) bool {
 	am := s.occMask[e]
 	if am == 0 {
 		return false
@@ -106,7 +100,7 @@ func (s *sim) forwardOne(sh *simulator.Shard, e, at, stageOut, outBase, cycle in
 				// the claim (and popLane resets route to laneNone).
 				s.popLane(q, e, lbit)
 				sh.CkDropped++
-				sh.OccDelta--
+				sh.Occupied--
 				if measured {
 					sh.FlitsDropped++
 				}
@@ -122,7 +116,7 @@ func (s *sim) forwardOne(sh *simulator.Shard, e, at, stageOut, outBase, cycle in
 					// arrives.
 					s.popLane(q, e, lbit)
 					sh.CkDropped++
-					sh.OccDelta--
+					sh.Occupied--
 					if measured {
 						sh.FlitsDropped++
 						sh.Dropped++
@@ -176,17 +170,17 @@ func (s *sim) forwardOne(sh *simulator.Shard, e, at, stageOut, outBase, cycle in
 }
 
 // deliver ejects flits from the last stage's links into the output
-// ports owned by shard k: one flit per link per cycle (SingleInput: one
-// per output switch), lane chosen by the same rotating priority as
-// forwarding. Tail ejections complete packets.
-func (s *sim) deliver(k, cycle int, measured bool) {
-	sh := &s.Shards[k]
+// ports: one flit per link per cycle (SingleInput: one per output
+// switch), lane chosen by the same rotating priority as forwarding. Tail
+// ejections complete packets.
+func (s *sim) deliver(cycle int, measured bool) {
+	sh := &s.Acc
 	rowBase := (s.Stages - 1) * s.N
-	for to := int(s.ShardLo[k]); to < int(s.ShardLo[k+1]); to++ {
+	for to := 0; to < s.N; to++ {
 		inBase := (rowBase + to) * 3
 		passed := false
 		for j := 0; j < 3; j++ {
-			idx := int(s.In[inBase+j])
+			idx := int(s.in[inBase+j])
 			am := s.occMask[idx]
 			if am == 0 {
 				continue
@@ -202,7 +196,7 @@ func (s *sim) deliver(k, cycle int, measured bool) {
 			q := idx*s.V + l
 			f := s.popLane(q, idx, uint64(1)<<uint(l))
 			sh.CkOut++
-			sh.OccDelta--
+			sh.Occupied--
 			if int(f.dst) != to {
 				panic(fmt.Sprintf("wormhole: flit for %d delivered to %d via %v",
 					f.dst, to, topology.LinkFromIndex(s.P, idx)))
@@ -220,12 +214,11 @@ func (s *sim) deliver(k, cycle int, measured bool) {
 	}
 }
 
-// stage advances stage i's links into the column-(i+1) switches
-// owned by shard k.
-func (s *sim) stage(k, i, cycle int, measured bool) {
-	sh := &s.Shards[k]
+// stage advances stage i's links into the column-(i+1) switches.
+func (s *sim) stage(i, cycle int, measured bool) {
+	sh := &s.Acc
 	rowBase := i * s.N
-	for at := int(s.ShardLo[k]); at < int(s.ShardLo[k+1]); at++ {
+	for at := 0; at < s.N; at++ {
 		inBase := (rowBase + at) * 3
 		outBase := ((i+1)*s.N + at) * 3
 		var inPort [3]bool
@@ -234,7 +227,7 @@ func (s *sim) stage(k, i, cycle int, measured bool) {
 			if s.SingleInput && passed {
 				continue
 			}
-			e := int(s.In[inBase+j])
+			e := int(s.in[inBase+j])
 			if s.forwardOne(sh, e, at, i+1, outBase, cycle, measured, &inPort) {
 				passed = true
 			}
@@ -242,13 +235,13 @@ func (s *sim) stage(k, i, cycle int, measured bool) {
 	}
 }
 
-// inject runs the injection loop for the sources owned by shard k.
-// A source streams one packet at a time: while flits remain it pushes the
-// next one into its claimed stage-0 lane when credit allows (stalling
-// otherwise), and only an idle source draws for a new packet.
-func (s *sim) inject(k, cycle int, measured bool) {
-	sh := &s.Shards[k]
-	for src := int(s.ShardLo[k]); src < int(s.ShardLo[k+1]); src++ {
+// inject runs the injection loop over every source. A source streams one
+// packet at a time: while flits remain it pushes the next one into its
+// claimed stage-0 lane when credit allows (stalling otherwise), and only
+// an idle source draws for a new packet.
+func (s *sim) inject(cycle int, measured bool) {
+	sh := &s.Acc
+	for src := 0; src < s.N; src++ {
 		if rem := s.srcPending[src]; rem > 0 {
 			q := int(s.srcLane[src])
 			if s.credit[q] > 0 {
@@ -262,7 +255,7 @@ func (s *sim) inject(k, cycle int, measured bool) {
 				}
 				s.srcPending[src] = rem - 1
 				sh.CkIn++
-				sh.OccDelta++
+				sh.Occupied++
 				if measured {
 					sh.FlitsInjected++
 				}
@@ -305,7 +298,7 @@ func (s *sim) inject(k, cycle int, measured bool) {
 		s.srcDst[src] = int32(dst)
 		s.srcBorn[src] = int32(cycle)
 		sh.CkIn++
-		sh.OccDelta++
+		sh.Occupied++
 		if measured {
 			sh.Injected++
 			sh.FlitsInjected++

@@ -19,8 +19,9 @@ import (
 var updateGrid = flag.Bool("update", false, "rewrite testdata/golden_grid.txt")
 
 // goldenGridConfigs is the pinned grid: every policy x traffic kind x
-// fault mode x switch model, in two lane/flit shapes, each config run at
-// IntraWorkers 1 and 3.
+// fault mode x switch model, in two lane/flit shapes. Each config is run
+// twice, keyed IntraWorkers 1 and 3: the engine ignores the field, so each
+// pair of lines must agree, and the keys keep the recorded file.
 func goldenGridConfigs(t *testing.T) (keys []string, cfgs []Config) {
 	t.Helper()
 	const N = 16

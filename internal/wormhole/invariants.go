@@ -12,7 +12,7 @@ import (
 // preserve and panics on the first violation. The `simcheck` build tag
 // (fanout.Simcheck) turns it on for a whole test run (what `make race`
 // uses); tests can flip invariantsEnabled directly for targeted runs.
-// Invariants 1, 3 and 4 are the shared model's checks (see
+// Invariants 1 and 3 are the shared model's checks (see
 // internal/simulator/invariants.go), counted here in flits.
 //
 // Checked invariants:
@@ -27,9 +27,6 @@ import (
 //     empty, and a claimed route points at a lane whose claim bit is set.
 //  3. Latency histogram mass (end of run): one sample per delivered
 //     packet.
-//  4. Shard-merge correctness (sharded engine only): the merged counters
-//     and latency mass equal the exact sums over the per-shard
-//     accumulators.
 var invariantsEnabled = fanout.Simcheck
 
 // checkInvariants verifies invariants 1 and 2 after a cycle. It panics

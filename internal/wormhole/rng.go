@@ -2,10 +2,9 @@ package wormhole
 
 // The wormhole mode draws from the same counter-based generator as the
 // packet simulator (internal/ctrrng): every draw is a pure function of
-// (seed, cycle, entity, purpose), so a draw's value depends on neither
-// evaluation order nor worker, which is what makes the sharded stepping
-// bit-identical for every IntraWorkers count and lets the internal/refwh
-// oracle re-derive every decision independently.
+// (seed, cycle, entity, purpose), so a draw's value does not depend on
+// evaluation order, which lets the internal/refwh oracle re-derive every
+// decision independently.
 //
 // The purpose constants are fresh, disjoint from the packet simulator's,
 // so a wormhole run and a packet run on the same seed are statistically

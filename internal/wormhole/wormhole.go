@@ -27,7 +27,7 @@
 // The network model is the packet engine's (simulator.Model, embedded by
 // value): the links, the fault process and static blockage, the routing
 // ladder (AdaptiveSSDT reads the flits queued per link), the traffic
-// source, the shard partition with its phase loop, and the run scaffold.
+// source, the cycle loop, and the run scaffold.
 // This package adds the flits, lanes and credits, its own draw-purpose
 // constants (rng.go), and its Config and Metrics.
 //
@@ -37,10 +37,8 @@
 // counters, and the steady-state cycle loop performs zero heap
 // allocations. Randomness is the counter-based generator of
 // internal/ctrrng (every draw a pure function of seed, cycle, entity and
-// purpose), which is what makes the sharded intra-run stepping
-// (Config.IntraWorkers) bit-identical for every worker count and lets
-// internal/refwh re-derive every decision independently as a differential
-// oracle. Build with -tags simcheck to re-verify flit conservation,
+// purpose), which lets internal/refwh re-derive every decision
+// independently as a differential oracle. Build with -tags simcheck to re-verify flit conservation,
 // per-lane credit balance and lane-overflow freedom after every cycle.
 package wormhole
 
@@ -88,10 +86,9 @@ type Config struct {
 	FaultRate    float64
 	RepairCycles int
 
-	// IntraWorkers >= 2 steps each cycle on that many worker goroutines
-	// over contiguous switch-column shards, with barriers between stage
-	// phases; metrics are bit-identical for every value (see the shared
-	// model in internal/simulator/model.go).
+	// IntraWorkers is accepted and ignored, as in simulator.Config: every
+	// run steps on one goroutine (DESIGN §6). A negative value is still
+	// rejected. Run batches (RunMany, Sweep) to use more cores.
 	IntraWorkers int
 }
 
@@ -144,18 +141,23 @@ const (
 )
 
 // sim is the wormhole engine: the shared simulator.Model (links, faults,
-// routing ladder, traffic source, shards and phase loop) plus the lanes,
-// flits and credits. Lane q of link e has dense lane index e*Lanes + q.
+// routing ladder, traffic source and cycle loop) plus the lanes, flits
+// and credits. Lane q of link e has dense lane index e*Lanes + q.
 type sim struct {
 	simulator.Model
 	cfg Config
+
+	// in[((r-1)*N+sw)*3 + j] is the j-th incoming link (ascending dense
+	// index) of switch sw at column r, for r = 1..n (r = n is the output
+	// column): the per-switch SingleInput and input-port budgets walk it.
+	in []int32
 
 	V int // lanes per link
 	D int // flits per lane
 
 	// Lane FIFOs: one flat flit array, stride D per lane, with per-lane
 	// head/size cursors. credit[q] is the upstream view of lane q's free
-	// space (credit+size == D at every barrier); route[q] is the
+	// space (credit+size == D after every cycle); route[q] is the
 	// downstream lane claimed by the worm currently holding q.
 	buf    []flit
 	head   []int32
@@ -254,10 +256,28 @@ func newSim(cfg Config) (*sim, error) {
 		Draws:   simulator.Draws{Load: drawWhLoad, Dst: drawWhDst, Hot: drawWhHot, Fault: drawWhFault},
 		Load:    s.linkFlits,
 		Buffers: V,
-		Phase:   s.phase,
+		Step:    s.step,
 		Check:   s.checkInvariants,
 	})
+	s.buildIn()
 	return s, nil
+}
+
+// buildIn fills the incoming-link table: row (r-1)*N+sw lists the three
+// stage-(r-1) links into switch sw of column r, in ascending dense index.
+func (s *sim) buildIn() {
+	s.in = make([]int32, s.L)
+	fill := make([]int8, s.Stages*s.N)
+	for idx := 0; idx < s.L; idx++ {
+		row := idx/(3*s.N)*s.N + int(s.ToOf[idx])
+		s.in[row*3+int(fill[row])] = int32(idx)
+		fill[row]++
+	}
+	for row, c := range fill {
+		if c != 3 {
+			panic(fmt.Sprintf("wormhole: switch row %d has %d incoming links, want 3", row, c))
+		}
+	}
 }
 
 // Reset rewinds the sim to cycle 0 with a fresh seed, reusing every
@@ -314,9 +334,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 // batch is the wormhole engine's simulator.Batch.
 var batch = simulator.Batch[Config, Metrics]{
-	Name:    "wormhole",
-	Sharded: true,
-	Model:   (*Config).model,
+	Name:  "wormhole",
+	Model: (*Config).model,
 	Detail: func(c *Config) string {
 		return fmt.Sprintf("flits=%d lanes=%d depth=%d", c.PacketFlits, c.Lanes, c.LaneDepth)
 	},

@@ -98,17 +98,14 @@ func sampleConfigs(t *testing.T) []Config {
 // TestInvariantsOverSampleConfigs arms the per-cycle checker for the
 // whole mixed batch: flit conservation, credit balance, lane/mask
 // agreement and claim-route consistency must hold on every cycle of
-// every config, under both engines.
+// every config.
 func TestInvariantsOverSampleConfigs(t *testing.T) {
 	old := invariantsEnabled
 	invariantsEnabled = true
 	defer func() { invariantsEnabled = old }()
 	for i, cfg := range sampleConfigs(t) {
-		for _, p := range []int{0, 3} {
-			cfg.IntraWorkers = p
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("cfg %d intra %d: %v", i, p, err)
-			}
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("cfg %d: %v", i, err)
 		}
 	}
 }
@@ -218,9 +215,9 @@ func TestBlockedInjectionDrops(t *testing.T) {
 	}
 }
 
-// TestRunnerReuse checks that a Runner's buffers (and pool, when sharded)
-// rewind exactly between runs: interleaved seeds reproduce their
-// first-run metrics, and Close is idempotent.
+// TestRunnerReuse checks that a Runner's buffers rewind exactly between
+// runs: interleaved seeds reproduce their first-run metrics, with
+// IntraWorkers (ignored) at 0 and 4.
 func TestRunnerReuse(t *testing.T) {
 	for _, intra := range []int{0, 4} {
 		t.Run(fmt.Sprintf("intra%d", intra), func(t *testing.T) {
@@ -230,7 +227,6 @@ func TestRunnerReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			first := make(map[int64]Metrics)
 			for _, seed := range []int64{1, 2, 3} {
 				m := r.RunSeed(seed)
@@ -257,7 +253,6 @@ func TestRunnerReuse(t *testing.T) {
 					t.Fatalf("seed %d not reproducible on reuse", seed)
 				}
 			}
-			r.Close() // second Close must be a no-op
 		})
 	}
 }
@@ -356,26 +351,21 @@ func TestLaneCountHelpsUnderLoad(t *testing.T) {
 }
 
 // TestRunnerZeroAllocs: a warm Runner's RunSeed performs no heap
-// allocation, on one shard and on the phase pool, with the fault
-// injector running.
+// allocation, with the fault injector running.
 func TestRunnerZeroAllocs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		r, err := NewRunner(Config{N: 64, Policy: simulator.RandomState, Load: 0.7,
-			PacketFlits: 4, Lanes: 2, LaneDepth: 2, Cycles: 100, Warmup: 10,
-			Traffic: simulator.Uniform, FaultRate: 0.002, RepairCycles: 5,
-			IntraWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := int64(0)
-		allocs := testing.AllocsPerRun(20, func() {
-			seed++
-			r.RunSeed(seed)
-		})
-		r.Close()
-		if allocs != 0 {
-			t.Errorf("IntraWorkers=%d: %v allocs per RunSeed, want 0", workers, allocs)
-		}
+	r, err := NewRunner(Config{N: 64, Policy: simulator.RandomState, Load: 0.7,
+		PacketFlits: 4, Lanes: 2, LaneDepth: 2, Cycles: 100, Warmup: 10,
+		Traffic: simulator.Uniform, FaultRate: 0.002, RepairCycles: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		r.RunSeed(seed)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per RunSeed, want 0", allocs)
 	}
 }
 
@@ -384,28 +374,26 @@ func TestRunnerZeroAllocs(t *testing.T) {
 // past. A repair cycle that overflowed the per-link cycle counter used to
 // wrap negative and bring the link back at once.
 func TestRepairOutlastingRunStaysFailed(t *testing.T) {
-	for _, intra := range []int{1, 3} {
-		cfg := baseConfig()
-		cfg.Cycles, cfg.Warmup, cfg.Seed = 300, 20, 5
-		cfg.FaultRate, cfg.IntraWorkers = 0.01, intra
-		cfg.RepairCycles = cfg.Warmup + cfg.Cycles
-		want, err := Run(cfg)
+	cfg := baseConfig()
+	cfg.Cycles, cfg.Warmup, cfg.Seed = 300, 20, 5
+	cfg.FaultRate = 0.01
+	cfg.RepairCycles = cfg.Warmup + cfg.Cycles
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Dropped == 0 {
+		t.Fatal("no drops: the config does not exercise lasting faults")
+	}
+	for _, repair := range []int{cfg.RepairCycles + 1, math.MaxInt32, math.MaxInt32 + 7} {
+		cfg.RepairCycles = repair
+		got, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Dropped == 0 {
-			t.Fatal("no drops: the config does not exercise lasting faults")
-		}
-		for _, repair := range []int{cfg.RepairCycles + 1, math.MaxInt32, math.MaxInt32 + 7} {
-			cfg.RepairCycles = repair
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !metricsEqual(got, want) {
-				t.Errorf("intra %d, RepairCycles %d: dropped %d delivered %d, want %d and %d (as for a repair at the run's end)",
-					intra, repair, got.Dropped, got.Delivered, want.Dropped, want.Delivered)
-			}
+		if !metricsEqual(got, want) {
+			t.Errorf("RepairCycles %d: dropped %d delivered %d, want %d and %d (as for a repair at the run's end)",
+				repair, got.Dropped, got.Delivered, want.Dropped, want.Delivered)
 		}
 	}
 }
@@ -413,7 +401,8 @@ func TestRepairOutlastingRunStaysFailed(t *testing.T) {
 // reuseConfigs interleaves config shapes, so a batch worker's kept engine
 // is reusable for some runs and not for others: two blockage sets (one
 // also as an equal copy under another pointer), a permutation, a lane
-// change and a sharded shape.
+// change and an IntraWorkers change (ignored by the engine, but part of
+// the shape).
 func reuseConfigs() []Config {
 	p := topology.MustParams(16)
 	blkA, blkB, blkA2 := blockage.NewSet(p), blockage.NewSet(p), blockage.NewSet(p)
@@ -444,7 +433,7 @@ func reuseConfigs() []Config {
 // TestRunManyEngineReuse: a batch whose workers reuse engines across
 // configs that differ only in Seed returns what serial Run returns, for
 // every worker count; its results alias neither one another nor a later
-// batch's; and its sharded engines' helpers are gone when it returns.
+// batch's; and no goroutine of the batch outlives it.
 func TestRunManyEngineReuse(t *testing.T) {
 	cfgs := reuseConfigs()
 	want := make([]Metrics, len(cfgs))

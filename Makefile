@@ -91,9 +91,10 @@ bench-wormhole:
 
 comma := ,
 
-# Emit the BENCH_*.json reports for CI tracking.
+# Emit the BENCH_*.json reports for CI tracking (benchjson writes to
+# stdout unless -o names a file).
 bench-json:
-	$(GO) run ./cmd/benchjson
+	$(GO) run ./cmd/benchjson -o BENCH_simulator.json
 	$(GO) run ./cmd/benchjson -pkg '$(ROUTING_PKGS)' -bench '$(ROUTING_BENCH)' -o BENCH_routing.json
 	$(GO) run ./cmd/benchjson -pkg '$(FLEET_PKGS)' -bench '$(FLEET_BENCH)' -o BENCH_fleet.json
 	$(GO) run ./cmd/benchjson -pkg '$(SERVE_PKGS)' -bench '$(SERVE_BENCH)' -o BENCH_serve.json

@@ -6,13 +6,17 @@
 // Usage:
 //
 //	benchjson [-bench regex] [-pkg path] [-count N] [-o file] [-compare file] [-tolerance frac]
+//	benchjson -paired rev [-pairs K] [-bench regex] [-pkg path] [-count N] [-tolerance frac]
 //
-// Defaults run the tracked benchmarks (BenchmarkCyclesPerSecond and
-// BenchmarkLargeN) in ./internal/simulator with -count 5 and write
-// BENCH_simulator.json. With -count > 1 every sample is kept and each
-// benchmark also reports the min and mean ns/op across its samples (min
-// is the stable number to compare across machines). Reports record the
-// go version and the git commit they were produced at.
+// Defaults run the tracked benchmarks (BenchmarkCyclesPerSecond,
+// BenchmarkLargeN and BenchmarkRunMany/N=1024) in ./internal/simulator
+// with -count 5 and write the report to stdout; -o names a file instead
+// (`make bench-json` writes every BENCH_*.json baseline that way, so a
+// hand run never replaces one by accident). With -count > 1 every
+// sample is kept and each benchmark also reports the min and mean ns/op
+// across its samples (min is the stable number to compare across
+// machines). Reports record the go version and the git commit they were
+// produced at.
 //
 // -pkg accepts a comma-separated package list (the routing suite spans
 // five packages); in multi-package reports every benchmark name is
@@ -38,6 +42,11 @@
 // wires this as the CI perf gate. Informational cells, in the baseline or
 // the fresh run, are reported but not gated. Custom metrics are recorded
 // but not gated.
+//
+// With -paired rev, the working tree is measured against commit rev on
+// the same host instead of against a recorded report (see paired.go):
+// both test binaries run alternately -pairs times, and a cell fails when
+// its median paired min_ns_per_op ratio exceeds 1 + -tolerance.
 package main
 
 import (
@@ -331,24 +340,41 @@ func gitCommit() string {
 	return string(bytes.TrimSpace(out))
 }
 
+// config is one invocation's flags.
+type config struct {
+	bench, pkg   string
+	count        int
+	out, compare string
+	tolerance    float64
+	paired       string
+	pairs        int
+}
+
 func main() {
-	bench := flag.String("bench", "BenchmarkCyclesPerSecond|BenchmarkLargeN|BenchmarkRunMany/N=1024", "benchmark regex passed to go test -bench")
-	pkg := flag.String("pkg", "./internal/simulator", "package(s) to benchmark, comma-separated")
-	count := flag.Int("count", 5, "samples per benchmark (go test -count)")
-	out := flag.String("o", "BENCH_simulator.json", "output file (- for stdout)")
-	compare := flag.String("compare", "", "baseline report to compare against; fail on min_ns_per_op regressions")
-	tolerance := flag.Float64("tolerance", 0.10, "fractional regression allowed by -compare (0.10 = +10%)")
+	var c config
+	flag.StringVar(&c.bench, "bench", "BenchmarkCyclesPerSecond|BenchmarkLargeN|BenchmarkRunMany/N=1024", "benchmark regex passed to go test -bench")
+	flag.StringVar(&c.pkg, "pkg", "./internal/simulator", "package(s) to benchmark, comma-separated")
+	flag.IntVar(&c.count, "count", 5, "samples per benchmark (go test -count); with -paired, per run")
+	flag.StringVar(&c.out, "o", "-", "output file (- for stdout)")
+	flag.StringVar(&c.compare, "compare", "", "baseline report to compare against; fail on min_ns_per_op regressions")
+	flag.Float64Var(&c.tolerance, "tolerance", 0.10, "fractional regression allowed by -compare and -paired (0.10 = +10%)")
+	flag.StringVar(&c.paired, "paired", "", "commit to measure the working tree against in alternating pairs (no report is written)")
+	flag.IntVar(&c.pairs, "pairs", 10, "pairs of runs for -paired")
 	flag.Parse()
-	if err := run(*bench, *pkg, *count, *out, *compare, *tolerance); err != nil {
+	run := run
+	if c.paired != "" {
+		run = runPaired
+	}
+	if err := run(c, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, pkg string, count int, out, compare string, tolerance float64) error {
+func run(c config, stdout io.Writer) error {
 	args := []string{"test", "-run", "^$",
-		"-bench", bench, "-benchmem", "-count", strconv.Itoa(count)}
-	args = append(args, strings.Split(pkg, ",")...)
+		"-bench", c.bench, "-benchmem", "-count", strconv.Itoa(c.count)}
+	args = append(args, strings.Split(c.pkg, ",")...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -360,7 +386,7 @@ func run(bench, pkg string, count int, out, compare string, tolerance float64) e
 		return err
 	}
 	if len(rep.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmark results matched %q in %s", bench, pkg)
+		return fmt.Errorf("no benchmark results matched %q in %s", c.bench, c.pkg)
 	}
 	markHost(&rep, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	rep.GoVersion = runtime.Version()
@@ -370,30 +396,30 @@ func run(bench, pkg string, count int, out, compare string, tolerance float64) e
 		return err
 	}
 	doc = append(doc, '\n')
-	if out == "-" {
-		if _, err := os.Stdout.Write(doc); err != nil {
+	if c.out == "-" {
+		if _, err := stdout.Write(doc); err != nil {
 			return err
 		}
-	} else if err := os.WriteFile(out, doc, 0o644); err != nil {
+	} else if err := os.WriteFile(c.out, doc, 0o644); err != nil {
 		return err
 	}
-	if compare == "" {
+	if c.compare == "" {
 		return nil
 	}
-	baseRaw, err := os.ReadFile(compare)
+	baseRaw, err := os.ReadFile(c.compare)
 	if err != nil {
 		return fmt.Errorf("compare baseline: %w", err)
 	}
 	var baseline Report
 	if err := json.Unmarshal(baseRaw, &baseline); err != nil {
-		return fmt.Errorf("compare baseline %s: %w", compare, err)
+		return fmt.Errorf("compare baseline %s: %w", c.compare, err)
 	}
-	if violations := compareReports(baseline, rep, tolerance); len(violations) > 0 {
+	if violations := compareReports(baseline, rep, c.tolerance); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "benchjson: regression:", v)
 		}
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% of %s", len(violations), tolerance*100, compare)
+		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% of %s", len(violations), c.tolerance*100, c.compare)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: no regressions beyond %.0f%% against %s\n", tolerance*100, compare)
+	fmt.Fprintf(os.Stderr, "benchjson: no regressions beyond %.0f%% against %s\n", c.tolerance*100, c.compare)
 	return nil
 }

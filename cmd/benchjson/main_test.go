@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -339,5 +341,73 @@ func TestMarkHostInformational(t *testing.T) {
 		if !strings.Contains(string(doc), key) {
 			t.Errorf("report JSON lacks %s: %s", key, doc)
 		}
+	}
+}
+
+// TestRunWithoutOWritesNoFile: with -pkg and no -o the report goes to
+// stdout and no file appears, so a hand run never replaces a tracked
+// BENCH_*.json baseline.
+func TestRunWithoutOWritesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod":    "module benchtmp\n\ngo 1.22\n",
+		"x_test.go": "package benchtmp\n\nimport \"testing\"\n\nfunc BenchmarkNop(b *testing.B) {\n\tfor i := 0; i < b.N; i++ {\n\t}\n}\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Chdir(dir)
+	var out bytes.Buffer
+	if err := run(config{bench: "BenchmarkNop", pkg: ".", count: 1, out: "-"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil || len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "BenchmarkNop" {
+		t.Fatalf("stdout report %q: %+v, %v", out.Bytes(), rep, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("files after the run: %v, want only go.mod and x_test.go", names)
+	}
+}
+
+// TestPairCells: a cell's verdict is the median over the pairs of
+// change/base min ns/op, with the pairs the change ran faster counted;
+// a cell missing from any run is named and left out.
+func TestPairCells(t *testing.T) {
+	mk := func(ns float64, allocs int64) Benchmark { return Benchmark{MinNsPerOp: ns, AllocsPerOp: allocs} }
+	base := []map[string]Benchmark{
+		{"BenchmarkA": mk(100, 3), "BenchmarkB": mk(10, 0), "BenchmarkGone": mk(5, 0)},
+		{"BenchmarkA": mk(100, 3), "BenchmarkB": mk(10, 0), "BenchmarkGone": mk(5, 0)},
+		{"BenchmarkA": mk(100, 3), "BenchmarkB": mk(10, 0)},
+		{"BenchmarkA": mk(100, 3), "BenchmarkB": mk(10, 0)},
+	}
+	change := []map[string]Benchmark{
+		{"BenchmarkA": mk(90, 3), "BenchmarkB": mk(13, 1), "BenchmarkGone": mk(5, 0)},
+		{"BenchmarkA": mk(110, 3), "BenchmarkB": mk(12, 1)},
+		{"BenchmarkA": mk(95, 3), "BenchmarkB": mk(9, 1)},
+		{"BenchmarkA": mk(100, 3), "BenchmarkB": mk(14, 1)},
+	}
+	cells, missing := pairCells(base, change)
+	if len(missing) != 1 || missing[0] != "BenchmarkGone" {
+		t.Fatalf("missing %v, want [BenchmarkGone]", missing)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("cells %+v", cells)
+	}
+	a, b := cells[0], cells[1]
+	if a.Name != "BenchmarkA" || a.Median != 0.975 || a.Wins != 2 || a.BaseAllocs != 3 || a.ChangeAllocs != 3 {
+		t.Errorf("A: %+v, want median 0.975 (of 0.90 0.95 1.00 1.10), 2 wins", a)
+	}
+	if b.Name != "BenchmarkB" || b.Median != 1.25 || b.Wins != 1 || b.ChangeAllocs != 1 {
+		t.Errorf("B: %+v, want median 1.25, 1 win", b)
 	}
 }

@@ -14,7 +14,9 @@ import (
 // the incoming body yields each item's bytes plus the (net, src, dst) key
 // that places it, sub-batches are those bytes concatenated, and each
 // backend's answer is split at item boundaries into sub-slices of its
-// pooled body, which the merged response splices back in input order.
+// pooled body, which the merged response splices back in input order. (A
+// body outside the wire codec's canonical grammar is decoded by
+// encoding/json instead, and its item bytes live in buffers of their own.)
 // Every sub-batch asks for the answer shape the client asked for
 // (routesvc.Answers), so the items splice unchanged in either shape.
 

@@ -204,7 +204,7 @@ func TestRouterRefusesMalformedBatches(t *testing.T) {
 	f := newTestFleet(t, 2, Config{Replicas: 1})
 	front := httptest.NewServer(f.rt)
 	t.Cleanup(front.Close)
-	for _, body := range []string{"{", "", `{"requests":[{"src":"1"}]}`, `{"requests":[1]}`, `{"requests":[{"src":1}]`, `{"requests":[{"src":1,"src":2}]}`} {
+	for _, body := range []string{"{", "", `{"requests":[{"src":"1"}]}`, `{"requests":[1]}`, `{"requests":[{"src":1}]`} {
 		code, got := rawPost(t, front.URL+"/route/batch", body)
 		var e struct{ Code string }
 		_ = json.Unmarshal(got, &e)
@@ -222,6 +222,12 @@ func TestRouterRefusesMalformedBatches(t *testing.T) {
 	}
 	if subs := f.rt.subs.Load(); subs != 0 {
 		t.Errorf("%d sub-batches sent for malformed bodies", subs)
+	}
+	// A repeated key is no refusal: the last one wins, as encoding/json
+	// decodes it, and the item is placed and answered.
+	body := `{"requests":[{"src":1,"src":2}]}`
+	if code, got := rawPost(t, front.URL+"/route/batch", body); code != http.StatusOK || !bytes.HasPrefix(got, []byte(`{"responses":[{"src":2,`)) {
+		t.Errorf("%q: %d %s, want 200 with src 2", body, code, got)
 	}
 }
 

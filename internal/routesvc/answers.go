@@ -62,6 +62,21 @@ func (a Answers) BatchPath() string {
 	return "/route/batch"
 }
 
+// tagAnswerJSON and tagBatchJSON are the tag-shape answer as
+// encoding/json types: decodeTagAnswers' fallback, and the oracle of
+// appendTagAnswer, appendTagResults and the answer decode.
+type tagAnswerJSON struct {
+	Tag   string `json:"tag,omitempty"`
+	Epoch uint64 `json:"epoch,omitempty"`
+	Error string `json:"error,omitempty"`
+	Code  string `json:"code,omitempty"`
+}
+
+type tagBatchJSON struct {
+	Responses []tagAnswerJSON `json:"responses"`
+	Epoch     uint64          `json:"epoch"`
+}
+
 // batchDecode is decodeTagAnswers' pooled working memory: the answer
 // items as decoded, and the tag bytes with the item each tag belongs to.
 type batchDecode struct {
@@ -81,27 +96,38 @@ var batchDecodePool = sync.Pool{New: func() any { return new(batchDecode) }}
 // dst and the canonical scheme, and every tag its path, the tag's walk
 // from the item's source. The answer's memory is per batch, not per
 // item: Responses has its exact length, the paths share one exact-size
-// backing array, each capped at its own length, and the tags are
-// substrings of one string (a tag with an escape is a string of its
-// own).
+// backing array, each capped at its own length, and the tags of a
+// canonical body are substrings of one string.
 //
 // A body that does not decode, answers another number of items, or
 // carries an item with neither a tag nor an error, a tag that does not
 // parse or a source outside the tag's network is an error.
 func decodeTagAnswers(body []byte, reqs []RouteJSON, b *BatchJSON) error {
 	sc := batchDecodePool.Get().(*batchDecode)
-	d := wireDec{b: body, tagMode: strText, text: sc.text[:0]}
+	d := wireDec{b: body, keep: keepTagText, text: sc.text[:0]}
 	items, tags := sc.items[:0], sc.tags[:0]
 	textEnd := 0
-	epoch, err := d.batch(batchSpec{responses: answerItems, epoch: true},
-		func(_ bool, _ []byte, r *RouteJSON) error {
-			if len(d.text) > textEnd {
-				textEnd = len(d.text)
-				tags = append(tags, tagSpan{i: len(items), end: textEnd})
-			}
-			items = append(items, *r)
-			return nil
-		})
+	epoch, ok := d.batch(func(resp bool, _ []byte, r *RouteJSON) {
+		switch {
+		case !resp:
+			d.text = d.text[:textEnd] // a request's tag is no answer's
+			return
+		case len(d.text) > textEnd:
+			textEnd = len(d.text)
+			tags = append(tags, tagSpan{i: len(items), end: textEnd})
+		}
+		items = append(items, *r)
+	})
+	var err error
+	if !ok {
+		items, tags, d.text = items[:0], tags[:0], d.text[:0]
+		var tb tagBatchJSON
+		err = decodeJSON(body, &tb)
+		for _, a := range tb.Responses {
+			items = append(items, RouteJSON{Tag: a.Tag, Epoch: a.Epoch, Error: a.Error, Code: a.Code})
+		}
+		epoch = tb.Epoch
+	}
 	if err == nil && len(items) != len(reqs) {
 		err = fmt.Errorf("%d answers for %d requests", len(items), len(reqs))
 	}

@@ -16,21 +16,6 @@ import (
 	"iadm/internal/topology"
 )
 
-// tagAnswerJSON and tagBatchJSON are the tag-shape answer as
-// encoding/json types: the oracle of appendTagAnswer, appendTagResults
-// and the answer-item decoder.
-type tagAnswerJSON struct {
-	Tag   string `json:"tag,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-}
-
-type tagBatchJSON struct {
-	Responses []tagAnswerJSON `json:"responses"`
-	Epoch     uint64          `json:"epoch"`
-}
-
 func TestParseAnswers(t *testing.T) {
 	for _, c := range []struct {
 		q    string
@@ -213,7 +198,6 @@ func TestClientRefusesBadTagAnswers(t *testing.T) {
 		`{"responses":[{"tag":"010000"},{"tag":"01"}],"epoch":0}`,
 		`{"responses":[{"tag":"010000"},{"tag":"` + strings.Repeat("0", 62) + `"}],"epoch":0}`,
 		`{"responses":[{"tag":"010000"},{"tag":1}],"epoch":0}`,
-		`{"responses":[{"tag":"010000"},{"tag":"001000","tag":"001000"}],"epoch":0}`,
 	} {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.RawQuery != "answers=tags" {
@@ -242,5 +226,11 @@ func TestClientRefusesBadTagAnswers(t *testing.T) {
 	}}
 	if err != nil || !reflect.DeepEqual(out, want) {
 		t.Fatalf("got %+v, %v\nwant %+v", out, err, want)
+	}
+	// A repeated key is no refusal: the last one wins, as encoding/json
+	// decodes it.
+	body := []byte(`{"responses":[{"tag":"010000"},{"tag":"011000","tag":"001000"}],"epoch":0}`)
+	if err := decodeTagAnswers(body, reqs, &out); err != nil || out.Responses[1].Tag != "001000" {
+		t.Fatalf("%s: %+v, %v; want the last tag", body, out, err)
 	}
 }

@@ -252,21 +252,28 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 	reqs, nets := bs.reqs[:0], bs.nets[:0]
 	var schemeErr error
 	err = wb.ReadAll(r.Body, r.ContentLength)
+	add := func(resp bool, _ []byte, rq *RouteJSON) {
+		if resp {
+			return // a response field in a request is decoded and ignored
+		}
+		sc, err := ParseScheme(rq.Scheme)
+		if err != nil && schemeErr == nil {
+			schemeErr = fmt.Errorf("%w (request %d)", err, len(reqs))
+		}
+		reqs = append(reqs, Request{Src: rq.Src, Dst: rq.Dst, Scheme: sc})
+		nets = append(nets, rq.Net)
+	}
 	if err == nil {
 		d := wireDec{b: wb.B}
-		_, err = d.batch(batchSpec{requests: routeItems, responses: routeItems, epoch: true},
-			func(resp bool, _ []byte, rq *RouteJSON) error {
-				if resp {
-					return nil // a response field in a request is decoded and ignored
+		if _, ok := d.batch(add); !ok {
+			reqs, nets, schemeErr = reqs[:0], nets[:0], nil
+			var in BatchJSON
+			if err = decodeJSON(wb.B, &in); err == nil {
+				for i := range in.Requests {
+					add(false, nil, &in.Requests[i])
 				}
-				sc, err := ParseScheme(rq.Scheme)
-				if err != nil && schemeErr == nil {
-					schemeErr = fmt.Errorf("%w (request %d)", err, len(reqs))
-				}
-				reqs = append(reqs, Request{Src: rq.Src, Dst: rq.Dst, Scheme: sc})
-				nets = append(nets, rq.Net)
-				return nil
-			})
+			}
+		}
 	}
 	bs.reqs, bs.nets = reqs, nets
 	if err != nil {

@@ -188,3 +188,68 @@ func BenchmarkServeLadder(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWireFallback prices the fallback: each body outside the fast
+// path's grammar against its canonical twin, the encoder's bytes for the
+// value both decode to. The first six hold escaped, non-ASCII and
+// repeated keys; the first five decode as /route bodies, the rest
+// through the router's request scan (AppendBatchItems), the last a
+// 1000-item batch with a space after every comma.
+func BenchmarkWireFallback(b *testing.B) {
+	big := appendBatchJSON(nil, &BatchJSON{Requests: ladderRequests(1000)})
+	for _, c := range []struct {
+		name, body string
+		batch      bool
+	}{
+		{"escaped-key", `{"s\u0072c":1}`, false},
+		{"non-ascii-key", `{"ſrc":1}`, false},
+		{"non-ascii-unknown-key", `{"naïve":1}`, false},
+		{"repeated-key", `{"src":1,"src":2}`, false},
+		{"repeated-folded-key", `{"src":1,"SRC":2}`, false},
+		{"repeated-array", `{"requests":[],"requests":[]}`, true},
+		{"batch-1000-spaced", string(bytes.ReplaceAll(big, []byte(","), []byte(", "))), true},
+	} {
+		body := []byte(c.body)
+		var twin []byte
+		if c.batch {
+			var v BatchJSON
+			if err := oracleDecode(body, &v); err != nil {
+				b.Fatal(err)
+			}
+			twin = appendBatchJSON(nil, &v)
+			if _, _, _, ok := fastBatch(twin); !ok {
+				b.Fatalf("twin %q left the fast path", twin)
+			}
+		} else {
+			var v RouteJSON
+			if err := oracleDecode(body, &v); err != nil {
+				b.Fatal(err)
+			}
+			twin = AppendRouteJSON(nil, &v, false)
+			if !decodeRouteFast(twin, &RouteJSON{}) {
+				b.Fatalf("twin %q left the fast path", twin)
+			}
+		}
+		for _, v := range []struct {
+			name string
+			body []byte
+		}{{"canonical", twin}, {"fallback", body}} {
+			b.Run(c.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var items []BatchItem
+				var err error
+				for i := 0; i < b.N; i++ {
+					if c.batch {
+						items, err = AppendBatchItems(items[:0], v.body)
+					} else {
+						var r RouteJSON
+						err = DecodeRouteJSON(v.body, &r)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

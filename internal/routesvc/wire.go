@@ -1,17 +1,15 @@
 package routesvc
 
 import (
+	"bytes"
 	"encoding/binary"
-	"errors"
-	"fmt"
+	"encoding/json"
 	"io"
 	"math"
 	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"iadm/internal/core"
@@ -20,32 +18,27 @@ import (
 // This file is the wire codec of the hot endpoints, /route and
 // /route/batch: a hand-written, reflection-free encoder and decoder for
 // RouteJSON, BatchJSON, the tag answers of /route/batch?answers=tags and
-// the error body, shared by the Handler, the fleet router and Client. The cold endpoints (/fault, /repair, /healthz,
-// /metrics) keep encoding/json, which is also the codec's test oracle.
+// the error body, shared by the Handler, the fleet router and Client.
+// The cold endpoints (/fault, /repair, /healthz, /metrics) keep
+// encoding/json.
 //
 // Encoder: output is byte-identical to a json.Encoder with
 // SetEscapeHTML(false) (json.Marshal's escaping when escapeHTML is set);
 // the Encode trailing newline is the caller's to add.
 //
-// Decoder: one pass over the body bytes. It accepts what
-// json.NewDecoder(body).Decode accepts into the same type — any
-// whitespace and key order, ASCII case-insensitive key matching, unknown
-// keys with any value, null for any field, string escapes, invalid UTF-8
-// coerced to U+FFFD, trailing bytes after the first value ignored — with
-// two documented exceptions it refuses instead:
-//
-//   - an object key holding an escape or a non-ASCII byte (encoding/json
-//     unescapes and Unicode-case-folds keys, so "\u0073rc" or "ſrc"
-//     can name the src field);
-//   - a schema key repeated in one object (encoding/json lets the last
-//     one win, merging repeated arrays element by element into the first).
-//
-// Every refusal is an error, which the callers turn into the same
-// ErrInvalid / 400 / "invalid" answer a json decode error produced.
-
-// wireMaxDepth is encoding/json's nesting limit, mirrored so a deeply
-// nested unknown value is refused exactly when the oracle refuses it.
-const wireMaxDepth = 10000
+// Decoder: a fast path for the bytes the encoders write, and
+// encoding/json for every other body. The fast path accepts the
+// canonical grammar: no whitespace; object keys spelled exactly as the
+// encoders write them, in their order, each at most once; strings of
+// printable ASCII with nothing to escape; integers in their type's
+// range with no leading zero, fraction or exponent, a minus sign only on
+// src and dst; path arrays non-empty, of at most 18-digit elements; null
+// only for a batch array; bytes after the top-level object ignored, as Decode ignores
+// them. At the first byte outside that grammar the whole body is
+// decoded again by json.NewDecoder(body).Decode into the same Go type,
+// so every entry point decodes exactly as encoding/json does, refusals
+// included; the callers turn a refusal into the ErrInvalid / 400 /
+// "invalid" answer.
 
 // maxPooledWire caps the buffers the codec returns to its pool, so one
 // huge request cannot pin a huge buffer for the life of the process.
@@ -401,175 +394,113 @@ func AppendErrorJSON(dst []byte, msg, code string) []byte {
 
 // ---- decoder ----------------------------------------------------------
 
-// wireError is a decode refusal: what was wrong and at which byte.
-// class is errRefusedKey for the refusals encoding/json would accept.
-type wireError struct {
-	off   int
-	msg   string
-	class error
+// decodeJSON is the decoder's fallback: encoding/json's Decode of body
+// into v, as the hot endpoints decoded every body before this codec.
+func decodeJSON(body []byte, v any) error {
+	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
-func (e *wireError) Error() string { return fmt.Sprintf("%s at offset %d", e.msg, e.off) }
-
-func (e *wireError) Unwrap() error { return e.class }
-
-// errRefusedKey classes the codec's documented refusals (see the top of
-// this file): an escaped or non-ASCII key, a repeated schema key.
-var errRefusedKey = errors.New("object key outside the wire codec's grammar")
-
-// wireDec scans one body. ints collects the path elements of the whole
-// body in parse order; names interns the short strings (net, scheme,
-// code) a batch repeats on every item. tagMode is how tags are decoded:
-// strText appends the bytes of every tag without escapes to text
-// instead of making each a string of its own (decodeTagAnswers cuts them
-// from one string).
+// wireDec is the decoder's fast path: one pass over a body in the
+// canonical grammar (see the top of this file) that reports false at the
+// first byte outside it, leaving what it decoded so far for the caller
+// to discard. keep says which values it keeps; the path elements of the
+// body land in ints, and names interns the short strings (net, scheme,
+// code) a batch repeats on every item.
 type wireDec struct {
-	b       []byte
-	i       int
-	depth   int
-	ints    []int
-	names   [8]string
-	nn      int
-	tagMode strMode
-	text    []byte
+	b     []byte
+	i     int
+	keep  keepMode
+	ints  []int
+	names [8]string
+	nn    int
+	text  []byte
 }
 
-func (d *wireDec) fail(msg string) error { return &wireError{off: d.i, msg: msg} }
+// keepMode is what the fast path keeps of the values it scans.
+type keepMode uint8
 
-func (d *wireDec) unexpected() error {
-	if d.i >= len(d.b) {
-		return d.fail("unexpected end of JSON input")
-	}
-	return d.fail(fmt.Sprintf("invalid character %q", d.b[d.i]))
-}
+const (
+	// keepAll: every field.
+	keepAll keepMode = iota
+	// keepTagText: every field, but tags are appended to text rather than
+	// becoming a string each (decodeTagAnswers cuts them from one string).
+	keepTagText
+	// keepNone: nothing; values are only checked (a split at item
+	// boundaries needs only the bytes).
+	keepNone
+)
 
-// ws skips whitespace and reports the next byte (0 at end of input).
-// The common case, no whitespace at all, stays inlined.
-func (d *wireDec) ws() byte {
-	if d.i < len(d.b) && d.b[d.i] > ' ' {
-		return d.b[d.i]
-	}
-	return d.skipWS()
-}
-
-func (d *wireDec) skipWS() byte {
+// open consumes the '{' or '[' at the cursor: more reports a first
+// member, and an empty container is consumed whole.
+func (d *wireDec) open(open, close byte) (more, ok bool) {
 	b, i := d.b, d.i
-	for ; i < len(b); i++ {
-		switch c := b[i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			d.i = i
-			return c
-		}
+	if i >= len(b) || b[i] != open {
+		return false, false
 	}
-	d.i = i
-	return 0
+	if i+1 < len(b) && b[i+1] == close {
+		d.i = i + 2
+		return false, true
+	}
+	d.i = i + 1
+	return true, true
 }
 
-func (d *wireDec) literal(lit string) error {
-	if len(d.b)-d.i < len(lit) || string(d.b[d.i:d.i+len(lit)]) != lit {
-		return d.fail("invalid literal, want " + lit)
-	}
-	d.i += len(lit)
-	return nil
-}
-
-// open consumes the '{' or '[' at d.i and reports whether the container
-// has a first member (false: it was empty and is already closed).
-func (d *wireDec) open(close byte) (bool, error) {
-	d.i++
-	if d.depth++; d.depth > wireMaxDepth {
-		return false, d.fail("exceeded max nesting depth")
-	}
-	if d.ws() == close {
-		d.i++
-		d.depth--
-		return false, nil
-	}
-	return true, nil
-}
-
-// next consumes the separator after a member: true for ',' (another
-// member follows), false for the closing byte.
-func (d *wireDec) next(close byte) (bool, error) {
-	b, i := d.b, d.i
-	if i < len(b) && b[i] <= ' ' {
-		d.skipWS()
-		i = d.i
-	}
-	if i < len(b) {
-		switch b[i] {
+// next consumes the separator after a member: ',' (more follow) or the
+// closing byte.
+func (d *wireDec) next(close byte) (more, ok bool) {
+	if d.i < len(d.b) {
+		switch d.b[d.i] {
 		case ',':
-			d.i = i + 1
-			return true, nil
+			d.i++
+			return true, true
 		case close:
-			d.i = i + 1
-			d.depth--
-			return false, nil
+			d.i++
+			return false, true
 		}
 	}
-	return false, d.unexpected()
+	return false, false
 }
 
-// str scans the string literal at d.i and returns its raw contents;
-// slow reports an escape or a non-ASCII byte, which unquote must
-// resolve.
-func (d *wireDec) str() (raw []byte, slow bool, err error) {
-	b, i := d.b, d.i+1
-	for i < len(b) {
-		// Eight bytes at a time while the body has them: step over a
-		// word of plain bytes, or straight to the first byte that is not.
-		if i+8 <= len(b) {
-			m := unplainBytes(binary.LittleEndian.Uint64(b[i:]))
-			if m == 0 {
-				i += 8
-				continue
-			}
-			i += bits.TrailingZeros64(m) >> 3
-		}
-		c := b[i]
-		if plainByte[c] {
-			i++
-			continue
-		}
-		switch {
-		case c == '"':
-			raw = b[d.i+1 : i]
-			d.i = i + 1
-			return raw, slow, nil
-		case c == '\\':
-			slow = true
-			if i+1 >= len(b) {
-				d.i = len(b)
-				return nil, false, d.unexpected()
-			}
-			switch b[i+1] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i += 2
-			case 'u':
-				for k := i + 2; k < i+6; k++ {
-					if k >= len(b) || !isHex(b[k]) {
-						d.i = min(k, len(b))
-						return nil, false, d.unexpected()
-					}
-				}
-				i += 6
-			default:
-				d.i = i + 1
-				return nil, false, d.fail("invalid escape in string literal")
-			}
-		case c < 0x20:
-			d.i = i
-			return nil, false, d.fail("invalid control character in string literal")
-		default:
-			if c >= utf8.RuneSelf {
-				slow = true
-			}
-			i++
+// key matches the cursor against keys (quoted, colon included) from
+// index from on and consumes the first that matches; -1 if none does.
+// Callers pass the index after the last key matched, so keys come in
+// encoder order and each at most once.
+func (d *wireDec) key(keys []string, from int) int {
+	rest := d.b[d.i:]
+	for k := from; k < len(keys); k++ {
+		// The key's first letter rules out most keys before a compare.
+		if q := keys[k]; len(rest) >= len(q) && rest[1] == q[1] && string(rest[:len(q)]) == q {
+			d.i += len(q)
+			return k
 		}
 	}
-	d.i = i
-	return nil, false, d.unexpected()
+	return -1
+}
+
+// str scans a string of plain bytes and returns its contents.
+func (d *wireDec) str() ([]byte, bool) {
+	b, i := d.b, d.i+1
+	if i > len(b) || b[i-1] != '"' {
+		return nil, false
+	}
+	// Eight bytes at a time while the body has them: step over a word of
+	// plain bytes, or straight to the first byte that is not.
+	for i+8 <= len(b) {
+		if m := unplainBytes(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+			i += bits.TrailingZeros64(m) >> 3
+			break
+		}
+		i += 8
+	}
+	for i < len(b) && plainByte[b[i]] {
+		i++
+	}
+	if i == len(b) || b[i] != '"' {
+		return nil, false
+	}
+	raw := b[d.i+1 : i]
+	d.i = i + 1
+	return raw, true
 }
 
 // unplainBytes flags the bytes of the little-endian word w that plainByte
@@ -591,83 +522,6 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// getu4 decodes the \uXXXX escape at the start of s, or returns -1.
-func getu4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
-// unquote resolves the escapes of a scanned string as encoding/json
-// does: surrogate pairs combine, a lone surrogate and every invalid
-// UTF-8 byte become U+FFFD.
-func unquote(raw []byte) string {
-	b := make([]byte, 0, len(raw)+2*utf8.UTFMax)
-	for r := 0; r < len(raw); {
-		c := raw[r]
-		switch {
-		case c == '\\':
-			switch e := raw[r+1]; e {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := getu4(raw[r:])
-				r += 6
-				if utf16.IsSurrogate(rr) {
-					if dec := utf16.DecodeRune(rr, getu4(raw[r:])); dec != unicode.ReplacementChar {
-						r += 6
-						b = utf8.AppendRune(b, dec)
-						continue
-					}
-					rr = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, rr)
-				continue
-			default: // '"', '\\', '/'
-				b = append(b, e)
-			}
-			r += 2
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(raw[r:])
-			r += size
-			b = utf8.AppendRune(b, rr)
-		}
-	}
-	return string(b)
-}
-
 // intern returns raw as a string, reusing an earlier identical one.
 func (d *wireDec) intern(raw []byte) string {
 	for _, s := range d.names[:d.nn] {
@@ -683,407 +537,110 @@ func (d *wireDec) intern(raw []byte) string {
 	return s
 }
 
-// strMode is where stringInto puts a decoded string.
-type strMode uint8
-
-const (
-	strCopy   strMode = iota // a string of its own
-	strIntern                // interned: reused when a body repeats it
-	strText                  // without escapes, appended to d.text, *p untouched
-)
-
-// stringInto decodes a string (or null, a no-op) into *p.
-func (d *wireDec) stringInto(p *string, mode strMode) error {
-	switch d.ws() {
-	case 'n':
-		return d.literal("null")
-	case '"':
-	default:
-		return d.mismatch("string")
-	}
-	raw, slow, err := d.str()
+// stringInto decodes a string into *p, interned when intern is set.
+func (d *wireDec) stringInto(p *string, intern bool) bool {
+	raw, ok := d.str()
 	switch {
-	case err != nil:
-		return err
-	case slow:
-		*p = unquote(raw)
-	case mode == strIntern:
+	case !ok, d.keep == keepNone:
+	case intern:
 		*p = d.intern(raw)
-	case mode == strText:
-		d.text = append(d.text, raw...)
 	default:
 		*p = string(raw)
 	}
-	return nil
+	return ok
 }
 
-// mismatch refuses a value of the wrong JSON type for its field (after
-// checking it is valid JSON at all, so syntax errors win as they do in
-// encoding/json).
-func (d *wireDec) mismatch(want string) error {
-	at := d.i
-	if err := d.skip(); err != nil {
-		return err
-	}
-	d.i = at
-	return d.fail("cannot unmarshal into a field of type " + want)
-}
-
-// number scans a JSON number literal and returns it.
-func (d *wireDec) number() ([]byte, error) {
-	b, start := d.b, d.i
-	i := start
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	var ok bool
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if i, ok = digits(b, i); !ok {
-		d.i = i
-		return nil, d.unexpected()
-	}
-	if i < len(b) && b[i] == '.' {
-		if i, ok = digits(b, i+1); !ok {
-			d.i = i
-			return nil, d.unexpected()
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i, ok = digits(b, i); !ok {
-			d.i = i
-			return nil, d.unexpected()
-		}
-	}
-	d.i = i
-	return b[start:i], nil
-}
-
-// digits returns the end of the run of decimal digits at b[i:] and
-// whether there was at least one.
-func digits(b []byte, i int) (int, bool) {
-	at := i
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i, i > at
-}
-
-// parseDigits parses an unsigned decimal (only digits), false on any
-// other byte or on uint64 overflow.
-func parseDigits(s []byte) (uint64, bool) {
-	var u uint64
-	for _, c := range s {
-		if c < '0' || c > '9' {
+// num scans an unsigned decimal without a leading zero that fits a
+// uint64. A longer number leaves a digit at the cursor, where no caller
+// accepts one.
+func (d *wireDec) num() (uint64, bool) {
+	b, i := d.b, d.i
+	var v uint64
+	j := i
+	for end := min(len(b), i+20); j < end && b[j]-'0' <= 9; j++ {
+		c := uint64(b[j] - '0')
+		if j-i == 19 && v > (math.MaxUint64-c)/10 {
 			return 0, false
 		}
-		v := uint64(c - '0')
-		if u > (math.MaxUint64-v)/10 {
-			return 0, false
-		}
-		u = u*10 + v
+		v = v*10 + c
 	}
-	return u, len(s) > 0
+	if j == i || b[i] == '0' && j > i+1 {
+		return 0, false
+	}
+	d.i = j
+	return v, true
 }
 
-// intInto decodes an integer (or null, a no-op) into *p, refusing what
-// strconv.ParseInt(lit, 10, 64) refuses: fractions, exponents, overflow.
-func (d *wireDec) intInto(p *int) error {
-	c := d.ws()
-	if c == 'n' {
-		return d.literal("null")
-	}
-	if c != '-' && (c < '0' || c > '9') {
-		return d.mismatch("int")
-	}
-	// Fast path: an unsigned integer of at most 18 digits (so it cannot
-	// overflow) without a leading zero, ending at a byte that cannot
-	// continue a number.
-	b, i, v := d.b, d.i, 0
-	for end := min(len(b), i+18); i < end && isDigit(b[i]); i++ {
-		v = v*10 + int(b[i]-'0')
-	}
-	if i > d.i && i < len(b) && !isDigit(b[i]) && b[i] != '.' && b[i] != 'e' && b[i] != 'E' && (c != '0' || i == d.i+1) {
-		d.i, *p = i, v
-		return nil
-	}
-	at := d.i
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	neg := lit[0] == '-'
+// int scans num's grammar with an optional minus sign, within int's
+// range.
+func (d *wireDec) int() (int, bool) {
+	neg := d.i < len(d.b) && d.b[d.i] == '-'
 	if neg {
-		lit = lit[1:]
+		d.i++
 	}
-	u, ok := parseDigits(lit)
-	switch {
-	case !ok, !neg && u > math.MaxInt64, neg && u > 1<<63:
-		d.i = at
-		return d.fail("number is not an int")
-	case neg:
-		*p = int(-int64(u))
-	default:
-		*p = int(u)
+	v, ok := d.num()
+	if neg {
+		return -int(v), ok && v <= 1<<63
 	}
-	return nil
+	return int(v), ok && v <= math.MaxInt64
 }
 
-// uintInto decodes an unsigned integer (or null) into *p, refusing what
-// strconv.ParseUint(lit, 10, 64) refuses (a sign included).
-func (d *wireDec) uintInto(p *uint64) error {
-	c := d.ws()
-	if c == 'n' {
-		return d.literal("null")
+// path scans a non-empty array of path elements, each a switch label:
+// num's grammar with at most 18 digits, directly followed by its
+// separator. Unless keeping nothing, it appends them to d.ints and
+// points *p at them, capped at their length.
+func (d *wireDec) path(p *[]int) bool {
+	b, i := d.b, d.i
+	if i >= len(b) || b[i] != '[' {
+		return false
 	}
-	if c != '-' && (c < '0' || c > '9') {
-		return d.mismatch("uint64")
-	}
-	at := d.i
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	u, ok := parseDigits(lit)
-	if !ok {
-		d.i = at
-		return d.fail("number is not a uint64")
-	}
-	*p = u
-	return nil
-}
-
-// emptyInts is the decoded value of "path":[] — empty but not nil, as
-// encoding/json decodes it.
-var emptyInts = []int{}
-
-// pathInto decodes an int array (null sets nil; a null element is 0)
-// into *p, appending the elements to d.ints.
-func (d *wireDec) pathInto(p *[]int) error {
-	switch d.ws() {
-	case 'n':
-		*p = nil
-		return d.literal("null")
-	case '[':
-	default:
-		return d.mismatch("[]int")
-	}
-	if d.ints == nil {
+	i++
+	keep := d.keep != keepNone
+	if keep && d.ints == nil {
 		// One allocation sized from what is left of the body (a path
 		// element takes at least two bytes, most take four or more).
-		d.ints = make([]int, 0, max(16, (len(d.b)-d.i)/8))
+		d.ints = make([]int, 0, max(16, (len(b)-i)/8))
 	}
-	start := len(d.ints)
-	more, err := d.open(']')
-	for more && err == nil {
-		if more = d.uintRun(&d.ints); more {
-			v := 0
-			if err = d.intInto(&v); err == nil {
-				d.ints = append(d.ints, v)
-				more, err = d.next(']')
-			}
-		}
-	}
-	ints := d.ints
-	if err != nil {
-		return err
-	}
-	if len(ints) == start {
-		*p = emptyInts
-	} else {
-		*p = ints[start:len(ints):len(ints)]
-	}
-	return nil
-}
-
-// uintRun consumes array elements from the cursor for as long as each is
-// an unsigned integer of at most 18 digits without a leading zero,
-// directly followed by its separator — the whole of a path as the
-// encoders write it — and appends their values to *ints (ints nil: it
-// only scans). It returns false once it has consumed the array's closing
-// ']', and true at an element it cannot take that way (whitespace, a
-// sign, a fraction, a long number, another type), which the caller
-// scans in full.
-func (d *wireDec) uintRun(ints *[]int) bool {
-	b, i := d.b, d.i
-	var out []int
-	if ints != nil {
-		out = *ints
-	}
-	more := true
+	out, start := d.ints, len(d.ints)
 	for {
 		v, j := 0, i
-		for end := min(len(b), i+18); j < end; j++ {
-			c := b[j] - '0'
-			if c > 9 {
-				break
-			}
-			v = v*10 + int(c)
+		for end := min(len(b), i+18); j < end && b[j]-'0' <= 9; j++ {
+			v = v*10 + int(b[j]-'0')
 		}
-		if j == i || j == len(b) || b[i] == '0' && j > i+1 || b[j] != ',' && b[j] != ']' {
-			break
+		if j == i || j == len(b) || b[i] == '0' && j > i+1 {
+			return false
 		}
-		if ints != nil {
+		if keep {
 			out = append(out, v)
 		}
 		i = j + 1
 		if b[j] == ']' {
-			d.depth--
-			more = false
 			break
+		}
+		if b[j] != ',' {
+			return false
 		}
 	}
 	d.i = i
-	if ints != nil {
-		*ints = out
-	}
-	return more
-}
-
-// skip scans past one JSON value of any type.
-func (d *wireDec) skip() error {
-	switch c := d.ws(); {
-	case c == '{':
-		more, err := d.open('}')
-		for more && err == nil {
-			if _, _, err = d.key(); err == nil {
-				if err = d.skip(); err == nil {
-					more, err = d.next('}')
-				}
-			}
-		}
-		return err
-	case c == '[':
-		more, err := d.open(']')
-		for more && err == nil {
-			if more = d.uintRun(nil); more {
-				if err = d.skip(); err == nil {
-					more, err = d.next(']')
-				}
-			}
-		}
-		return err
-	case c == '"':
-		_, _, err := d.str()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := d.number()
-		return err
-	}
-	return d.unexpected()
-}
-
-// key scans an object key and its colon.
-func (d *wireDec) key() (raw []byte, slow bool, err error) {
-	if d.ws() != '"' {
-		return nil, false, d.unexpected()
-	}
-	if raw, slow, err = d.str(); err != nil {
-		return nil, false, err
-	}
-	if d.ws() != ':' {
-		return nil, false, d.unexpected()
-	}
-	d.i++
-	return raw, slow, nil
-}
-
-// schema is one object type's key set: its field names (lowercase ASCII
-// letters and at most 16 of them) and an index of the names by length
-// and first letter. at[n][c&31] has bit k set when names[k] is n bytes
-// long and starts with the letter whose low five bits are c's, so the
-// bit set holds every name an n-byte key starting with c can match,
-// exactly or folded.
-type schema struct {
-	names []string
-	at    [16][32]uint16
-}
-
-// newSchema builds a schema by value, so the package-level schemas live
-// in static data rather than on the heap.
-func newSchema(names ...string) (sc schema) {
-	sc.names = names
-	for k, name := range names {
-		sc.at[len(name)][name[0]&31] |= 1 << k
-	}
-	return sc
-}
-
-// field matches a key against a schema's field names, ASCII
-// case-insensitively as encoding/json does, and refuses keys it cannot
-// match that way and repeated schema keys; it returns -1 for an unknown
-// key. The index narrows the candidates to the names sharing the key's
-// length and first letter: an exact compare finds the key as the
-// encoders write it, the case-fold loop any other spelling.
-func (d *wireDec) field(raw []byte, slow bool, sc *schema, seen *uint16) (int, error) {
-	if slow {
-		return -1, &wireError{off: d.i, msg: "escaped or non-ASCII object key", class: errRefusedKey}
-	}
-	k := -1
-	if len(raw) > 0 && len(raw) < len(sc.at) {
-		cand := sc.at[len(raw)][raw[0]&31]
-		for m := cand; m != 0; m &= m - 1 {
-			if i := bits.TrailingZeros16(m); string(raw) == sc.names[i] {
-				k = i
-				break
-			}
-		}
-		for m := cand; k < 0 && m != 0; m &= m - 1 {
-			if i := bits.TrailingZeros16(m); foldEqual(raw, sc.names[i]) {
-				k = i
-			}
-		}
-	}
-	if k >= 0 {
-		if *seen&(1<<k) != 0 {
-			return -1, &wireError{off: d.i, msg: "repeated key " + strconv.Quote(sc.names[k]), class: errRefusedKey}
-		}
-		*seen |= 1 << k
-	}
-	return k, nil
-}
-
-// foldEqual reports whether raw equals the lowercase ASCII name with
-// ASCII letters compared case-insensitively.
-func foldEqual(raw []byte, name string) bool {
-	if len(raw) != len(name) {
-		return false
-	}
-	for j := 0; j < len(raw); j++ {
-		c := raw[j]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[j] {
-			return false
-		}
+	if keep {
+		d.ints, *p = out, out[start:len(out):len(out)]
 	}
 	return true
 }
 
-// rkNames are RouteJSON's field names in the order the encoders write
-// them, indexed by the rk constants; routeKeys is their schema and
-// quotedRouteKeys the keys as written: quoted, colon included.
-var rkNames = [...]string{"net", "src", "dst", "scheme", "tag", "path", "epoch", "error", "code"}
-
-var routeKeys = newSchema(rkNames[:]...)
-
-var quotedRouteKeys = func() (q [len(rkNames)]string) {
-	for k, name := range rkNames {
+// quoted returns names as the encoders write them as keys: quoted, colon
+// included.
+func quoted(names ...string) []string {
+	q := make([]string, len(names))
+	for k, name := range names {
 		q[k] = `"` + name + `":`
 	}
 	return q
-}()
+}
+
+// routeKeys are RouteJSON's keys in the order the encoders write them,
+// indexed by the rk constants.
+var routeKeys = quoted("net", "src", "dst", "scheme", "tag", "path", "epoch", "error", "code")
 
 const (
 	rkNet = iota
@@ -1097,217 +654,123 @@ const (
 	rkCode
 )
 
-// encodedKey matches the cursor against the keys the encoders write
-// after field `from`, in their order, and consumes the one it finds
-// (quotes and colon included) unless seen already holds it. It returns
-// -1, consuming nothing, for any other key or spelling, which the
-// general key scan then takes, repeat refusals included.
-func (d *wireDec) encodedKey(from int, seen *uint16) int {
-	rest := d.b[d.i:]
-	for k := from; k < len(quotedRouteKeys); k++ {
-		q := quotedRouteKeys[k]
-		if len(rest) >= len(q) && string(rest[:len(q)]) == q {
-			if *seen&(1<<k) != 0 {
-				return -1
-			}
-			*seen |= 1 << k
-			d.i += len(q)
-			return k
-		}
+// route decodes one RouteJSON object. A tag-shape answer item and the
+// error body are RouteJSON objects with keys left out, so it decodes
+// them too.
+func (d *wireDec) route(r *RouteJSON) bool {
+	if r == nil {
+		r = new(RouteJSON) // keeping nothing: a scratch item on the stack
 	}
-	return -1
-}
-
-// route decodes one RouteJSON object (null leaves r untouched).
-func (d *wireDec) route(r *RouteJSON) error {
-	switch d.ws() {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
-		return d.mismatch("RouteJSON")
-	}
-	var seen uint16
-	from := 0
-	more, err := d.open('}')
-	for more && err == nil {
-		k := -1
-		if d.ws() == '"' {
-			k = d.encodedKey(from, &seen)
-		}
-		if k < 0 {
-			var raw []byte
-			var slow bool
-			if raw, slow, err = d.key(); err != nil {
-				break
-			}
-			if k, err = d.field(raw, slow, &routeKeys, &seen); err != nil {
-				break
-			}
-		}
-		if k >= 0 {
-			from = k + 1
-		}
+	more, ok := d.open('{', '}')
+	for from := 0; more && ok; {
+		k := d.key(routeKeys, from)
 		switch k {
 		case rkNet:
-			err = d.stringInto(&r.Net, strIntern)
+			ok = d.stringInto(&r.Net, true)
 		case rkSrc:
-			err = d.intInto(&r.Src)
+			r.Src, ok = d.int()
 		case rkDst:
-			err = d.intInto(&r.Dst)
+			r.Dst, ok = d.int()
 		case rkScheme:
-			err = d.stringInto(&r.Scheme, strIntern)
+			ok = d.stringInto(&r.Scheme, true)
 		case rkTag:
-			err = d.stringInto(&r.Tag, d.tagMode)
+			if d.keep == keepTagText {
+				var raw []byte
+				raw, ok = d.str()
+				d.text = append(d.text, raw...)
+			} else {
+				ok = d.stringInto(&r.Tag, false)
+			}
 		case rkPath:
-			err = d.pathInto(&r.Path)
+			ok = d.path(&r.Path)
 		case rkEpoch:
-			err = d.uintInto(&r.Epoch)
+			r.Epoch, ok = d.num()
 		case rkError:
-			err = d.stringInto(&r.Error, strCopy)
+			ok = d.stringInto(&r.Error, false)
 		case rkCode:
-			err = d.stringInto(&r.Code, strIntern)
+			ok = d.stringInto(&r.Code, true)
 		default:
-			err = d.skip()
+			return false
 		}
-		if err == nil {
-			more, err = d.next('}')
+		if ok {
+			more, ok = d.next('}')
 		}
+		from = k + 1
 	}
-	return err
+	return ok
 }
 
-// top scans the start of a body: true for an object (its '{' is next),
-// false for a top-level null, which decodes to the zero value and ends
-// the body (encoding/json's Decode ignores what follows a first value).
-func (d *wireDec) top() (bool, error) {
-	c := d.ws()
-	switch {
-	case d.i >= len(d.b):
-		return false, d.unexpected()
-	case c == '{':
-		return true, nil
-	case c == 'n':
-		return false, d.literal("null")
-	}
-	return false, d.mismatch("object")
+// decodeRouteFast is DecodeRouteJSON's fast path alone.
+func decodeRouteFast(body []byte, r *RouteJSON) bool {
+	d := wireDec{b: body}
+	return d.route(r)
 }
 
 // DecodeRouteJSON decodes a /route body into r.
 func DecodeRouteJSON(body []byte, r *RouteJSON) error {
-	d := wireDec{b: body}
-	if obj, err := d.top(); !obj {
-		return err
+	was := *r
+	if decodeRouteFast(body, r) {
+		return nil
 	}
-	return d.route(r)
+	v := was // decoded apart, so that r stays off the heap on the fast path
+	err := decodeJSON(body, &v)
+	*r = v
+	return err
 }
 
-// itemMode is how a batch walk treats one of the batch arrays.
-type itemMode uint8
+// batchKeys are BatchJSON's keys in the order the encoders write them.
+var batchKeys = quoted("requests", "responses", "epoch")
 
-const (
-	// skipItems: the key is not part of the schema being decoded; its
-	// value is skipped like any unknown key's.
-	skipItems itemMode = iota
-	// routeItems: elements are RouteJSON objects (or null).
-	routeItems
-	// rawItems: elements are any JSON value, kept as byte spans (the
-	// json.RawMessage view).
-	rawItems
-	// answerItems: elements are tag-shape answer items (or null), decoded
-	// into a RouteJSON's Tag, Epoch, Error and Code.
-	answerItems
-)
-
-// batchSpec names what one batch walk decodes.
-type batchSpec struct {
-	requests, responses itemMode
-	epoch               bool
-}
-
-var batchKeys = newSchema("requests", "responses", "epoch")
-
-// batch walks one batch body. For every element of an array the spec
-// decodes it calls item with the array (false: requests, true:
-// responses), the element's raw bytes and, for routeItems and
-// answerItems, the element decoded into a RouteJSON (nil for rawItems);
-// r is only valid during the call. Path elements of every item
-// accumulate in d.ints. It returns the body's epoch (0 unless the spec
-// decodes it).
-func (d *wireDec) batch(spec batchSpec, item func(resp bool, raw []byte, r *RouteJSON) error) (uint64, error) {
-	var epoch uint64
-	if obj, err := d.top(); !obj {
-		return 0, err
-	}
-	var seen uint16
-	more, err := d.open('}')
-	for more && err == nil {
-		var raw []byte
-		var slow bool
-		if raw, slow, err = d.key(); err != nil {
-			break
-		}
-		var k int
-		if k, err = d.field(raw, slow, &batchKeys, &seen); err != nil {
-			break
-		}
-		switch {
-		case k == 0 && spec.requests != skipItems:
-			err = d.items(spec.requests, false, item)
-		case k == 1 && spec.responses != skipItems:
-			err = d.items(spec.responses, true, item)
-		case k == 2 && spec.epoch:
-			err = d.uintInto(&epoch)
-		default:
-			if k >= 0 {
-				seen &^= 1 << k // outside the spec the key is unknown: repeats are fine
-			}
-			err = d.skip()
-		}
-		if err == nil {
-			more, err = d.next('}')
-		}
-	}
-	return epoch, err
-}
-
-// items walks one batch array (null is an empty one).
-func (d *wireDec) items(mode itemMode, resp bool, item func(resp bool, raw []byte, r *RouteJSON) error) error {
-	switch d.ws() {
-	case 'n':
-		return d.literal("null")
-	case '[':
-	default:
-		return d.mismatch("array")
-	}
-	// The item a callback sees outlives no call, so one per array will
-	// do; a raw walk needs none.
+// batch walks a batch body: {"requests":…,"responses":…,"epoch":N}, each
+// member optional, either array null, every element a RouteJSON object.
+// It calls item with each element of both arrays (resp false: requests,
+// true: responses), its bytes and its decoded value, which is valid
+// during the call only, and returns the body's epoch. On false the body
+// is not canonical, and the caller discards what item was given.
+func (d *wireDec) batch(item func(resp bool, raw []byte, r *RouteJSON)) (epoch uint64, ok bool) {
+	// The item handed to item escapes to the heap: one per walk, none
+	// when the walk keeps nothing (item then gets nil).
 	var r *RouteJSON
-	if mode != rawItems {
+	if d.keep != keepNone {
 		r = new(RouteJSON)
 	}
-	more, err := d.open(']')
-	for more && err == nil {
-		d.ws()
-		start := d.i
-		switch mode {
-		case rawItems:
-			err = d.skip()
-		case answerItems:
-			*r = RouteJSON{}
-			err = d.answer(r)
+	more, ok := d.open('{', '}')
+	for from := 0; more && ok; {
+		k := d.key(batchKeys, from)
+		switch k {
+		case 0, 1:
+			ok = d.items(k == 1, r, item)
+		case 2:
+			epoch, ok = d.num()
 		default:
+			return 0, false
+		}
+		if ok {
+			more, ok = d.next('}')
+		}
+		from = k + 1
+	}
+	return epoch, ok
+}
+
+// items walks one batch array for batch.
+func (d *wireDec) items(resp bool, r *RouteJSON, item func(bool, []byte, *RouteJSON)) bool {
+	if rest := d.b[d.i:]; len(rest) >= 4 && string(rest[:4]) == "null" {
+		d.i += 4
+		return true
+	}
+	more, ok := d.open('[', ']')
+	for more && ok {
+		start := d.i
+		if r != nil {
 			*r = RouteJSON{}
-			err = d.route(r)
 		}
-		if err == nil {
-			err = item(resp, d.b[start:d.i], r)
-		}
-		if err == nil {
-			more, err = d.next(']')
+		if ok = d.route(r); ok {
+			item(resp, d.b[start:d.i], r)
+			more, ok = d.next(']')
 		}
 	}
-	return err
+	return ok
 }
 
 // BatchItem is one element of a /route/batch request as the fleet router
@@ -1320,93 +783,79 @@ type BatchItem struct {
 }
 
 // AppendBatchItems scans a /route/batch request body and appends one
-// BatchItem per element of its "requests" array, each Raw a sub-slice of
-// body. Every element is decoded as a RouteJSON, so the body is refused
-// exactly when the backend's request decode would refuse it.
+// BatchItem per element of its "requests" array, decoded as the backend
+// decodes it. On a canonical body each Raw is a sub-slice of body; on
+// any other, encoding/json decodes the body and each Raw is the
+// element's value re-encoded into a buffer of its own.
 func AppendBatchItems(dst []BatchItem, body []byte) ([]BatchItem, error) {
+	n := len(dst)
 	d := wireDec{b: body}
-	_, err := d.batch(batchSpec{requests: routeItems}, func(_ bool, raw []byte, r *RouteJSON) error {
-		dst = append(dst, BatchItem{Raw: raw, Net: r.Net, Src: r.Src, Dst: r.Dst})
-		d.ints = d.ints[:0]
-		return nil
-	})
-	return dst, err
+	if _, ok := d.batch(func(resp bool, raw []byte, r *RouteJSON) {
+		if !resp {
+			dst = append(dst, BatchItem{Raw: raw, Net: r.Net, Src: r.Src, Dst: r.Dst})
+		}
+	}); ok {
+		return dst, nil
+	}
+	var in struct {
+		Requests []RouteJSON `json:"requests"`
+	}
+	if err := decodeJSON(body, &in); err != nil {
+		return dst[:n], err
+	}
+	var raw []byte
+	ends := make([]int, len(in.Requests))
+	for i := range in.Requests {
+		r := &in.Requests[i]
+		raw = AppendRouteJSON(raw, r, false)
+		if r.Path != nil && len(r.Path) == 0 {
+			// The encoder omits an empty path, which decodes as none.
+			raw = append(raw[:len(raw)-1], `,"path":[]}`...)
+		}
+		ends[i] = len(raw)
+	}
+	dst, start := dst[:n], 0
+	for i, r := range in.Requests {
+		dst = append(dst, BatchItem{Raw: raw[start:ends[i]], Net: r.Net, Src: r.Src, Dst: r.Dst})
+		start = ends[i]
+	}
+	return dst, nil
 }
 
 // AppendBatchResponses splits a /route/batch response body at item
 // boundaries: it appends the bytes of every element of its "responses"
-// array (sub-slices of body, any JSON value) to dst and returns the
-// body's epoch.
+// array (sub-slices of a canonical body, encoding/json's
+// json.RawMessage copies of any other) to dst and returns the body's
+// epoch.
 func AppendBatchResponses(dst [][]byte, body []byte) ([][]byte, uint64, error) {
-	d := wireDec{b: body}
-	epoch, err := d.batch(batchSpec{responses: rawItems, epoch: true}, func(_ bool, raw []byte, _ *RouteJSON) error {
-		dst = append(dst, raw)
-		return nil
+	n := len(dst)
+	d := wireDec{b: body, keep: keepNone}
+	epoch, ok := d.batch(func(resp bool, raw []byte, _ *RouteJSON) {
+		if resp {
+			dst = append(dst, raw)
+		}
 	})
-	return dst, epoch, err
-}
-
-// answerKeys are a tag-shape answer item's keys and errorKeys the error
-// body's, answerKeys' first two; object decodes either by index.
-var answerKeys = newSchema("error", "code", "tag", "epoch")
-
-var errorKeys = newSchema("error", "code")
-
-// answer decodes one tag-shape answer item (null leaves r untouched)
-// into r's Error, Code, Tag and Epoch; it is object() over answerKeys.
-func (d *wireDec) answer(r *RouteJSON) error {
-	switch d.ws() {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
-		return d.mismatch("object")
+	if ok {
+		return dst, epoch, nil
 	}
-	return d.object(&answerKeys, r)
-}
-
-// object decodes the members of the object whose '{' is at the cursor
-// into r, against sc: the answer keys or their error-body prefix.
-func (d *wireDec) object(sc *schema, r *RouteJSON) error {
-	var seen uint16
-	more, err := d.open('}')
-	for more && err == nil {
-		var raw []byte
-		var slow bool
-		if raw, slow, err = d.key(); err != nil {
-			break
-		}
-		var k int
-		if k, err = d.field(raw, slow, sc, &seen); err != nil {
-			break
-		}
-		switch k {
-		case 0:
-			err = d.stringInto(&r.Error, strCopy)
-		case 1:
-			err = d.stringInto(&r.Code, strIntern)
-		case 2:
-			err = d.stringInto(&r.Tag, d.tagMode)
-		case 3:
-			err = d.uintInto(&r.Epoch)
-		default:
-			err = d.skip()
-		}
-		if err == nil {
-			more, err = d.next('}')
-		}
+	var out struct {
+		Responses []json.RawMessage `json:"responses"`
+		Epoch     uint64            `json:"epoch"`
 	}
-	return err
+	err := decodeJSON(body, &out)
+	dst = dst[:n]
+	for _, raw := range out.Responses {
+		dst = append(dst, raw)
+	}
+	return dst, out.Epoch, err
 }
 
 // decodeErrorJSON decodes an error body into e.
 func decodeErrorJSON(body []byte, e *errJSON) error {
-	d := wireDec{b: body}
-	if obj, err := d.top(); !obj {
-		return err
-	}
 	r := RouteJSON{Error: e.Error, Code: e.Code}
-	err := d.object(&errorKeys, &r)
-	e.Error, e.Code = r.Error, r.Code
-	return err
+	if decodeRouteFast(body, &r) {
+		e.Error, e.Code = r.Error, r.Code
+		return nil
+	}
+	return decodeJSON(body, e)
 }

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -49,10 +51,8 @@ type routerRespView struct {
 	Epoch     uint64            `json:"epoch"`
 }
 
-// checkDecoded holds the codec to the oracle on one body: whatever the
-// codec accepts the oracle accepts with an equal value; whatever the
-// oracle accepts the codec accepts too, unless the refusal is one of the
-// documented errRefusedKey classes.
+// checkDecoded holds an entry point to the oracle on one body: it
+// accepts exactly what the oracle accepts, with an equal value.
 func checkDecoded(t *testing.T, what string, body []byte, errO, errW error, ours, want any) {
 	t.Helper()
 	switch {
@@ -60,33 +60,70 @@ func checkDecoded(t *testing.T, what string, body []byte, errO, errW error, ours
 		t.Fatalf("%s: codec accepted %q, oracle refused: %v", what, body, errW)
 	case errO == nil && !reflect.DeepEqual(ours, want):
 		t.Fatalf("%s: %q decoded to\n%#v\nwant\n%#v", what, body, ours, want)
-	case errO != nil && errW == nil && !errors.Is(errO, errRefusedKey):
-		t.Fatalf("%s: codec refused %q outside the documented classes: %v", what, body, errO)
+	case errO != nil && errW == nil:
+		t.Fatalf("%s: codec refused %q, oracle accepted: %v", what, body, errO)
 	}
 }
 
-// checkWireBody runs every decode entry point of the codec against its
-// oracle on body, and re-encodes what decoded against the oracle
-// encoder.
+// checkFast holds the fast path alone to the oracle: a body it accepts,
+// the oracle accepts with an equal value, so no wrong acceptance can hide
+// behind the fallback.
+func checkFast(t *testing.T, what string, body []byte, fast bool, errW error, ours, want any) {
+	t.Helper()
+	if fast && (errW != nil || !reflect.DeepEqual(ours, want)) {
+		t.Fatalf("%s: fast path accepted %q as\n%#v\noracle (%v)\n%#v", what, body, ours, errW, want)
+	}
+}
+
+// fastBatch runs the batch walk alone, keeping every field, and returns
+// the items of both arrays, the epoch and whether it accepted the body.
+func fastBatch(body []byte) (reqs, resps []RouteJSON, epoch uint64, ok bool) {
+	d := wireDec{b: body}
+	epoch, ok = d.batch(func(resp bool, _ []byte, r *RouteJSON) {
+		if resp {
+			resps = append(resps, *r)
+		} else {
+			reqs = append(reqs, *r)
+		}
+	})
+	return reqs, resps, epoch, ok
+}
+
+// sameItems reports whether two item lists hold equal items (an empty
+// list and a nil one alike).
+func sameItems(a, b []RouteJSON) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// checkWireBody runs every decode entry point of the codec, and its
+// fast path alone, against the oracle on body, and re-encodes what
+// decoded against the oracle encoder.
 func checkWireBody(t *testing.T, body []byte) {
 	t.Helper()
-	var r, rw RouteJSON
+	var r, rw, rf RouteJSON
 	errO, errW := DecodeRouteJSON(body, &r), oracleDecode(body, &rw)
 	checkDecoded(t, "RouteJSON", body, errO, errW, r, rw)
+	checkFast(t, "RouteJSON", body, decodeRouteFast(body, &rf), errW, rf, rw)
 	if errW == nil {
 		checkEncodeRoute(t, &rw)
 	}
 
 	var bw BatchJSON
-	if oracleDecode(body, &bw) == nil {
+	errW = oracleDecode(body, &bw)
+	if errW == nil {
 		if got, want := append(appendBatchJSON(nil, &bw), '\n'), oracleEncode(t, &bw, false); !bytes.Equal(got, want) {
 			t.Fatalf("BatchJSON encode:\n got %q\nwant %q", got, want)
 		}
 	}
+	if reqs, resps, epoch, ok := fastBatch(body); ok && (errW != nil || epoch != bw.Epoch || !sameItems(reqs, bw.Requests) || !sameItems(resps, bw.Responses)) {
+		t.Fatalf("batch walk accepted %q as %+v %+v epoch %d, oracle (%v) %+v", body, reqs, resps, epoch, errW, bw)
+	}
 
 	var e, ew errJSON
+	var ef RouteJSON
 	errO, errW = decodeErrorJSON(body, &e), oracleDecode(body, &ew)
 	checkDecoded(t, "errJSON", body, errO, errW, e, ew)
+	checkFast(t, "errJSON", body, decodeRouteFast(body, &ef), errW, errJSON{Error: ef.Error, Code: ef.Code}, ew)
 	if errW == nil {
 		if got, want := append(AppendErrorJSON(nil, ew.Error, ew.Code), '\n'), oracleEncode(t, &ew, false); !bytes.Equal(got, want) {
 			t.Fatalf("errJSON encode:\n got %q\nwant %q", got, want)
@@ -114,19 +151,32 @@ func checkWireBody(t *testing.T, body []byte) {
 		}
 	}
 
-	// The client's answer-item scan: each tag-shape item decodes to the
-	// item the oracle decodes.
+	// The client's answer decode: the fast walk alone decodes each
+	// tag-shape item as the oracle does, and the completion, fallback
+	// included, refuses what the oracle refuses and keeps every item's
+	// answer fields.
 	var tb tagBatchJSON
-	var answers []tagAnswerJSON
-	d := wireDec{b: body}
-	epoch, errO := d.batch(batchSpec{responses: answerItems, epoch: true}, func(_ bool, _ []byte, r *RouteJSON) error {
-		answers = append(answers, tagAnswerJSON{Tag: r.Tag, Epoch: r.Epoch, Error: r.Error, Code: r.Code})
-		return nil
-	})
 	errW = oracleDecode(body, &tb)
-	checkDecoded(t, "tag answers", body, errO, errW, nil, nil)
-	if errO == nil && (epoch != tb.Epoch || len(answers) != len(tb.Responses) || len(answers) > 0 && !reflect.DeepEqual(answers, tb.Responses)) {
-		t.Fatalf("tag answers of %q: %+v epoch %d, oracle %+v epoch %d", body, answers, epoch, tb.Responses, tb.Epoch)
+	if _, resps, epoch, ok := fastBatch(body); ok {
+		answers := make([]tagAnswerJSON, len(resps))
+		for i, r := range resps {
+			answers[i] = tagAnswerJSON{Tag: r.Tag, Epoch: r.Epoch, Error: r.Error, Code: r.Code}
+		}
+		if errW != nil || epoch != tb.Epoch || len(answers) != len(tb.Responses) || len(answers) > 0 && !reflect.DeepEqual(answers, tb.Responses) {
+			t.Fatalf("tag answers of %q: %+v epoch %d, oracle (%v) %+v epoch %d", body, answers, epoch, errW, tb.Responses, tb.Epoch)
+		}
+	}
+	var out BatchJSON
+	errO = decodeTagAnswers(body, make([]RouteJSON, len(tb.Responses)), &out)
+	switch {
+	case errW != nil && errO == nil:
+		t.Fatalf("tag answers: codec accepted %q, oracle refused: %v", body, errW)
+	case errO == nil:
+		for i, a := range tb.Responses {
+			if r := out.Responses[i]; r.Tag != a.Tag || r.Epoch != a.Epoch || r.Error != a.Error || r.Code != a.Code {
+				t.Fatalf("tag answer %d of %q: %+v, oracle %+v", i, body, r, a)
+			}
+		}
 	}
 
 	var rs routerRespView
@@ -253,6 +303,16 @@ func wireSeedBodies(t testing.TB) [][]byte {
 		`{"responses":[{"tag":"0110","epoch":3},{"error":"routesvc: overload","code":"overload"},{"tag":"1000"}],"epoch":3}`,
 		`{"responses":[{"epoch":2,"tag":"01"},{"code":"x","error":"y"},{"tag":"01","tag":"10"}]}`,
 		`{"responses":[{"tag":1}]}`, `{"responses":[{"epoch":-1}]}`, `{"responses":[{"src":"x","tag":"01"}]}`,
+		// One body per class outside the fast path's grammar, each
+		// otherwise canonical: an escaped key, a case-folded key, a
+		// repeated key, whitespace, an escape in a value, invalid UTF-8,
+		// an exponent, a number past uint64 (after the largest one), and
+		// nesting 10000 deep.
+		`{"s\u0072c":1,"dst":2,"scheme":"ssdt"}`, `{"src":1,"DST":2,"scheme":"ssdt"}`, `{"src":1,"dst":2,"dst":3,"scheme":"ssdt"}`,
+		`{"requests":[{"src":1,"dst":2,"scheme":"ssdt"}, {"src":3,"dst":4,"scheme":"tsdt"}]}`,
+		`{"responses":[{"tag":"01\u0031","epoch":2}],"epoch":2}`, "{\"requests\":[{\"net\":\"p\xff\",\"src\":1,\"dst\":2,\"scheme\":\"ssdt\"}]}",
+		`{"src":1e0,"dst":2,"scheme":"ssdt"}`, `{"responses":[{"tag":"01","epoch":18446744073709551615}],"epoch":18446744073709551616}`,
+		`{"src":1,"dst":2,"scheme":"ssdt","x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
 	} {
 		seeds = append(seeds, []byte(s))
 	}
@@ -346,8 +406,10 @@ func TestWireSeedsAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestWireRefusalClasses pins the documented refusals: bodies the oracle
-// accepts that the codec refuses with errRefusedKey.
+// TestWireRefusalClasses: the bodies the codec once refused although
+// encoding/json accepts them (escaped, non-ASCII and repeated keys)
+// leave the fast path and decode, through the fallback, exactly as
+// encoding/json decodes them.
 func TestWireRefusalClasses(t *testing.T) {
 	for _, body := range []string{
 		`{"s\u0072c":1}`,                // escaped key
@@ -357,15 +419,13 @@ func TestWireRefusalClasses(t *testing.T) {
 		`{"src":1,"SRC":2}`,             // repeated after case folding
 		`{"requests":[],"requests":[]}`, /* repeated array */
 	} {
-		var r RouteJSON
-		errR := DecodeRouteJSON([]byte(body), &r)
-		_, errB := AppendBatchItems(nil, []byte(body))
 		if err := oracleDecode([]byte(body), &RouteJSON{}); err != nil {
 			t.Fatalf("oracle refused %s: %v", body, err)
 		}
-		if !errors.Is(errR, errRefusedKey) && !errors.Is(errB, errRefusedKey) {
-			t.Errorf("%s: got (%v, %v), want an errRefusedKey refusal", body, errR, errB)
+		if _, _, _, ok := fastBatch([]byte(body)); ok || decodeRouteFast([]byte(body), &RouteJSON{}) {
+			t.Errorf("%s took the fast path", body)
 		}
+		checkWireBody(t, []byte(body))
 	}
 }
 
@@ -413,9 +473,11 @@ func TestWireNestedUnknownValues(t *testing.T) {
 	deep := func(n int) []byte {
 		return []byte(`{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"src":1}`)
 	}
-	// The top-level object is depth 1: 9999 nested arrays fit the limit,
-	// 10000 exceed it, for the codec and the oracle alike.
-	for _, n := range []int{wireMaxDepth - 1, wireMaxDepth} {
+	// The top-level object is depth 1: 9999 nested arrays fit
+	// encoding/json's limit of 10000, 10000 exceed it, for the codec and
+	// the oracle alike.
+	const jsonMaxDepth = 10000
+	for _, n := range []int{jsonMaxDepth - 1, jsonMaxDepth} {
 		errO := DecodeRouteJSON(deep(n), &RouteJSON{})
 		errW := oracleDecode(deep(n), &RouteJSON{})
 		if (errO == nil) != (errW == nil) {
@@ -630,6 +692,127 @@ func TestWireHandlerDifferential(t *testing.T) {
 		if c.method != http.MethodPost && recA.Body.String() != recB.Body.String() {
 			// Refusals without a body decode carry the same message too.
 			t.Fatalf("%s %s %q: %s, legacy %s", c.method, c.target, c.body, recA.Body, recB.Body)
+		}
+	}
+}
+
+// TestCanonicalBodiesTakeFastPath: every body the repo's writers produce
+// (the encoders, the Client's request bodies, and the fleet router's
+// sub-batches and merged answers, framed here as the router frames them)
+// is accepted by the fast path alone, with the oracle's value, over
+// random nets, pairs, tags, paths, epochs and both answer shapes. A
+// canonical body that fell back would still decode right, only slower;
+// this is what catches it.
+func TestCanonicalBodiesTakeFastPath(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	p := topology.MustParams(1024)
+	nets := []string{"", "p0", "p3", DefaultNet, "fabric-7.west"}
+	route := func(what string, body []byte) {
+		t.Helper()
+		var got, want RouteJSON
+		if !decodeRouteFast(body, &got) {
+			t.Fatalf("%s: %q left the fast path", what, body)
+		}
+		if err := oracleDecode(body, &want); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %q decoded to %+v, oracle %+v (%v)", what, body, got, want, err)
+		}
+	}
+	batch := func(what string, body []byte) {
+		t.Helper()
+		reqs, resps, epoch, ok := fastBatch(body)
+		if !ok {
+			t.Fatalf("%s: %q left the fast path", what, body)
+		}
+		var want BatchJSON
+		if err := oracleDecode(body, &want); err != nil || epoch != want.Epoch || !sameItems(reqs, want.Requests) || !sameItems(resps, want.Responses) {
+			t.Fatalf("%s: %q decoded to %+v %+v epoch %d, oracle %+v (%v)", what, body, reqs, resps, epoch, want, err)
+		}
+	}
+	// frame joins item spans as the fleet router does: a sub-batch
+	// ({"requests":[…]}) or a merged answer ({"responses":[…],"epoch":N}).
+	frame := func(head string, spans [][]byte, tail string) []byte {
+		b := []byte(head)
+		for i, s := range spans {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, s...)
+		}
+		return append(b, tail...)
+	}
+	for round := 0; round < 300; round++ {
+		n := rng.IntN(70)
+		var reqs []RouteJSON
+		if n > 0 || rng.IntN(2) == 0 {
+			reqs = make([]RouteJSON, n)
+		}
+		nn := make([]string, n)
+		results := make([]Result, n)
+		for i := range reqs {
+			src, dst := rng.IntN(p.Size()), rng.IntN(p.Size())
+			switch rng.IntN(20) {
+			case 0:
+				src, dst = -rng.IntN(5), p.Size()+rng.IntN(9000)
+			case 1:
+				src, dst = math.MinInt64, math.MaxInt64
+			}
+			nn[i] = nets[rng.IntN(len(nets))]
+			reqs[i] = RouteJSON{Net: nn[i], Src: src, Dst: dst, Scheme: []string{"", "ssdt", "tsdt", "reroute", "SSDT"}[rng.IntN(5)]}
+			res := Result{Src: src, Dst: dst, Scheme: Scheme(rng.IntN(2)), Epoch: uint64(rng.IntN(2)) * (rng.Uint64() >> rng.IntN(64))}
+			switch rng.IntN(8) {
+			case 0:
+				res.Err = fmt.Errorf("%w: pair (%d, %d) outside 0..%d", ErrInvalid, src, dst, p.Size()-1)
+			case 1:
+				res.Err = ErrOverload
+			case 2:
+				res.Err = fmt.Errorf("%w: every path from %d to %d crosses a blocked link", core.ErrNoPath, src, dst)
+			default:
+				res.Src, res.Dst = rng.IntN(p.Size()), rng.IntN(p.Size())
+				res.Tag = core.MustTag(p, res.Dst)
+				for s := 0; s < p.Stages() && res.Scheme == SchemeTSDT; s++ {
+					res.Tag = res.Tag.WithStateBit(s, rng.IntN(2))
+				}
+				res.Path = res.Tag.Follow(p, res.Src)
+			}
+			results[i] = res
+		}
+		epoch := rng.Uint64() >> rng.IntN(64)
+
+		// A single: the Client's request and every answer body.
+		if n > 0 {
+			route("Client.Route request", AppendRouteJSON(nil, &reqs[0], false))
+			if results[0].Err == nil {
+				route("/route answer", appendResult(nil, nn[0], &results[0]))
+			}
+			full := resultJSON(results[0])
+			full.Net = nn[0]
+			route("AppendRouteJSON", AppendRouteJSON(nil, &full, false))
+		}
+		route("error body", AppendErrorJSON(nil, "routesvc: overloaded, slow-path request shed", []string{"", "overload", "invalid"}[rng.IntN(3)]))
+
+		// A batch: the Client's request, both answer shapes, and the
+		// router's sub-batch and merged answers built from their spans.
+		body := appendBatchJSON(nil, &BatchJSON{Requests: reqs})
+		batch("Client.RouteBatch request", body)
+		items, err := AppendBatchItems(nil, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := make([][]byte, len(items))
+		for i := range items {
+			spans[i] = items[i].Raw
+		}
+		batch("router sub-batch", frame(`{"requests":[`, spans, "]}"))
+		batch("appendBatchJSON", appendBatchJSON(nil, &BatchJSON{Requests: reqs, Responses: reqs, Epoch: epoch}))
+		tags := appendTagResults(nil, results, epoch)
+		full := appendBatchResults(nil, nn, results, epoch)
+		for _, answer := range [][]byte{tags, full} {
+			batch("backend answer", answer)
+			split, ep, err := AppendBatchResponses(nil, answer)
+			if err != nil || ep != epoch {
+				t.Fatalf("split of %q: epoch %d, %v", answer, ep, err)
+			}
+			batch("router merged answer", frame(`{"responses":[`, split, `],"epoch":`+strconv.FormatUint(epoch, 10)+"}"))
 		}
 	}
 }

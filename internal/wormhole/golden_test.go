@@ -19,9 +19,8 @@ import (
 var updateGrid = flag.Bool("update", false, "rewrite testdata/golden_grid.txt")
 
 // goldenGridConfigs is the pinned grid: every policy x traffic kind x
-// fault mode x switch model, in two lane/flit shapes. Each config is run
-// twice, keyed IntraWorkers 1 and 3: the engine ignores the field, so each
-// pair of lines must agree, and the keys keep the recorded file.
+// fault mode x switch model, in two lane/flit shapes, each run once with
+// its own seed.
 func goldenGridConfigs(t *testing.T) (keys []string, cfgs []Config) {
 	t.Helper()
 	const N = 16
@@ -55,14 +54,10 @@ func goldenGridConfigs(t *testing.T) (keys []string, cfgs []Config) {
 						case "transient":
 							cfg.FaultRate, cfg.RepairCycles = 0.004, 15
 						}
-						for _, intra := range []int{1, 3} {
-							c := cfg
-							c.IntraWorkers = intra
-							c.Seed = int64(11 + len(cfgs)/2)
-							keys = append(keys, fmt.Sprintf("f%dv%dd%d/%v/%v/%s/%v/intra=%d",
-								sh.flits, sh.lanes, sh.depth, pol, tr, fault, sw, intra))
-							cfgs = append(cfgs, c)
-						}
+						cfg.Seed = int64(11 + len(cfgs))
+						keys = append(keys, fmt.Sprintf("f%dv%dd%d/%v/%v/%s/%v",
+							sh.flits, sh.lanes, sh.depth, pol, tr, fault, sw))
+						cfgs = append(cfgs, cfg)
 					}
 				}
 			}
@@ -87,18 +82,31 @@ func goldenLine(key string, m Metrics) string {
 
 // TestGoldenGrid pins the engine's output bit for bit across commits,
 // faulty configs included (the refwh oracle compares those only
-// statistically). Regenerate deliberately with
+// statistically), and checks that the last config, run twice through one
+// Runner, repeats its line. Regenerate deliberately with
 //
 //	go test ./internal/wormhole -run GoldenGrid -update
 func TestGoldenGrid(t *testing.T) {
 	keys, cfgs := goldenGridConfigs(t)
 	var got bytes.Buffer
+	var line string
 	for i, cfg := range cfgs {
 		m, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", keys[i], err)
 		}
-		fmt.Fprintln(&got, goldenLine(keys[i], m))
+		line = goldenLine(keys[i], m)
+		fmt.Fprintln(&got, line)
+	}
+	last := len(cfgs) - 1
+	r, err := NewRunner(cfgs[last])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		if again := goldenLine(keys[last], r.Run()); again != line {
+			t.Fatalf("run %d through one Runner:\n got %s\nwant %s", k+1, again, line)
+		}
 	}
 	path := filepath.Join("testdata", "golden_grid.txt")
 	if *updateGrid {
